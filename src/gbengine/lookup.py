@@ -12,9 +12,19 @@ Four interchangeable variants answer "which stored monomials divide q":
 Entries are retired by tombstone and physically dropped at the next
 rebuild; a rebuild also recalibrates the divmap so masks always fit the
 current contents.
+
+Answers of find_all_divisors outlive inserts: a repeated query scans only
+the entries inserted since its answer was made, and only a retire drops
+the stored answers.  The divmask counters (DivmaskStats hits, misses and
+divisibilities) count the mask consultations actually made, so they
+depend on the lookup kind and on this reuse; they are not part of any
+result.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from operator import getitem
 
 from .ring import Monomial, Ring
 
@@ -32,12 +42,29 @@ class DivMap:
     variables; each variable's thresholds are evenly spaced strictly
     between its min and max exponent in the calibration set (the average
     of min and max when the variable gets a single bit).
+
+    entries[b] = (i, t) is bit b.  For mask_of, each variable i keeps its
+    thresholds sorted and the OR of the bits of every prefix of them: the
+    bits set by exponent e are the prefix of length bisect_right(ts, e).
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_thresholds", "_prefixes")
 
     def __init__(self, entries):
         self.entries = tuple(entries)
+        nv = 1 + max((i for i, _ in self.entries), default=-1)
+        per_var = [[] for _ in range(nv)]
+        for b, (i, t) in enumerate(self.entries):
+            per_var[i].append((t, 1 << b))
+        self._thresholds = []
+        self._prefixes = []
+        for bits in per_var:
+            bits.sort()
+            prefix = [0]
+            for _, bit in bits:
+                prefix.append(prefix[-1] | bit)
+            self._thresholds.append(tuple(t for t, _ in bits))
+            self._prefixes.append(tuple(prefix))
 
     @classmethod
     def trivial(cls, ring: Ring):
@@ -72,14 +99,9 @@ class DivMap:
         return cls(entries)
 
     def mask_of(self, mono: Monomial) -> int:
-        e = mono.exps
-        mask = 0
-        bit = 1
-        for i, t in self.entries:
-            if e[i] >= t:
-                mask |= bit
-            bit <<= 1
-        return mask
+        # the variables own disjoint bits, so the sum is their OR
+        return sum(map(getitem, self._prefixes,
+                       map(bisect_right, self._thresholds, mono.exps)))
 
 
 def may_divide(a_mask: int, b_mask: int) -> bool:
@@ -88,14 +110,24 @@ def may_divide(a_mask: int, b_mask: int) -> bool:
 
 
 class DivmaskStats:
-    """Hit/miss/divisible accounting for mask consultations (one structure)."""
+    """Accounting of one structure's queries.
 
-    __slots__ = ("hits", "misses", "divisibilities")
+    hits, misses and divisibilities count mask consultations.  reused,
+    extended and computed count the answers given: returned as stored,
+    stored but brought up to date over the entries inserted since, or
+    computed by a full query.
+    """
+
+    __slots__ = ("hits", "misses", "divisibilities",
+                 "reused", "extended", "computed")
 
     def __init__(self):
         self.hits = 0
         self.misses = 0
         self.divisibilities = 0
+        self.reused = 0
+        self.extended = 0
+        self.computed = 0
 
     @property
     def consultations(self):
@@ -123,35 +155,54 @@ class _LookupBase:
         self.by_id = {}
         self.live = 0
         self.churn = 0
-        # query results keyed by packed monomial key; any mutation clears
-        # them, so between mutations repeated queries cost one dict hit.
-        # Callers must not mutate returned lists.
+        # Query answers keyed by packed monomial key.  Callers must not
+        # mutate returned lists.  find_divisor answers are dropped by any
+        # mutation.  A find_all_divisors answer is stored as (stamp, list),
+        # stamp being len(self._log) when it was made; _log holds the
+        # records inserted since the last retire, so the answer is brought
+        # up to date by scanning _log[stamp:].  A retire drops both.
         self._one_cache = {}
         self._all_cache = {}
+        self._log = []
 
     def find_divisor(self, q: Monomial):
         k = q.key
         cache = self._one_cache
         if k in cache:
+            self.stats.reused += 1
             return cache[k]
-        out = self._find_divisor(q)
-        cache[k] = out
+        self.stats.computed += 1
+        found = self._query(q, True)
+        out = cache[k] = found[0] if found else None
         return out
 
     def find_all_divisors(self, q: Monomial):
         k = q.key
-        cache = self._all_cache
-        out = cache.get(k)
-        if out is None:
+        log = self._log
+        got = self._all_cache.get(k)
+        if got is None:
+            self.stats.computed += 1
             out = self._find_all_divisors(q)
-            cache[k] = out
+        else:
+            stamp, out = got
+            if stamp == len(log):
+                self.stats.reused += 1
+                return out
+            self.stats.extended += 1
+            new = _scan(log[stamp:], q.exps, self._notq(q), self.stats, [],
+                        False)
+            if new:
+                out = out + new
+        self._all_cache[k] = (len(log), out)
         return out
 
-    def _clear_caches(self):
-        if self._one_cache:
-            self._one_cache = {}
-        if self._all_cache:
-            self._all_cache = {}
+    def _find_all_divisors(self, q: Monomial):
+        """A full query, bypassing the stored answers."""
+        return self._query(q, False)
+
+    def _notq(self, q):
+        """Complement of q's divmask, or None without masks."""
+        return ~self.divmap.mask_of(q) if self.use_masks else None
 
     def __len__(self):
         return self.live
@@ -170,7 +221,9 @@ class _LookupBase:
         self.by_id[pid] = rec
         self.live += 1
         self.churn += 1
-        self._clear_caches()
+        if self._one_cache:
+            self._one_cache = {}
+        self._log.append(rec)
         return rec
 
     def retire(self, pid) -> None:
@@ -182,7 +235,12 @@ class _LookupBase:
         del self.by_id[pid]
         self.live -= 1
         self.churn += 1
-        self._clear_caches()
+        if self._one_cache:
+            self._one_cache = {}
+        if self._all_cache:
+            self._all_cache = {}
+        if self._log:
+            self._log = []
 
     def maybe_rebuild(self) -> bool:
         if self.churn <= self.live * REBUILD_CHURN_RATIO:
@@ -191,6 +249,8 @@ class _LookupBase:
         return True
 
     def rebuild(self) -> None:
+        """Drop retired entries and recalibrate the divmap.  The live set
+        does not change, so stored find_all_divisors answers stay."""
         recs = list(self.by_id.values())
         if self.use_masks and recs:
             self.divmap = DivMap.calibrate(self.ring, [r[_MONO] for r in recs])
@@ -198,11 +258,44 @@ class _LookupBase:
             for r in recs:
                 r[_MASK] = mask_of(r[_MONO])
         self.churn = 0
-        self._clear_caches()
+        if self._one_cache:
+            self._one_cache = {}
         self._rebuild_storage(recs)
 
     def _rebuild_storage(self, recs):
         raise NotImplementedError
+
+    def _query(self, q, first_only):
+        """Payload ids of the live entries dividing q (at most one when
+        first_only), counting mask consultations in self.stats."""
+        raise NotImplementedError
+
+
+def _scan(recs, qexps, notq, stats, out, first_only):
+    """Append to out the payload ids of the live records in recs dividing
+    the monomial with exponents qexps; notq is the complement of its mask
+    (None: no masks, and nothing is counted)."""
+    if notq is None:
+        for rec in recs:
+            if rec[_LIVE] and _divides(rec[_MONO].exps, qexps):
+                out.append(rec[_PID])
+                if first_only:
+                    break
+        return out
+    for rec in recs:
+        if not rec[_LIVE]:
+            continue
+        if rec[_MASK] & notq:
+            stats.hits += 1
+            continue
+        if _divides(rec[_MONO].exps, qexps):
+            stats.divisibilities += 1
+            out.append(rec[_PID])
+            if first_only:
+                break
+        else:
+            stats.misses += 1
+    return out
 
 
 class ListLookup(_LookupBase):
@@ -218,49 +311,9 @@ class ListLookup(_LookupBase):
     def _rebuild_storage(self, recs):
         self.records = recs
 
-    def _find_divisor(self, q: Monomial):
-        qexps = q.exps
-        stats = self.stats
-        if self.use_masks:
-            notq = ~self.divmap.mask_of(q)
-            for rec in self.records:
-                if not rec[_LIVE]:
-                    continue
-                if rec[_MASK] & notq:
-                    stats.hits += 1
-                    continue
-                if _divides(rec[_MONO].exps, qexps):
-                    stats.divisibilities += 1
-                    return rec[_PID]
-                stats.misses += 1
-            return None
-        for rec in self.records:
-            if rec[_LIVE] and _divides(rec[_MONO].exps, qexps):
-                return rec[_PID]
-        return None
-
-    def _find_all_divisors(self, q: Monomial):
-        qexps = q.exps
-        out = []
-        stats = self.stats
-        if self.use_masks:
-            notq = ~self.divmap.mask_of(q)
-            for rec in self.records:
-                if not rec[_LIVE]:
-                    continue
-                if rec[_MASK] & notq:
-                    stats.hits += 1
-                    continue
-                if _divides(rec[_MONO].exps, qexps):
-                    stats.divisibilities += 1
-                    out.append(rec[_PID])
-                else:
-                    stats.misses += 1
-            return out
-        for rec in self.records:
-            if rec[_LIVE] and _divides(rec[_MONO].exps, qexps):
-                out.append(rec[_PID])
-        return out
+    def _query(self, q, first_only):
+        return _scan(self.records, q.exps, self._notq(q), self.stats, [],
+                     first_only)
 
 
 def _divides(a_exps, b_exps) -> bool:
@@ -382,18 +435,11 @@ class KdLookup(_LookupBase):
 
     # -- queries ----------------------------------------------------------
 
-    def _find_divisor(self, q: Monomial):
-        out = self._query(q, first_only=True)
-        return out[0] if out else None
-
-    def _find_all_divisors(self, q: Monomial):
-        return self._query(q, first_only=False)
-
     def _query(self, q, first_only):
         qexps = q.exps
         stats = self.stats
         masks = self.use_masks
-        notq = ~self.divmap.mask_of(q) if masks else 0
+        notq = self._notq(q)
         out = []
         stack = [self.root]
         while stack:
@@ -412,24 +458,9 @@ class KdLookup(_LookupBase):
                     stack.append(node.right)
                 stack.append(node.left)
                 continue
-            for rec in node.records:
-                if not rec[_LIVE]:
-                    continue
-                if masks:
-                    if rec[_MASK] & notq:
-                        stats.hits += 1
-                        continue
-                    if _divides(rec[_MONO].exps, qexps):
-                        stats.divisibilities += 1
-                        out.append(rec[_PID])
-                        if first_only:
-                            return out
-                    else:
-                        stats.misses += 1
-                elif _divides(rec[_MONO].exps, qexps):
-                    out.append(rec[_PID])
-                    if first_only:
-                        return out
+            _scan(node.records, qexps, notq, stats, out, first_only)
+            if first_only and out:
+                break
         return out
 
     # -- debug audit -------------------------------------------------------

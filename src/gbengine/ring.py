@@ -162,8 +162,12 @@ class Ring:
     # -- monomial arithmetic --------------------------------------------
 
     def mono_mul(self, a: Monomial, b: Monomial) -> Monomial:
-        return Monomial(tuple(map(_add, a.exps, b.exps)),
-                        a.deg + b.deg, a.key + b.key)
+        exps = tuple(map(_add, a.exps, b.exps))
+        deg = a.deg + b.deg
+        # no exponent can reach the cap while the degree stays below it
+        if deg >= MAX_EXPONENT and max(exps) >= MAX_EXPONENT:
+            raise ValueError("exponent out of range")
+        return Monomial(exps, deg, a.key + b.key)
 
     def mono_div(self, a: Monomial, b: Monomial) -> Monomial:
         exps = tuple(map(_sub, a.exps, b.exps))

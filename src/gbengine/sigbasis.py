@@ -247,12 +247,13 @@ class SyzygySet:
         if lk.find_divisor(mono) is not None:
             return False
         # keep the set an antichain: retire stored multiples of the newcomer
-        doomed = [pid for stored, pid in lk.entries()
-                  if self.ring.mono_divides(mono, stored)]
-        for pid in doomed:
-            lk.retire(pid)
-        self.items = [(m, c, pid) for (m, c, pid) in self.items
-                      if not (c == comp and pid in set(doomed))]
+        doomed = {pid for stored, pid in lk.entries()
+                  if self.ring.mono_divides(mono, stored)}
+        if doomed:
+            for pid in doomed:
+                lk.retire(pid)
+            self.items = [(m, c, pid) for (m, c, pid) in self.items
+                          if not (c == comp and pid in doomed)]
         pid = self._next_id
         self._next_id += 1
         lk.insert(mono, pid)

@@ -162,12 +162,14 @@ class MaxHeap:
 class Geobucket:
     """Yan-style bucket list; bucket i holds at most 4 * 4^i entries."""
 
-    __slots__ = ("buckets", "dedup", "p")
+    __slots__ = ("buckets", "dedup", "p", "top")
 
     def __init__(self, dedup=False, p=0):
         self.buckets = []       # each ascending by key (max at the end)
         self.dedup = dedup
         self.p = p
+        self.top = None         # index of the maximal bucket (-1: empty),
+                                # None when a push or pop may have moved it
 
     def __len__(self):
         return sum(len(b) for b in self.buckets)
@@ -181,6 +183,7 @@ class Geobucket:
 
     def push_run(self, run):
         """Insert an ascending-by-key run of entries."""
+        self.top = None
         i = 0
         while self._cap(i) < len(run):
             i += 1
@@ -225,12 +228,15 @@ class Geobucket:
         return out
 
     def _top_bucket(self):
-        best = -1
-        best_key = None
-        for i, b in enumerate(self.buckets):
-            if b and (best_key is None or b[-1][0] > best_key):
-                best = i
-                best_key = b[-1][0]
+        best = self.top
+        if best is None:
+            best = -1
+            best_key = None
+            for i, b in enumerate(self.buckets):
+                if b and (best_key is None or b[-1][0] > best_key):
+                    best = i
+                    best_key = b[-1][0]
+            self.top = best
         return best
 
     def peek(self):
@@ -239,7 +245,10 @@ class Geobucket:
 
     def pop(self):
         i = self._top_bucket()
-        return self.buckets[i].pop() if i >= 0 else None
+        if i < 0:
+            return None
+        self.top = None
+        return self.buckets[i].pop()
 
     def replace_top(self, e):
         top = self.peek()
@@ -251,6 +260,10 @@ class Geobucket:
         self.push(e)
 
     def audit(self):
+        if self.top is not None:
+            top = self.top
+            self.top = None
+            assert self._top_bucket() == top, "cached top bucket"
         for i, b in enumerate(self.buckets):
             assert len(b) <= self._cap(i), "geobucket capacity"
             for j in range(1, len(b)):

@@ -214,3 +214,102 @@ def test_hit_accounting_identity():
         assert st.consultations == st.hits + st.misses + st.divisibilities
         assert st.consultations > 0
         assert 0.0 <= st.effective_hit_rate() <= st.hit_rate() <= 1.0
+
+
+def _mask_by_threshold_loop(dm, mono):
+    # reference: bit b is set when x_i >= t for entries[b] = (i, t)
+    mask = 0
+    for b, (i, t) in enumerate(dm.entries):
+        if mono.exps[i] >= t:
+            mask |= 1 << b
+    return mask
+
+
+def test_mask_of_matches_threshold_loop():
+    rng = random.Random(47)
+    for nv, max_exp in ((3, 6), (10, 40), (40, 5), (2, (1 << 16) - 1)):
+        r = Ring(101, nv)
+        calib = [random_mono(r, rng, max_exp) for _ in range(20)]
+        maps = [DivMap.trivial(r), DivMap.calibrate(r, calib),
+                # bits in no particular variable order, one variable unused
+                DivMap([(rng.randrange(1, nv) if nv > 1 else 0,
+                         rng.randrange(max_exp + 1)) for _ in range(32)])]
+        for dm in maps:
+            for _ in range(300):
+                m = random_mono(r, rng, max_exp)
+                assert dm.mask_of(m) == _mask_by_threshold_loop(dm, m)
+
+
+def test_stored_answers_across_mutations():
+    # a fixed pool of queries, so stored answers are hit again after
+    # inserts (extended), retires (dropped) and rebuilds (kept)
+    rng = random.Random(43)
+    r = Ring(101, 4)
+    pool = [random_mono(r, rng, 6) for _ in range(12)]
+    for kind in LOOKUP_KINDS:
+        s = make_lookup(kind, r, leaf_capacity=4)
+        live = {}
+        retired = set()
+        queries = 0
+        for step in range(800):
+            op = rng.random()
+            if op < 0.25 or not live:
+                live[step] = random_mono(r, rng, 4)
+                s.insert(live[step], step)
+            elif op < 0.3:
+                pid = rng.choice(sorted(live))
+                s.retire(pid)
+                del live[pid]
+                retired.add(pid)
+            elif op < 0.33:
+                s.maybe_rebuild()
+            elif op < 0.35:
+                s.rebuild()
+            else:
+                q = rng.choice(pool)
+                want = {pid for pid, m in live.items() if r.mono_divides(m, q)}
+                got = s.find_all_divisors(q)
+                assert len(got) == len(set(got)), kind
+                assert set(got) == want, kind
+                assert not retired.intersection(got), kind
+                one = s.find_divisor(q)
+                assert one in want if want else one is None, kind
+                queries += 2
+        st = s.stats
+        assert st.reused and st.extended and st.computed, kind
+        assert st.reused + st.extended + st.computed == queries, kind
+        assert st.consultations == st.hits + st.misses + st.divisibilities
+        if s.use_masks:
+            assert st.consultations > 0, kind
+
+
+def test_divlist_counts_only_consultations_made():
+    # a fresh answer consults every live entry, an extended one only the
+    # entries inserted since it was made, a reused one none
+    rng = random.Random(53)
+    r = Ring(101, 4)
+    pool = [random_mono(r, rng, 6) for _ in range(6)]
+    s = make_lookup("divlist", r)
+    made = {}          # query key -> number of inserts when last answered
+    inserts = 0
+    expected = 0
+    for step in range(400):
+        op = rng.random()
+        if op < 0.3 or not s.live:
+            s.insert(random_mono(r, rng, 4), step)
+            inserts += 1
+        elif op < 0.35:
+            s.retire(rng.choice([pid for _, pid in s.entries()]))
+            made = {}
+            inserts = 0
+        elif op < 0.4:
+            s.rebuild()
+        else:
+            q = rng.choice(pool)
+            if q.key in made:
+                expected += inserts - made[q.key]
+            else:
+                expected += s.live
+            made[q.key] = inserts
+            s.find_all_divisors(q)
+            assert s.stats.consultations == expected

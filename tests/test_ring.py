@@ -145,3 +145,16 @@ def test_exponent_bound_enforced():
         r.mono((1 << 16, 0))
     with pytest.raises(ValueError):
         r.mono((-1, 0))
+
+
+def test_mono_mul_enforces_exponent_bound():
+    r = Ring(101, 2)
+    a = r.mono((60000, 0))
+    with pytest.raises(ValueError):
+        r.mono_mul(a, a)
+    top = r.mono_mul(a, r.mono((5535, 7)))
+    assert top.exps == ((1 << 16) - 1, 7)
+    with pytest.raises(ValueError):
+        r.mono_mul(top, r.mono((1, 0)))
+    # a degree past the cap spread over several variables is fine
+    assert r.mono_mul(a, r.mono((0, 60000))).exps == (60000, 60000)

@@ -220,3 +220,47 @@ def test_dedup_merges_like_terms():
     # geobucket merges fold like plain terms, so fewer than 8 entries remain
     assert len(q.backend) < 8
     assert q.pop_max() == (8, g.lead_mono)
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_geobucket_cached_top_random_ops(dedup):
+    # every entry has coefficient 1 and p exceeds any fold, so an entry of
+    # coefficient c stands for c pushed entries of its key
+    rng = random.Random(17)
+    for _ in range(30):
+        q = Geobucket(dedup, 1009)
+        oracle = []             # pending keys, ascending, with multiplicity
+        for _ in range(rng.randrange(50, 300)):
+            op = rng.random()
+            if op < 0.25:
+                k = rng.randrange(60)
+                q.push(_e(k))
+                oracle.append(k)
+            elif op < 0.4:
+                run = sorted(rng.randrange(60)
+                             for _ in range(rng.randrange(1, 30)))
+                q.push_run([_e(k) for k in run])
+                oracle += run
+            elif op < 0.65:
+                top = q.peek()
+                assert (top[0] if top else None) == max(oracle, default=None)
+            elif op < 0.85 or not oracle:
+                e = q.pop()
+                if e is None:
+                    assert not oracle
+                    continue
+                assert e[0] == oracle[-1] and oracle[-e[1]:] == [e[0]] * e[1]
+                del oracle[-e[1]:]
+            else:
+                top = q.peek()
+                k = rng.randrange(top[0] + 1)
+                q.replace_top(_e(k))
+                del oracle[-top[1]:]
+                oracle.append(k)
+            oracle.sort()
+            q.audit()
+            held = sorted(k for b in q.buckets for k, c, _ in b
+                          for _ in range(c))
+            assert held == oracle
+            if not dedup:
+                assert len(q) == len(oracle)
