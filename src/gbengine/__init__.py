@@ -18,7 +18,8 @@ from .idealfile import (IdealFileError, mono_str, parse_ideal, poly_str,
 from .lookup import DivMap, DivmaskStats, make_lookup, may_divide
 from .poly import (Polynomial, poly_add, poly_from_exps, poly_monic,
                    poly_mul, poly_mul_term, poly_normalize, poly_sub)
-from .ring import GREVLEX, LEX, Monomial, Ring, ff_inv, ring_from_order_spec
+from .ring import (GREVLEX, LEX, InvariantError, Monomial, Ring, ff_inv,
+                   ring_from_order_spec)
 from .sigbasis import (ModuleOrder, SBConfig, SigEntry, SigStats,
                        high_base_divisor_eliminates, koszul_signature,
                        low_base_divisor_bound, sb_run, spair_signature)
@@ -27,7 +28,8 @@ from .termqueue import QueueConfig, ReducerQueue, all_queue_configs
 
 __all__ = [
     "ClassicConfig", "ClassicStats", "DivMap", "DivmaskStats", "GREVLEX",
-    "IdealFileError", "LEX", "ModuleOrder", "Monomial", "PairTriangle",
+    "IdealFileError", "InvariantError", "LEX", "ModuleOrder", "Monomial",
+    "PairTriangle",
     "FlatPairQueue", "Polynomial", "QueueConfig", "ReducerQueue", "Ring",
     "SBConfig", "SigEntry", "SigStats", "all_queue_configs", "basis_lookup",
     "buchberger_run", "reduces_to_zero",

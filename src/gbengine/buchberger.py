@@ -17,7 +17,7 @@ from .division import classic_reduce, interreduce, reduced_basis
 from .lookup import make_lookup
 from .pairbits import BitTriangle
 from .poly import Polynomial, poly_monic, poly_normalize
-from .ring import Ring
+from .ring import InvariantError, Ring, key_bound
 from .spairqueue import make_spair_queue
 from .termqueue import QueueConfig
 
@@ -37,9 +37,9 @@ class ClassicStats:
     reduced_pairs: object = None
 
     def check(self):
-        assert self.spairs == (self.relprime + self.lcm_cache
-                               + self.lcm_simple + self.graph
-                               + self.reductions), "pair accounting"
+        if self.spairs != (self.relprime + self.lcm_cache + self.lcm_simple
+                           + self.graph + self.reductions):
+            raise InvariantError("pair accounting")
 
     def rows(self):
         return [
@@ -138,6 +138,7 @@ class _ClassicEngine:
         self.lookup = make_lookup(cfg.lookup, ring)
         self.tri = BitTriangle()
         self.cache = {}          # element -> last c that eliminated its pair
+        self.key_bound = key_bound(ring.num_vars)
         self.pairs = make_spair_queue(cfg.spair_queue, self._pair_key)
         self.stats = ClassicStats()
         if cfg.trace_pairs:
@@ -147,8 +148,9 @@ class _ClassicEngine:
 
     def _pair_key(self, i, j):
         m = self.ring.mono_lcm(self.leads[i], self.leads[j])
-        # smallest lcm degree first, ring-order ties, then newest column
-        return (m.deg, m.key, j, i)
+        # smallest lcm degree first, ring-order ties, then newest column:
+        # (deg, key, j, i) packed into one integer; indices stay below 2^32
+        return ((m.deg * self.key_bound + m.key) << 64) + (j << 32) + i
 
     def _add(self, g: Polynomial):
         n = len(self.polys)

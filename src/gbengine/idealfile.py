@@ -55,7 +55,11 @@ def _parse_poly(ring: Ring, text: str, lineno: int) -> Polynomial:
                     raise IdealFileError(
                         "variable index %d out of range" % var, lineno)
                 exps[var - 1] += int(m.group(3)) if m.group(3) else 1
-        terms.append((sign * coeff, ring.mono(exps)))
+        try:
+            mono = ring.mono(exps)
+        except ValueError as exc:
+            raise IdealFileError(str(exc), lineno)
+        terms.append((sign * coeff, mono))
     return poly_normalize(ring, terms)
 
 

@@ -2,12 +2,12 @@
 
 Four interchangeable variants answer "which stored monomials divide q":
 
-* list        - scan every entry
-* divlist     - scan with a 32-bit divmask pre-filter per entry
 * kdtree      - binary tree whose interior nodes hold a pure power x_i^k;
                 the right subtree holds exactly the multiples of x_i^k
 * divkdtree   - kd-tree whose nodes also carry the divmask of the gcd of
                 their subtree, pruning whole subtrees at once
+* list        - scan every entry: a kd-tree whose one leaf never splits
+* divlist     - the same scan with a 32-bit divmask pre-filter per entry
 
 Entries are retired by tombstone and physically dropped at the next
 rebuild; a rebuild also recalibrates the divmap so masks always fit the
@@ -23,6 +23,7 @@ result.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from operator import getitem
 
@@ -146,8 +147,64 @@ class DivmaskStats:
 _MONO, _PID, _MASK, _LIVE = range(4)
 
 
-class _LookupBase:
-    def __init__(self, ring: Ring, use_masks: bool):
+def _scan(recs, qexps, notq, stats, out, first_only):
+    """Append to out the payload ids of the live records in recs dividing
+    the monomial with exponents qexps; notq is the complement of its mask
+    (None: no masks, and nothing is counted)."""
+    if notq is None:
+        for rec in recs:
+            if rec[_LIVE] and _divides(rec[_MONO].exps, qexps):
+                out.append(rec[_PID])
+                if first_only:
+                    break
+        return out
+    for rec in recs:
+        if not rec[_LIVE]:
+            continue
+        if rec[_MASK] & notq:
+            stats.hits += 1
+            continue
+        if _divides(rec[_MONO].exps, qexps):
+            stats.divisibilities += 1
+            out.append(rec[_PID])
+            if first_only:
+                break
+        else:
+            stats.misses += 1
+    return out
+
+
+def _divides(a_exps, b_exps) -> bool:
+    for x, y in zip(a_exps, b_exps):
+        if x > y:
+            return False
+    return True
+
+
+class _KdLeaf:
+    __slots__ = ("records",)
+
+    def __init__(self, records):
+        self.records = records
+
+
+class _KdNode:
+    __slots__ = ("var", "exp", "left", "right", "mask", "gcd")
+
+    def __init__(self, var, exp, left, right, mask, gcd):
+        self.var = var
+        self.exp = exp
+        self.left = left      # entries NOT divisible by x_var^exp
+        self.right = right    # entries divisible by x_var^exp
+        self.mask = mask      # mask of the gcd of the subtree (divmask variant)
+        self.gcd = gcd        # gcd exponent list of the subtree (divmask variant)
+
+
+class KdLookup:
+    """Kd-tree over exponent vectors, leaves split on pure powers."""
+
+    def __init__(self, ring, use_masks=False,
+                 leaf_capacity=DEFAULT_LEAF_CAPACITY):
         self.ring = ring
         self.use_masks = use_masks
         self.divmap = DivMap.trivial(ring) if use_masks else None
@@ -164,6 +221,8 @@ class _LookupBase:
         self._one_cache = {}
         self._all_cache = {}
         self._log = []
+        self.leaf_capacity = leaf_capacity
+        self.root = _KdLeaf([])
 
     def find_divisor(self, q: Monomial):
         k = q.key
@@ -260,96 +319,7 @@ class _LookupBase:
         self.churn = 0
         if self._one_cache:
             self._one_cache = {}
-        self._rebuild_storage(recs)
-
-    def _rebuild_storage(self, recs):
-        raise NotImplementedError
-
-    def _query(self, q, first_only):
-        """Payload ids of the live entries dividing q (at most one when
-        first_only), counting mask consultations in self.stats."""
-        raise NotImplementedError
-
-
-def _scan(recs, qexps, notq, stats, out, first_only):
-    """Append to out the payload ids of the live records in recs dividing
-    the monomial with exponents qexps; notq is the complement of its mask
-    (None: no masks, and nothing is counted)."""
-    if notq is None:
-        for rec in recs:
-            if rec[_LIVE] and _divides(rec[_MONO].exps, qexps):
-                out.append(rec[_PID])
-                if first_only:
-                    break
-        return out
-    for rec in recs:
-        if not rec[_LIVE]:
-            continue
-        if rec[_MASK] & notq:
-            stats.hits += 1
-            continue
-        if _divides(rec[_MONO].exps, qexps):
-            stats.divisibilities += 1
-            out.append(rec[_PID])
-            if first_only:
-                break
-        else:
-            stats.misses += 1
-    return out
-
-
-class ListLookup(_LookupBase):
-    """Flat list of entries; the oracle the tree variants are checked against."""
-
-    def __init__(self, ring, use_masks=False, leaf_capacity=None):
-        super().__init__(ring, use_masks)
-        self.records = []
-
-    def insert(self, mono: Monomial, pid) -> None:
-        self.records.append(self._new_record(mono, pid))
-
-    def _rebuild_storage(self, recs):
-        self.records = recs
-
-    def _query(self, q, first_only):
-        return _scan(self.records, q.exps, self._notq(q), self.stats, [],
-                     first_only)
-
-
-def _divides(a_exps, b_exps) -> bool:
-    for x, y in zip(a_exps, b_exps):
-        if x > y:
-            return False
-    return True
-
-
-class _KdLeaf:
-    __slots__ = ("records",)
-
-    def __init__(self, records):
-        self.records = records
-
-
-class _KdNode:
-    __slots__ = ("var", "exp", "left", "right", "mask", "gcd")
-
-    def __init__(self, var, exp, left, right, mask, gcd):
-        self.var = var
-        self.exp = exp
-        self.left = left      # entries NOT divisible by x_var^exp
-        self.right = right    # entries divisible by x_var^exp
-        self.mask = mask      # mask of the gcd of the subtree (divmask variant)
-        self.gcd = gcd        # gcd exponent list of the subtree (divmask variant)
-
-
-class KdLookup(_LookupBase):
-    """Kd-tree over exponent vectors, leaves split on pure powers."""
-
-    def __init__(self, ring, use_masks=False,
-                 leaf_capacity=DEFAULT_LEAF_CAPACITY):
-        super().__init__(ring, use_masks)
-        self.leaf_capacity = leaf_capacity
-        self.root = _KdLeaf([])
+        self.root = self._bulk_build(recs, -1)
 
     # -- construction ----------------------------------------------------
 
@@ -419,9 +389,6 @@ class KdLookup(_LookupBase):
                     gcd[i] = e[i]
         return mask, gcd
 
-    def _rebuild_storage(self, recs):
-        self.root = self._bulk_build(recs, -1)
-
     def _bulk_build(self, recs, parent_var):
         if len(recs) <= self.leaf_capacity:
             return _KdLeaf(recs)
@@ -436,6 +403,8 @@ class KdLookup(_LookupBase):
     # -- queries ----------------------------------------------------------
 
     def _query(self, q, first_only):
+        """Payload ids of the live entries dividing q (at most one when
+        first_only), counting mask consultations in self.stats."""
         qexps = q.exps
         stats = self.stats
         masks = self.use_masks
@@ -478,6 +447,14 @@ class KdLookup(_LookupBase):
                 assert rec[_MONO].exps[node.var] >= node.exp, "right routing"
             return lrecs + rrecs
         walk(self.root)
+
+
+class ListLookup(KdLookup):
+    """A kd-tree whose one leaf never splits: a scan of every entry, the
+    oracle the tree variants are checked against."""
+
+    def __init__(self, ring, use_masks=False):
+        super().__init__(ring, use_masks, leaf_capacity=math.inf)
 
 
 def make_lookup(kind: str, ring: Ring,

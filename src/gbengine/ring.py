@@ -7,7 +7,8 @@ functionals of the exponent vector, packed into one big integer with
 monomials in the ring order, and the key of a product is the sum of the
 keys.  The linearity also holds for formal exponent differences (used by
 sig/lead ratio comparisons), as long as every entry stays well below the
-digit base.
+digit base.  key_bound gives a strict bound on the keys, so a key can be
+packed with further sort fields into one integer.
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ _HASH_MULT = 0x100000001B3
 _HASH_MASK = 0xFFFFFFFFFFFFFFFF
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class InvariantError(RuntimeError):
+    """A result guard failed: the engine reached a state it must not."""
+
+
+def key_bound(num_vars: int) -> int:
+    """Strict bound on |key| of any monomial in num_vars variables, and on
+    |key difference| of two of them.  Every order weight is below
+    2 * B^(n+2) (B the digit base) and every exponent below MAX_EXPONENT."""
+    return num_vars * MAX_EXPONENT * _DIGIT_BASE ** (num_vars + 3)
 
 
 def is_prime(n: int) -> bool:

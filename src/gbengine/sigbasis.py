@@ -8,26 +8,22 @@ here: non-regular and base-divisor checks plus the signature criterion at
 pair construction; duplicate-signature, late signature, Koszul, relatively
 prime and singular checks at pop time.
 
-Each basis element carries its sig/lead ratio as a precomputed rank tuple
-whose ordering equals the module-order comparison of the formal
-quotients, plus an integer ratio id embedding that order, so almost every
-signature comparison in the hot paths is one or two integer comparisons.
+Signature keys and sig/lead ratio ranks are single integers whose order
+is the module order, and each basis element carries its ratio rank, so
+every signature comparison in the hot paths is one integer comparison.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 from .division import interreduce, reduced_basis
 from .lookup import make_lookup
 from .pairbits import BitTriangle
 from .poly import Polynomial, poly_monic, poly_normalize
-from .ring import Monomial, Ring
+from .ring import InvariantError, Monomial, Ring, key_bound
 from .spairqueue import MinHeap, make_spair_queue
 from .termqueue import QueueConfig, ReducerQueue
-
-RATIO_ID_SPACING = 1 << 20
 
 MODULE_ORDERS = ("schreyer", "potop")
 TIEBREAKS = ("low-gt", "high-gt")
@@ -42,9 +38,14 @@ class ModuleOrder:
     component wins).  potop: higher component wins outright, ties fall
     back to the Schreyer comparison (within one component that is just the
     ring order).
+
+    Keys are integers: Schreyer packs (key + hd key, tie-break) as
+    (key + hd[i]) * scale + tb(i) with scale = 2m + 1 and |tb(i)| < m;
+    potop packs (component, key) as key + 2 * S * i, S bounding |key|.
+    A ratio rank is then the signature key minus scale times the lead key.
     """
 
-    __slots__ = ("kind", "tiebreak", "hd_keys", "hd_monos")
+    __slots__ = ("kind", "tiebreak", "hd_keys", "hd_monos", "scale", "span")
 
     def __init__(self, kind: str, tiebreak: str, input_leads):
         if kind not in MODULE_ORDERS:
@@ -55,22 +56,23 @@ class ModuleOrder:
         self.tiebreak = tiebreak
         self.hd_monos = tuple(input_leads)
         self.hd_keys = tuple(m.key for m in input_leads)
+        if kind == "schreyer":
+            self.scale = 2 * len(self.hd_keys) + 1
+            self.span = 0
+        else:
+            self.scale = 1
+            self.span = 2 * key_bound(len(self.hd_monos[0].exps))
 
-    def _tb(self, comp: int) -> int:
-        return -comp if self.tiebreak == "low-gt" else comp
-
-    def sig_key(self, mono: Monomial, comp: int):
+    def sig_key(self, mono: Monomial, comp: int) -> int:
         """Ascending sort key; equal keys iff equal module terms."""
         if self.kind == "schreyer":
-            return (mono.key + self.hd_keys[comp], self._tb(comp))
-        return (comp, mono.key)
+            tb = -comp if self.tiebreak == "low-gt" else comp
+            return (mono.key + self.hd_keys[comp]) * self.scale + tb
+        return mono.key + self.span * comp
 
-    def ratio_rank(self, sig_mono, lead_mono, comp: int):
+    def ratio_rank(self, sig_mono, lead_mono, comp: int) -> int:
         """Sort key of the formal quotient sig/lead under this order."""
-        if self.kind == "schreyer":
-            return (sig_mono.key - lead_mono.key + self.hd_keys[comp],
-                    self._tb(comp))
-        return (comp, sig_mono.key - lead_mono.key)
+        return self.sig_key(sig_mono, comp) - self.scale * lead_mono.key
 
     def module_cmp(self, a_mono, a_comp, b_mono, b_comp) -> int:
         ka = self.sig_key(a_mono, a_comp)
@@ -82,7 +84,7 @@ class SigEntry:
     """Basis member: signature, monic polynomial and sig/lead ratio data."""
 
     __slots__ = ("idx", "sig_mono", "sig_comp", "poly", "lead",
-                 "ratio_rank", "ratio_id")
+                 "ratio_rank")
 
     def __init__(self, idx, sig_mono, sig_comp, poly, ratio_rank):
         self.idx = idx
@@ -91,61 +93,9 @@ class SigEntry:
         self.poly = poly
         self.lead = poly.lead_mono
         self.ratio_rank = ratio_rank
-        self.ratio_id = None
 
     def __repr__(self):
         return "SigEntry(idx=%d, comp=%d)" % (self.idx, self.sig_comp)
-
-
-class RatioTable:
-    """Order-embedding of ratio ranks into sparse 64-bit integers.
-
-    New ids land midway between their neighbours; equal ranks share an id.
-    When no integer gap remains the whole table is rebuilt with fresh
-    spacing.
-    """
-
-    __slots__ = ("ranks", "ids", "members")
-
-    def __init__(self):
-        self.ranks = []
-        self.ids = []
-        self.members = []
-
-    def assign(self, entry: SigEntry) -> int:
-        ranks = self.ranks
-        pos = bisect.bisect_left(ranks, entry.ratio_rank)
-        if pos < len(ranks) and ranks[pos] == entry.ratio_rank:
-            entry.ratio_id = self.ids[pos]
-            self.members[pos].append(entry)
-            return entry.ratio_id
-        lo = self.ids[pos - 1] if pos > 0 else None
-        hi = self.ids[pos] if pos < len(self.ids) else None
-        if lo is None and hi is None:
-            nid = 0
-        elif lo is None:
-            nid = hi - RATIO_ID_SPACING
-        elif hi is None:
-            nid = lo + RATIO_ID_SPACING
-        elif hi - lo >= 2:
-            nid = (lo + hi) // 2
-        else:
-            nid = None
-        ranks.insert(pos, entry.ratio_rank)
-        self.ids.insert(pos, nid if nid is not None else 0)
-        self.members.insert(pos, [entry])
-        if nid is None:
-            self._rebuild()
-            nid = self.ids[pos]
-        entry.ratio_id = nid
-        return nid
-
-    def _rebuild(self):
-        for i, group in enumerate(self.members):
-            nid = i * RATIO_ID_SPACING
-            self.ids[i] = nid
-            for e in group:
-                e.ratio_id = nid
 
 
 @dataclass
@@ -171,13 +121,14 @@ class SigStats:
     divmask: object = None
 
     def check(self, early_singular_enabled=False):
-        assert self.spairs == (self.nonregular + self.basedivisor
-                               + self.sig_early + self.early_singular
-                               + self.queued), "construction accounting"
-        if not early_singular_enabled:
-            assert self.early_singular == 0
-        assert self.need_reduction == self.to_sb + self.to_syzygy, \
-            "reduction-count law"
+        if self.spairs != (self.nonregular + self.basedivisor
+                           + self.sig_early + self.early_singular
+                           + self.queued):
+            raise InvariantError("construction accounting")
+        if not early_singular_enabled and self.early_singular:
+            raise InvariantError("early singular eliminations while disabled")
+        if self.need_reduction != self.to_sb + self.to_syzygy:
+            raise InvariantError("reduction-count law")
 
     def rows(self):
         out = [
@@ -273,12 +224,6 @@ class SyzygySet:
                         "syzygy set not minimal"
 
 
-def _ratio_pair(a: SigEntry, b: SigEntry):
-    if a.ratio_id is not None and b.ratio_id is not None:
-        return a.ratio_id, b.ratio_id
-    return a.ratio_rank, b.ratio_rank
-
-
 def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
     """Signature of the S-pair of a and b: ((mono, comp), is_regular).
 
@@ -286,7 +231,7 @@ def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
     (hd b / gcd) * sig a and (hd a / gcd) * sig b, and only computes the
     winning side.
     """
-    ra, rb = _ratio_pair(a, b)
+    ra, rb = a.ratio_rank, b.ratio_rank
     regular = ra != rb
     win, other = (a, b) if ra >= rb else (b, a)
     we = win.lead.exps
@@ -298,8 +243,7 @@ def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
 
 def koszul_signature(ring: Ring, a: SigEntry, b: SigEntry):
     """Signature of the Koszul syzygy of a and b (the larger cross product)."""
-    ra, rb = _ratio_pair(a, b)
-    win, other = (a, b) if ra >= rb else (b, a)
+    win, other = (a, b) if a.ratio_rank >= b.ratio_rank else (b, a)
     return (ring.mono_mul(win.sig_mono, other.lead), win.sig_comp)
 
 
@@ -310,8 +254,8 @@ def high_base_divisor_eliminates(alpha: SigEntry, beta: SigEntry,
     for x, y in zip(alpha.lead.exps, beta.lead.exps):
         if x > y:
             return False
-    if not (gamma.ratio_id > alpha.ratio_id
-            and gamma.ratio_id > beta.ratio_id):
+    if not (gamma.ratio_rank > alpha.ratio_rank
+            and gamma.ratio_rank > beta.ratio_rank):
         return False
     return tri.get(alpha.idx, gamma.idx)
 
@@ -356,7 +300,6 @@ class _SBEngine:
                                   [g.lead_mono for g in inputs])
         self.m = len(inputs)
         self.entries = []
-        self.ratios = RatioTable()
         self.lead_lookup = make_lookup(cfg.lookup, ring)
         self.sig_lookups = [make_lookup(cfg.lookup, ring)
                             for _ in range(self.m)]
@@ -375,7 +318,6 @@ class _SBEngine:
         idx = len(self.entries)
         rank = self.morder.ratio_rank(sig_mono, poly.lead_mono, sig_comp)
         entry = SigEntry(idx, sig_mono, sig_comp, poly, rank)
-        self.ratios.assign(entry)
         self.entries.append(entry)
         self._make_new_spairs(entry)
         self.lead_lookup.insert(entry.lead, idx)
@@ -404,14 +346,14 @@ class _SBEngine:
             if cands:
                 entries = self.entries
                 high = max((entries[i] for i in cands),
-                           key=lambda e: (e.ratio_id, -e.idx))
+                           key=lambda e: (e.ratio_rank, -e.idx))
         if self.cfg.base_divisors >= 2:
             cands = self.sig_lookups[beta.sig_comp].find_all_divisors(
                 beta.sig_mono)
             if cands:
                 entries = self.entries
                 low = max((entries[i] for i in cands),
-                          key=lambda e: (e.ratio_id, -e.idx))
+                          key=lambda e: (e.ratio_rank, -e.idx))
                 vbound = low_base_divisor_bound(low, beta)
         return high, low, vbound
 
@@ -426,23 +368,23 @@ class _SBEngine:
         vbound = None
         if cfg.base_divisors and not self.tri.dropped:
             high, low, vbound = self._find_base_divisors(beta)
-        brid = beta.ratio_id
+        brank = beta.ratio_rank
         tri = self.tri
         syz = self.syz
         morder = self.morder
         batch = []
         for gamma in self.entries[:bidx]:
-            grid = gamma.ratio_id
-            if grid == brid:
+            grank = gamma.ratio_rank
+            if grank == brank:
                 stats.nonregular += 1
                 continue
-            if high is not None and grid > brid and grid > high.ratio_id \
+            if high is not None and grank > brank and grank > high.ratio_rank \
                     and tri.get(high.idx, gamma.idx):
                 stats.basedivisor += 1
                 if cfg.bits_on_base_divisor:
                     tri.set(gamma.idx, bidx)
                 continue
-            if low is not None and grid < brid and grid < low.ratio_id \
+            if low is not None and grank < brank and grank < low.ratio_rank \
                     and _divides_bound(gamma.lead, vbound) \
                     and tri.get(low.idx, gamma.idx):
                 stats.basedivisor += 1
@@ -464,10 +406,10 @@ class _SBEngine:
     def _early_singular(self, sig, beta, gamma):
         # a module term with this signature and a strictly smaller lead
         # term rewrites the pair away (strictly larger sig/lead ratio)
-        winner = beta if beta.ratio_id > gamma.ratio_id else gamma
+        winner = beta if beta.ratio_rank > gamma.ratio_rank else gamma
         mono, comp = sig
         for i in self.sig_lookups[comp].find_all_divisors(mono):
-            if self.entries[i].ratio_id > winner.ratio_id:
+            if self.entries[i].ratio_rank > winner.ratio_rank:
                 return True
         return False
 
@@ -485,8 +427,8 @@ class _SBEngine:
             if nxt is None or nxt != tkey:
                 break
         group.sort(key=lambda ij: (ij[1], ij[0]))
-        if self._last_key is not None:
-            assert tkey >= self._last_key, "signature monotonicity"
+        if self._last_key is not None and tkey < self._last_key:
+            raise InvariantError("signature monotonicity")
         self._last_key = tkey
         stats = self.stats
         cfg = self.cfg
@@ -502,10 +444,10 @@ class _SBEngine:
         if cfg.use_koszul:
             kq = self.koszul
             top = kq.peek()
-            while top is not None and top[0] < tkey:
+            while top is not None and top < tkey:
                 kq.pop()
                 top = kq.peek()
-            if top is not None and top[0] == tkey:
+            if top == tkey:
                 stats.koszul += 1
                 self.syz.insert(tmono, tcomp)
                 self._set_bits(group)
@@ -521,10 +463,10 @@ class _SBEngine:
             pushees = group if cfg.koszul_push == "group" else group[:1]
             for i, j in pushees:
                 ksig = koszul_signature(self.ring, entries[i], entries[j])
-                self.koszul.push((self.morder.sig_key(*ksig),) + ksig)
+                self.koszul.push(self.morder.sig_key(*ksig))
         champion, tmult = self._champion(tmono, tcomp)
         if cfg.use_singular and not self._regular_top_reducible(
-                self.ring.mono_mul(tmult, champion.lead), champion.ratio_id):
+                self.ring.mono_mul(tmult, champion.lead), champion.ratio_rank):
             stats.singular_late += 1
             return None
         return sig, champion, tmult, group
@@ -533,10 +475,12 @@ class _SBEngine:
         """Basis element whose signature divides T with the smallest lead
         multiple; equivalently the divisor of maximal sig/lead ratio."""
         cands = self.sig_lookups[tcomp].find_all_divisors(tmono)
-        assert cands, "no signature divisor for a popped S-pair signature"
+        if not cands:
+            raise InvariantError(
+                "no signature divisor for a popped S-pair signature")
         entries = self.entries
         champ = max((entries[i] for i in cands),
-                    key=lambda e: (e.ratio_id, -e.idx))
+                    key=lambda e: (e.ratio_rank, -e.idx))
         tmult = self.ring.mono_div(tmono, champ.sig_mono)
         if self.cfg.audit:
             best = min(self.ring.mono_mul(
@@ -546,17 +490,12 @@ class _SBEngine:
             assert got == best, "champion lead not minimal"
         return champ, tmult
 
-    def _regular_top_reducible(self, lead_mono, rank_or_id):
+    def _regular_top_reducible(self, lead_mono, rank):
         """Any reducer of lead_mono with ratio strictly below the given one?"""
         entries = self.entries
-        if isinstance(rank_or_id, tuple):
-            for i in self.lead_lookup.find_all_divisors(lead_mono):
-                if entries[i].ratio_rank < rank_or_id:
-                    return True
-        else:
-            for i in self.lead_lookup.find_all_divisors(lead_mono):
-                if entries[i].ratio_id < rank_or_id:
-                    return True
+        for i in self.lead_lookup.find_all_divisors(lead_mono):
+            if entries[i].ratio_rank < rank:
+                return True
         return False
 
     # -- regular reduction ---------------------------------------------------
@@ -567,13 +506,8 @@ class _SBEngine:
         p = self.p
         queue = ReducerQueue(ring, cfg.queue)
         queue.push_product(1, seed_mult, seed_entry.poly)
-        morder = self.morder
-        schreyer = morder.kind == "schreyer"
-        if schreyer:
-            base = tmono.key + morder.hd_keys[tcomp]
-            tb = -tcomp if morder.tiebreak == "low-gt" else tcomp
-        else:
-            base = tmono.key
+        tkey = self.morder.sig_key(tmono, tcomp)
+        scale = self.morder.scale
         entries = self.entries
         lookup = self.lead_lookup
         select = cfg.reducer_select
@@ -583,8 +517,7 @@ class _SBEngine:
             if top is None:
                 break
             coeff, mono = top
-            rank = (base - mono.key, tb) if schreyer else (tcomp,
-                                                           base - mono.key)
+            rank = tkey - scale * mono.key
             reducer = None
             if select is None:
                 best = -1
@@ -621,7 +554,8 @@ class _SBEngine:
                 if self._singular_top_reducible(rem.lead_mono, rank):
                     # the champion construction makes this unreachable while
                     # the singular criterion is enabled
-                    assert not self.cfg.use_singular, "singular remainder"
+                    if self.cfg.use_singular:
+                        raise InvariantError("singular remainder")
                     stats.singular_late += 1
                     continue
                 stats.need_reduction += 1

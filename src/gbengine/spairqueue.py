@@ -1,20 +1,26 @@
 """S-pair priority queues.
 
-The main structure is the pair triangle: every new basis element j gets a
-column holding the row indices i of its pairs (i, j), sorted by the pair
-key; the keys themselves are discarded after sorting, and a small front
-queue over the per-column minima yields the global minimum.  Columns
-store bare integers (16-bit entries while j < 2^16, 32-bit beyond), so a
-queued pair costs one integer plus one materialized key per column.
+Pair keys are integers, smallest first.  The main structure is the pair
+triangle: every new basis element j gets a column holding the row indices
+i of its pairs (i, j), sorted by the pair key; the keys themselves are
+discarded after sorting, and a small front queue over the per-column
+minima yields the global minimum.  Columns store bare integers (16-bit
+entries while j < 2^16, 32-bit beyond), so a queued pair costs one
+integer plus one materialized key per column.
 
 Two reference queues keep every pair with its key in a single heap or
 tournament tree; they trade memory for simplicity and are used for
-cross-checking.
+cross-checking.  The fronts and the reference queues are the term
+queue's max-heap and max tournament tree holding negated keys.
 """
 
 from __future__ import annotations
 
+import heapq
 from array import array
+
+from .ring import InvariantError
+from .termqueue import MaxHeap, MaxTourTree
 
 SPAIR_QUEUE_KINDS = ("triangle-tt", "triangle-heap", "heap", "tourtree")
 
@@ -22,160 +28,29 @@ _U16_LIMIT = 1 << 16
 
 
 class MinHeap:
-    """Binary min-heap over (key, payload) with replace-top."""
+    """Min-heap of integer keys; the sb engine's Koszul syzygy queue."""
 
     __slots__ = ("a",)
 
     def __init__(self):
-        self.a = [None]
+        self.a = []
 
     def __len__(self):
-        return len(self.a) - 1
+        return len(self.a)
 
     def peek(self):
-        a = self.a
-        return a[1] if len(a) > 1 else None
+        return self.a[0] if self.a else None
 
-    def push(self, e):
-        a = self.a
-        a.append(e)
-        i = len(a) - 1
-        k = e[0]
-        while i > 1:
-            j = i >> 1
-            if a[j][0] <= k:
-                break
-            a[i] = a[j]
-            i = j
-        a[i] = e
+    def push(self, key):
+        heapq.heappush(self.a, key)
 
     def pop(self):
-        a = self.a
-        n = len(a) - 1
-        if n == 0:
-            return None
-        top = a[1]
-        last = a.pop()
-        n -= 1
-        if n:
-            i = 1
-            while True:
-                l = i << 1
-                if l > n:
-                    break
-                r = l + 1
-                c = r if r <= n and a[r][0] < a[l][0] else l
-                a[i] = a[c]
-                i = c
-            k = last[0]
-            while i > 1:
-                j = i >> 1
-                if a[j][0] <= k:
-                    break
-                a[i] = a[j]
-                i = j
-            a[i] = last
-        return top
-
-    def replace_top(self, e):
-        a = self.a
-        n = len(a) - 1
-        if n == 0:
-            raise ValueError("replace_top on empty queue")
-        k = e[0]
-        i = 1
-        while True:
-            l = i << 1
-            if l > n:
-                break
-            r = l + 1
-            c = r if r <= n and a[r][0] < a[l][0] else l
-            if a[c][0] >= k:
-                break
-            a[i] = a[c]
-            i = c
-        a[i] = e
-
-
-class MinTourTree:
-    """Tournament tree returning the minimum; fast winner replacement."""
-
-    __slots__ = ("cap", "leaves", "inner", "free", "size")
-
-    def __init__(self):
-        self.cap = 2
-        self.leaves = [None, None]
-        self.inner = [0, 0]
-        self.free = [1, 0]
-        self.size = 0
-
-    def __len__(self):
-        return self.size
-
-    def _grow(self):
-        old = [e for e in self.leaves if e is not None]
-        self.cap *= 2
-        self.leaves = [None] * self.cap
-        for i, e in enumerate(old):
-            self.leaves[i] = e
-        self.free = list(range(self.cap - 1, len(old) - 1, -1))
-        self.inner = [0] * self.cap
-        for leaf in range(0, self.cap, 2):
-            self._replay(leaf)
-
-    def _winner_of(self, pos):
-        return pos - self.cap if pos >= self.cap else self.inner[pos]
-
-    def _pick(self, i, j):
-        a, b = self.leaves[i], self.leaves[j]
-        if a is None:
-            return j
-        if b is None:
-            return i
-        return i if a[0] <= b[0] else j
-
-    def _replay(self, leaf):
-        inner = self.inner
-        pos = (self.cap + leaf) >> 1
-        while pos >= 1:
-            l = pos << 1
-            inner[pos] = self._pick(self._winner_of(l), self._winner_of(l + 1))
-            pos >>= 1
-
-    def push(self, e):
-        if not self.free:
-            self._grow()
-        leaf = self.free.pop()
-        self.leaves[leaf] = e
-        self.size += 1
-        self._replay(leaf)
-
-    def peek(self):
-        if self.size == 0:
-            return None
-        return self.leaves[self.inner[1]]
-
-    def pop(self):
-        if self.size == 0:
-            return None
-        leaf = self.inner[1]
-        e = self.leaves[leaf]
-        self.leaves[leaf] = None
-        self.free.append(leaf)
-        self.size -= 1
-        self._replay(leaf)
-        return e
-
-    def replace_top(self, e):
-        if self.size == 0:
-            raise ValueError("replace_top on empty queue")
-        leaf = self.inner[1]
-        self.leaves[leaf] = e
-        self._replay(leaf)
+        return heapq.heappop(self.a) if self.a else None
 
 
 def _front(kind):
-    return MinTourTree() if kind == "tourtree" else MinHeap()
+    # max queues over negated keys: every min comparison maps to the max one
+    return MaxTourTree() if kind == "tourtree" else MaxHeap()
 
 
 class PairTriangle:
@@ -217,11 +92,11 @@ class PairTriangle:
         else:
             self.pairs_32 += n
         self.queued_bytes += n * col.itemsize
-        self.front.push((pairs[0][1], j))
+        self.front.push((-pairs[0][1], j))
 
     def peek_min_key(self):
         top = self.front.peek()
-        return top[0] if top is not None else None
+        return -top[0] if top is not None else None
 
     def pop_min(self):
         top = self.front.peek()
@@ -237,18 +112,17 @@ class PairTriangle:
             self.pairs_32 -= 1
         if col:
             # recompute the successor's key and sink it into the front
-            self.front.replace_top((self.key_fn(col[-1], j), j))
+            self.front.replace_top((-self.key_fn(col[-1], j), j))
         else:
             self.front.pop()
             del self.cols[j]
         return (i, j)
 
     def check_accounting(self):
-        assert self.queued_bytes <= 2 * self.pairs_16 + 4 * self.pairs_32, \
-            "pair triangle byte accounting"
-        assert len(self.front) <= len(self.cols) or not self.cols, \
-            "front queue size"
-        assert len(self.front) == len(self.cols), "front/column mismatch"
+        if self.queued_bytes > 2 * self.pairs_16 + 4 * self.pairs_32:
+            raise InvariantError("pair triangle byte accounting")
+        if len(self.front) != len(self.cols):
+            raise InvariantError("front/column mismatch")
 
 
 class FlatPairQueue:
@@ -257,18 +131,18 @@ class FlatPairQueue:
     __slots__ = ("q",)
 
     def __init__(self, backend: str = "heap"):
-        self.q = _front("tourtree" if backend == "tourtree" else "heap")
+        self.q = _front(backend)
 
     def __len__(self):
         return len(self.q)
 
     def add_column(self, j, pairs) -> None:
         for i, key in pairs:
-            self.q.push((key, j, i))
+            self.q.push((-key, j, i))
 
     def peek_min_key(self):
         top = self.q.peek()
-        return top[0] if top is not None else None
+        return -top[0] if top is not None else None
 
     def pop_min(self):
         top = self.q.pop()

@@ -27,6 +27,14 @@ def test_parse_malformed_term_reports_line():
         parse_ideal("101\n2\ngrevlex\nx1\n3**x2\n")
 
 
+def test_parse_exponent_out_of_range_reports_line():
+    with pytest.raises(IdealFileError, match="line 4: exponent out of range"):
+        parse_ideal("101\n2\ngrevlex\nx1^70000+x2\n")
+    # each factor is in range; their product is not
+    with pytest.raises(IdealFileError, match="line 5: exponent out of range"):
+        parse_ideal("101\n2\ngrevlex\nx2\nx1^40000*x1^40000\n")
+
+
 def test_parse_orders():
     ring, _ = parse_ideal("101\n3\nlex\nx1\n")
     assert ring.order == "lex"

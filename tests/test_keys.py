@@ -1,0 +1,93 @@
+"""Integer signature, ratio and pair keys against the tuple encodings they
+pack: each integer must order exactly like its tuple and be equal exactly
+when the tuple is."""
+
+import itertools
+import random
+
+import pytest
+
+from gbengine import ClassicConfig, ModuleOrder, Ring, poly_from_exps
+from gbengine.buchberger import _ClassicEngine
+from gbengine.ring import MAX_EXPONENT
+
+RINGS = [Ring(32003, 4, "grevlex"), Ring(32003, 4, "lex"),
+         Ring(32003, 5, "elim", 2)]
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+def _assert_same_order(ints, tuples):
+    for (a, ta), (b, tb) in itertools.combinations(zip(ints, tuples), 2):
+        assert _sign(a, b) == _sign(ta, tb), (ta, tb)
+
+
+def _mono(ring, rng):
+    # mostly small exponents, so that keys collide; some at the cap
+    return ring.mono(tuple(rng.choice((0, 0, 1, 2, 3, MAX_EXPONENT - 1,
+                                       rng.randrange(MAX_EXPONENT)))
+                           for _ in range(ring.num_vars)))
+
+
+def _tb(tiebreak, comp):
+    return -comp if tiebreak == "low-gt" else comp
+
+
+def _tuple_sig_key(kind, tiebreak, hd_keys, mono, comp):
+    if kind == "schreyer":
+        return (mono.key + hd_keys[comp], _tb(tiebreak, comp))
+    return (comp, mono.key)
+
+
+def _tuple_ratio_rank(kind, tiebreak, hd_keys, sig, lead, comp):
+    if kind == "schreyer":
+        return (sig.key - lead.key + hd_keys[comp], _tb(tiebreak, comp))
+    return (comp, sig.key - lead.key)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.order_spec())
+@pytest.mark.parametrize("kind", ["schreyer", "potop"])
+@pytest.mark.parametrize("tiebreak", ["low-gt", "high-gt"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_sig_key_and_ratio_rank_match_tuples(ring, kind, tiebreak, m):
+    rng = random.Random("%s %s %s %d" % (ring.order_spec(), kind, tiebreak,
+                                         m))
+    # the first and last components share a lead, so their tie-breaks are
+    # the two extremes, one ring-key step apart (one vs x_n under lex)
+    leads = [_mono(ring, rng) for _ in range(m - 1)]
+    leads.append(leads[0])
+    hd = [g.key for g in leads]
+    mo = ModuleOrder(kind, tiebreak, leads)
+    last = ring.mono((0,) * (ring.num_vars - 1) + (1,))
+    pool = [ring.one, last] + [_mono(ring, rng) for _ in range(10)]
+    sigs = [(s, c) for s in pool for c in range(m)]
+    _assert_same_order([mo.sig_key(s, c) for s, c in sigs],
+                       [_tuple_sig_key(kind, tiebreak, hd, s, c)
+                        for s, c in sigs])
+    # random draws plus zero differences, so equal ranks occur
+    ratios = [(rng.choice(pool), rng.choice(pool), rng.randrange(m))
+              for _ in range(80)]
+    ratios += [(s, s, c) for s in pool[:3] for c in range(m)]
+    tuples = [_tuple_ratio_rank(kind, tiebreak, hd, s, l, c)
+              for s, l, c in ratios]
+    assert any(s.key < l.key for s, l, _ in ratios)
+    assert len(set(tuples)) < len(tuples)
+    _assert_same_order([mo.ratio_rank(s, l, c) for s, l, c in ratios],
+                       tuples)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.order_spec())
+def test_classic_pair_key_matches_tuple(ring):
+    rng = random.Random(7)
+    leads = [_mono(ring, rng) for _ in range(9)]
+    inputs = [poly_from_exps(ring, [(1, g.exps)]) for g in leads]
+    engine = _ClassicEngine(ring, inputs, ClassicConfig())
+    pairs = [(i, j) for j in range(len(engine.leads)) for i in range(j)]
+    ints, tuples = [], []
+    for i, j in pairs:
+        m = ring.mono_lcm(engine.leads[i], engine.leads[j])
+        ints.append(engine._pair_key(i, j))
+        tuples.append((m.deg, m.key, j, i))
+    _assert_same_order(ints, tuples)

@@ -7,7 +7,7 @@ from gbengine import (ModuleOrder, Ring, SBConfig, buchberger_run,
                       koszul_signature, low_base_divisor_bound,
                       poly_from_exps, poly_str, sb_run, spair_signature)
 from gbengine.pairbits import BitTriangle
-from gbengine.sigbasis import RatioTable, SigEntry
+from gbengine.sigbasis import SigEntry
 
 from _util import is_reduced_gb, random_mono
 
@@ -46,70 +46,6 @@ def test_module_cmp_potop():
     assert mo.module_cmp(big, 0, small, 1) == -1
     assert mo.module_cmp(small, 1, big, 0) == 1
     assert mo.module_cmp(small, 1, big, 1) == -1
-
-
-def test_ratio_id_assignment():
-    r, g1, g2 = _two_gens()
-    mo = ModuleOrder("schreyer", "low-gt", [g1.lead_mono, g2.lead_mono])
-    table = RatioTable()
-    e0 = _entry(mo, r, 0, (0, 0, 0), 0, g1)
-    assert table.assign(e0) == 0
-    e1 = _entry(mo, r, 1, (0, 0, 0), 1, g2)
-    table.assign(e1)
-    spacing = 1 << 20
-    assert e1.ratio_id in (-spacing, spacing)
-    # strictly between two neighbours lands midway
-    hi = _entry(mo, r, 2, (3, 0, 0), 0, g1)
-    table.assign(hi)
-    # identical ratio gets the identical id
-    dup = _entry(mo, r, 3, (0, 0, 0), 0, g1)
-    table.assign(dup)
-    assert dup.ratio_id == e0.ratio_id
-
-
-def test_ratio_id_midpoint_and_rebuild():
-    r = Ring(101, 1)
-    mo = ModuleOrder("schreyer", "low-gt", [r.one])
-    table = RatioTable()
-    polys = {}
-
-    def entry(i, sig_e, lead_e):
-        poly = poly_from_exps(r, [(1, (lead_e,))])
-        e = _entry(mo, r, i, (sig_e,), 0, poly)
-        table.assign(e)
-        return e
-
-    lo = entry(0, 0, 0)                  # ratio 0
-    hi = entry(1, 2, 0)                  # ratio +2
-    assert lo.ratio_id == 0 and hi.ratio_id == (1 << 20)
-    mid = entry(2, 1, 0)                 # ratio +1: midway
-    assert mid.ratio_id == (1 << 19)
-    # squeeze until the gap runs out; ids must stay order-embedding
-    entries = [lo, mid, hi]
-    for i in range(3, 40):
-        e = entry(i, i + 10, 10)         # distinct new ratios
-        entries.append(e)
-        ranks = sorted(entries, key=lambda x: x.ratio_rank)
-        ids = [x.ratio_id for x in ranks]
-        assert ids == sorted(ids) and len(set(ids)) == len(ids)
-
-
-def test_ratio_id_gap_exhaustion_rebuild():
-    r = Ring(101, 1)
-    mo = ModuleOrder("schreyer", "low-gt", [r.one])
-    table = RatioTable()
-    entries = []
-    # repeated bisection of the same gap exhausts it in ~20 steps
-    for i in range(60):
-        poly = poly_from_exps(r, [(1, (i,))])
-        e = _entry(mo, r, i, (2 * i if i < 2 else 2,), 0, poly)
-        # craft strictly decreasing ratios between the first two
-        e.ratio_rank = (i, 0) if i < 2 else (1, -i)
-        table.assign(e)
-        entries.append(e)
-        ranks = sorted(entries, key=lambda x: x.ratio_rank)
-        ids = [x.ratio_id for x in ranks]
-        assert ids == sorted(ids) and len(set(ids)) == len(ids)
 
 
 def test_spair_signature_example():
@@ -215,7 +151,7 @@ def test_base_divisor_precondition_errors():
     # violated precondition (hd alpha does not divide hd beta) returns False
     fat = _entry(mo, r, 3, (0, 0), 0, poly_from_exps(r, [(1, (0, 3))]))
     for e, rid in ((alpha, 10), (beta, 20), (gamma, 30), (fat, 5)):
-        e.ratio_id = rid
+        e.ratio_rank = rid
     tri = BitTriangle()
     tri.set(3, 2)
     assert not high_base_divisor_eliminates(fat, beta, gamma, tri)
@@ -227,7 +163,7 @@ def test_high_base_divisor_unset_bit_returns_false():
     alpha = _entry(mo, r, 0, (0, 0), 0, poly_from_exps(r, [(1, (1, 0))]))
     beta = _entry(mo, r, 1, (0, 0), 1, poly_from_exps(r, [(1, (2, 0))]))
     gamma = _entry(mo, r, 2, (3, 3), 0, poly_from_exps(r, [(1, (0, 1))]))
-    alpha.ratio_id, beta.ratio_id, gamma.ratio_id = 0, 10, 99
+    alpha.ratio_rank, beta.ratio_rank, gamma.ratio_rank = 0, 10, 99
     tri = BitTriangle()
     assert not high_base_divisor_eliminates(alpha, beta, gamma, tri)
     tri.set(0, 2)

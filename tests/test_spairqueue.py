@@ -3,21 +3,21 @@ import random
 import pytest
 
 from gbengine.spairqueue import (SPAIR_QUEUE_KINDS, FlatPairQueue,
-                                 MinHeap, MinTourTree, PairTriangle,
-                                 make_spair_queue)
+                                 MinHeap, PairTriangle, make_spair_queue)
 
 
-def test_min_front_queues():
-    for make in (MinHeap, MinTourTree):
-        q = make()
-        for k in (5, 1, 9, 3):
-            q.push(((k,), k))
-        assert q.peek()[0] == (1,)
-        q.replace_top(((2,), 2))
-        got = []
-        while (e := q.pop()) is not None:
-            got.append(e[0][0])
-        assert got == [2, 3, 5, 9]
+def test_koszul_min_heap():
+    rng = random.Random(5)
+    q = MinHeap()
+    assert q.peek() is None and q.pop() is None
+    keys = [rng.randrange(-50, 50) for _ in range(200)]
+    for k in keys:
+        q.push(k)
+    assert len(q) == len(keys) and q.peek() == min(keys)
+    got = []
+    while (k := q.pop()) is not None:
+        got.append(k)
+    assert got == sorted(keys) and len(q) == 0
 
 
 def _keyed(pairs):
@@ -26,7 +26,7 @@ def _keyed(pairs):
 
 
 def test_add_column_empty_is_noop():
-    key_fn = lambda i, j: (0,)
+    key_fn = lambda i, j: 0
     t = PairTriangle(key_fn)
     t.add_column(1, [])
     assert len(t) == 0 and t.peek_min_key() is None
@@ -34,23 +34,23 @@ def test_add_column_empty_is_noop():
 
 
 def test_column_sorting_and_front():
-    key_fn, _ = _keyed([(0, 2, (5,)), (1, 2, (3,))])
+    key_fn, _ = _keyed([(0, 2, 5), (1, 2, 3)])
     t = PairTriangle(key_fn)
-    t.add_column(2, [(0, (5,)), (1, (3,))])
-    assert t.peek_min_key() == (3,)
+    t.add_column(2, [(0, 5), (1, 3)])
+    assert t.peek_min_key() == 3
     assert t.pop_min() == (1, 2)
-    assert t.peek_min_key() == (5,)
+    assert t.peek_min_key() == 5
     assert t.pop_min() == (0, 2)
     assert t.pop_min() is None
 
 
 def test_peek_stable_under_larger_additions():
-    key_fn, table = _keyed([(0, 1, (2,)), (0, 2, (7,)), (1, 2, (9,))])
+    key_fn, table = _keyed([(0, 1, 2), (0, 2, 7), (1, 2, 9)])
     t = PairTriangle(key_fn)
-    t.add_column(1, [(0, (2,))])
-    assert t.peek_min_key() == (2,)
-    t.add_column(2, [(0, (7,)), (1, (9,))])
-    assert t.peek_min_key() == (2,)
+    t.add_column(1, [(0, 2)])
+    assert t.peek_min_key() == 2
+    t.add_column(2, [(0, 7), (1, 9)])
+    assert t.peek_min_key() == 2
 
 
 @pytest.mark.parametrize("kind", SPAIR_QUEUE_KINDS)
@@ -61,7 +61,7 @@ def test_pop_order_matches_flat_sort(kind):
         table = {}
         for j in range(1, ncols + 1):
             for i in range(j):
-                table[(i, j)] = (rng.randrange(20), rng.randrange(20))
+                table[(i, j)] = rng.randrange(-200, 200)
         q = make_spair_queue(kind, lambda i, j: table[(i, j)])
         for j in range(1, ncols + 1):
             q.add_column(j, [(i, table[(i, j)]) for i in range(j)])
@@ -78,12 +78,12 @@ def test_pop_order_matches_flat_sort(kind):
 
 
 def test_ties_pop_adjacent():
-    key_fn = lambda i, j: (1,)
+    key_fn = lambda i, j: 1
     t = PairTriangle(key_fn)
-    t.add_column(1, [(0, (1,))])
-    t.add_column(2, [(0, (1,)), (1, (1,))])
+    t.add_column(1, [(0, 1)])
+    t.add_column(2, [(0, 1), (1, 1)])
     seen = set()
-    while t.peek_min_key() == (1,):
+    while t.peek_min_key() == 1:
         p = t.pop_min()
         if p is None:
             break
@@ -92,13 +92,13 @@ def test_ties_pop_adjacent():
 
 
 def test_byte_accounting_and_widths():
-    key_fn = lambda i, j: (i,)
+    key_fn = lambda i, j: i
     t = PairTriangle(key_fn)
-    t.add_column(10, [(i, (i,)) for i in range(10)])
+    t.add_column(10, [(i, i) for i in range(10)])
     assert t.cols[10].itemsize == 2
     assert t.queued_bytes == 2 * 10
     wide = 1 << 16
-    t.add_column(wide, [(i, (i,)) for i in range(5)])
+    t.add_column(wide, [(i, i) for i in range(5)])
     assert t.cols[wide].itemsize == 4
     assert t.queued_bytes == 2 * 10 + 4 * 5
     t.check_accounting()
@@ -110,20 +110,19 @@ def test_byte_accounting_and_widths():
 
 def test_front_size_bounded_by_columns():
     rng = random.Random(19)
-    key_fn = lambda i, j: (rng_keys[(i, j)],)
     rng_keys = {}
-    t = PairTriangle(lambda i, j: (rng_keys[(i, j)],))
+    t = PairTriangle(lambda i, j: rng_keys[(i, j)])
     for j in range(1, 12):
         for i in range(j):
             rng_keys[(i, j)] = rng.randrange(50)
-        t.add_column(j, [(i, (rng_keys[(i, j)],)) for i in range(j)])
+        t.add_column(j, [(i, rng_keys[(i, j)]) for i in range(j)])
         assert len(t.front) == len(t.cols)
     while t.pop_min() is not None:
         assert len(t.front) == len(t.cols)
 
 
 def test_duplicate_column_rejected():
-    t = PairTriangle(lambda i, j: (0,))
-    t.add_column(1, [(0, (0,))])
+    t = PairTriangle(lambda i, j: 0)
+    t.add_column(1, [(0, 0)])
     with pytest.raises(ValueError):
-        t.add_column(1, [(0, (0,))])
+        t.add_column(1, [(0, 0)])
