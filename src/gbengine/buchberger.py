@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .division import classic_reduce, interreduce, reduced_basis
+from .division import classic_reduce, prepare_inputs, reduced_basis
 from .lookup import make_lookup
 from .pairbits import BitTriangle
 from .poly import Polynomial, poly_monic, poly_normalize
@@ -266,16 +266,7 @@ class _ClassicEngine:
 def buchberger_run(ring: Ring, polys, cfg: ClassicConfig | None = None):
     """Reduced Groebner basis of the input ideal, plus run statistics."""
     cfg = cfg or ClassicConfig()
-    inputs = [poly_normalize(ring, g.terms) for g in polys]
-    inputs = [g for g in inputs if g]
-    if not inputs:
-        raise ValueError("no nonzero input polynomials")
-    if cfg.interreduce:
-        inputs = interreduce(ring, inputs, queue_cfg=cfg.queue)
-    else:
-        inputs = [poly_monic(ring, g) for g in inputs]
-    # canonical presentation: generators in decreasing lead-term order
-    inputs.sort(key=lambda g: g.lead_mono.key, reverse=True)
+    inputs = prepare_inputs(ring, polys, cfg.interreduce, cfg.queue)
     engine = _ClassicEngine(ring, inputs, cfg)
     engine.run()
     basis = engine.result_basis()

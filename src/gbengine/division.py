@@ -73,6 +73,19 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
     return quotients, r
 
 
+def prepare_inputs(ring: Ring, polys, reduce: bool, queue_cfg=None):
+    """The nonzero inputs, monic and, if reduce, interreduced, sorted by
+    decreasing lead term: the canonical generators of both engines."""
+    inputs = [poly_monic(ring, poly_normalize(ring, g.terms)) for g in polys]
+    inputs = [g for g in inputs if g]
+    if not inputs:
+        raise ValueError("no nonzero input polynomials")
+    if reduce:
+        inputs = interreduce(ring, inputs, queue_cfg=queue_cfg)
+    inputs.sort(key=lambda g: g.lead_mono.key, reverse=True)
+    return inputs
+
+
 def interreduce(ring: Ring, polys, queue_cfg=None):
     """Fully reduce every element against the others until nothing changes.
 
@@ -144,4 +157,3 @@ def reduces_to_zero(ring: Ring, f: Polynomial, basis, lookup=None,
         lc = g.lead_coeff
         scale = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
         queue.push_product(p - scale, mult, g, start=1)
-    return True

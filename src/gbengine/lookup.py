@@ -4,8 +4,8 @@ Four interchangeable variants answer "which stored monomials divide q":
 
 * kdtree      - binary tree whose interior nodes hold a pure power x_i^k;
                 the right subtree holds exactly the multiples of x_i^k
-* divkdtree   - kd-tree whose nodes also carry the divmask of the gcd of
-                their subtree, pruning whole subtrees at once
+* divkdtree   - kd-tree whose nodes carry the AND of their subtree's
+                masks, pruning whole subtrees at once
 * list        - scan every entry: a kd-tree whose one leaf never splits
 * divlist     - the same scan with a 32-bit divmask pre-filter per entry
 
@@ -189,15 +189,14 @@ class _KdLeaf:
 
 
 class _KdNode:
-    __slots__ = ("var", "exp", "left", "right", "mask", "gcd")
+    __slots__ = ("var", "exp", "left", "right", "mask")
 
-    def __init__(self, var, exp, left, right, mask, gcd):
+    def __init__(self, var, exp, left, right, mask):
         self.var = var
         self.exp = exp
         self.left = left      # entries NOT divisible by x_var^exp
         self.right = right    # entries divisible by x_var^exp
-        self.mask = mask      # mask of the gcd of the subtree (divmask variant)
-        self.gcd = gcd        # gcd exponent list of the subtree (divmask variant)
+        self.mask = mask      # AND of the subtree's masks (divmask variant)
 
 
 class KdLookup:
@@ -330,12 +329,7 @@ class KdLookup:
         pside = 0
         exps = mono.exps
         while isinstance(node, _KdNode):
-            if self.use_masks:
-                node.mask &= rec[_MASK]
-                g = node.gcd
-                for i, e in enumerate(exps):
-                    if e < g[i]:
-                        g[i] = e
+            node.mask &= rec[_MASK]
             parent = node
             if exps[node.var] >= node.exp:
                 node, pside = node.right, 1
@@ -371,23 +365,13 @@ class KdLookup:
                 for rec in leaf.records:
                     (right if rec[_MONO].exps[var] >= exp else left).append(rec)
                 if left and right:
+                    mask = -1
+                    for rec in leaf.records:
+                        mask &= rec[_MASK]
                     return _KdNode(var, exp, _KdLeaf(left), _KdLeaf(right),
-                                   *self._subtree_summary(leaf.records))
+                                   mask)
             var = (var + 1) % n
         return None  # all member exponent vectors equal: cannot split
-
-    def _subtree_summary(self, recs):
-        if not self.use_masks:
-            return 0, None
-        mask = -1
-        gcd = list(recs[0][_MONO].exps)
-        for rec in recs:
-            mask &= rec[_MASK]
-            e = rec[_MONO].exps
-            for i in range(len(gcd)):
-                if e[i] < gcd[i]:
-                    gcd[i] = e[i]
-        return mask, gcd
 
     def _bulk_build(self, recs, parent_var):
         if len(recs) <= self.leaf_capacity:
@@ -414,15 +398,10 @@ class KdLookup:
         while stack:
             node = stack.pop()
             if isinstance(node, _KdNode):
-                if masks:
-                    if node.mask & notq:
-                        # subtree gcd cannot divide q: prune both children
-                        stats.hits += 1
-                        continue
-                    if _divides(node.gcd, qexps):
-                        stats.divisibilities += 1
-                    else:
-                        stats.misses += 1
+                if masks and node.mask & notq:
+                    # no entry below can divide q: prune both children
+                    stats.hits += 1
+                    continue
                 if qexps[node.var] >= node.exp:
                     stack.append(node.right)
                 stack.append(node.left)
@@ -435,7 +414,8 @@ class KdLookup:
     # -- debug audit -------------------------------------------------------
 
     def audit(self) -> None:
-        """Assert the pure-power routing invariant over the whole tree."""
+        """Assert the pure-power routing invariant over the whole tree, and
+        that each node's mask is a submask of every live mask below it."""
         def walk(node):
             if isinstance(node, _KdLeaf):
                 return [rec for rec in node.records]
@@ -445,7 +425,11 @@ class KdLookup:
                 assert rec[_MONO].exps[node.var] < node.exp, "left routing"
             for rec in rrecs:
                 assert rec[_MONO].exps[node.var] >= node.exp, "right routing"
-            return lrecs + rrecs
+            recs = lrecs + rrecs
+            for rec in recs:
+                assert not (rec[_LIVE] and node.mask & ~rec[_MASK]), \
+                    "node mask"
+            return recs
         walk(self.root)
 
 

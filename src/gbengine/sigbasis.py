@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .division import interreduce, reduced_basis
+from .division import prepare_inputs, reduced_basis
 from .lookup import make_lookup
 from .pairbits import BitTriangle
-from .poly import Polynomial, poly_monic, poly_normalize
+from .poly import Polynomial, poly_monic
 from .ring import InvariantError, Monomial, Ring, key_bound
 from .spairqueue import MinHeap, make_spair_queue
 from .termqueue import QueueConfig, ReducerQueue
@@ -167,7 +167,6 @@ class SBConfig:
     use_singular: bool = True
     early_singular: bool = False
     koszul_push: str = "group"
-    bits_on_base_divisor: bool = True
     tri_bit_cap: int | None = None
     interreduce: bool = True
     reducer_select: object = None
@@ -378,18 +377,14 @@ class _SBEngine:
             if grank == brank:
                 stats.nonregular += 1
                 continue
-            if high is not None and grank > brank and grank > high.ratio_rank \
-                    and tri.get(high.idx, gamma.idx):
+            if (high is not None and grank > brank and grank > high.ratio_rank
+                    and tri.get(high.idx, gamma.idx)) or \
+                    (low is not None and grank < brank
+                     and grank < low.ratio_rank
+                     and _divides_bound(gamma.lead, vbound)
+                     and tri.get(low.idx, gamma.idx)):
                 stats.basedivisor += 1
-                if cfg.bits_on_base_divisor:
-                    tri.set(gamma.idx, bidx)
-                continue
-            if low is not None and grank < brank and grank < low.ratio_rank \
-                    and _divides_bound(gamma.lead, vbound) \
-                    and tri.get(low.idx, gamma.idx):
-                stats.basedivisor += 1
-                if cfg.bits_on_base_divisor:
-                    tri.set(gamma.idx, bidx)
+                tri.set(gamma.idx, bidx)
                 continue
             sig, _ = spair_signature(self.ring, beta, gamma)
             if cfg.use_signature and syz.divides(sig[0], sig[1]):
@@ -603,16 +598,7 @@ class SBResult:
 def sb_run(ring: Ring, polys, cfg: SBConfig | None = None) -> SBResult:
     """Compute a signature Groebner basis and the initial syzygy module."""
     cfg = cfg or SBConfig()
-    inputs = [poly_normalize(ring, g.terms) for g in polys]
-    inputs = [g for g in inputs if g]
-    if not inputs:
-        raise ValueError("no nonzero input polynomials")
-    if cfg.interreduce:
-        inputs = interreduce(ring, inputs, queue_cfg=cfg.queue)
-    else:
-        inputs = [poly_monic(ring, g) for g in inputs]
-    # canonical presentation: generators in decreasing lead-term order
-    inputs.sort(key=lambda g: g.lead_mono.key, reverse=True)
+    inputs = prepare_inputs(ring, polys, cfg.interreduce, cfg.queue)
     engine = _SBEngine(ring, inputs, cfg)
     engine.run()
     syzygies = sorted(engine.syz.signatures(),

@@ -6,18 +6,19 @@ observationally identical: pop_max always returns the order-maximal
 monomial with every pending contribution to its coefficient folded
 together, skipping monomials whose contributions cancel.
 
-Backend entries are small tuples ordered by entry[0], the packed integer
-order key of the entry's current monomial:
+Every backend entry is (key, c, mult, poly, i): term i of mult * poly,
+ordered by key, the packed order key of that term's monomial.  The
+monomial itself is made only when its key pops with a nonzero sum.  What
+c holds depends on the config:
 
-  (key, coeff, mono)                       plain term
-  (key, mult_mono, poly, term_index)       hashed marker (coeff in table)
-  (key, mult_coeff, mult_mono, poly, nxt)  compressed product; the current
-                                           term is poly.terms[nxt - 1]
+  compressed  the multiplier's coefficient, hashed or not; the entry
+              advances to term i + 1 by replace-top when it pops
+  plain       the term's coefficient
+  hashed      unused: a side table keyed by the packed key holds the
+              coefficients, so the backend holds each pending monomial
+              at most once (plus any compressed entries parked on it)
 
-Compressed entries advance to their next term via replace-top.  In hashed
-mode a side table keyed by the packed monomial key folds coefficients of
-like terms, so the backend holds each pending monomial at most once (plus
-any compressed entries currently parked on it).
+Deduplicating backends fold plain entries of equal key by adding c.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ def all_queue_configs():
 class MaxHeap:
     """Binary max-heap, root at index 1, hole-based pop, native replace-top."""
 
-    __slots__ = ("a", "dedup", "p")
+    __slots__ = ("a", "fold", "p")
 
-    def __init__(self, dedup=False, p=0):
+    def __init__(self, fold=False, p=0):
         self.a = [None]
-        self.dedup = dedup
+        self.fold = fold
         self.p = p
 
     def __len__(self):
@@ -84,11 +85,11 @@ class MaxHeap:
 
     def push(self, e):
         a = self.a
-        if self.dedup and len(a) > 1 and len(e) == 3:
+        if self.fold and len(a) > 1:
             # fold into the parent slot when the first comparison ties
-            par = a[len(a) >> 1] if len(a) > 1 else None
-            if par is not None and par[0] == e[0] and len(par) == 3:
-                a[len(a) >> 1] = (par[0], (par[1] + e[1]) % self.p, par[2])
+            par = a[len(a) >> 1]
+            if par[0] == e[0]:
+                a[len(a) >> 1] = (par[0], (par[1] + e[1]) % self.p) + par[2:]
                 return
         a.append(e)
         i = len(a) - 1
@@ -101,6 +102,11 @@ class MaxHeap:
             a[i] = par
             i = j
         a[i] = e
+
+    def push_run(self, run):
+        """Insert a run of entries in descending key order."""
+        for e in run:
+            self.push(e)
 
     def pop(self):
         a = self.a
@@ -162,11 +168,11 @@ class MaxHeap:
 class Geobucket:
     """Yan-style bucket list; bucket i holds at most 4 * 4^i entries."""
 
-    __slots__ = ("buckets", "dedup", "p", "top")
+    __slots__ = ("buckets", "fold", "p", "top")
 
-    def __init__(self, dedup=False, p=0):
+    def __init__(self, fold=False, p=0):
         self.buckets = []       # each ascending by key (max at the end)
-        self.dedup = dedup
+        self.fold = fold
         self.p = p
         self.top = None         # index of the maximal bucket (-1: empty),
                                 # None when a push or pop may have moved it
@@ -182,7 +188,8 @@ class Geobucket:
         self.push_run([e])
 
     def push_run(self, run):
-        """Insert an ascending-by-key run of entries."""
+        """Insert a run of entries in descending key order."""
+        run = run[::-1]
         self.top = None
         i = 0
         while self._cap(i) < len(run):
@@ -190,7 +197,7 @@ class Geobucket:
         while len(self.buckets) <= i:
             self.buckets.append([])
         b = self.buckets[i]
-        self.buckets[i] = self._merge(b, run) if b else list(run)
+        self.buckets[i] = self._merge(b, run) if b else run
         # cascade overflow into larger buckets
         while len(self.buckets[i]) > self._cap(i):
             if len(self.buckets) <= i + 1:
@@ -204,7 +211,7 @@ class Geobucket:
     def _merge(self, x, y):
         out = []
         push = out.append
-        dedup = self.dedup
+        fold = self.fold
         p = self.p
         i = j = 0
         nx, ny = len(x), len(y)
@@ -216,8 +223,8 @@ class Geobucket:
             elif a[0] > b[0]:
                 push(b)
                 j += 1
-            elif dedup and len(a) == 3 and len(b) == 3:
-                push((a[0], (a[1] + b[1]) % p, a[2]))
+            elif fold:
+                push((a[0], (a[1] + b[1]) % p) + a[2:])
                 i += 1
                 j += 1
             else:
@@ -277,15 +284,15 @@ class MaxTourTree:
     level, which makes replace-top cheap.
     """
 
-    __slots__ = ("cap", "leaves", "inner", "free", "size", "dedup", "p")
+    __slots__ = ("cap", "leaves", "inner", "free", "size", "fold", "p")
 
-    def __init__(self, dedup=False, p=0):
+    def __init__(self, fold=False, p=0):
         self.cap = 2
         self.leaves = [None, None]
         self.inner = [0, 0]     # inner[1] = winning leaf index of the root
         self.free = [1, 0]
         self.size = 0
-        self.dedup = dedup
+        self.fold = fold
         self.p = p
 
     def __len__(self):
@@ -309,6 +316,11 @@ class MaxTourTree:
         self.leaves[leaf] = e
         self.size += 1
         self._replay_path(leaf)
+
+    def push_run(self, run):
+        """Insert a run of entries in descending key order."""
+        for e in run:
+            self.push(e)
 
     def peek(self):
         if self.size == 0:
@@ -343,13 +355,12 @@ class MaxTourTree:
 
     def _replay_path(self, leaf):
         leaves, inner, cap = self.leaves, self.inner, self.cap
-        if self.dedup:
+        if self.fold:
             sib = leaf ^ 1
             a, b = leaves[leaf], leaves[sib]
-            if (a is not None and b is not None and a[0] == b[0]
-                    and len(a) == 3 and len(b) == 3):
+            if a is not None and b is not None and a[0] == b[0]:
                 lo, hi = (leaf, sib) if leaf < sib else (sib, leaf)
-                leaves[lo] = (a[0], (a[1] + b[1]) % self.p, a[2])
+                leaves[lo] = (a[0], (a[1] + b[1]) % self.p) + a[2:]
                 leaves[hi] = None
                 self.free.append(hi)
                 self.size -= 1
@@ -381,12 +392,12 @@ class MaxTourTree:
 
 
 def _make_backend(cfg: QueueConfig, p: int):
-    dedup = cfg.dedup
+    fold = cfg.dedup and not cfg.compressed
     if cfg.backend == "heap":
-        return MaxHeap(dedup, p)
+        return MaxHeap(fold, p)
     if cfg.backend == "geobucket":
-        return Geobucket(dedup, p)
-    return MaxTourTree(dedup, p)
+        return Geobucket(fold, p)
+    return MaxTourTree(fold, p)
 
 
 class ReducerQueue:
@@ -410,89 +421,64 @@ class ReducerQueue:
         coeff %= p
         if not coeff or start >= len(poly):
             return
-        coeffs, keys, monos = poly.arrays()
+        coeffs, keys, _ = poly.arrays()
         mk = mono.key
-        if self.cfg.compressed:
-            self.backend.push((mk + keys[start], coeff, mono, poly, start + 1))
-            if self.table is not None:
-                k = mk + keys[start]
-                self.table[k] = self.table.get(k, 0) + coeff * coeffs[start]
-            return
         tbl = self.table
-        mul = self.ring.mono_mul
-        if tbl is not None:
-            # coefficients accumulate unreduced (all positive, p < 2^31;
-            # they are taken mod p when the monomial pops)
-            fresh = []
+        if self.cfg.compressed:
+            k = mk + keys[start]
+            if tbl is not None:
+                tbl[k] = tbl.get(k, 0) + coeff * coeffs[start]
+            self.backend.push((k, coeff, mono, poly, start))
+            return
+        if tbl is None:
+            run = [(mk + keys[i], coeff * coeffs[i] % p, mono, poly, i)
+                   for i in range(start, len(keys))]
+        else:
+            # only keys new to the table get an entry; coefficients add up
+            # unreduced (all positive, p < 2^31) until their monomial pops
+            run = []
             get = tbl.get
             for i in range(start, len(keys)):
                 k = mk + keys[i]
                 got = get(k)
                 if got is None:
                     tbl[k] = coeff * coeffs[i]
-                    fresh.append((k, mono, poly, i))  # marker; mono made at pop
+                    run.append((k, 0, mono, poly, i))
                 else:
                     tbl[k] = got + coeff * coeffs[i]
-            if fresh:
-                if self.cfg.backend == "geobucket":
-                    fresh.reverse()
-                    self.backend.push_run(fresh)
-                else:
-                    push = self.backend.push
-                    for e in fresh:
-                        push(e)
-            return
-        if self.cfg.backend == "geobucket":
-            run = [(mk + keys[i], coeff * coeffs[i] % p, mul(mono, monos[i]))
-                   for i in range(len(keys) - 1, start - 1, -1)]
+        if run:
             self.backend.push_run(run)
-            return
-        push = self.backend.push
-        for i in range(start, len(keys)):
-            push((mk + keys[i], coeff * coeffs[i] % p, mul(mono, monos[i])))
 
     def pop_max(self):
         """Largest pending (coeff, mono) with like terms folded, or None."""
         backend = self.backend
         tbl = self.table
-        p = self.p
-        mul = self.ring.mono_mul
+        compressed = self.cfg.compressed
         while True:
             top = backend.peek()
             if top is None:
                 return None
-            key = top[0]
-            coeff = tbl.pop(key) % p if tbl is not None else 0
-            mono = None
-            recipe = None
+            key, _, mult, poly, i = top
+            coeff = tbl.pop(key) if tbl is not None else 0
             while top is not None and top[0] == key:
-                n = len(top)
-                if n == 5:  # compressed product entry
-                    _, mc, mm, g, nxt = top
-                    gcoeffs, gkeys, gmonos = g.arrays()
+                if compressed:
+                    _, c, m, g, j = top
+                    gcoeffs, gkeys, _ = g.arrays()
                     if tbl is None:
-                        coeff = (coeff + mc * gcoeffs[nxt - 1]) % p
-                    if mono is None:
-                        recipe = (mm, gmonos[nxt - 1])
-                    if nxt < len(gkeys):
-                        nk = mm.key + gkeys[nxt]
+                        coeff += c * gcoeffs[j]
+                    j += 1
+                    if j < len(gkeys):
+                        nk = m.key + gkeys[j]
                         if tbl is not None:
-                            tbl[nk] = tbl.get(nk, 0) + mc * gcoeffs[nxt]
-                        backend.replace_top((nk, mc, mm, g, nxt + 1))
+                            tbl[nk] = tbl.get(nk, 0) + c * gcoeffs[j]
+                        backend.replace_top((nk, c, m, g, j))
                     else:
                         backend.pop()
-                elif n == 4:  # hashed marker
-                    if mono is None:
-                        _, mm, g, ti = top
-                        recipe = (mm, g.arrays()[2][ti])
-                    backend.pop()
-                else:  # plain term
+                else:
                     if tbl is None:
-                        coeff = (coeff + top[1]) % p
-                    mono = top[2]
+                        coeff += top[1]
                     backend.pop()
                 top = backend.peek()
+            coeff %= self.p
             if coeff:
-                if mono is None:
-                    mono = mul(recipe[0], recipe[1])
-                return (coeff, mono)
+                return (coeff, self.ring.mono_mul(mult, poly.arrays()[2][i]))

@@ -199,6 +199,26 @@ def test_structure_equivalence_random_ops():
         structures["divkdtree"].audit()
 
 
+def test_divkdtree_node_mask_is_and_of_subtree():
+    rng = random.Random(43)
+    r = Ring(101, 5)
+    s = make_lookup("divkdtree", r, leaf_capacity=4)
+    for i in range(40):
+        s.insert(random_mono(r, rng, 4), i)
+    s.rebuild()
+    want = -1
+    for mono, _ in s.entries():
+        want &= s.divmap.mask_of(mono)
+    assert s.root.mask == want
+    for i in range(40, 60):
+        s.insert(random_mono(r, rng, 4), i)
+    s.audit()
+    # a node bit that some live entry below lacks would prune a divisor
+    s.root.mask = -1
+    with pytest.raises(AssertionError, match="node mask"):
+        s.audit()
+
+
 def test_hit_accounting_identity():
     rng = random.Random(41)
     r = Ring(101, 5)

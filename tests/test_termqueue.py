@@ -18,7 +18,8 @@ def test_config_validation():
 
 
 def _e(k, c=1):
-    return (k, c, None)
+    # the entry shape (key, c, mult, poly, i); backends read key and c only
+    return (k, c, None, None, 0)
 
 
 @pytest.mark.parametrize("make", [MaxHeap, Geobucket, MaxTourTree])
@@ -125,6 +126,49 @@ def test_pop_skips_cancelled_terms():
         assert q.pop_max() is None
 
 
+def test_one_product_per_nonzero_pop(monkeypatch):
+    # x^2 and xy cancel, y^2 folds three contributions: 9 pushed terms
+    # make 4 nonzero pops, and a monomial is made for those pops only
+    r = _ring()
+    f = poly_from_exps(r, [(1, (2, 0, 0)), (1, (1, 1, 0)), (1, (0, 2, 0)),
+                           (1, (0, 0, 1))])
+    g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (1, 1, 0)), (1, (0, 1, 1)),
+                           (1, (0, 0, 2))])
+    y2 = poly_from_exps(r, [(1, (0, 2, 0))])
+    calls = []
+    real_mul = Ring.mono_mul
+
+    def counting_mul(self, a, b):
+        calls.append(1)
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(Ring, "mono_mul", counting_mul)
+    for cfg in all_queue_configs():
+        del calls[:]
+        q = ReducerQueue(r, cfg)
+        q.push_product(1, r.one, f)
+        q.push_product(100, r.one, g)
+        q.push_product(1, r.one, y2)
+        pops = []
+        while (t := q.pop_max()) is not None:
+            pops.append((t[0], t[1].exps))
+        assert pops == [(2, (0, 2, 0)), (100, (0, 1, 1)), (100, (0, 0, 2)),
+                        (1, (0, 0, 1))], cfg.label()
+        assert len(calls) == len(pops), cfg.label()
+
+
+def test_product_past_exponent_cap_raises():
+    # x1^40000 * x1^30000 passes the exponent cap; every config raises by
+    # the time that term pops (plain queues make the product only then)
+    r = Ring(101, 2)
+    g = poly_from_exps(r, [(1, (30000, 0)), (1, (0, 1))])
+    for cfg in all_queue_configs():
+        q = ReducerQueue(r, cfg)
+        with pytest.raises(ValueError):
+            q.push_product(1, r.mono((40000, 0)), g)
+            q.pop_max()
+
+
 def test_compressed_single_entry_advances():
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (100, (0, 1, 0))])
@@ -222,13 +266,13 @@ def test_dedup_merges_like_terms():
     assert q.pop_max() == (8, g.lead_mono)
 
 
-@pytest.mark.parametrize("dedup", [False, True])
-def test_geobucket_cached_top_random_ops(dedup):
+@pytest.mark.parametrize("fold", [False, True])
+def test_geobucket_cached_top_random_ops(fold):
     # every entry has coefficient 1 and p exceeds any fold, so an entry of
     # coefficient c stands for c pushed entries of its key
     rng = random.Random(17)
     for _ in range(30):
-        q = Geobucket(dedup, 1009)
+        q = Geobucket(fold, 1009)
         oracle = []             # pending keys, ascending, with multiplicity
         for _ in range(rng.randrange(50, 300)):
             op = rng.random()
@@ -237,8 +281,9 @@ def test_geobucket_cached_top_random_ops(dedup):
                 q.push(_e(k))
                 oracle.append(k)
             elif op < 0.4:
-                run = sorted(rng.randrange(60)
-                             for _ in range(rng.randrange(1, 30)))
+                run = sorted((rng.randrange(60)
+                              for _ in range(rng.randrange(1, 30))),
+                             reverse=True)
                 q.push_run([_e(k) for k in run])
                 oracle += run
             elif op < 0.65:
@@ -259,8 +304,8 @@ def test_geobucket_cached_top_random_ops(dedup):
                 oracle.append(k)
             oracle.sort()
             q.audit()
-            held = sorted(k for b in q.buckets for k, c, _ in b
-                          for _ in range(c))
+            held = sorted(e[0] for b in q.buckets for e in b
+                          for _ in range(e[1]))
             assert held == oracle
-            if not dedup:
+            if not fold:
                 assert len(q) == len(oracle)
