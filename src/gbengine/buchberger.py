@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .division import classic_reduce, prepare_inputs, reduced_basis
+from .division import divide_queue, prepare_inputs, reduced_basis
 from .lookup import make_lookup
 from .pairbits import BitTriangle
-from .poly import Polynomial, poly_monic, poly_normalize
+from .poly import Polynomial, poly_monic
 from .ring import InvariantError, Ring, key_bound
 from .spairqueue import make_spair_queue
-from .termqueue import QueueConfig
+from .termqueue import QueueConfig, ReducerQueue
 
 
 @dataclass
@@ -208,19 +208,18 @@ class _ClassicEngine:
             batch.append((i, self._pair_key(i, n)))
         self.pairs.add_column(n, batch)
 
-    def _spoly(self, i, j):
+    def _reduce_spair(self, i, j):
+        """Top-reduce the S-polynomial of the monic g_i and g_j, pushed as
+        its two products into the queue, where their lead terms cancel."""
         ring = self.ring
-        gi, gj = self.polys[i], self.polys[j]
         m = ring.mono_lcm(self.leads[i], self.leads[j])
-        raw = []
-        p = ring.char
-        ui = ring.mono_div(m, self.leads[i])
-        uj = ring.mono_div(m, self.leads[j])
-        for c, mo in gi.terms:
-            raw.append((c, ring.mono_mul(mo, ui)))
-        for c, mo in gj.terms:
-            raw.append((p - c, ring.mono_mul(mo, uj)))
-        return poly_normalize(ring, raw)
+        queue = ReducerQueue(ring, self.cfg.queue)
+        queue.push_product(1, ring.mono_div(m, self.leads[i]), self.polys[i])
+        queue.push_product(ring.char - 1, ring.mono_div(m, self.leads[j]),
+                           self.polys[j])
+        _, r = divide_queue(ring, queue, self.polys, self.lookup,
+                            top_only=True)
+        return r
 
     def run(self):
         cfg = self.cfg
@@ -244,14 +243,7 @@ class _ClassicEngine:
             if stats.reduced_pairs is not None:
                 stats.reduced_pairs.append((i, j))
             self.tri.set(i, j)
-            spoly = self._spoly(i, j)
-            if spoly:
-                _, r = classic_reduce(self.ring, spoly, self.polys,
-                                      self.lookup, top_only=True,
-                                      queue_cfg=cfg.queue,
-                                      track_quotients=False)
-            else:
-                r = spoly
+            r = self._reduce_spair(i, j)
             if r:
                 self._add(poly_monic(self.ring, r))
             else:

@@ -72,6 +72,8 @@ def _load_input(args):
 
 
 def _queue_config(args):
+    if args.hashed and args.plain:
+        raise ValueError("--hashed excludes --plain")
     hashed = args.hashed or not (args.dedup or args.plain)
     return QueueConfig(backend=args.reducer, hashed=hashed,
                        dedup=args.dedup, compressed=args.compressed)

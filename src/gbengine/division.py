@@ -38,9 +38,21 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
     """
     if lookup is None:
         lookup = basis_lookup(ring, basis, "list")
-    p = ring.char
     queue = ReducerQueue(ring, queue_cfg)
     queue.push_product(1, ring.one, f)
+    quotients, r = divide_queue(ring, queue, basis, lookup, top_only,
+                                track_quotients, exclude)
+    if monic:
+        r = poly_monic(ring, r)
+    return quotients, r
+
+
+def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
+                 top_only: bool, track_quotients: bool = False,
+                 exclude: int | None = None):
+    """classic_reduce of the polynomial whose terms are pending in queue,
+    which it empties."""
+    p = ring.char
     quotients = [[] for _ in basis] if track_quotients else None
     remainder = []
     tail_done = False
@@ -67,10 +79,7 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
         if track_quotients:
             quotients[idx].append((scale, mult))
         queue.push_product(p - scale, mult, g, start=1)
-    r = Polynomial(remainder)
-    if monic:
-        r = poly_monic(ring, r)
-    return quotients, r
+    return quotients, Polynomial(remainder)
 
 
 def prepare_inputs(ring: Ring, polys, reduce: bool, queue_cfg=None):

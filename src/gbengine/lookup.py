@@ -15,7 +15,9 @@ current contents.
 
 Answers of find_all_divisors outlive inserts: a repeated query scans only
 the entries inserted since its answer was made, and only a retire drops
-the stored answers.  The divmask counters (DivmaskStats hits, misses and
+the stored answers.  Each answer keeps the query's divmask, so bringing it
+up to date computes no mask unless a rebuild has recalibrated the divmap
+since.  The divmask counters (DivmaskStats hits, misses and
 divisibilities) count the mask consultations actually made, so they
 depend on the lookup kind and on this reuse; they are not part of any
 result.
@@ -213,10 +215,12 @@ class KdLookup:
         self.churn = 0
         # Query answers keyed by packed monomial key.  Callers must not
         # mutate returned lists.  find_divisor answers are dropped by any
-        # mutation.  A find_all_divisors answer is stored as (stamp, list),
-        # stamp being len(self._log) when it was made; _log holds the
-        # records inserted since the last retire, so the answer is brought
-        # up to date by scanning _log[stamp:].  A retire drops both.
+        # mutation.  A find_all_divisors answer is stored as (stamp, list,
+        # notq, divmap), stamp being len(self._log) when it was made; _log
+        # holds the records inserted since the last retire, so the answer
+        # is brought up to date by scanning _log[stamp:] with notq, the
+        # query's complemented mask, unless a rebuild has replaced the
+        # divmap it was made under.  A retire drops both.
         self._one_cache = {}
         self._all_cache = {}
         self._log = []
@@ -230,7 +234,7 @@ class KdLookup:
             self.stats.reused += 1
             return cache[k]
         self.stats.computed += 1
-        found = self._query(q, True)
+        found = self._query(q, self._notq(q), True)
         out = cache[k] = found[0] if found else None
         return out
 
@@ -240,23 +244,25 @@ class KdLookup:
         got = self._all_cache.get(k)
         if got is None:
             self.stats.computed += 1
-            out = self._find_all_divisors(q)
+            notq = self._notq(q)
+            out = self._query(q, notq, False)
         else:
-            stamp, out = got
+            stamp, out, notq, divmap = got
             if stamp == len(log):
                 self.stats.reused += 1
                 return out
             self.stats.extended += 1
-            new = _scan(log[stamp:], q.exps, self._notq(q), self.stats, [],
-                        False)
+            if divmap is not self.divmap:
+                notq = self._notq(q)
+            new = _scan(log[stamp:], q.exps, notq, self.stats, [], False)
             if new:
                 out = out + new
-        self._all_cache[k] = (len(log), out)
+        self._all_cache[k] = (len(log), out, notq, self.divmap)
         return out
 
     def _find_all_divisors(self, q: Monomial):
         """A full query, bypassing the stored answers."""
-        return self._query(q, False)
+        return self._query(q, self._notq(q), False)
 
     def _notq(self, q):
         """Complement of q's divmask, or None without masks."""
@@ -386,13 +392,13 @@ class KdLookup:
 
     # -- queries ----------------------------------------------------------
 
-    def _query(self, q, first_only):
+    def _query(self, q, notq, first_only):
         """Payload ids of the live entries dividing q (at most one when
-        first_only), counting mask consultations in self.stats."""
+        first_only), counting mask consultations in self.stats; notq is
+        the complement of q's mask (None without masks)."""
         qexps = q.exps
         stats = self.stats
         masks = self.use_masks
-        notq = self._notq(q)
         out = []
         stack = [self.root]
         while stack:

@@ -14,9 +14,14 @@ c holds depends on the config:
   compressed  the multiplier's coefficient, hashed or not; the entry
               advances to term i + 1 by replace-top when it pops
   plain       the term's coefficient
-  hashed      unused: a side table keyed by the packed key holds the
-              coefficients, so the backend holds each pending monomial
-              at most once (plus any compressed entries parked on it)
+  hashed      the running sum of every contribution pushed for the key,
+              unreduced (all positive, p < 2^31) until it pops; the entry
+              is a list and a side table maps each pending key to it, so
+              the backend holds each pending key exactly once and a push
+              of a repeated key is one table probe and one addition
+
+A hashed, compressed queue keeps compressed entries, and its table maps
+each pending key to the unreduced sum of its contributions.
 
 Deduplicating backends fold plain entries of equal key by adding c.
 """
@@ -24,6 +29,7 @@ Deduplicating backends fold plain entries of equal key by adding c.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 
 from .ring import Ring
 
@@ -78,6 +84,9 @@ class MaxHeap:
 
     def __len__(self):
         return len(self.a) - 1
+
+    def __iter__(self):
+        return iter(self.a[1:])
 
     def peek(self):
         a = self.a
@@ -168,17 +177,20 @@ class MaxHeap:
 class Geobucket:
     """Yan-style bucket list; bucket i holds at most 4 * 4^i entries."""
 
-    __slots__ = ("buckets", "fold", "p", "top")
+    __slots__ = ("buckets", "fold", "p", "heads")
 
     def __init__(self, fold=False, p=0):
         self.buckets = []       # each ascending by key (max at the end)
         self.fold = fold
         self.p = p
-        self.top = None         # index of the maximal bucket (-1: empty),
-                                # None when a push or pop may have moved it
+        self.heads = []         # heap of (-last key, index), nonempty buckets
 
     def __len__(self):
         return sum(len(b) for b in self.buckets)
+
+    def __iter__(self):
+        for b in self.buckets:
+            yield from b
 
     @staticmethod
     def _cap(i):
@@ -190,7 +202,6 @@ class Geobucket:
     def push_run(self, run):
         """Insert a run of entries in descending key order."""
         run = run[::-1]
-        self.top = None
         i = 0
         while self._cap(i) < len(run):
             i += 1
@@ -207,6 +218,9 @@ class Geobucket:
             self.buckets[i] = []
             self.buckets[i + 1] = self._merge(nxt, spill) if nxt else spill
             i += 1
+        heads = self.heads = [(-b[-1][0], j)
+                              for j, b in enumerate(self.buckets) if b]
+        heapify(heads)
 
     def _merge(self, x, y):
         out = []
@@ -234,28 +248,22 @@ class Geobucket:
         out.extend(y[j:])
         return out
 
-    def _top_bucket(self):
-        best = self.top
-        if best is None:
-            best = -1
-            best_key = None
-            for i, b in enumerate(self.buckets):
-                if b and (best_key is None or b[-1][0] > best_key):
-                    best = i
-                    best_key = b[-1][0]
-            self.top = best
-        return best
-
     def peek(self):
-        i = self._top_bucket()
-        return self.buckets[i][-1] if i >= 0 else None
+        heads = self.heads
+        return self.buckets[heads[0][1]][-1] if heads else None
 
     def pop(self):
-        i = self._top_bucket()
-        if i < 0:
+        heads = self.heads
+        if not heads:
             return None
-        self.top = None
-        return self.buckets[i].pop()
+        i = heads[0][1]
+        b = self.buckets[i]
+        e = b.pop()
+        if b:
+            heapreplace(heads, (-b[-1][0], i))
+        else:
+            heappop(heads)
+        return e
 
     def replace_top(self, e):
         top = self.peek()
@@ -267,10 +275,12 @@ class Geobucket:
         self.push(e)
 
     def audit(self):
-        if self.top is not None:
-            top = self.top
-            self.top = None
-            assert self._top_bucket() == top, "cached top bucket"
+        heads = self.heads
+        assert sorted(heads) == sorted((-b[-1][0], i)
+                                       for i, b in enumerate(self.buckets)
+                                       if b), "bucket heads"
+        for j in range(1, len(heads)):
+            assert heads[(j - 1) >> 1] <= heads[j], "head heap"
         for i, b in enumerate(self.buckets):
             assert len(b) <= self._cap(i), "geobucket capacity"
             for j in range(1, len(b)):
@@ -297,6 +307,9 @@ class MaxTourTree:
 
     def __len__(self):
         return self.size
+
+    def __iter__(self):
+        return (e for e in self.leaves if e is not None)
 
     def _grow(self):
         old = [e for e in self.leaves if e is not None]
@@ -403,7 +416,7 @@ def _make_backend(cfg: QueueConfig, p: int):
 class ReducerQueue:
     """Facade over one backend implementing the logical term multiset."""
 
-    __slots__ = ("ring", "cfg", "p", "backend", "table")
+    __slots__ = ("ring", "cfg", "p", "backend", "table", "summed")
 
     def __init__(self, ring: Ring, cfg: QueueConfig | None = None):
         self.ring = ring
@@ -411,6 +424,8 @@ class ReducerQueue:
         self.p = ring.char
         self.backend = _make_backend(self.cfg, self.p)
         self.table = {} if self.cfg.hashed else None
+        # hashed entries carry their key's sum; the table maps key -> entry
+        self.summed = self.cfg.hashed and not self.cfg.compressed
 
     def __len__(self):
         return len(self.backend)
@@ -434,18 +449,18 @@ class ReducerQueue:
             run = [(mk + keys[i], coeff * coeffs[i] % p, mono, poly, i)
                    for i in range(start, len(keys))]
         else:
-            # only keys new to the table get an entry; coefficients add up
-            # unreduced (all positive, p < 2^31) until their monomial pops
+            # a repeated key adds to its entry's sum; only a key new to the
+            # table makes an entry, which joins the run
             run = []
             get = tbl.get
             for i in range(start, len(keys)):
                 k = mk + keys[i]
-                got = get(k)
-                if got is None:
-                    tbl[k] = coeff * coeffs[i]
-                    run.append((k, 0, mono, poly, i))
+                e = get(k)
+                if e is None:
+                    e = tbl[k] = [k, coeff * coeffs[i], mono, poly, i]
+                    run.append(e)
                 else:
-                    tbl[k] = got + coeff * coeffs[i]
+                    e[1] += coeff * coeffs[i]
         if run:
             self.backend.push_run(run)
 
@@ -453,6 +468,19 @@ class ReducerQueue:
         """Largest pending (coeff, mono) with like terms folded, or None."""
         backend = self.backend
         tbl = self.table
+        p = self.p
+        if self.summed:
+            # the backend holds each pending key once: its entry is the max
+            while True:
+                e = backend.pop()
+                if e is None:
+                    return None
+                key, coeff, mult, poly, i = e
+                del tbl[key]
+                coeff %= p
+                if coeff:
+                    return (coeff, self.ring.mono_mul(mult,
+                                                      poly.arrays()[2][i]))
         compressed = self.cfg.compressed
         while True:
             top = backend.peek()
@@ -475,10 +503,20 @@ class ReducerQueue:
                     else:
                         backend.pop()
                 else:
-                    if tbl is None:
-                        coeff += top[1]
+                    coeff += top[1]
                     backend.pop()
                 top = backend.peek()
-            coeff %= self.p
+            coeff %= p
             if coeff:
                 return (coeff, self.ring.mono_mul(mult, poly.arrays()[2][i]))
+
+    def audit(self):
+        """Assert that a hashed, uncompressed queue's table maps each
+        pending key to its one backend entry, then audit the backend."""
+        if self.summed:
+            held = {id(e) for e in self.backend}
+            assert len(self.table) == len(held) == len(self.backend), \
+                "one backend entry per pending key"
+            for k, e in self.table.items():
+                assert e[0] == k and id(e) in held, "table entry in backend"
+        self.backend.audit()

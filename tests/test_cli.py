@@ -77,6 +77,13 @@ def test_hashed_dedup_is_usage_error(capsys):
     assert "hashed excludes dedup" in err
 
 
+def test_hashed_plain_is_usage_error(capsys):
+    code, out, err = _run(capsys, "run", "--hashed", "--plain", "katsura4")
+    assert code == 1
+    assert out == ""
+    assert "--hashed excludes --plain" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "basis.txt"
     code, out, _ = _run(capsys, "run", "--algorithm", "classic", "--out",

@@ -333,3 +333,35 @@ def test_divlist_counts_only_consultations_made():
             made[q.key] = inserts
             s.find_all_divisors(q)
             assert s.stats.consultations == expected
+
+
+@pytest.mark.parametrize("kind", ["divlist", "divkdtree"])
+def test_extended_answer_reuses_query_mask(kind, monkeypatch):
+    # the first answer computes the query's mask; answers brought up to
+    # date after inserts reuse it until a rebuild recalibrates the divmap
+    rng = random.Random(61)
+    r = Ring(101, 4)
+    q = r.mono((3, 3, 2, 2))
+    s = make_lookup(kind, r, leaf_capacity=4)
+    monos = [random_mono(r, rng, 4) for _ in range(24)]
+    for i in range(20):
+        s.insert(monos[i], i)
+    s.rebuild()
+    made = []
+    real = DivMap.mask_of
+
+    def counting(self, mono):
+        if mono is q:
+            made.append(self)
+        return real(self, mono)
+
+    monkeypatch.setattr(DivMap, "mask_of", counting)
+    for i, rebuild, masks in ((20, False, 1), (21, False, 1), (22, True, 2),
+                              (23, False, 2)):
+        if rebuild:
+            s.rebuild()
+        s.insert(monos[i], i)
+        got = s.find_all_divisors(q)
+        assert len(made) == masks and made[-1] is s.divmap
+        assert sorted(got) == [j for j in range(i + 1)
+                               if r.mono_divides(monos[j], q)]

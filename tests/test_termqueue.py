@@ -169,6 +169,28 @@ def test_product_past_exponent_cap_raises():
             q.pop_max()
 
 
+def test_hashed_key_pushed_again_after_pop():
+    # x^2 pops, then a push brings x^2 back with a new contribution: the key
+    # gets one fresh entry and pops once, with only the new coefficient
+    r = _ring()
+    g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0))])      # x^2 + y
+    for cfg in all_queue_configs():
+        if not cfg.hashed:
+            continue
+        q = ReducerQueue(r, cfg)
+        q.push_product(3, r.one, g)
+        assert q.pop_max() == (3, g.lead_mono)
+        q.audit()
+        q.push_product(5, r.one, g)
+        q.push_product(2, r.one, g)
+        q.audit()
+        pops = []
+        while (t := q.pop_max()) is not None:
+            pops.append((t[0], t[1].exps))
+            q.audit()
+        assert pops == [(7, (2, 0, 0)), (10, (0, 1, 0))], cfg.label()
+
+
 def test_compressed_single_entry_advances():
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (100, (0, 1, 0))])
@@ -193,8 +215,10 @@ def _run_script(r, cfg, script):
         else:
             t = q.pop_max()
             out.append(None if t is None else (t[0], t[1].exps))
+        q.audit()
     while (t := q.pop_max()) is not None:
         out.append((t[0], t[1].exps))
+        q.audit()
     return out
 
 
