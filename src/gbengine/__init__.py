@@ -3,7 +3,7 @@
 Two algorithms (the signature-based completion loop and a classic
 Buchberger), each instrumented and configurable over interchangeable data
 structures: reducer term queues (heap / geobucket / tournament tree,
-optionally hashed, deduplicating, compressed), divisor-query structures
+each plain, deduplicating, hashed or compressed), divisor-query structures
 (monomial list / kd-tree, with or without divmasks) and S-pair queues
 (pair triangle with a heap or tournament tree front, or flat queues).
 """

@@ -12,6 +12,7 @@ equal lcms exactly one pair can ever be eliminated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 
 from .division import divide_queue, prepare_inputs, reduced_basis
 from .lookup import make_lookup
@@ -71,22 +72,19 @@ def relprime_check(ring: Ring, a: Polynomial, b: Polynomial) -> bool:
     return ring.mono_coprime(a.lead_mono, b.lead_mono)
 
 
-def lcm_criterion(ring: Ring, leads, a: int, b: int, c: int,
+def lcm_criterion(leads, a: int, b: int, c: int, m,
                   tri: BitTriangle) -> bool:
     """Anti-circular lcm criterion: c may eliminate (a, b).
 
-    Requires hd c | lcm(hd a, hd b); then (a, b) goes iff
-    lcm(a,c) != lcm(a,b) or (a,c) is done, and likewise for (b,c).
+    m is the exponent tuple of lcm(hd a, hd b).  Requires hd c | m; then
+    (a, b) goes iff lcm(a,c) != m or (a,c) is done, and likewise for (b,c).
     """
-    la, lb, lc = leads[a], leads[b], leads[c]
-    lab = ring.mono_lcm(la, lb)
-    if not ring.mono_divides(lc, lab):
+    ce = leads[c].exps
+    if not all(map(le, ce, m)):
         return False
-    lac = ring.mono_lcm(la, lc)
-    if lac.key == lab.key and not tri.get(a, c):
+    if tuple(map(max, leads[a].exps, ce)) == m and not tri.get(a, c):
         return False
-    lbc = ring.mono_lcm(lb, lc)
-    if lbc.key == lab.key and not tri.get(b, c):
+    if tuple(map(max, leads[b].exps, ce)) == m and not tri.get(b, c):
         return False
     return True
 
@@ -110,20 +108,19 @@ class _UnionFind:
             self.parent[rx] = ry
 
 
-def graph_criterion(ring: Ring, leads, a: int, b: int, tri: BitTriangle,
+def graph_criterion(leads, a: int, b: int, m, tri: BitTriangle,
                     vertices) -> bool:
     """Bayer's criterion: eliminate (a, b) when a and b are connected in
-    the graph on the divisors of m = lcm(hd a, hd b) whose edges are the
-    pairs with lcm != m or already eliminated."""
-    m = ring.mono_lcm(leads[a], leads[b])
+    the graph on the divisors of m = lcm(hd a, hd b), an exponent tuple,
+    whose edges are the pairs with lcm != m or already eliminated."""
     verts = sorted(set(vertices) | {a, b})
     uf = _UnionFind(verts)
-    mkey = m.key
     for s in range(len(verts)):
         u = verts[s]
+        ue = leads[u].exps
         for t in range(s + 1, len(verts)):
             v = verts[t]
-            if ring.mono_lcm(leads[u], leads[v]).key != mkey or tri.get(u, v):
+            if tuple(map(max, ue, leads[v].exps)) != m or tri.get(u, v):
                 uf.union(u, v)
     return uf.find(a) == uf.find(b)
 
@@ -147,7 +144,10 @@ class _ClassicEngine:
             self._add(g)
 
     def _pair_key(self, i, j):
-        m = self.ring.mono_lcm(self.leads[i], self.leads[j])
+        return self._lcm_pair_key(
+            self.ring.mono_lcm(self.leads[i], self.leads[j]), i, j)
+
+    def _lcm_pair_key(self, m, i, j):
         # smallest lcm degree first, ring-order ties, then newest column:
         # (deg, key, j, i) packed into one integer; indices stay below 2^32
         return ((m.deg * self.key_bound + m.key) << 64) + (j << 32) + i
@@ -171,20 +171,20 @@ class _ClassicEngine:
         self.lookup.insert(mine, n)
         self.lookup.maybe_rebuild()
 
-    def _try_lcm(self, i, j) -> bool:
-        """Cached candidates first, then a full divisor sweep of the lcm."""
-        ring = self.ring
+    def _try_lcm(self, i, j, m) -> bool:
+        """Cached candidates first, then a full divisor sweep of the lcm m
+        of the pair's leads."""
         leads = self.leads
         tri = self.tri
+        me = m.exps
         for c in (self.cache.get(i), self.cache.get(j)):
             if c is not None and c != i and c != j and self.live[c] \
-                    and lcm_criterion(ring, leads, i, j, c, tri):
+                    and lcm_criterion(leads, i, j, c, me, tri):
                 self.stats.lcm_cache += 1
                 self.cache[i] = self.cache[j] = c
                 return True
-        m = ring.mono_lcm(leads[i], leads[j])
         for c in sorted(self.lookup.find_all_divisors(m)):
-            if c != i and c != j and lcm_criterion(ring, leads, i, j, c, tri):
+            if c != i and c != j and lcm_criterion(leads, i, j, c, me, tri):
                 self.stats.lcm_simple += 1
                 self.cache[i] = self.cache[j] = c
                 return True
@@ -202,17 +202,18 @@ class _ClassicEngine:
                 stats.relprime += 1
                 self.tri.set(i, n)
                 continue
-            if cfg.use_lcm and self._try_lcm(i, n):
+            m = ring.mono_lcm(self.leads[i], self.leads[n])
+            if cfg.use_lcm and self._try_lcm(i, n, m):
                 self.tri.set(i, n)
                 continue
-            batch.append((i, self._pair_key(i, n)))
+            batch.append((i, self._lcm_pair_key(m, i, n)))
         self.pairs.add_column(n, batch)
 
-    def _reduce_spair(self, i, j):
-        """Top-reduce the S-polynomial of the monic g_i and g_j, pushed as
-        its two products into the queue, where their lead terms cancel."""
+    def _reduce_spair(self, i, j, m):
+        """Top-reduce the S-polynomial of the monic g_i and g_j, whose leads
+        have lcm m, pushed as its two products into the queue, where their
+        lead terms cancel."""
         ring = self.ring
-        m = ring.mono_lcm(self.leads[i], self.leads[j])
         queue = ReducerQueue(ring, self.cfg.queue)
         queue.push_product(1, ring.mono_div(m, self.leads[i]), self.polys[i])
         queue.push_product(ring.char - 1, ring.mono_div(m, self.leads[j]),
@@ -228,13 +229,13 @@ class _ClassicEngine:
             if cfg.audit:
                 self.pairs.check_accounting()
             i, j = self.pairs.pop_min()
-            if cfg.use_lcm and self._try_lcm(i, j):
+            m = self.ring.mono_lcm(self.leads[i], self.leads[j])
+            if cfg.use_lcm and self._try_lcm(i, j, m):
                 self.tri.set(i, j)
                 continue
             if cfg.use_graph:
-                m = self.ring.mono_lcm(self.leads[i], self.leads[j])
                 verts = self.lookup.find_all_divisors(m)
-                if graph_criterion(self.ring, self.leads, i, j, self.tri,
+                if graph_criterion(self.leads, i, j, m.exps, self.tri,
                                    verts):
                     stats.graph += 1
                     self.tri.set(i, j)
@@ -243,7 +244,7 @@ class _ClassicEngine:
             if stats.reduced_pairs is not None:
                 stats.reduced_pairs.append((i, j))
             self.tri.set(i, j)
-            r = self._reduce_spair(i, j)
+            r = self._reduce_spair(i, j, m)
             if r:
                 self._add(poly_monic(self.ring, r))
             else:

@@ -38,7 +38,8 @@ def _build_parser():
     run.add_argument("--reducer", choices=BACKENDS, default="geobucket")
     run.add_argument("--hashed", action="store_true")
     run.add_argument("--dedup", action="store_true")
-    run.add_argument("--compressed", action="store_true")
+    run.add_argument("--compressed", action="store_true",
+                     help="queue each product as one cursor (not hashed)")
     run.add_argument("--plain", action="store_true",
                      help="turn off the default hashed reducer table")
     run.add_argument("--lookup", choices=LOOKUP_KINDS, default="divkdtree")
@@ -74,7 +75,7 @@ def _load_input(args):
 def _queue_config(args):
     if args.hashed and args.plain:
         raise ValueError("--hashed excludes --plain")
-    hashed = args.hashed or not (args.dedup or args.plain)
+    hashed = args.hashed or not (args.dedup or args.plain or args.compressed)
     return QueueConfig(backend=args.reducer, hashed=hashed,
                        dedup=args.dedup, compressed=args.compressed)
 

@@ -10,7 +10,7 @@ which lookup structure serves the divisor queries.
 from __future__ import annotations
 
 from .lookup import make_lookup
-from .poly import Polynomial, ZERO, poly_monic, poly_normalize
+from .poly import Polynomial, poly_monic, poly_normalize
 from .ring import Ring, ff_inv
 from .termqueue import QueueConfig, ReducerQueue
 
@@ -26,7 +26,7 @@ def basis_lookup(ring: Ring, basis, kind: str = "divkdtree"):
 
 
 def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
-                   top_only: bool = False, monic: bool = False,
+                   top_only: bool = False,
                    queue_cfg: QueueConfig | None = None,
                    track_quotients: bool = True, exclude: int | None = None):
     """Divide f by the basis: returns (per-basis quotient term lists, r).
@@ -40,11 +40,8 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
         lookup = basis_lookup(ring, basis, "list")
     queue = ReducerQueue(ring, queue_cfg)
     queue.push_product(1, ring.one, f)
-    quotients, r = divide_queue(ring, queue, basis, lookup, top_only,
-                                track_quotients, exclude)
-    if monic:
-        r = poly_monic(ring, r)
-    return quotients, r
+    return divide_queue(ring, queue, basis, lookup, top_only,
+                        track_quotients, exclude)
 
 
 def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
@@ -145,24 +142,8 @@ def reduces_to_zero(ring: Ring, f: Polynomial, basis, lookup=None,
                     queue_cfg=None) -> bool:
     """Membership oracle: does f top-reduce to zero against the basis?
 
-    Any divisor works for a zero test, so this takes the lookup's first
-    answer instead of the smallest index.
+    For a Groebner basis the choice of divisor cannot change the answer.
     """
-    if lookup is None:
-        lookup = basis_lookup(ring, basis)
-    p = ring.char
-    queue = ReducerQueue(ring, queue_cfg)
-    queue.push_product(1, ring.one, f)
-    while True:
-        top = queue.pop_max()
-        if top is None:
-            return True
-        coeff, mono = top
-        idx = lookup.find_divisor(mono)
-        if idx is None:
-            return False
-        g = basis[idx]
-        mult = ring.mono_div(mono, g.lead_mono)
-        lc = g.lead_coeff
-        scale = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
-        queue.push_product(p - scale, mult, g, start=1)
+    _, r = classic_reduce(ring, f, basis, lookup, top_only=True,
+                          queue_cfg=queue_cfg, track_quotients=False)
+    return not r

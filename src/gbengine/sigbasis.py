@@ -186,7 +186,6 @@ class SyzygySet:
     def __init__(self, ring: Ring, num_components: int, kind: str):
         self.ring = ring
         self.lookups = [make_lookup(kind, ring) for _ in range(num_components)]
-        self.items = []
         self._next_id = 0
 
     def divides(self, mono: Monomial, comp: int) -> bool:
@@ -197,22 +196,20 @@ class SyzygySet:
         if lk.find_divisor(mono) is not None:
             return False
         # keep the set an antichain: retire stored multiples of the newcomer
-        doomed = {pid for stored, pid in lk.entries()
-                  if self.ring.mono_divides(mono, stored)}
-        if doomed:
-            for pid in doomed:
-                lk.retire(pid)
-            self.items = [(m, c, pid) for (m, c, pid) in self.items
-                          if not (c == comp and pid in doomed)]
+        doomed = [pid for stored, pid in lk.entries()
+                  if self.ring.mono_divides(mono, stored)]
+        for pid in doomed:
+            lk.retire(pid)
         pid = self._next_id
         self._next_id += 1
         lk.insert(mono, pid)
-        self.items.append((mono, comp, pid))
         lk.maybe_rebuild()
         return True
 
     def signatures(self):
-        return [(m, c) for m, c, _ in self.items]
+        """The stored (mono, comp) signatures, in no particular order."""
+        return [(m, c) for c, lk in enumerate(self.lookups)
+                for m, _ in lk.entries()]
 
     def audit_minimal(self):
         sigs = self.signatures()
@@ -335,24 +332,27 @@ class _SBEngine:
         for i, j in pairs:
             tri.set(i, j)
 
+    def _max_ratio_divisor(self, lookup, mono):
+        """The entry among lookup's divisors of mono with the largest
+        (ratio rank, -index), or None when there is none."""
+        cands = lookup.find_all_divisors(mono)
+        if not cands:
+            return None
+        entries = self.entries
+        return max((entries[i] for i in cands),
+                   key=lambda e: (e.ratio_rank, -e.idx))
+
     # -- S-pair construction ----------------------------------------------
 
     def _find_base_divisors(self, beta: SigEntry):
         high = low = None
         vbound = None
         if self.cfg.base_divisors >= 1:
-            cands = self.lead_lookup.find_all_divisors(beta.lead)
-            if cands:
-                entries = self.entries
-                high = max((entries[i] for i in cands),
-                           key=lambda e: (e.ratio_rank, -e.idx))
+            high = self._max_ratio_divisor(self.lead_lookup, beta.lead)
         if self.cfg.base_divisors >= 2:
-            cands = self.sig_lookups[beta.sig_comp].find_all_divisors(
-                beta.sig_mono)
-            if cands:
-                entries = self.entries
-                low = max((entries[i] for i in cands),
-                          key=lambda e: (e.ratio_rank, -e.idx))
+            low = self._max_ratio_divisor(self.sig_lookups[beta.sig_comp],
+                                          beta.sig_mono)
+            if low is not None:
                 vbound = low_base_divisor_bound(low, beta)
         return high, low, vbound
 
@@ -403,10 +403,8 @@ class _SBEngine:
         # term rewrites the pair away (strictly larger sig/lead ratio)
         winner = beta if beta.ratio_rank > gamma.ratio_rank else gamma
         mono, comp = sig
-        for i in self.sig_lookups[comp].find_all_divisors(mono):
-            if self.entries[i].ratio_rank > winner.ratio_rank:
-                return True
-        return False
+        best = self._max_ratio_divisor(self.sig_lookups[comp], mono)
+        return best is not None and best.ratio_rank > winner.ratio_rank
 
     # -- pop-time pipeline --------------------------------------------------
 
@@ -469,18 +467,18 @@ class _SBEngine:
     def _champion(self, tmono, tcomp):
         """Basis element whose signature divides T with the smallest lead
         multiple; equivalently the divisor of maximal sig/lead ratio."""
-        cands = self.sig_lookups[tcomp].find_all_divisors(tmono)
-        if not cands:
+        lookup = self.sig_lookups[tcomp]
+        champ = self._max_ratio_divisor(lookup, tmono)
+        if champ is None:
             raise InvariantError(
                 "no signature divisor for a popped S-pair signature")
-        entries = self.entries
-        champ = max((entries[i] for i in cands),
-                    key=lambda e: (e.ratio_rank, -e.idx))
         tmult = self.ring.mono_div(tmono, champ.sig_mono)
         if self.cfg.audit:
+            entries = self.entries
             best = min(self.ring.mono_mul(
                 self.ring.mono_div(tmono, entries[i].sig_mono),
-                entries[i].lead).key for i in cands)
+                entries[i].lead).key
+                for i in lookup.find_all_divisors(tmono))
             got = self.ring.mono_mul(tmult, champ.lead).key
             assert got == best, "champion lead not minimal"
         return champ, tmult

@@ -1,7 +1,8 @@
 """Priority queues over the terms of the polynomial being reduced.
 
-Three backends (binary heap, geobucket, tournament tree), each optionally
-hashed, deduplicating and/or compressed.  All configurations are
+Three backends (binary heap, geobucket, tournament tree), each in one of
+four flavours: plain, deduplicating, hashed or compressed.  Hashing and
+folding apply to uncompressed queues only.  All configurations are
 observationally identical: pop_max always returns the order-maximal
 monomial with every pending contribution to its coefficient folded
 together, skipping monomials whose contributions cancel.
@@ -11,17 +12,14 @@ ordered by key, the packed order key of that term's monomial.  The
 monomial itself is made only when its key pops with a nonzero sum.  What
 c holds depends on the config:
 
-  compressed  the multiplier's coefficient, hashed or not; the entry
-              advances to term i + 1 by replace-top when it pops
+  compressed  the multiplier's coefficient; the entry advances to term
+              i + 1 by replace-top when it pops
   plain       the term's coefficient
   hashed      the running sum of every contribution pushed for the key,
               unreduced (all positive, p < 2^31) until it pops; the entry
               is a list and a side table maps each pending key to it, so
               the backend holds each pending key exactly once and a push
               of a repeated key is one table probe and one addition
-
-A hashed, compressed queue keeps compressed entries, and its table maps
-each pending key to the unreduced sum of its contributions.
 
 Deduplicating backends fold plain entries of equal key by adding c.
 """
@@ -52,6 +50,10 @@ class QueueConfig:
         if self.hashed and self.dedup:
             # hashing already merges all like terms
             raise ValueError("hashed excludes dedup")
+        if self.compressed and (self.hashed or self.dedup):
+            # a compressed product is one cursor: no like terms to merge
+            raise ValueError("compressed excludes %s"
+                             % ("hashed" if self.hashed else "dedup"))
 
     def label(self):
         flags = [f for f, on in (("hashed", self.hashed), ("dedup", self.dedup),
@@ -60,16 +62,14 @@ class QueueConfig:
 
 
 def all_queue_configs():
-    """Every legal configuration (3 backends x 6 flag combinations)."""
-    out = []
-    for backend in BACKENDS:
-        for hashed in (False, True):
-            for dedup in (False, True):
-                if hashed and dedup:
-                    continue
-                for compressed in (False, True):
-                    out.append(QueueConfig(backend, hashed, dedup, compressed))
-    return out
+    """Every legal configuration: 3 backends x plain, dedup, hashed and
+    compressed."""
+    return [QueueConfig(backend, hashed, dedup, compressed)
+            for backend in BACKENDS
+            for hashed, dedup, compressed in ((False, False, False),
+                                              (False, True, False),
+                                              (True, False, False),
+                                              (False, False, True))]
 
 
 class MaxHeap:
@@ -405,27 +405,25 @@ class MaxTourTree:
 
 
 def _make_backend(cfg: QueueConfig, p: int):
-    fold = cfg.dedup and not cfg.compressed
     if cfg.backend == "heap":
-        return MaxHeap(fold, p)
+        return MaxHeap(cfg.dedup, p)
     if cfg.backend == "geobucket":
-        return Geobucket(fold, p)
-    return MaxTourTree(fold, p)
+        return Geobucket(cfg.dedup, p)
+    return MaxTourTree(cfg.dedup, p)
 
 
 class ReducerQueue:
     """Facade over one backend implementing the logical term multiset."""
 
-    __slots__ = ("ring", "cfg", "p", "backend", "table", "summed")
+    __slots__ = ("ring", "cfg", "p", "backend", "table")
 
     def __init__(self, ring: Ring, cfg: QueueConfig | None = None):
         self.ring = ring
         self.cfg = cfg or QueueConfig()
         self.p = ring.char
         self.backend = _make_backend(self.cfg, self.p)
-        self.table = {} if self.cfg.hashed else None
         # hashed entries carry their key's sum; the table maps key -> entry
-        self.summed = self.cfg.hashed and not self.cfg.compressed
+        self.table = {} if self.cfg.hashed else None
 
     def __len__(self):
         return len(self.backend)
@@ -438,13 +436,10 @@ class ReducerQueue:
             return
         coeffs, keys, _ = poly.arrays()
         mk = mono.key
-        tbl = self.table
         if self.cfg.compressed:
-            k = mk + keys[start]
-            if tbl is not None:
-                tbl[k] = tbl.get(k, 0) + coeff * coeffs[start]
-            self.backend.push((k, coeff, mono, poly, start))
+            self.backend.push((mk + keys[start], coeff, mono, poly, start))
             return
+        tbl = self.table
         if tbl is None:
             run = [(mk + keys[i], coeff * coeffs[i] % p, mono, poly, i)
                    for i in range(start, len(keys))]
@@ -469,7 +464,7 @@ class ReducerQueue:
         backend = self.backend
         tbl = self.table
         p = self.p
-        if self.summed:
+        if tbl is not None:
             # the backend holds each pending key once: its entry is the max
             while True:
                 e = backend.pop()
@@ -487,19 +482,15 @@ class ReducerQueue:
             if top is None:
                 return None
             key, _, mult, poly, i = top
-            coeff = tbl.pop(key) if tbl is not None else 0
+            coeff = 0
             while top is not None and top[0] == key:
                 if compressed:
                     _, c, m, g, j = top
                     gcoeffs, gkeys, _ = g.arrays()
-                    if tbl is None:
-                        coeff += c * gcoeffs[j]
+                    coeff += c * gcoeffs[j]
                     j += 1
                     if j < len(gkeys):
-                        nk = m.key + gkeys[j]
-                        if tbl is not None:
-                            tbl[nk] = tbl.get(nk, 0) + c * gcoeffs[j]
-                        backend.replace_top((nk, c, m, g, j))
+                        backend.replace_top((m.key + gkeys[j], c, m, g, j))
                     else:
                         backend.pop()
                 else:
@@ -511,9 +502,9 @@ class ReducerQueue:
                 return (coeff, self.ring.mono_mul(mult, poly.arrays()[2][i]))
 
     def audit(self):
-        """Assert that a hashed, uncompressed queue's table maps each
-        pending key to its one backend entry, then audit the backend."""
-        if self.summed:
+        """Assert that a hashed queue's table maps each pending key to its
+        one backend entry, then audit the backend."""
+        if self.table is not None:
             held = {id(e) for e in self.backend}
             assert len(self.table) == len(held) == len(self.backend), \
                 "one backend entry per pending key"

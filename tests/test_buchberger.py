@@ -17,6 +17,11 @@ def _mono_poly(r, exps):
     return poly_from_exps(r, [(1, exps)])
 
 
+def _lcm(r, leads, a, b):
+    # the criteria take the pair's lcm as an exponent tuple
+    return r.mono_lcm(leads[a], leads[b]).exps
+
+
 def test_relprime_examples():
     r = _r3()
     assert relprime_check(r, _mono_poly(r, (2, 0, 0)), _mono_poly(r, (0, 1, 0)))
@@ -31,25 +36,27 @@ def test_lcm_criterion_strict_divisor_case():
     # divisors of lcm(a,b)=x^2y^2z^2, so (a,b) goes regardless of the bits
     leads = [r.mono((2, 2, 0)), r.mono((0, 2, 2)), r.mono((1, 1, 1))]
     tri = BitTriangle()
-    assert lcm_criterion(r, leads, 0, 1, 2, tri)
+    assert lcm_criterion(leads, 0, 1, 2, _lcm(r, leads, 0, 1), tri)
 
 
 def test_lcm_criterion_equal_lcm_blocks_without_bit():
     r = _r3()
     # lcm(a,c) == lcm(a,b): not eliminable until (a,c) is marked done
     leads = [r.mono((1, 1, 0)), r.mono((1, 0, 1)), r.mono((0, 1, 1))]
+    m = _lcm(r, leads, 0, 1)
     tri = BitTriangle()
-    assert not lcm_criterion(r, leads, 0, 1, 2, tri)
+    assert not lcm_criterion(leads, 0, 1, 2, m, tri)
     tri.set(0, 2)
-    assert not lcm_criterion(r, leads, 0, 1, 2, tri)   # (b,c) still open
+    assert not lcm_criterion(leads, 0, 1, 2, m, tri)   # (b,c) still open
     tri.set(1, 2)
-    assert lcm_criterion(r, leads, 0, 1, 2, tri)
+    assert lcm_criterion(leads, 0, 1, 2, m, tri)
 
 
 def test_lcm_criterion_inapplicable_divisor():
     r = _r3()
     leads = [r.mono((2, 0, 0)), r.mono((0, 2, 0)), r.mono((0, 0, 1))]
-    assert not lcm_criterion(r, leads, 0, 1, 2, BitTriangle())
+    assert not lcm_criterion(leads, 0, 1, 2, _lcm(r, leads, 0, 1),
+                             BitTriangle())
 
 
 def test_three_way_equal_lcm_exactly_one_eliminable():
@@ -63,7 +70,7 @@ def test_three_way_equal_lcm_exactly_one_eliminable():
         eliminated = []
         for (a, b) in order:
             c = ({0, 1, 2} - {a, b}).pop()
-            if lcm_criterion(r, leads, a, b, c, tri):
+            if lcm_criterion(leads, a, b, c, _lcm(r, leads, a, b), tri):
                 eliminated.append((a, b))
             tri.set(a, b)     # eliminated or reduced either way
         assert len(eliminated) == 1
@@ -74,12 +81,13 @@ def test_graph_criterion_examples():
     r = _r3()
     leads = [r.mono((1, 1, 0)), r.mono((1, 0, 1))]
     tri = BitTriangle()
-    assert not graph_criterion(r, leads, 0, 1, tri, [0, 1])
+    assert not graph_criterion(leads, 0, 1, _lcm(r, leads, 0, 1), tri,
+                               [0, 1])
     # third vertex dividing m with both lcms != m gives the path a-c-b
     leads = [r.mono((2, 1, 0)), r.mono((1, 0, 2)), r.mono((1, 1, 1))]
     m = r.mono_lcm(leads[0], leads[1])
     assert r.mono_divides(leads[2], m)
-    assert graph_criterion(r, leads, 0, 1, tri, [0, 1, 2])
+    assert graph_criterion(leads, 0, 1, m.exps, tri, [0, 1, 2])
 
 
 def test_buchberger_two_generators():

@@ -84,6 +84,22 @@ def test_hashed_plain_is_usage_error(capsys):
     assert "--hashed excludes --plain" in err
 
 
+def test_hashed_compressed_is_usage_error(capsys):
+    code, out, err = _run(capsys, "run", "--hashed", "--compressed",
+                          "katsura4")
+    assert code == 1
+    assert out == ""
+    assert "compressed excludes hashed" in err
+
+
+def test_dedup_compressed_is_usage_error(capsys):
+    code, out, err = _run(capsys, "run", "--dedup", "--compressed",
+                          "katsura4")
+    assert code == 1
+    assert out == ""
+    assert "compressed excludes dedup" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "basis.txt"
     code, out, _ = _run(capsys, "run", "--algorithm", "classic", "--out",
@@ -102,6 +118,7 @@ def test_identical_bytes_across_structures(tmp_path, capsys):
     ref = None
     for flags in (["--reducer", "geobucket"],
                   ["--reducer", "heap", "--plain", "--compressed"],
+                  ["--reducer", "heap", "--compressed"],
                   ["--lookup", "list"],
                   ["--spair-queue", "heap"],
                   ["--reducer", "tourtree", "--dedup"]):

@@ -99,10 +99,3 @@ def test_classic_reduce_top_only():
     if rem_top:
         assert not r.mono_divides(g.lead_mono, rem_top.lead_mono)
 
-
-def test_classic_reduce_monic_flag():
-    r = Ring(101, 2)
-    f = poly_from_exps(r, [(7, (0, 2)), (3, (0, 1))])
-    g = poly_from_exps(r, [(1, (1, 0))])
-    _, rem = classic_reduce(r, f, [g], monic=True)
-    assert rem.lead_coeff == 1

@@ -14,7 +14,13 @@ def test_config_validation():
         QueueConfig(backend="heap", hashed=True, dedup=True)
     with pytest.raises(ValueError):
         QueueConfig(backend="stack")
-    assert len(all_queue_configs()) == 18   # 3 backends x 6 legal flag sets
+    with pytest.raises(ValueError, match="compressed excludes hashed"):
+        QueueConfig(backend="heap", hashed=True, compressed=True)
+    with pytest.raises(ValueError, match="compressed excludes dedup"):
+        QueueConfig(backend="heap", hashed=False, dedup=True,
+                    compressed=True)
+    # 3 backends x plain, dedup, hashed and compressed
+    assert len(all_queue_configs()) == 12
 
 
 def _e(k, c=1):
