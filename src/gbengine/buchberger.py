@@ -20,7 +20,7 @@ from .pairbits import BitTriangle
 from .poly import Polynomial, poly_monic
 from .ring import InvariantError, Ring, key_bound
 from .spairqueue import make_spair_queue
-from .termqueue import QueueConfig, ReducerQueue
+from .termqueue import MonomialTable, QueueConfig, ReducerQueue
 
 
 @dataclass
@@ -138,6 +138,7 @@ class _ClassicEngine:
         self.key_bound = key_bound(ring.num_vars)
         self.pairs = make_spair_queue(cfg.spair_queue, self._pair_key)
         self.stats = ClassicStats()
+        self.table = MonomialTable(ring)    # shared by every reduction
         if cfg.trace_pairs:
             self.stats.reduced_pairs = []
         for g in inputs:
@@ -214,7 +215,7 @@ class _ClassicEngine:
         have lcm m, pushed as its two products into the queue, where their
         lead terms cancel."""
         ring = self.ring
-        queue = ReducerQueue(ring, self.cfg.queue)
+        queue = ReducerQueue(ring, self.cfg.queue, self.table)
         queue.push_product(1, ring.mono_div(m, self.leads[i]), self.polys[i])
         queue.push_product(ring.char - 1, ring.mono_div(m, self.leads[j]),
                            self.polys[j])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .lookup import make_lookup
 from .poly import Polynomial, poly_monic, poly_normalize
 from .ring import Ring, ff_inv
-from .termqueue import QueueConfig, ReducerQueue
+from .termqueue import MonomialTable, QueueConfig, ReducerQueue
 
 
 def basis_lookup(ring: Ring, basis, kind: str = "divkdtree"):
@@ -28,17 +28,22 @@ def basis_lookup(ring: Ring, basis, kind: str = "divkdtree"):
 def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
                    top_only: bool = False,
                    queue_cfg: QueueConfig | None = None,
-                   track_quotients: bool = True, exclude: int | None = None):
+                   track_quotients: bool = True, exclude: int | None = None,
+                   table: MonomialTable | None = None):
     """Divide f by the basis: returns (per-basis quotient term lists, r).
 
     Guarantees f = sum q_i g_i + r with hd f >= hd(q_i g_i); no term of r
     is divisible by any live lead term (top_only: the lead term of r only).
     The reducer for a term is the valid divisor of smallest basis index,
     so the outcome does not depend on the lookup structure.
+
+    A hashed queue interns its products in table, which callers dividing
+    many polynomials share across the calls; without one the call makes a
+    table that lives only as long as the division.
     """
     if lookup is None:
         lookup = basis_lookup(ring, basis, "list")
-    queue = ReducerQueue(ring, queue_cfg)
+    queue = ReducerQueue(ring, queue_cfg, table)
     queue.push_product(1, ring.one, f)
     return divide_queue(ring, queue, basis, lookup, top_only,
                         track_quotients, exclude)
@@ -100,6 +105,7 @@ def interreduce(ring: Ring, polys, queue_cfg=None):
     """
     work = [poly_monic(ring, poly_normalize(ring, g.terms)) for g in polys
             if g]
+    table = MonomialTable(ring)
     changed = True
     while changed:
         changed = False
@@ -111,7 +117,8 @@ def interreduce(ring: Ring, polys, queue_cfg=None):
             if not others:
                 continue
             _, r = classic_reduce(ring, g, others, top_only=False,
-                                  queue_cfg=queue_cfg, track_quotients=False)
+                                  queue_cfg=queue_cfg, track_quotients=False,
+                                  table=table)
             r = poly_monic(ring, r)
             if r != g:
                 work[i] = r
@@ -129,10 +136,11 @@ def reduced_basis(ring: Ring, polys, queue_cfg=None):
                    for h in minimal):
             minimal.append(g)
     lookup = basis_lookup(ring, minimal)
+    table = MonomialTable(ring)
     out = []
     for i, g in enumerate(minimal):
         _, r = classic_reduce(ring, g, minimal, lookup, queue_cfg=queue_cfg,
-                              track_quotients=False, exclude=i)
+                              track_quotients=False, exclude=i, table=table)
         out.append(poly_monic(ring, r))
     out.sort(key=lambda g: g.lead_mono.key)
     return out

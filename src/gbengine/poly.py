@@ -14,13 +14,14 @@ from .ring import Monomial, Ring, ff_inv
 class Polynomial:
     """Immutable term list, strictly decreasing in the ring order."""
 
-    __slots__ = ("terms", "_coeffs", "_keys", "_monos")
+    __slots__ = ("terms", "_coeffs", "_keys", "_monos", "_hash")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
         self._coeffs = None
         self._keys = None
         self._monos = None
+        self._hash = None
 
     def __len__(self):
         return len(self.terms)
@@ -37,7 +38,10 @@ class Polynomial:
                    for (c, m), (d, n) in zip(self.terms, other.terms))
 
     def __hash__(self):
-        return hash(tuple((c, m.exps) for c, m in self.terms))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(tuple((c, m.exps) for c, m in self.terms))
+        return h
 
     def __repr__(self):
         return "Polynomial(%d terms)" % len(self.terms)

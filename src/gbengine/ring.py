@@ -26,10 +26,6 @@ LT, EQ, GT = -1, 0, 1
 MAX_EXPONENT = 1 << 16
 _DIGIT_BASE = 1 << 28
 
-_HASH_SEED = 0xCBF29CE484222325
-_HASH_MULT = 0x100000001B3
-_HASH_MASK = 0xFFFFFFFFFFFFFFFF
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -76,25 +72,17 @@ def ff_inv(a: int, p: int) -> int:
 
 
 class Monomial:
-    """Exponent vector with cached degree, order key and hash digest."""
+    """Exponent vector with cached degree and order key."""
 
-    __slots__ = ("exps", "deg", "key", "_hash")
+    __slots__ = ("exps", "deg", "key")
 
     def __init__(self, exps, deg, key):
         self.exps = exps
         self.deg = deg
         self.key = key
-        self._hash = None
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            # multiply-xor fold over the exponents with a fixed odd constant
-            h = _HASH_SEED
-            for e in self.exps:
-                h = ((h ^ e) * _HASH_MULT) & _HASH_MASK
-            self._hash = h
-        return h
+        return hash(self.exps)
 
     def __eq__(self, other):
         return self is other or self.exps == other.exps

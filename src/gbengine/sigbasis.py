@@ -23,7 +23,7 @@ from .pairbits import BitTriangle
 from .poly import Polynomial, poly_monic
 from .ring import InvariantError, Monomial, Ring, key_bound
 from .spairqueue import MinHeap, make_spair_queue
-from .termqueue import QueueConfig, ReducerQueue
+from .termqueue import MonomialTable, QueueConfig, ReducerQueue
 
 MODULE_ORDERS = ("schreyer", "potop")
 TIEBREAKS = ("low-gt", "high-gt")
@@ -304,6 +304,7 @@ class _SBEngine:
         self.koszul = MinHeap()
         self.pairs = make_spair_queue(cfg.spair_queue, self._pair_key)
         self.stats = SigStats()
+        self.table = MonomialTable(ring)    # shared by every reduction
         self._last_key = None
         for i, g in enumerate(inputs):
             self._append_entry(ring.one, i, g)
@@ -497,7 +498,7 @@ class _SBEngine:
         ring = self.ring
         cfg = self.cfg
         p = self.p
-        queue = ReducerQueue(ring, cfg.queue)
+        queue = ReducerQueue(ring, cfg.queue, self.table)
         queue.push_product(1, seed_mult, seed_entry.poly)
         tkey = self.morder.sig_key(tmono, tcomp)
         scale = self.morder.scale

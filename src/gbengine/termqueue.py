@@ -7,27 +7,33 @@ observationally identical: pop_max always returns the order-maximal
 monomial with every pending contribution to its coefficient folded
 together, skipping monomials whose contributions cancel.
 
-Every backend entry is (key, c, mult, poly, i): term i of mult * poly,
-ordered by key, the packed order key of that term's monomial.  The
-monomial itself is made only when its key pops with a nonzero sum.  What
-c holds depends on the config:
+A plain, deduplicating or compressed queue holds entries (key, c, mult,
+poly, i): term i of mult * poly, ordered by key, the packed order key of
+that term's monomial.  The monomial itself is made only when its key pops
+with a nonzero sum.  What c holds depends on the config:
 
   compressed  the multiplier's coefficient; the entry advances to term
               i + 1 by replace-top when it pops
   plain       the term's coefficient
-  hashed      the running sum of every contribution pushed for the key,
-              unreduced (all positive, p < 2^31) until it pops; the entry
-              is a list and a side table maps each pending key to it, so
-              the backend holds each pending key exactly once and a push
-              of a repeated key is one table probe and one addition
 
 Deduplicating backends fold plain entries of equal key by adding c.
+
+A hashed queue works over a MonomialTable, which a run shares between its
+queues.  The table interns each product monomial to a small int id once
+and caches, per product mult * poly, the row of ids of its terms.  The
+queue sums each id's contributions into its own list indexed by id,
+unreduced (all positive, p < 2^31) until the id pops, and its backend holds
+(key, id) entries: an id enters the backend when its sum goes from zero to
+pending, so the backend holds each pending id exactly once and a pushed
+term costs one list read and one list write.  The table makes an id's
+monomial at its first nonzero pop and keeps it for every later one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
+from itertools import islice
 
 from .ring import Ring
 
@@ -412,18 +418,77 @@ def _make_backend(cfg: QueueConfig, p: int):
     return MaxTourTree(cfg.dedup, p)
 
 
+class MonomialTable:
+    """Product monomials interned to ids, and cached rows of product ids.
+
+    One table serves every hashed queue of a run (an engine, or one
+    interreduce or reduced_basis call) and lives as long as it.  Queues
+    keep their pending sums to themselves, so a queue abandoned part way
+    leaves nothing behind here.
+    """
+
+    __slots__ = ("ring", "ids", "keys", "factors", "monos", "rows")
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+        self.ids = {}           # order key -> id
+        self.keys = []          # id -> order key
+        self.factors = []       # id -> (mult, mono) whose product it names
+        self.monos = []         # id -> Monomial, or None until it first pops
+        # (mult key, poly) -> ids of the terms of mult * poly; polynomials
+        # hash and compare by value, so equal products share one row
+        self.rows = {}
+
+    def row(self, mult, poly):
+        """The ids of the terms of mult * poly, in term order."""
+        rk = (mult.key, poly)
+        row = self.rows.get(rk)
+        if row is None:
+            _, keys, monos = poly.arrays()
+            ids = self.ids
+            mk = mult.key
+            out = []
+            for k, m in zip(keys, monos):
+                k += mk
+                t = ids.get(k)
+                if t is None:
+                    t = ids[k] = len(self.keys)
+                    self.keys.append(k)
+                    self.factors.append((mult, m))
+                    self.monos.append(None)
+                out.append(t)
+            row = self.rows[rk] = tuple(out)
+        return row
+
+    def monomial(self, t):
+        """The monomial of id t, made at the first call for t."""
+        m = self.monos[t]
+        if m is None:
+            m = self.monos[t] = self.ring.mono_mul(*self.factors[t])
+        return m
+
+
 class ReducerQueue:
-    """Facade over one backend implementing the logical term multiset."""
+    """Facade over one backend implementing the logical term multiset.
 
-    __slots__ = ("ring", "cfg", "p", "backend", "table")
+    A hashed queue interns its products in table, normally the run's
+    shared MonomialTable; without one it makes a private table that lives
+    as long as the queue.  Other flavours ignore table.
+    """
 
-    def __init__(self, ring: Ring, cfg: QueueConfig | None = None):
+    __slots__ = ("ring", "cfg", "p", "backend", "table", "acc")
+
+    def __init__(self, ring: Ring, cfg: QueueConfig | None = None,
+                 table: MonomialTable | None = None):
         self.ring = ring
         self.cfg = cfg or QueueConfig()
         self.p = ring.char
         self.backend = _make_backend(self.cfg, self.p)
-        # hashed entries carry their key's sum; the table maps key -> entry
-        self.table = {} if self.cfg.hashed else None
+        if self.cfg.hashed:
+            self.table = MonomialTable(ring) if table is None else table
+            self.acc = []       # id -> pending unreduced sum, 0 if none
+        else:
+            self.table = self.acc = None
 
     def __len__(self):
         return len(self.backend)
@@ -435,47 +500,51 @@ class ReducerQueue:
         if not coeff or start >= len(poly):
             return
         coeffs, keys, _ = poly.arrays()
+        table = self.table
+        if table is not None:
+            row = table.row(mono, poly)
+            acc = self.acc
+            if len(acc) < len(table.keys):
+                acc.extend([0] * (len(table.keys) - len(acc)))
+            # every contribution is positive, so a zero sum means the id
+            # is not pending: it joins the run, in term order
+            run = []
+            tkeys = table.keys
+            for t, c in zip(islice(row, start, None),
+                            islice(coeffs, start, None)):
+                a = acc[t]
+                if a:
+                    acc[t] = a + coeff * c
+                else:
+                    acc[t] = coeff * c
+                    run.append((tkeys[t], t))
+            if run:
+                self.backend.push_run(run)
+            return
         mk = mono.key
         if self.cfg.compressed:
             self.backend.push((mk + keys[start], coeff, mono, poly, start))
             return
-        tbl = self.table
-        if tbl is None:
-            run = [(mk + keys[i], coeff * coeffs[i] % p, mono, poly, i)
-                   for i in range(start, len(keys))]
-        else:
-            # a repeated key adds to its entry's sum; only a key new to the
-            # table makes an entry, which joins the run
-            run = []
-            get = tbl.get
-            for i in range(start, len(keys)):
-                k = mk + keys[i]
-                e = get(k)
-                if e is None:
-                    e = tbl[k] = [k, coeff * coeffs[i], mono, poly, i]
-                    run.append(e)
-                else:
-                    e[1] += coeff * coeffs[i]
-        if run:
-            self.backend.push_run(run)
+        self.backend.push_run([(mk + keys[i], coeff * coeffs[i] % p, mono,
+                                poly, i)
+                               for i in range(start, len(keys))])
 
     def pop_max(self):
         """Largest pending (coeff, mono) with like terms folded, or None."""
         backend = self.backend
-        tbl = self.table
         p = self.p
-        if tbl is not None:
-            # the backend holds each pending key once: its entry is the max
+        acc = self.acc
+        if acc is not None:
+            # the backend holds each pending id once: its entry is the max
             while True:
                 e = backend.pop()
                 if e is None:
                     return None
-                key, coeff, mult, poly, i = e
-                del tbl[key]
-                coeff %= p
+                t = e[1]
+                coeff = acc[t] % p
+                acc[t] = 0
                 if coeff:
-                    return (coeff, self.ring.mono_mul(mult,
-                                                      poly.arrays()[2][i]))
+                    return (coeff, self.table.monomial(t))
         compressed = self.cfg.compressed
         while True:
             top = backend.peek()
@@ -502,12 +571,14 @@ class ReducerQueue:
                 return (coeff, self.ring.mono_mul(mult, poly.arrays()[2][i]))
 
     def audit(self):
-        """Assert that a hashed queue's table maps each pending key to its
-        one backend entry, then audit the backend."""
-        if self.table is not None:
-            held = {id(e) for e in self.backend}
-            assert len(self.table) == len(held) == len(self.backend), \
-                "one backend entry per pending key"
-            for k, e in self.table.items():
-                assert e[0] == k and id(e) in held, "table entry in backend"
+        """Assert that a hashed queue's backend holds each pending id once,
+        under the id's key, then audit the backend."""
+        if self.acc is not None:
+            held = [t for _, t in self.backend]
+            assert len(set(held)) == len(held), "one backend entry per id"
+            assert set(held) == {t for t, a in enumerate(self.acc) if a}, \
+                "pending ids are the backend's"
+            keys = self.table.keys
+            for k, t in self.backend:
+                assert k == keys[t], "entry key is its id's key"
         self.backend.audit()

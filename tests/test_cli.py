@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,16 @@ def test_gen_roundtrip(capsys):
     ring, polys = parse_ideal(out)
     assert ring.num_vars == 5 and len(polys) == 5
     assert print_ideal(ring, polys) == out
+
+
+def test_python_m_gbengine_runs_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "gbengine", "gen",
+                           "katsura3"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == print_ideal(*builtin_ideal("katsura3"))
 
 
 def test_run_classic_two_generators(tmp_path, capsys):

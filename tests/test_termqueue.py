@@ -3,8 +3,8 @@ import random
 import pytest
 
 from gbengine import QueueConfig, ReducerQueue, Ring, all_queue_configs
-from gbengine.poly import poly_from_exps
-from gbengine.termqueue import Geobucket, MaxHeap, MaxTourTree
+from gbengine.poly import Polynomial, poly_from_exps
+from gbengine.termqueue import Geobucket, MaxHeap, MaxTourTree, MonomialTable
 
 from _util import random_poly
 
@@ -211,8 +211,8 @@ def test_compressed_single_entry_advances():
     assert (t[0], t[1].exps) == (100, (1, 1, 0))
 
 
-def _run_script(r, cfg, script):
-    q = ReducerQueue(r, cfg)
+def _run_script(r, cfg, script, table=None):
+    q = ReducerQueue(r, cfg, table)
     out = []
     for op in script:
         if op[0] == "push":
@@ -274,14 +274,83 @@ def make_script(r, rng, n_ops=30):
 
 
 def test_black_box_equivalence_all_configs():
+    # one table serves every hashed queue, so later scripts reuse the ids
+    # and rows of earlier ones
     rng = random.Random(13)
     r = _ring()
     configs = all_queue_configs()
+    table = MonomialTable(r)
+    pushes = 0
     for _ in range(60):
         script = make_script(r, rng)
+        pushes += sum(op[0] == "push" for op in script)
         expected = _oracle(r, script)
         for cfg in configs:
-            assert _run_script(r, cfg, script) == expected, cfg.label()
+            assert _run_script(r, cfg, script, table) == expected, \
+                cfg.label()
+    # the three hashed backends ran every push on the one table
+    assert 0 < len(table.rows) <= pushes
+
+
+def test_shared_table_survives_abandoned_queue():
+    # the first queue stops with sums pending; the second, on the same
+    # table, still pops exactly what the oracle pops
+    rng = random.Random(29)
+    r = _ring()
+    for cfg in all_queue_configs():
+        if not cfg.hashed:
+            continue
+        table = MonomialTable(r)
+        for _ in range(20):
+            script = make_script(r, rng)
+            first = ReducerQueue(r, cfg, table)
+            for op in script[:len(script) // 2]:
+                if op[0] == "push":
+                    first.push_product(*op[1:])
+                else:
+                    first.pop_max()
+            assert _run_script(r, cfg, script, table) == _oracle(r, script), \
+                cfg.label()
+
+
+def test_equal_products_share_one_row():
+    r = _ring()
+    terms = [(1, r.mono((2, 0, 0))), (5, r.mono((0, 1, 0)))]
+    f, g = Polynomial(terms), Polynomial(list(terms))
+    assert f is not g and f == g and hash(f) == hash(g)
+    x, y = r.mono((1, 0, 0)), r.mono((0, 1, 0))
+    table = MonomialTable(r)
+    q = ReducerQueue(r, QueueConfig(), table)
+    q.push_product(1, x, f)
+    q.push_product(1, r.mono((1, 0, 0)), g, start=1)
+    assert len(table.rows) == 1 and len(table.keys) == 2
+    assert table.row(x, g) is table.row(x, f)
+    q.push_product(1, y, f)
+    assert len(table.rows) == 2 and table.row(y, f) != table.row(x, f)
+    assert [(c, m.exps) for c, m in iter(q.pop_max, None)] == \
+        [(1, (3, 0, 0)), (1, (2, 1, 0)), (10, (1, 1, 0)), (5, (0, 2, 0))]
+
+
+@pytest.mark.parametrize("corrupt", ["forget_pending", "stale_sum",
+                                     "duplicate_entry", "wrong_key"])
+def test_hashed_audit_catches_corruption(corrupt):
+    r = _ring()
+    g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))])
+    q = ReducerQueue(r, QueueConfig(backend="heap"))
+    q.push_product(1, r.one, g)
+    q.audit()
+    key, t = q.backend.peek()
+    if corrupt == "forget_pending":
+        q.acc[t] = 0
+    elif corrupt == "stale_sum":
+        q.backend.pop()
+    elif corrupt == "duplicate_entry":
+        q.backend.push((key, t))
+    else:
+        q.backend.pop()
+        q.backend.push((key - 1, t))
+    with pytest.raises(AssertionError):
+        q.audit()
 
 
 def test_dedup_merges_like_terms():
