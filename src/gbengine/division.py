@@ -28,7 +28,7 @@ def basis_lookup(ring: Ring, basis, kind: str = "divkdtree"):
 def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
                    top_only: bool = False,
                    queue_cfg: QueueConfig | None = None,
-                   track_quotients: bool = True, exclude: int | None = None,
+                   track_quotients: bool = True,
                    table: MonomialTable | None = None):
     """Divide f by the basis: returns (per-basis quotient term lists, r).
 
@@ -37,8 +37,8 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
     The reducer for a term is the valid divisor of smallest basis index,
     so the outcome does not depend on the lookup structure.
 
-    A hashed queue interns its products in table, which callers dividing
-    many polynomials share across the calls; without one the call makes a
+    The queue interns its products in table, which callers dividing many
+    polynomials share across the calls; without one the call makes a
     table that lives only as long as the division.
     """
     if lookup is None:
@@ -46,48 +46,46 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
     queue = ReducerQueue(ring, queue_cfg, table)
     queue.push_product(1, ring.one, f)
     return divide_queue(ring, queue, basis, lookup, top_only,
-                        track_quotients, exclude)
+                        track_quotients)
 
 
 def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
-                 top_only: bool, track_quotients: bool = False,
-                 exclude: int | None = None):
+                 top_only: bool, track_quotients: bool = False):
     """classic_reduce of the polynomial whose terms are pending in queue,
     which it empties."""
     p = ring.char
     quotients = [[] for _ in basis] if track_quotients else None
-    remainder = []
+    coeffs = []
+    monos = []
     tail_done = False
     while True:
         top = queue.pop_max()
         if top is None:
             break
         coeff, mono = top
-        if tail_done:
-            remainder.append(top)
-            continue
-        idx = -1
-        for c in lookup.find_all_divisors(mono):
-            if c != exclude and (idx < 0 or c < idx):
-                idx = c
-        if idx < 0:
-            remainder.append(top)
-            if top_only:
-                tail_done = True
-            continue
-        g = basis[idx]
-        mult = ring.mono_div(mono, g.lead_mono)
-        scale = coeff * ff_inv(g.lead_coeff, p) % p
-        if track_quotients:
-            quotients[idx].append((scale, mult))
-        queue.push_product(p - scale, mult, g, start=1)
-    return quotients, Polynomial(remainder)
+        if not tail_done:
+            cands = lookup.find_all_divisors(mono)
+            if cands:
+                idx = min(cands)
+                g = basis[idx]
+                mult = ring.mono_div(mono, g.monos[0])
+                lc = g.coeffs[0]
+                scale = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
+                if track_quotients:
+                    quotients[idx].append((scale, mult))
+                queue.push_product(p - scale, mult, g, start=1)
+                continue
+            tail_done = top_only
+        coeffs.append(coeff)
+        monos.append(mono)
+    return quotients, Polynomial(coeffs, monos)
 
 
 def prepare_inputs(ring: Ring, polys, reduce: bool, queue_cfg=None):
     """The nonzero inputs, monic and, if reduce, interreduced, sorted by
     decreasing lead term: the canonical generators of both engines."""
-    inputs = [poly_monic(ring, poly_normalize(ring, g.terms)) for g in polys]
+    inputs = [poly_monic(ring, poly_normalize(ring, zip(g.coeffs, g.monos)))
+              for g in polys]
     inputs = [g for g in inputs if g]
     if not inputs:
         raise ValueError("no nonzero input polynomials")
@@ -101,10 +99,10 @@ def interreduce(ring: Ring, polys, queue_cfg=None):
     """Fully reduce every element against the others until nothing changes.
 
     Zero results are dropped; survivors are monic.  Deterministic: elements
-    are processed in list order each sweep.
+    are processed in list order each sweep.  The inputs must be normalized
+    polynomials, as prepare_inputs makes them.
     """
-    work = [poly_monic(ring, poly_normalize(ring, g.terms)) for g in polys
-            if g]
+    work = [poly_monic(ring, g) for g in polys if g]
     table = MonomialTable(ring)
     changed = True
     while changed:
@@ -138,10 +136,14 @@ def reduced_basis(ring: Ring, polys, queue_cfg=None):
     lookup = basis_lookup(ring, minimal)
     table = MonomialTable(ring)
     out = []
-    for i, g in enumerate(minimal):
-        _, r = classic_reduce(ring, g, minimal, lookup, queue_cfg=queue_cfg,
-                              track_quotients=False, exclude=i, table=table)
-        out.append(poly_monic(ring, r))
+    for g in minimal:
+        # no other lead divides g's lead, and g's lead divides no smaller
+        # term: reduce the tail and put the lead back in front
+        queue = ReducerQueue(ring, queue_cfg, table)
+        queue.push_product(1, ring.one, g, start=1)
+        _, r = divide_queue(ring, queue, minimal, lookup, top_only=False)
+        out.append(poly_monic(ring, Polynomial((g.lead_coeff,) + r.coeffs,
+                                               (g.lead_mono,) + r.monos)))
     out.sort(key=lambda g: g.lead_mono.key)
     return out
 

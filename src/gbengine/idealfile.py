@@ -107,7 +107,7 @@ def poly_str(ring: Ring, f: Polynomial) -> str:
     if not f:
         return "0"
     parts = []
-    for c, m in f.terms:
+    for c, m in zip(f.coeffs, f.monos):
         ms = mono_str(ring, m)
         if ms == "1":
             parts.append(str(c))

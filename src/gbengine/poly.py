@@ -1,8 +1,9 @@
-"""Sparse polynomials: strictly decreasing term lists over a prime field.
+"""Sparse polynomials: strictly decreasing terms over a prime field.
 
-A term is a (coeff, Monomial) pair with coeff in [1, p-1].  The zero
-polynomial is the empty term list.  The dict-based helpers at the bottom
-are deliberately naive; the tests use them as independent oracles for the
+A polynomial holds two parallel tuples: coeffs, each in [1, p-1], and
+monos, the Monomials of its terms in strictly decreasing ring order.  The
+zero polynomial has no terms.  The dict-based helpers at the bottom are
+deliberately naive; the tests use them as independent oracles for the
 queue-driven division code.
 """
 
@@ -12,63 +13,51 @@ from .ring import Monomial, Ring, ff_inv
 
 
 class Polynomial:
-    """Immutable term list, strictly decreasing in the ring order."""
+    """Immutable terms, strictly decreasing in the ring order."""
 
-    __slots__ = ("terms", "_coeffs", "_keys", "_monos", "_hash")
+    __slots__ = ("coeffs", "monos", "_hash")
 
-    def __init__(self, terms):
-        self.terms = tuple(terms)
-        self._coeffs = None
-        self._keys = None
-        self._monos = None
+    def __init__(self, coeffs, monos):
+        self.coeffs = tuple(coeffs)
+        self.monos = tuple(monos)
         self._hash = None
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.coeffs)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __eq__(self, other):
+        # monomials compare, and hash, by exponent vector
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if len(self.terms) != len(other.terms):
-            return False
-        return all(c == d and m.exps == n.exps
-                   for (c, m), (d, n) in zip(self.terms, other.terms))
+        return self.coeffs == other.coeffs and self.monos == other.monos
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash(tuple((c, m.exps) for c, m in self.terms))
+            h = self._hash = hash((self.coeffs, self.monos))
         return h
 
     def __repr__(self):
-        return "Polynomial(%d terms)" % len(self.terms)
+        return "Polynomial(%d terms)" % len(self.coeffs)
 
     @property
     def lead_coeff(self) -> int:
-        return self.terms[0][0]
+        return self.coeffs[0]
 
     @property
     def lead_mono(self) -> Monomial:
-        return self.terms[0][1]
-
-    # Parallel coefficient/key/monomial tuples, cached for the reducer
-    # queues whose inner loops only touch ints.
-    def arrays(self):
-        if self._coeffs is None:
-            self._coeffs = tuple(c for c, _ in self.terms)
-            self._monos = tuple(m for _, m in self.terms)
-            self._keys = tuple(m.key for m in self._monos)
-        return self._coeffs, self._keys, self._monos
+        return self.monos[0]
 
 
-ZERO = Polynomial(())
+ZERO = Polynomial((), ())
 
 
 def poly_normalize(ring: Ring, raw_terms) -> Polynomial:
-    """Sort terms, fold like monomials mod p and drop zeros."""
+    """Sort (coeff, Monomial) terms, fold like monomials mod p and drop
+    zeros."""
     p = ring.char
     acc = {}
     for c, m in raw_terms:
@@ -78,9 +67,8 @@ def poly_normalize(ring: Ring, raw_terms) -> Polynomial:
             acc[k] = [c % p, m]
         else:
             got[0] = (got[0] + c) % p
-    out = [(c, m) for c, m in acc.values() if c]
-    out.sort(key=lambda t: t[1].key, reverse=True)
-    return Polynomial(out)
+    keys = sorted((k for k, (c, _) in acc.items() if c), reverse=True)
+    return Polynomial([acc[k][0] for k in keys], [acc[k][1] for k in keys])
 
 
 def poly_monic(ring: Ring, f: Polynomial) -> Polynomial:
@@ -88,19 +76,19 @@ def poly_monic(ring: Ring, f: Polynomial) -> Polynomial:
         return f
     p = ring.char
     s = ff_inv(f.lead_coeff, p)
-    return Polynomial([(c * s % p, m) for c, m in f.terms])
+    return Polynomial([c * s % p for c in f.coeffs], f.monos)
 
 
 # -- naive dict-based arithmetic (test oracles and cold paths) -----------
 
 def poly_add(ring: Ring, f: Polynomial, g: Polynomial) -> Polynomial:
-    return poly_normalize(ring, list(f.terms) + list(g.terms))
+    return poly_normalize(ring, zip(f.coeffs + g.coeffs, f.monos + g.monos))
 
 
 def poly_sub(ring: Ring, f: Polynomial, g: Polynomial) -> Polynomial:
     p = ring.char
-    return poly_normalize(ring,
-                          list(f.terms) + [(p - c, m) for c, m in g.terms])
+    return poly_normalize(ring, zip(f.coeffs + tuple(p - c for c in g.coeffs),
+                                    f.monos + g.monos))
 
 
 def poly_mul_term(ring: Ring, f: Polynomial, coeff: int, mono: Monomial) -> Polynomial:
@@ -109,14 +97,15 @@ def poly_mul_term(ring: Ring, f: Polynomial, coeff: int, mono: Monomial) -> Poly
     if coeff == 0 or not f:
         return ZERO
     mul = ring.mono_mul
-    return Polynomial([(c * coeff % p, mul(m, mono)) for c, m in f.terms])
+    return Polynomial([c * coeff % p for c in f.coeffs],
+                      [mul(m, mono) for m in f.monos])
 
 
 def poly_mul(ring: Ring, f: Polynomial, g: Polynomial) -> Polynomial:
     raw = []
     mul = ring.mono_mul
-    for c, m in f.terms:
-        for d, n in g.terms:
+    for c, m in zip(f.coeffs, f.monos):
+        for d, n in zip(g.coeffs, g.monos):
             raw.append((c * d, mul(m, n)))
     return poly_normalize(ring, raw)
 

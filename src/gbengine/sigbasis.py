@@ -505,7 +505,8 @@ class _SBEngine:
         entries = self.entries
         lookup = self.lead_lookup
         select = cfg.reducer_select
-        remainder = []
+        coeffs = []
+        monos = []
         while True:
             top = queue.pop_max()
             if top is None:
@@ -527,11 +528,12 @@ class _SBEngine:
                     valid.sort(key=lambda e: e.idx)
                     reducer = select(valid)
             if reducer is None:
-                remainder.append(top)
+                coeffs.append(coeff)
+                monos.append(mono)
                 continue
             mult = ring.mono_div(mono, reducer.lead)
             queue.push_product(p - coeff, mult, reducer.poly, start=1)
-        return Polynomial(remainder)
+        return Polynomial(coeffs, monos)
 
     # -- main loop -------------------------------------------------------------
 

@@ -7,26 +7,21 @@ observationally identical: pop_max always returns the order-maximal
 monomial with every pending contribution to its coefficient folded
 together, skipping monomials whose contributions cancel.
 
-A plain, deduplicating or compressed queue holds entries (key, c, mult,
-poly, i): term i of mult * poly, ordered by key, the packed order key of
-that term's monomial.  The monomial itself is made only when its key pops
-with a nonzero sum.  What c holds depends on the config:
+Every flavour works over a MonomialTable, which a run shares between its
+queues.  The table interns each product monomial to a small int id, caches
+per product mult * poly the row of ids of its terms, and makes an id's
+monomial once, at its first nonzero pop.  Backends order entries by their
+first field, the id's packed order key:
 
-  compressed  the multiplier's coefficient; the entry advances to term
-              i + 1 by replace-top when it pops
-  plain       the term's coefficient
-
-Deduplicating backends fold plain entries of equal key by adding c.
-
-A hashed queue works over a MonomialTable, which a run shares between its
-queues.  The table interns each product monomial to a small int id once
-and caches, per product mult * poly, the row of ids of its terms.  The
-queue sums each id's contributions into its own list indexed by id,
-unreduced (all positive, p < 2^31) until the id pops, and its backend holds
-(key, id) entries: an id enters the backend when its sum goes from zero to
-pending, so the backend holds each pending id exactly once and a pushed
-term costs one list read and one list write.  The table makes an id's
-monomial at its first nonzero pop and keeps it for every later one.
+  plain       (key, c, id), c the term's coefficient; dedup folds
+              entries of equal key by adding c
+  compressed  (key, c, j, row, coeffs): a cursor at term j of a product,
+              c the multiplier's coefficient; it advances by replace-top
+  hashed      (key, id), the id's contributions summed unreduced (all
+              positive, p < 2^31) in the queue's own list indexed by id.
+              An id enters the backend when its sum goes from zero to
+              pending, so a pushed term costs one list read and one list
+              write.
 """
 
 from __future__ import annotations
@@ -421,10 +416,10 @@ def _make_backend(cfg: QueueConfig, p: int):
 class MonomialTable:
     """Product monomials interned to ids, and cached rows of product ids.
 
-    One table serves every hashed queue of a run (an engine, or one
-    interreduce or reduced_basis call) and lives as long as it.  Queues
-    keep their pending sums to themselves, so a queue abandoned part way
-    leaves nothing behind here.
+    One table serves every queue of a run (an engine, or one interreduce
+    or reduced_basis call) and lives as long as it.  Queues keep their
+    pending terms to themselves, so a queue abandoned part way leaves
+    nothing behind here.
     """
 
     __slots__ = ("ring", "ids", "keys", "factors", "monos", "rows")
@@ -444,16 +439,16 @@ class MonomialTable:
         rk = (mult.key, poly)
         row = self.rows.get(rk)
         if row is None:
-            _, keys, monos = poly.arrays()
             ids = self.ids
+            keys = self.keys
             mk = mult.key
             out = []
-            for k, m in zip(keys, monos):
-                k += mk
+            for m in poly.monos:
+                k = m.key + mk
                 t = ids.get(k)
                 if t is None:
-                    t = ids[k] = len(self.keys)
-                    self.keys.append(k)
+                    t = ids[k] = len(keys)
+                    keys.append(k)
                     self.factors.append((mult, m))
                     self.monos.append(None)
                 out.append(t)
@@ -471,24 +466,21 @@ class MonomialTable:
 class ReducerQueue:
     """Facade over one backend implementing the logical term multiset.
 
-    A hashed queue interns its products in table, normally the run's
-    shared MonomialTable; without one it makes a private table that lives
-    as long as the queue.  Other flavours ignore table.
+    Every flavour takes the ids, keys and monomials of its products from
+    table, normally the run's shared MonomialTable; without one the queue
+    makes a private table that lives as long as it.
     """
 
-    __slots__ = ("ring", "cfg", "p", "backend", "table", "acc")
+    __slots__ = ("cfg", "p", "backend", "table", "acc")
 
     def __init__(self, ring: Ring, cfg: QueueConfig | None = None,
                  table: MonomialTable | None = None):
-        self.ring = ring
         self.cfg = cfg or QueueConfig()
         self.p = ring.char
         self.backend = _make_backend(self.cfg, self.p)
-        if self.cfg.hashed:
-            self.table = MonomialTable(ring) if table is None else table
-            self.acc = []       # id -> pending unreduced sum, 0 if none
-        else:
-            self.table = self.acc = None
+        self.table = MonomialTable(ring) if table is None else table
+        # hashed only: id -> pending unreduced sum, 0 if none
+        self.acc = [] if self.cfg.hashed else None
 
     def __len__(self):
         return len(self.backend)
@@ -499,19 +491,19 @@ class ReducerQueue:
         coeff %= p
         if not coeff or start >= len(poly):
             return
-        coeffs, keys, _ = poly.arrays()
         table = self.table
-        if table is not None:
-            row = table.row(mono, poly)
-            acc = self.acc
-            if len(acc) < len(table.keys):
-                acc.extend([0] * (len(table.keys) - len(acc)))
+        row = table.row(mono, poly)
+        tkeys = table.keys
+        terms = zip(islice(row, start, None),
+                    islice(poly.coeffs, start, None))
+        acc = self.acc
+        if acc is not None:
+            if len(acc) < len(tkeys):
+                acc.extend([0] * (len(tkeys) - len(acc)))
             # every contribution is positive, so a zero sum means the id
             # is not pending: it joins the run, in term order
             run = []
-            tkeys = table.keys
-            for t, c in zip(islice(row, start, None),
-                            islice(coeffs, start, None)):
+            for t, c in terms:
                 a = acc[t]
                 if a:
                     acc[t] = a + coeff * c
@@ -520,14 +512,12 @@ class ReducerQueue:
                     run.append((tkeys[t], t))
             if run:
                 self.backend.push_run(run)
-            return
-        mk = mono.key
-        if self.cfg.compressed:
-            self.backend.push((mk + keys[start], coeff, mono, poly, start))
-            return
-        self.backend.push_run([(mk + keys[i], coeff * coeffs[i] % p, mono,
-                                poly, i)
-                               for i in range(start, len(keys))])
+        elif self.cfg.compressed:
+            self.backend.push((tkeys[row[start]], coeff, start, row,
+                               poly.coeffs))
+        else:
+            self.backend.push_run([(tkeys[t], coeff * c % p, t)
+                                   for t, c in terms])
 
     def pop_max(self):
         """Largest pending (coeff, mono) with like terms folded, or None."""
@@ -545,21 +535,24 @@ class ReducerQueue:
                 acc[t] = 0
                 if coeff:
                     return (coeff, self.table.monomial(t))
+        table = self.table
+        tkeys = table.keys
         compressed = self.cfg.compressed
         while True:
             top = backend.peek()
             if top is None:
                 return None
-            key, _, mult, poly, i = top
+            key = top[0]
+            t = top[3][top[2]] if compressed else top[2]
             coeff = 0
             while top is not None and top[0] == key:
                 if compressed:
-                    _, c, m, g, j = top
-                    gcoeffs, gkeys, _ = g.arrays()
-                    coeff += c * gcoeffs[j]
+                    _, c, j, row, coeffs = top
+                    coeff += c * coeffs[j]
                     j += 1
-                    if j < len(gkeys):
-                        backend.replace_top((m.key + gkeys[j], c, m, g, j))
+                    if j < len(row):
+                        backend.replace_top((tkeys[row[j]], c, j, row,
+                                             coeffs))
                     else:
                         backend.pop()
                 else:
@@ -568,17 +561,25 @@ class ReducerQueue:
                 top = backend.peek()
             coeff %= p
             if coeff:
-                return (coeff, self.ring.mono_mul(mult, poly.arrays()[2][i]))
+                return (coeff, table.monomial(t))
 
     def audit(self):
-        """Assert that a hashed queue's backend holds each pending id once,
-        under the id's key, then audit the backend."""
+        """Assert that every entry's key is the table key of its id (for a
+        compressed cursor, of the row id it stands at) and that a hashed
+        queue's backend holds each pending id once; then audit the
+        backend."""
+        keys = self.table.keys
+        for e in self.backend:
+            if self.cfg.compressed:
+                _, _, j, row, _ = e
+                assert j < len(row), "cursor inside its row"
+                t = row[j]
+            else:
+                t = e[-1]
+            assert e[0] == keys[t], "entry key is its id's key"
         if self.acc is not None:
             held = [t for _, t in self.backend]
             assert len(set(held)) == len(held), "one backend entry per id"
             assert set(held) == {t for t, a in enumerate(self.acc) if a}, \
                 "pending ids are the backend's"
-            keys = self.table.keys
-            for k, t in self.backend:
-                assert k == keys[t], "entry key is its id's key"
         self.backend.audit()

@@ -52,8 +52,10 @@ def spoly(ring, f, g):
     from gbengine.ring import ff_inv
     cf = ff_inv(f.lead_coeff, p)
     cg = ff_inv(g.lead_coeff, p)
-    raw = [(c * cf % p, ring.mono_mul(mo, uf)) for c, mo in f.terms]
-    raw += [((p - c) * cg % p, ring.mono_mul(mo, ug)) for c, mo in g.terms]
+    raw = [(c * cf % p, ring.mono_mul(mo, uf))
+           for c, mo in zip(f.coeffs, f.monos)]
+    raw += [((p - c) * cg % p, ring.mono_mul(mo, ug))
+            for c, mo in zip(g.coeffs, g.monos)]
     return poly_normalize(ring, raw)
 
 
@@ -76,7 +78,7 @@ def is_reduced_gb(ring, basis):
                 return False
     for i, g in enumerate(basis):
         others = basis[:i] + basis[i + 1:]
-        for _, mono in g.terms:
+        for mono in g.monos:
             for h in others:
                 if ring.mono_divides(h.lead_mono, mono):
                     return False

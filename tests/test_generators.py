@@ -14,7 +14,7 @@ def test_cyclic_homogenized_two():
     ring, polys = cyclic_ideal(2, homogenize=True)
     assert ring.num_vars == 3
     for g in polys:
-        degs = {m.deg for _, m in g.terms}
+        degs = {m.deg for m in g.monos}
         assert len(degs) == 1, poly_str(ring, g)
 
 
@@ -23,7 +23,7 @@ def test_hcyclic8_shape():
     assert ring.num_vars == 9
     assert len(polys) == 8
     for g in polys:
-        assert len({m.deg for _, m in g.terms}) == 1
+        assert len({m.deg for m in g.monos}) == 1
 
 
 def test_cyclic_lengths():
@@ -38,7 +38,7 @@ def test_katsura10_shape():
     assert ring.num_vars == 10
     assert len(polys) == 10
     for g in polys:
-        assert max(m.deg for _, m in g.terms) <= 2
+        assert max(m.deg for m in g.monos) <= 2
 
 
 def test_katsura_classic_convention():

@@ -15,14 +15,14 @@ def test_normalize_cancellation():
 def test_normalize_sorts():
     r = Ring(101, 3)
     f = poly_from_exps(r, [(1, (0, 1, 0)), (1, (1, 0, 0))])
-    assert [m.exps for _, m in f.terms] == [(1, 0, 0), (0, 1, 0)]
+    assert [m.exps for m in f.monos] == [(1, 0, 0), (0, 1, 0)]
 
 
 def test_normalize_folds():
     r = Ring(101, 3)
     f = poly_from_exps(r, [(2, (1, 0, 0)), (3, (1, 0, 0)), (1, (0, 0, 0))])
-    assert [(c, m.exps) for c, m in f.terms] == [(5, (1, 0, 0)),
-                                                 (1, (0, 0, 0))]
+    assert f.coeffs == (5, 1)
+    assert [m.exps for m in f.monos] == [(1, 0, 0), (0, 0, 0)]
 
 
 def _mono(r, *exps):
@@ -80,7 +80,7 @@ def test_classic_reduce_identity_and_contract():
                     # hd f >= hd(q_i g_i)
                     assert r.mono_mul(m, g.lead_mono).key <= f.lead_mono.key
         assert rebuilt == f
-        for _, mono in rem.terms:
+        for mono in rem.monos:
             for g in basis:
                 assert not r.mono_divides(g.lead_mono, mono)
 
@@ -94,7 +94,7 @@ def test_classic_reduce_top_only():
     _, rem_full = classic_reduce(r, f, [g])
     _, rem_top = classic_reduce(r, f, [g], top_only=True)
     # the full remainder has no x at all
-    assert all(m.exps[0] == 0 for _, m in rem_full.terms)
+    assert all(m.exps[0] == 0 for m in rem_full.monos)
     # top-only guarantees just the lead term
     if rem_top:
         assert not r.mono_divides(g.lead_mono, rem_top.lead_mono)

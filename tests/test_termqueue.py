@@ -24,8 +24,8 @@ def test_config_validation():
 
 
 def _e(k, c=1):
-    # the entry shape (key, c, mult, poly, i); backends read key and c only
-    return (k, c, None, None, 0)
+    # a plain entry (key, c, id); backends read key and c only
+    return (k, c, 0)
 
 
 @pytest.mark.parametrize("make", [MaxHeap, Geobucket, MaxTourTree])
@@ -246,7 +246,7 @@ def _oracle(r, script):
     for op in script:
         if op[0] == "push":
             _, coeff, mono, poly, start = op
-            for c, m in poly.terms[start:]:
+            for c, m in zip(poly.coeffs[start:], poly.monos[start:]):
                 mm = r.mono_mul(mono, m)
                 got = pending.get(mm.key)
                 pending[mm.key] = ((got[0] + coeff * c) % p if got else
@@ -315,8 +315,8 @@ def test_shared_table_survives_abandoned_queue():
 
 def test_equal_products_share_one_row():
     r = _ring()
-    terms = [(1, r.mono((2, 0, 0))), (5, r.mono((0, 1, 0)))]
-    f, g = Polynomial(terms), Polynomial(list(terms))
+    coeffs, monos = [1, 5], [r.mono((2, 0, 0)), r.mono((0, 1, 0))]
+    f, g = Polynomial(coeffs, monos), Polynomial(coeffs, list(monos))
     assert f is not g and f == g and hash(f) == hash(g)
     x, y = r.mono((1, 0, 0)), r.mono((0, 1, 0))
     table = MonomialTable(r)
@@ -331,15 +331,46 @@ def test_equal_products_share_one_row():
         [(1, (3, 0, 0)), (1, (2, 1, 0)), (10, (1, 1, 0)), (5, (0, 2, 0))]
 
 
+def test_unhashed_flavours_share_one_table(monkeypatch):
+    # plain, dedup and compressed queues on one table each pop the oracle's
+    # stream, and each id's monomial is made once for all of them
+    rng = random.Random(31)
+    r = _ring()
+    scripts = [make_script(r, rng) for _ in range(20)]
+    expected = [_oracle(r, script) for script in scripts]
+    calls = []
+    real_mul = Ring.mono_mul
+
+    def counting_mul(self, a, b):
+        calls.append(1)
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(Ring, "mono_mul", counting_mul)
+    table = MonomialTable(r)
+    configs = [cfg for cfg in all_queue_configs() if not cfg.hashed]
+    for script, want in zip(scripts, expected):
+        for cfg in configs:
+            assert _run_script(r, cfg, script, table) == want, cfg.label()
+    made = sum(m is not None for m in table.monos)
+    assert 0 < len(calls) == made <= len(table.keys)
+
+
 @pytest.mark.parametrize("corrupt", ["forget_pending", "stale_sum",
-                                     "duplicate_entry", "wrong_key"])
+                                     "duplicate_entry", "wrong_key",
+                                     "plain_wrong_key", "cursor_wrong_key"])
 def test_hashed_audit_catches_corruption(corrupt):
+    # a hashed queue, and for the last two inputs a plain queue and a
+    # compressed one, each audited against the table
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))])
-    q = ReducerQueue(r, QueueConfig(backend="heap"))
+    cfg = {"plain_wrong_key": QueueConfig("heap", hashed=False),
+           "cursor_wrong_key": QueueConfig("heap", hashed=False,
+                                           compressed=True)}
+    q = ReducerQueue(r, cfg.get(corrupt, QueueConfig("heap")))
     q.push_product(1, r.one, g)
     q.audit()
-    key, t = q.backend.peek()
+    e = q.backend.peek()
+    key, t = e[0], e[-1]
     if corrupt == "forget_pending":
         q.acc[t] = 0
     elif corrupt == "stale_sum":
@@ -347,8 +378,8 @@ def test_hashed_audit_catches_corruption(corrupt):
     elif corrupt == "duplicate_entry":
         q.backend.push((key, t))
     else:
-        q.backend.pop()
-        q.backend.push((key - 1, t))
+        e = q.backend.pop()
+        q.backend.push((key - 1,) + e[1:])
     with pytest.raises(AssertionError):
         q.audit()
 
