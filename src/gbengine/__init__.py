@@ -9,7 +9,7 @@ each plain, deduplicating, hashed or compressed), divisor-query structures
 """
 
 from .buchberger import (ClassicConfig, ClassicStats, buchberger_run,
-                         graph_criterion, lcm_criterion, relprime_check)
+                         graph_criterion, lcm_criterion)
 from .division import (basis_lookup, classic_reduce, interreduce,
                        reduced_basis, reduces_to_zero)
 from .generators import builtin_ideal, cyclic_ideal, katsura_ideal
@@ -21,8 +21,8 @@ from .poly import (Polynomial, poly_add, poly_from_exps, poly_monic,
 from .ring import (GREVLEX, LEX, InvariantError, Monomial, Ring, ff_inv,
                    ring_from_order_spec)
 from .sigbasis import (ModuleOrder, SBConfig, SigEntry, SigStats,
-                       high_base_divisor_eliminates, koszul_signature,
-                       low_base_divisor_bound, sb_run, spair_signature)
+                       koszul_signature, low_base_divisor_bound, sb_run,
+                       spair_signature)
 from .spairqueue import FlatPairQueue, PairTriangle, make_spair_queue
 from .termqueue import QueueConfig, ReducerQueue, all_queue_configs
 
@@ -34,11 +34,11 @@ __all__ = [
     "SBConfig", "SigEntry", "SigStats", "all_queue_configs", "basis_lookup",
     "buchberger_run", "reduces_to_zero",
     "builtin_ideal", "classic_reduce", "cyclic_ideal", "ff_inv",
-    "graph_criterion", "high_base_divisor_eliminates", "interreduce",
+    "graph_criterion", "interreduce",
     "katsura_ideal", "koszul_signature", "lcm_criterion",
     "low_base_divisor_bound", "make_lookup", "make_spair_queue", "may_divide",
     "mono_str", "parse_ideal", "poly_add", "poly_from_exps", "poly_monic",
     "poly_mul", "poly_mul_term", "poly_normalize", "poly_str", "poly_sub",
-    "print_ideal", "reduced_basis", "relprime_check", "ring_from_order_spec",
+    "print_ideal", "reduced_basis", "ring_from_order_spec",
     "sb_run", "spair_signature",
 ]

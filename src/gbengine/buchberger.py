@@ -67,11 +67,6 @@ class ClassicConfig:
     audit: bool = False
 
 
-def relprime_check(ring: Ring, a: Polynomial, b: Polynomial) -> bool:
-    """True iff the lead terms of a and b are relatively prime."""
-    return ring.mono_coprime(a.lead_mono, b.lead_mono)
-
-
 def lcm_criterion(leads, a: int, b: int, c: int, m,
                   tri: BitTriangle) -> bool:
     """Anti-circular lcm criterion: c may eliminate (a, b).

@@ -1,10 +1,13 @@
-"""Classic polynomial division and basis normalization helpers.
+"""The one reduction loop of both engines, and basis normalization helpers.
 
-Division keeps the pending terms of the current polynomial in a reducer
-queue and repeatedly extracts the maximal one.  The divisor for a term is
-chosen deterministically (the live basis element of smallest index among
-all whose lead term divides it) so that runs are reproducible no matter
-which lookup structure serves the divisor queries.
+divide_queue keeps the pending terms of the polynomial being reduced in a
+reducer queue, repeatedly extracts the maximal one and asks a divisor
+lookup which basis leads divide it.  A reducer rule argument picks the
+divisor among those candidates: classic division, interreduction and the
+final autoreduction take the default, the smallest basis index, while
+the signature engine passes its regular-reducer rule.  Either way the
+choice is deterministic, so runs are reproducible no matter which lookup
+structure serves the divisor queries.
 """
 
 from __future__ import annotations
@@ -50,9 +53,15 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
 
 
 def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
-                 top_only: bool, track_quotients: bool = False):
+                 top_only: bool, track_quotients: bool = False, pick=None):
     """classic_reduce of the polynomial whose terms are pending in queue,
-    which it empties."""
+    which it empties.
+
+    pick(mono, cands) chooses the reducer of a popped term mono among
+    cands, the nonempty list of basis indices whose lead divides it, and
+    returns its index, or None to keep the term.  The default is the
+    smallest index.
+    """
     p = ring.char
     quotients = [[] for _ in basis] if track_quotients else None
     coeffs = []
@@ -66,15 +75,16 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
         if not tail_done:
             cands = lookup.find_all_divisors(mono)
             if cands:
-                idx = min(cands)
-                g = basis[idx]
-                mult = ring.mono_div(mono, g.monos[0])
-                lc = g.coeffs[0]
-                scale = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
-                if track_quotients:
-                    quotients[idx].append((scale, mult))
-                queue.push_product(p - scale, mult, g, start=1)
-                continue
+                idx = min(cands) if pick is None else pick(mono, cands)
+                if idx is not None:
+                    g = basis[idx]
+                    mult = ring.mono_div(mono, g.monos[0])
+                    lc = g.coeffs[0]
+                    scale = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
+                    if track_quotients:
+                        quotients[idx].append((scale, mult))
+                    queue.push_product(p - scale, mult, g, start=1)
+                    continue
             tail_done = top_only
         coeffs.append(coeff)
         monos.append(mono)

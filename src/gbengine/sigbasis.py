@@ -11,16 +11,22 @@ prime and singular checks at pop time.
 Signature keys and sig/lead ratio ranks are single integers whose order
 is the module order, and each basis element carries its ratio rank, so
 every signature comparison in the hot paths is one integer comparison.
+
+Regular reduction runs through division.divide_queue, the reduction loop
+classic Buchberger uses too; the engine passes it the one regular-reducer
+rule (_regular_reducer), which the singular criterion's existence check
+shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .division import prepare_inputs, reduced_basis
+from .division import divide_queue, prepare_inputs, reduced_basis
 from .lookup import make_lookup
 from .pairbits import BitTriangle
-from .poly import Polynomial, poly_monic
+from .poly import poly_monic
 from .ring import InvariantError, Monomial, Ring, key_bound
 from .spairqueue import MinHeap, make_spair_queue
 from .termqueue import MonomialTable, QueueConfig, ReducerQueue
@@ -221,39 +227,25 @@ class SyzygySet:
 
 
 def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
-    """Signature of the S-pair of a and b: ((mono, comp), is_regular).
+    """Signature (mono, comp) of the S-pair of a and b; the pair is regular
+    iff their ratio ranks differ.
 
     Compares the stored sig/lead ratios to pick the larger of
     (hd b / gcd) * sig a and (hd a / gcd) * sig b, and only computes the
     winning side.
     """
-    ra, rb = a.ratio_rank, b.ratio_rank
-    regular = ra != rb
-    win, other = (a, b) if ra >= rb else (b, a)
+    win, other = (a, b) if a.ratio_rank >= b.ratio_rank else (b, a)
     we = win.lead.exps
     oe = other.lead.exps
     mult = tuple(y - x if y > x else 0 for x, y in zip(we, oe))
     mono = ring.mono_mul(win.sig_mono, ring.mono(mult))
-    return (mono, win.sig_comp), regular
+    return mono, win.sig_comp
 
 
 def koszul_signature(ring: Ring, a: SigEntry, b: SigEntry):
     """Signature of the Koszul syzygy of a and b (the larger cross product)."""
     win, other = (a, b) if a.ratio_rank >= b.ratio_rank else (b, a)
     return (ring.mono_mul(win.sig_mono, other.lead), win.sig_comp)
-
-
-def high_base_divisor_eliminates(alpha: SigEntry, beta: SigEntry,
-                                 gamma: SigEntry, tri: BitTriangle) -> bool:
-    """High-ratio base divisor test: alpha's known-syzygy pair covers
-    (beta, gamma) when hd alpha | hd beta and gamma outranks both."""
-    for x, y in zip(alpha.lead.exps, beta.lead.exps):
-        if x > y:
-            return False
-    if not (gamma.ratio_rank > alpha.ratio_rank
-            and gamma.ratio_rank > beta.ratio_rank):
-        return False
-    return tri.get(alpha.idx, gamma.idx)
 
 
 def low_base_divisor_bound(alpha: SigEntry, beta: SigEntry):
@@ -291,11 +283,11 @@ class _SBEngine:
     def __init__(self, ring: Ring, inputs, cfg: SBConfig):
         self.ring = ring
         self.cfg = cfg
-        self.p = ring.char
         self.morder = ModuleOrder(cfg.module_order, cfg.tiebreak,
                                   [g.lead_mono for g in inputs])
         self.m = len(inputs)
         self.entries = []
+        self.polys = []     # entries' polynomials, the reducers by index
         self.lead_lookup = make_lookup(cfg.lookup, ring)
         self.sig_lookups = [make_lookup(cfg.lookup, ring)
                             for _ in range(self.m)]
@@ -316,6 +308,7 @@ class _SBEngine:
         rank = self.morder.ratio_rank(sig_mono, poly.lead_mono, sig_comp)
         entry = SigEntry(idx, sig_mono, sig_comp, poly, rank)
         self.entries.append(entry)
+        self.polys.append(poly)
         self._make_new_spairs(entry)
         self.lead_lookup.insert(entry.lead, idx)
         self.lead_lookup.maybe_rebuild()
@@ -324,9 +317,8 @@ class _SBEngine:
         return entry
 
     def _pair_key(self, i, j):
-        sig, _ = spair_signature(self.ring, self.entries[i],
-                                 self.entries[j])
-        return self.morder.sig_key(*sig)
+        return self.morder.sig_key(*spair_signature(
+            self.ring, self.entries[i], self.entries[j]))
 
     def _set_bits(self, pairs):
         tri = self.tri
@@ -387,7 +379,7 @@ class _SBEngine:
                 stats.basedivisor += 1
                 tri.set(gamma.idx, bidx)
                 continue
-            sig, _ = spair_signature(self.ring, beta, gamma)
+            sig = spair_signature(self.ring, beta, gamma)
             if cfg.use_signature and syz.divides(sig[0], sig[1]):
                 stats.sig_early += 1
                 tri.set(gamma.idx, bidx)
@@ -429,7 +421,7 @@ class _SBEngine:
         stats.duplicate += len(group) - 1
         i0, j0 = group[0]
         entries = self.entries
-        sig, _ = spair_signature(self.ring, entries[i0], entries[j0])
+        sig = spair_signature(self.ring, entries[i0], entries[j0])
         tmono, tcomp = sig
         if cfg.use_signature and self.syz.divides(tmono, tcomp):
             stats.sig_late += 1
@@ -460,7 +452,7 @@ class _SBEngine:
                 self.koszul.push(self.morder.sig_key(*ksig))
         champion, tmult = self._champion(tmono, tcomp)
         if cfg.use_singular and not self._regular_top_reducible(
-                self.ring.mono_mul(tmult, champion.lead), champion.ratio_rank):
+                self.ring.mono_mul(tmult, champion.lead), tkey):
             stats.singular_late += 1
             return None
         return sig, champion, tmult, group
@@ -484,56 +476,39 @@ class _SBEngine:
             assert got == best, "champion lead not minimal"
         return champ, tmult
 
-    def _regular_top_reducible(self, lead_mono, rank):
-        """Any reducer of lead_mono with ratio strictly below the given one?"""
-        entries = self.entries
-        for i in self.lead_lookup.find_all_divisors(lead_mono):
-            if entries[i].ratio_rank < rank:
-                return True
-        return False
+    def _regular_top_reducible(self, mono, tkey):
+        """Has mono, a term of signature key tkey, a regular reducer?"""
+        cands = self.lead_lookup.find_all_divisors(mono)
+        return self._regular_reducer(None, tkey, mono, cands) is not None
 
     # -- regular reduction ---------------------------------------------------
 
-    def _regular_reduce(self, tmono, tcomp, seed_entry, seed_mult):
-        ring = self.ring
-        cfg = self.cfg
-        p = self.p
-        queue = ReducerQueue(ring, cfg.queue, self.table)
-        queue.push_product(1, seed_mult, seed_entry.poly)
-        tkey = self.morder.sig_key(tmono, tcomp)
-        scale = self.morder.scale
+    def _regular_reducer(self, select, tkey, mono, cands):
+        """The regular-reducer rule for mono, a term of signature key tkey:
+        of cands, the entries whose leads divide mono, those with a
+        sig/lead ratio below the term's own reduce it.  Returns the
+        smallest of their indices, or given select the index of select's
+        choice from them in index order; None when there is none."""
+        rank = tkey - self.morder.scale * mono.key
         entries = self.entries
-        lookup = self.lead_lookup
-        select = cfg.reducer_select
-        coeffs = []
-        monos = []
-        while True:
-            top = queue.pop_max()
-            if top is None:
-                break
-            coeff, mono = top
-            rank = tkey - scale * mono.key
-            reducer = None
-            if select is None:
-                best = -1
-                for i in lookup.find_all_divisors(mono):
-                    if (best < 0 or i < best) and entries[i].ratio_rank < rank:
-                        best = i
-                if best >= 0:
-                    reducer = entries[best]
-            else:
-                valid = [entries[i] for i in lookup.find_all_divisors(mono)
-                         if entries[i].ratio_rank < rank]
-                if valid:
-                    valid.sort(key=lambda e: e.idx)
-                    reducer = select(valid)
-            if reducer is None:
-                coeffs.append(coeff)
-                monos.append(mono)
-                continue
-            mult = ring.mono_div(mono, reducer.lead)
-            queue.push_product(p - coeff, mult, reducer.poly, start=1)
-        return Polynomial(coeffs, monos)
+        if select is None:
+            best = None
+            for i in cands:
+                if (best is None or i < best) and entries[i].ratio_rank < rank:
+                    best = i
+            return best
+        valid = [entries[i] for i in sorted(cands)
+                 if entries[i].ratio_rank < rank]
+        return select(valid).idx if valid else None
+
+    def _regular_reduce(self, tmono, tcomp, seed_entry, seed_mult):
+        queue = ReducerQueue(self.ring, self.cfg.queue, self.table)
+        queue.push_product(1, seed_mult, seed_entry.poly)
+        pick = partial(self._regular_reducer, self.cfg.reducer_select,
+                       self.morder.sig_key(tmono, tcomp))
+        _, rem = divide_queue(self.ring, queue, self.polys, self.lead_lookup,
+                              top_only=False, pick=pick)
+        return rem
 
     # -- main loop -------------------------------------------------------------
 

@@ -3,7 +3,7 @@ import random
 
 from gbengine import (ClassicConfig, Ring, buchberger_run, builtin_ideal,
                       graph_criterion, lcm_criterion, poly_from_exps,
-                      poly_str, relprime_check)
+                      poly_str)
 from gbengine.pairbits import BitTriangle
 
 from _util import is_reduced_gb, reduces_to_zero, spoly
@@ -24,10 +24,9 @@ def _lcm(r, leads, a, b):
 
 def test_relprime_examples():
     r = _r3()
-    assert relprime_check(r, _mono_poly(r, (2, 0, 0)), _mono_poly(r, (0, 1, 0)))
-    assert not relprime_check(r, _mono_poly(r, (1, 1, 0)),
-                              _mono_poly(r, (0, 1, 1)))
-    assert relprime_check(r, _mono_poly(r, (0, 0, 0)), _mono_poly(r, (1, 1, 1)))
+    assert r.mono_coprime(r.mono((2, 0, 0)), r.mono((0, 1, 0)))
+    assert not r.mono_coprime(r.mono((1, 1, 0)), r.mono((0, 1, 1)))
+    assert r.mono_coprime(r.mono((0, 0, 0)), r.mono((1, 1, 1)))
 
 
 def test_lcm_criterion_strict_divisor_case():
