@@ -54,8 +54,8 @@ def _build_parser():
     run.add_argument("--early-singular", action="store_true")
     run.add_argument("--no-interreduce", action="store_true",
                      help="skip input interreduction")
-    run.add_argument("--char", type=int, default=101,
-                     help="characteristic for builtin ideals")
+    run.add_argument("--char", type=int,
+                     help="characteristic for builtin ideals (default 101)")
     run.add_argument("--stats", action="store_true")
     run.add_argument("--out", metavar="FILE")
 
@@ -67,9 +67,11 @@ def _build_parser():
 
 def _load_input(args):
     if os.path.exists(args.input):
+        if args.char is not None:
+            raise ValueError("--char applies to builtin ideals only")
         with open(args.input) as fh:
             return parse_ideal(fh.read())
-    return builtin_ideal(args.input, args.char)
+    return builtin_ideal(args.input, 101 if args.char is None else args.char)
 
 
 def _queue_config(args):

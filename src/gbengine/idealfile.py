@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .poly import Polynomial, poly_normalize
-from .ring import Ring, is_prime, ring_from_order_spec
+from .ring import MAX_VARS, Ring, is_prime, ring_from_order_spec
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
 _FACTOR = re.compile(r"^(?:(\d+)|x(\d+)(?:\^(\d+))?)$")
@@ -25,6 +25,14 @@ class IdealFileError(ValueError):
             message = "line %d: %s" % (line, message)
         super().__init__(message)
         self.line = line
+
+
+def _int(literal: str, error: str, lineno: int) -> int:
+    try:
+        return int(literal)
+    except ValueError:
+        # int() refuses a literal of more than 4300 digits
+        raise IdealFileError(error, lineno)
 
 
 def _parse_poly(ring: Ring, text: str, lineno: int) -> Polynomial:
@@ -48,13 +56,15 @@ def _parse_poly(ring: Ring, text: str, lineno: int) -> Polynomial:
             if not m:
                 raise IdealFileError("bad term factor %r" % factor, lineno)
             if m.group(1) is not None:
-                coeff = coeff * int(m.group(1)) % p
+                coeff = coeff * _int(m.group(1), "coefficient literal too "
+                                     "long", lineno) % p
             else:
-                var = int(m.group(2))
+                var = _int(m.group(2), "variable index out of range", lineno)
                 if not 1 <= var <= ring.num_vars:
                     raise IdealFileError(
                         "variable index %d out of range" % var, lineno)
-                exps[var - 1] += int(m.group(3)) if m.group(3) else 1
+                exps[var - 1] += (_int(m.group(3), "exponent out of range",
+                                       lineno) if m.group(3) else 1)
         try:
             mono = ring.mono(exps)
         except ValueError as exc:
@@ -79,8 +89,8 @@ def parse_ideal(text: str):
         nv = int(lines[1].strip())
     except ValueError:
         raise IdealFileError("bad variable count %r" % lines[1].strip(), 2)
-    if nv < 1:
-        raise IdealFileError("need at least one variable", 2)
+    if not 1 <= nv <= MAX_VARS:
+        raise IdealFileError("variable count not in 1..%d" % MAX_VARS, 2)
     try:
         ring = ring_from_order_spec(p, nv, lines[2].strip())
     except ValueError as exc:

@@ -25,6 +25,9 @@ LT, EQ, GT = -1, 0, 1
 # of a few monomials, never produce a digit carry.
 MAX_EXPONENT = 1 << 16
 _DIGIT_BASE = 1 << 28
+# The order weights take about 3.5 * n^2 bytes in n variables; the largest
+# builtin ideal in use has 10.
+MAX_VARS = 256
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -108,8 +111,8 @@ class Ring:
                  elim_block: int | None = None):
         if not is_prime(char) or not 2 <= char < 2**31:
             raise ValueError("characteristic not prime or out of range")
-        if num_vars < 1:
-            raise ValueError("need at least one variable")
+        if not 1 <= num_vars <= MAX_VARS:
+            raise ValueError("variable count not in 1..%d" % MAX_VARS)
         if order == ELIM:
             if elim_block is None or not 1 <= elim_block < num_vars:
                 raise ValueError("elimination block size out of range")

@@ -11,46 +11,30 @@ integer plus one materialized key per column.
 Two reference queues keep every pair with its key in a single heap or
 tournament tree; they trade memory for simplicity and are used for
 cross-checking.  The fronts and the reference queues are the term
-queue's max-heap and max tournament tree holding negated keys.
+queue's heap and tournament tree.
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
 
 from .ring import InvariantError
-from .termqueue import MaxHeap, MaxTourTree
+from .termqueue import Heap, TourTree
 
 SPAIR_QUEUE_KINDS = ("triangle-tt", "triangle-heap", "heap", "tourtree")
 
 _U16_LIMIT = 1 << 16
 
 
-class MinHeap:
-    """Min-heap of integer keys; the sb engine's Koszul syzygy queue."""
+class MinHeap(Heap):
+    """Heap of integer keys; the sb engine's Koszul syzygy queue.  A class
+    of its own, so that its calls are told apart from other heaps'."""
 
-    __slots__ = ("a",)
-
-    def __init__(self):
-        self.a = []
-
-    def __len__(self):
-        return len(self.a)
-
-    def peek(self):
-        return self.a[0] if self.a else None
-
-    def push(self, key):
-        heapq.heappush(self.a, key)
-
-    def pop(self):
-        return heapq.heappop(self.a) if self.a else None
+    __slots__ = ()
 
 
 def _front(kind):
-    # max queues over negated keys: every min comparison maps to the max one
-    return MaxTourTree() if kind == "tourtree" else MaxHeap()
+    return TourTree() if kind == "tourtree" else Heap()
 
 
 class PairTriangle:
@@ -92,11 +76,11 @@ class PairTriangle:
         else:
             self.pairs_32 += n
         self.queued_bytes += n * col.itemsize
-        self.front.push((-pairs[0][1], j))
+        self.front.push((pairs[0][1], j))
 
     def peek_min_key(self):
         top = self.front.peek()
-        return -top[0] if top is not None else None
+        return top[0] if top is not None else None
 
     def pop_min(self):
         top = self.front.peek()
@@ -112,7 +96,7 @@ class PairTriangle:
             self.pairs_32 -= 1
         if col:
             # recompute the successor's key and sink it into the front
-            self.front.replace_top((-self.key_fn(col[-1], j), j))
+            self.front.replace_top((self.key_fn(col[-1], j), j))
         else:
             self.front.pop()
             del self.cols[j]
@@ -138,11 +122,11 @@ class FlatPairQueue:
 
     def add_column(self, j, pairs) -> None:
         for i, key in pairs:
-            self.q.push((-key, j, i))
+            self.q.push((key, j, i))
 
     def peek_min_key(self):
         top = self.q.peek()
-        return -top[0] if top is not None else None
+        return top[0] if top is not None else None
 
     def pop_min(self):
         top = self.q.pop()

@@ -7,11 +7,13 @@ observationally identical: pop_max always returns the order-maximal
 monomial with every pending contribution to its coefficient folded
 together, skipping monomials whose contributions cancel.
 
-Every flavour works over a MonomialTable, which a run shares between its
-queues.  The table interns each product monomial to a small int id, caches
-per product mult * poly the row of ids of its terms, and makes an id's
-monomial once, at its first nonzero pop.  Backends order entries by their
-first field, the id's packed order key:
+Every backend pops the entry of smallest first field; the binary heap is
+the standard library's heapq.  Every flavour works over a MonomialTable,
+which a run shares between its queues.  The table interns each product
+monomial to a small int id, stores the id's negated order key (so the
+smallest key is the largest monomial), caches per product mult * poly the
+row of ids of its terms, and makes an id's monomial once, at its first
+nonzero pop.  Backends order entries by their first field, that key:
 
   plain       (key, c, id), c the term's coefficient; dedup folds
               entries of equal key by adding c
@@ -22,12 +24,15 @@ first field, the id's packed order key:
               An id enters the backend when its sum goes from zero to
               pending, so a pushed term costs one list read and one list
               write.
+
+Every field after the key is an int or a tuple of ints, so the heap's
+whole-tuple comparisons never fail on equal keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
 
 from .ring import Ring
@@ -73,106 +78,60 @@ def all_queue_configs():
                                               (False, False, True))]
 
 
-class MaxHeap:
-    """Binary max-heap, root at index 1, hole-based pop, native replace-top."""
+class Heap:
+    """Binary min-heap on heapq."""
 
     __slots__ = ("a", "fold", "p")
 
     def __init__(self, fold=False, p=0):
-        self.a = [None]
+        self.a = []
         self.fold = fold
         self.p = p
 
     def __len__(self):
-        return len(self.a) - 1
+        return len(self.a)
 
     def __iter__(self):
-        return iter(self.a[1:])
+        return iter(self.a)
 
     def peek(self):
         a = self.a
-        return a[1] if len(a) > 1 else None
+        return a[0] if a else None
 
     def push(self, e):
         a = self.a
-        if self.fold and len(a) > 1:
-            # fold into the parent slot when the first comparison ties
-            par = a[len(a) >> 1]
+        if self.fold and a:
+            # fold into the would-be parent slot when the keys tie
+            i = (len(a) - 1) >> 1
+            par = a[i]
             if par[0] == e[0]:
-                a[len(a) >> 1] = (par[0], (par[1] + e[1]) % self.p) + par[2:]
+                a[i] = (par[0], (par[1] + e[1]) % self.p) + par[2:]
                 return
-        a.append(e)
-        i = len(a) - 1
-        k = e[0]
-        while i > 1:
-            j = i >> 1
-            par = a[j]
-            if par[0] >= k:
-                break
-            a[i] = par
-            i = j
-        a[i] = e
+        heappush(a, e)
 
     def push_run(self, run):
-        """Insert a run of entries in descending key order."""
+        """Insert a run of entries in ascending key order."""
         for e in run:
             self.push(e)
 
     def pop(self):
         a = self.a
-        n = len(a) - 1
-        if n == 0:
-            return None
-        top = a[1]
-        last = a.pop()
-        n -= 1
-        if n:
-            # move the hole to a leaf along the larger children, then sift
-            # the former last element up from there (~log n comparisons)
-            i = 1
-            while True:
-                l = i << 1
-                if l > n:
-                    break
-                r = l + 1
-                c = r if r <= n and a[r][0] > a[l][0] else l
-                a[i] = a[c]
-                i = c
-            k = last[0]
-            while i > 1:
-                j = i >> 1
-                if a[j][0] >= k:
-                    break
-                a[i] = a[j]
-                i = j
-            a[i] = last
-        return top
+        return heappop(a) if a else None
 
     def replace_top(self, e):
         a = self.a
-        n = len(a) - 1
-        if n == 0:
+        if not a:
             raise ValueError("replace_top on empty queue")
-        if e[0] > a[1][0]:
-            raise ValueError("replace_top key exceeds current max")
-        k = e[0]
-        i = 1
-        while True:
-            l = i << 1
-            if l > n:
-                break
-            r = l + 1
-            c = r if r <= n and a[r][0] > a[l][0] else l
-            if a[c][0] <= k:
-                break
-            a[i] = a[c]
-            i = c
-        a[i] = e
+        if e[0] < a[0][0]:
+            raise ValueError("replace_top key below current min")
+        heapreplace(a, e)
 
     def audit(self):
+        # keys only: a fold rewrites a coefficient in place, so entries of
+        # equal key may fall out of whole-tuple order
         a = self.a
-        for i in range(2, len(a)):
-            assert a[i >> 1][0] >= a[i][0], "heap property"
+        for i in range(1, len(a)):
+            assert a[(i - 1) >> 1][0] <= a[i][0], "heap property"
 
 
 class Geobucket:
@@ -181,10 +140,10 @@ class Geobucket:
     __slots__ = ("buckets", "fold", "p", "heads")
 
     def __init__(self, fold=False, p=0):
-        self.buckets = []       # each ascending by key (max at the end)
+        self.buckets = []       # each descending by key (min at the end)
         self.fold = fold
         self.p = p
-        self.heads = []         # heap of (-last key, index), nonempty buckets
+        self.heads = []         # heap of (last key, index), nonempty buckets
 
     def __len__(self):
         return sum(len(b) for b in self.buckets)
@@ -201,7 +160,7 @@ class Geobucket:
         self.push_run([e])
 
     def push_run(self, run):
-        """Insert a run of entries in descending key order."""
+        """Insert a run of entries in ascending key order."""
         run = run[::-1]
         i = 0
         while self._cap(i) < len(run):
@@ -219,7 +178,7 @@ class Geobucket:
             self.buckets[i] = []
             self.buckets[i + 1] = self._merge(nxt, spill) if nxt else spill
             i += 1
-        heads = self.heads = [(-b[-1][0], j)
+        heads = self.heads = [(b[-1][0], j)
                               for j, b in enumerate(self.buckets) if b]
         heapify(heads)
 
@@ -232,10 +191,10 @@ class Geobucket:
         nx, ny = len(x), len(y)
         while i < nx and j < ny:
             a, b = x[i], y[j]
-            if a[0] < b[0]:
+            if a[0] > b[0]:
                 push(a)
                 i += 1
-            elif a[0] > b[0]:
+            elif a[0] < b[0]:
                 push(b)
                 j += 1
             elif fold:
@@ -261,7 +220,7 @@ class Geobucket:
         b = self.buckets[i]
         e = b.pop()
         if b:
-            heapreplace(heads, (-b[-1][0], i))
+            heapreplace(heads, (b[-1][0], i))
         else:
             heappop(heads)
         return e
@@ -270,14 +229,14 @@ class Geobucket:
         top = self.peek()
         if top is None:
             raise ValueError("replace_top on empty queue")
-        if e[0] > top[0]:
-            raise ValueError("replace_top key exceeds current max")
+        if e[0] < top[0]:
+            raise ValueError("replace_top key below current min")
         self.pop()
         self.push(e)
 
     def audit(self):
         heads = self.heads
-        assert sorted(heads) == sorted((-b[-1][0], i)
+        assert sorted(heads) == sorted((b[-1][0], i)
                                        for i, b in enumerate(self.buckets)
                                        if b), "bucket heads"
         for j in range(1, len(heads)):
@@ -285,10 +244,10 @@ class Geobucket:
         for i, b in enumerate(self.buckets):
             assert len(b) <= self._cap(i), "geobucket capacity"
             for j in range(1, len(b)):
-                assert b[j - 1][0] <= b[j][0], "bucket sortedness"
+                assert b[j - 1][0] >= b[j][0], "bucket sortedness"
 
 
-class MaxTourTree:
+class TourTree:
     """Tournament tree in an array; interior nodes name their winning leaf.
 
     Winner replacement replays one root path, a single comparison per
@@ -332,7 +291,7 @@ class MaxTourTree:
         self._replay_path(leaf)
 
     def push_run(self, run):
-        """Insert a run of entries in descending key order."""
+        """Insert a run of entries in ascending key order."""
         for e in run:
             self.push(e)
 
@@ -356,8 +315,8 @@ class MaxTourTree:
         if self.size == 0:
             raise ValueError("replace_top on empty queue")
         leaf = self.inner[1]
-        if e[0] > self.leaves[leaf][0]:
-            raise ValueError("replace_top key exceeds current max")
+        if e[0] < self.leaves[leaf][0]:
+            raise ValueError("replace_top key below current min")
         self.leaves[leaf] = e
         self._replay_path(leaf)
 
@@ -390,7 +349,7 @@ class MaxTourTree:
             return j
         if b is None:
             return i
-        return i if a[0] >= b[0] else j
+        return i if a[0] <= b[0] else j
 
     def audit(self):
         for pos in range(1, self.cap):
@@ -407,10 +366,10 @@ class MaxTourTree:
 
 def _make_backend(cfg: QueueConfig, p: int):
     if cfg.backend == "heap":
-        return MaxHeap(cfg.dedup, p)
+        return Heap(cfg.dedup, p)
     if cfg.backend == "geobucket":
         return Geobucket(cfg.dedup, p)
-    return MaxTourTree(cfg.dedup, p)
+    return TourTree(cfg.dedup, p)
 
 
 class MonomialTable:
@@ -426,8 +385,10 @@ class MonomialTable:
 
     def __init__(self, ring: Ring):
         self.ring = ring
-        self.ids = {}           # order key -> id
-        self.keys = []          # id -> order key
+        # the term order's only reversal: an id's key is its monomial's
+        # negated order key, so the min-first backends pop the largest
+        self.ids = {}           # key -> id
+        self.keys = []          # id -> key
         self.factors = []       # id -> (mult, mono) whose product it names
         self.monos = []         # id -> Monomial, or None until it first pops
         # (mult key, poly) -> ids of the terms of mult * poly; polynomials
@@ -441,10 +402,10 @@ class MonomialTable:
         if row is None:
             ids = self.ids
             keys = self.keys
-            mk = mult.key
+            nmk = -mult.key
             out = []
             for m in poly.monos:
-                k = m.key + mk
+                k = nmk - m.key
                 t = ids.get(k)
                 if t is None:
                     t = ids[k] = len(keys)
@@ -525,7 +486,7 @@ class ReducerQueue:
         p = self.p
         acc = self.acc
         if acc is not None:
-            # the backend holds each pending id once: its entry is the max
+            # the backend holds each pending id once: its top is the largest
             while True:
                 e = backend.pop()
                 if e is None:

@@ -113,6 +113,20 @@ def test_dedup_compressed_is_usage_error(capsys):
     assert "compressed excludes dedup" in err
 
 
+def test_char_with_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "in.ideal"
+    path.write_text("101\n2\ngrevlex\nx1^2-x2\n")
+    code, out, err = _run(capsys, "run", "--char", "7", str(path))
+    assert code == 1
+    assert out == ""
+    assert "error: --char applies to builtin ideals only" in err
+    # a builtin ideal takes --char
+    _, gen, _ = _run(capsys, "gen", "--char", "7", "katsura3")
+    path.write_text(gen)
+    assert _run(capsys, "run", "--char", "7", "katsura3") == \
+        _run(capsys, "run", str(path))
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "basis.txt"
     code, out, _ = _run(capsys, "run", "--algorithm", "classic", "--out",

@@ -2,6 +2,7 @@ import pytest
 
 from gbengine import (IdealFileError, builtin_ideal, parse_ideal, poly_str,
                       print_ideal)
+from gbengine.ring import MAX_VARS
 
 
 def test_parse_simple():
@@ -33,6 +34,21 @@ def test_parse_exponent_out_of_range_reports_line():
     # each factor is in range; their product is not
     with pytest.raises(IdealFileError, match="line 5: exponent out of range"):
         parse_ideal("101\n2\ngrevlex\nx2\nx1^40000*x1^40000\n")
+    # past int()'s 4300-digit limit for decimal literals
+    with pytest.raises(IdealFileError, match="line 5: exponent out of range"):
+        parse_ideal("101\n2\ngrevlex\nx2\nx1^" + "1" * 5000 + "\n")
+
+
+def test_parse_overlong_coefficient_reports_line():
+    with pytest.raises(IdealFileError, match="line 5: coefficient literal"):
+        parse_ideal("101\n2\ngrevlex\nx2+1\n" + "1" * 5000 + "*x1\n")
+
+
+def test_parse_variable_count_capped_on_line_2():
+    ring, _ = parse_ideal("101\n%d\ngrevlex\nx1\n" % MAX_VARS)
+    assert ring.num_vars == MAX_VARS
+    with pytest.raises(IdealFileError, match="line 2: variable count"):
+        parse_ideal("101\n%d\ngrevlex\nx1\n" % (MAX_VARS + 1))
 
 
 def test_parse_orders():

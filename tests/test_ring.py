@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gbengine import GREVLEX, LEX, Ring, ff_inv
-from gbengine.ring import EQ, GT, LT
+from gbengine.ring import EQ, GT, LT, MAX_VARS
 
 from _util import elim_cmp, grevlex_cmp, lex_cmp, random_mono
 
@@ -52,6 +52,14 @@ def test_ring_validation():
         Ring(101, 3, "elim", 3)       # block must be < num_vars
     with pytest.raises(ValueError):
         Ring(101, 3, "weird")
+
+
+def test_variable_count_capped():
+    # the order weights grow as the square of the variable count
+    assert Ring(101, MAX_VARS).num_vars == MAX_VARS
+    with pytest.raises(ValueError, match="variable count not in 1..%d"
+                       % MAX_VARS):
+        Ring(101, MAX_VARS + 1)
 
 
 def test_mono_cmp_grevlex_examples():

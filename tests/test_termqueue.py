@@ -4,7 +4,7 @@ import pytest
 
 from gbengine import QueueConfig, ReducerQueue, Ring, all_queue_configs
 from gbengine.poly import Polynomial, poly_from_exps
-from gbengine.termqueue import Geobucket, MaxHeap, MaxTourTree, MonomialTable
+from gbengine.termqueue import Geobucket, Heap, MonomialTable, TourTree
 
 from _util import random_poly
 
@@ -28,20 +28,20 @@ def _e(k, c=1):
     return (k, c, 0)
 
 
-@pytest.mark.parametrize("make", [MaxHeap, Geobucket, MaxTourTree])
+@pytest.mark.parametrize("make", [Heap, Geobucket, TourTree])
 def test_backend_replace_top_examples(make):
     q = make()
-    for k in (8, 5, 3, 1):
+    for k in (1, 4, 6, 8):
         q.push(_e(k))
-    q.replace_top(_e(2))
-    assert q.peek()[0] == 5
-    q.replace_top(_e(5))
-    assert q.peek()[0] == 5
+    q.replace_top(_e(7))
+    assert q.peek()[0] == 4
+    q.replace_top(_e(4))
+    assert q.peek()[0] == 4
     with pytest.raises(ValueError):
-        q.replace_top(_e(99))
+        q.replace_top(_e(-99))
 
 
-@pytest.mark.parametrize("make", [MaxHeap, Geobucket, MaxTourTree])
+@pytest.mark.parametrize("make", [Heap, Geobucket, TourTree])
 def test_backend_random_vs_sorted(make):
     rng = random.Random(3)
     for _ in range(50):
@@ -56,10 +56,10 @@ def test_backend_random_vs_sorted(make):
             if e is None:
                 break
             got.append(e[0])
-        assert got == sorted(vals, reverse=True)
+        assert got == sorted(vals)
 
 
-@pytest.mark.parametrize("make", [MaxHeap, Geobucket, MaxTourTree])
+@pytest.mark.parametrize("make", [Heap, Geobucket, TourTree])
 def test_backend_replace_top_equals_pop_push(make):
     rng = random.Random(5)
     for _ in range(200):
@@ -68,7 +68,7 @@ def test_backend_replace_top_equals_pop_push(make):
         for v in vals:
             a.push(_e(v))
             b.push(_e(v))
-        new = rng.randrange(min(max(vals), 50))
+        new = rng.randrange(min(vals), 50)
         a.replace_top(_e(new))
         b.pop()
         b.push(_e(new))
@@ -92,7 +92,7 @@ def test_geobucket_capacity_contract():
 
 def test_tourtree_interior_invariant():
     rng = random.Random(9)
-    q = MaxTourTree()
+    q = TourTree()
     for _ in range(300):
         q.push(_e(rng.randrange(100)))
         q.audit()
@@ -398,44 +398,47 @@ def test_dedup_merges_like_terms():
 
 @pytest.mark.parametrize("fold", [False, True])
 def test_geobucket_cached_top_random_ops(fold):
-    # every entry has coefficient 1 and p exceeds any fold, so an entry of
-    # coefficient c stands for c pushed entries of its key
+    # each backend against a sorted oracle under interleaved push, push_run,
+    # peek, pop and replace_top; every entry has coefficient 1 and p exceeds
+    # any fold, so an entry of coefficient c stands for c pushed entries of
+    # its key
     rng = random.Random(17)
-    for _ in range(30):
-        q = Geobucket(fold, 1009)
-        oracle = []             # pending keys, ascending, with multiplicity
-        for _ in range(rng.randrange(50, 300)):
-            op = rng.random()
-            if op < 0.25:
-                k = rng.randrange(60)
-                q.push(_e(k))
-                oracle.append(k)
-            elif op < 0.4:
-                run = sorted((rng.randrange(60)
-                              for _ in range(rng.randrange(1, 30))),
-                             reverse=True)
-                q.push_run([_e(k) for k in run])
-                oracle += run
-            elif op < 0.65:
-                top = q.peek()
-                assert (top[0] if top else None) == max(oracle, default=None)
-            elif op < 0.85 or not oracle:
-                e = q.pop()
-                if e is None:
-                    assert not oracle
-                    continue
-                assert e[0] == oracle[-1] and oracle[-e[1]:] == [e[0]] * e[1]
-                del oracle[-e[1]:]
-            else:
-                top = q.peek()
-                k = rng.randrange(top[0] + 1)
-                q.replace_top(_e(k))
-                del oracle[-top[1]:]
-                oracle.append(k)
-            oracle.sort()
-            q.audit()
-            held = sorted(e[0] for b in q.buckets for e in b
-                          for _ in range(e[1]))
-            assert held == oracle
-            if not fold:
-                assert len(q) == len(oracle)
+    for make in (Heap, Geobucket, TourTree):
+        for _ in range(30):
+            q = make(fold, 1009)
+            oracle = []         # pending keys, descending, with multiplicity
+            for _ in range(rng.randrange(50, 300)):
+                op = rng.random()
+                if op < 0.25:
+                    k = rng.randrange(60)
+                    q.push(_e(k))
+                    oracle.append(k)
+                elif op < 0.4:
+                    run = sorted(rng.randrange(60)
+                                 for _ in range(rng.randrange(1, 30)))
+                    q.push_run([_e(k) for k in run])
+                    oracle += run
+                elif op < 0.65:
+                    top = q.peek()
+                    assert (top[0] if top else None) == \
+                        min(oracle, default=None)
+                elif op < 0.85 or not oracle:
+                    e = q.pop()
+                    if e is None:
+                        assert not oracle
+                        continue
+                    assert oracle[-e[1]:] == [e[0]] * e[1]
+                    del oracle[-e[1]:]
+                else:
+                    top = q.peek()
+                    k = rng.randrange(top[0], 60)
+                    q.replace_top(_e(k))
+                    del oracle[-top[1]:]
+                    oracle.append(k)
+                oracle.sort(reverse=True)
+                q.audit()
+                held = sorted((e[0] for e in q for _ in range(e[1])),
+                              reverse=True)
+                assert held == oracle, make.__name__
+                if not fold:
+                    assert len(q) == len(oracle)
