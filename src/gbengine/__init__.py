@@ -17,7 +17,7 @@ from .idealfile import (IdealFileError, mono_str, parse_ideal, poly_str,
                         print_ideal)
 from .lookup import DivMap, DivmaskStats, make_lookup, may_divide
 from .poly import (Polynomial, poly_add, poly_from_exps, poly_monic,
-                   poly_mul, poly_mul_term, poly_normalize, poly_sub)
+                   poly_mul_term, poly_normalize)
 from .ring import (GREVLEX, LEX, InvariantError, Monomial, Ring, ff_inv,
                    ring_from_order_spec)
 from .sigbasis import (ModuleOrder, SBConfig, SigEntry, SigStats,
@@ -38,7 +38,7 @@ __all__ = [
     "katsura_ideal", "koszul_signature", "lcm_criterion",
     "low_base_divisor_bound", "make_lookup", "make_spair_queue", "may_divide",
     "mono_str", "parse_ideal", "poly_add", "poly_from_exps", "poly_monic",
-    "poly_mul", "poly_mul_term", "poly_normalize", "poly_str", "poly_sub",
+    "poly_mul_term", "poly_normalize", "poly_str",
     "print_ideal", "reduced_basis", "ring_from_order_spec",
     "sb_run", "spair_signature",
 ]

@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import le
 
-from .division import divide_queue, prepare_inputs, reduced_basis
-from .lookup import make_lookup
+from .division import Completion, prepare_inputs, reduced_basis
 from .pairbits import BitTriangle
 from .poly import Polynomial, poly_monic
 from .ring import InvariantError, Ring, key_bound
-from .spairqueue import make_spair_queue
-from .termqueue import MonomialTable, QueueConfig, ReducerQueue
+from .termqueue import QueueConfig
 
 
 @dataclass
@@ -120,20 +118,17 @@ def graph_criterion(leads, a: int, b: int, m, tri: BitTriangle,
     return uf.find(a) == uf.find(b)
 
 
-class _ClassicEngine:
+class _ClassicEngine(Completion):
+    top_only = True
+
     def __init__(self, ring: Ring, inputs, cfg: ClassicConfig):
-        self.ring = ring
-        self.cfg = cfg
-        self.polys = []
+        super().__init__(ring, cfg)
         self.live = []
         self.leads = []
-        self.lookup = make_lookup(cfg.lookup, ring)
         self.tri = BitTriangle()
         self.cache = {}          # element -> last c that eliminated its pair
         self.key_bound = key_bound(ring.num_vars)
-        self.pairs = make_spair_queue(cfg.spair_queue, self._pair_key)
         self.stats = ClassicStats()
-        self.table = MonomialTable(ring)    # shared by every reduction
         if cfg.trace_pairs:
             self.stats.reduced_pairs = []
         for g in inputs:
@@ -205,47 +200,37 @@ class _ClassicEngine:
             batch.append((i, self._lcm_pair_key(m, i, n)))
         self.pairs.add_column(n, batch)
 
-    def _reduce_spair(self, i, j, m):
-        """Top-reduce the S-polynomial of the monic g_i and g_j, whose leads
-        have lcm m, pushed as its two products into the queue, where their
-        lead terms cancel."""
-        ring = self.ring
-        queue = ReducerQueue(ring, self.cfg.queue, self.table)
-        queue.push_product(1, ring.mono_div(m, self.leads[i]), self.polys[i])
-        queue.push_product(ring.char - 1, ring.mono_div(m, self.leads[j]),
-                           self.polys[j])
-        _, r = divide_queue(ring, queue, self.polys, self.lookup,
-                            top_only=True)
-        return r
-
-    def run(self):
+    def _pop(self):
+        """The S-polynomial of the next pair that survives the lcm and
+        graph criteria, as its two products, whose lead terms cancel."""
         cfg = self.cfg
         stats = self.stats
-        while len(self.pairs):
-            if cfg.audit:
-                self.pairs.check_accounting()
-            i, j = self.pairs.pop_min()
-            m = self.ring.mono_lcm(self.leads[i], self.leads[j])
-            if cfg.use_lcm and self._try_lcm(i, j, m):
-                self.tri.set(i, j)
-                continue
-            if cfg.use_graph:
-                verts = self.lookup.find_all_divisors(m)
-                if graph_criterion(self.leads, i, j, m.exps, self.tri,
-                                   verts):
-                    stats.graph += 1
-                    self.tri.set(i, j)
-                    continue
-            stats.reductions += 1
-            if stats.reduced_pairs is not None:
-                stats.reduced_pairs.append((i, j))
+        ring = self.ring
+        i, j = self.pairs.pop_min()
+        m = ring.mono_lcm(self.leads[i], self.leads[j])
+        if cfg.use_lcm and self._try_lcm(i, j, m):
             self.tri.set(i, j)
-            r = self._reduce_spair(i, j, m)
-            if r:
-                self._add(poly_monic(self.ring, r))
-            else:
-                stats.zero_reductions += 1
-        stats.check()
+            return None
+        if cfg.use_graph:
+            verts = self.lookup.find_all_divisors(m)
+            if graph_criterion(self.leads, i, j, m.exps, self.tri, verts):
+                stats.graph += 1
+                self.tri.set(i, j)
+                return None
+        stats.reductions += 1
+        if stats.reduced_pairs is not None:
+            stats.reduced_pairs.append((i, j))
+        # graph_criterion reads this bit, so it is set only now
+        self.tri.set(i, j)
+        return (((1, ring.mono_div(m, self.leads[i]), self.polys[i]),
+                 (ring.char - 1, ring.mono_div(m, self.leads[j]),
+                  self.polys[j])), None, None)
+
+    def _settle(self, info, rem):
+        if rem:
+            self._add(poly_monic(self.ring, rem))
+        else:
+            self.stats.zero_reductions += 1
 
     def result_basis(self):
         alive = [g for g, ok in zip(self.polys, self.live) if ok]
@@ -258,8 +243,9 @@ def buchberger_run(ring: Ring, polys, cfg: ClassicConfig | None = None):
     inputs = prepare_inputs(ring, polys, cfg.interreduce, cfg.queue)
     engine = _ClassicEngine(ring, inputs, cfg)
     engine.run()
+    stats = engine.stats
+    stats.check()
     basis = engine.result_basis()
-    engine.stats.basis_size = len(basis)
-    engine.stats.monomials = sum(len(g) for g in basis)
-    engine.stats.divmask = engine.lookup.stats
-    return basis, engine.stats
+    stats.basis_size = len(basis)
+    stats.monomials = sum(len(g) for g in basis)
+    return basis, stats

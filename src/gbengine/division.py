@@ -1,5 +1,8 @@
-"""The one reduction loop of both engines, and basis normalization helpers.
+"""The one completion loop and the one reduction loop of both engines, and
+basis normalization helpers.
 
+Completion.run pops S-pairs until none is left; each engine supplies the
+pop-time criteria (_pop) and what happens to a remainder (_settle).
 divide_queue keeps the pending terms of the polynomial being reduced in a
 reducer queue, repeatedly extracts the maximal one and asks a divisor
 lookup which basis leads divide it.  A reducer rule argument picks the
@@ -15,6 +18,7 @@ from __future__ import annotations
 from .lookup import make_lookup
 from .poly import Polynomial, poly_monic, poly_normalize
 from .ring import Ring, ff_inv
+from .spairqueue import make_spair_queue
 from .termqueue import MonomialTable, QueueConfig, ReducerQueue
 
 
@@ -89,6 +93,42 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
         coeffs.append(coeff)
         monos.append(mono)
     return quotients, Polynomial(coeffs, monos)
+
+
+class Completion:
+    """The completion loop: each turn _pop returns None when a criterion
+    eliminates the popped pair, or (products, pick, info); the (coeff,
+    mult, poly) products are divided by the basis with the reducer rule
+    pick, and _settle(info, remainder) records the outcome."""
+
+    top_only = False
+
+    def __init__(self, ring: Ring, cfg):
+        self.ring = ring
+        self.cfg = cfg
+        self.polys = []                     # the reducers by basis index
+        self.lookup = make_lookup(cfg.lookup, ring)     # over their leads
+        self.pairs = make_spair_queue(cfg.spair_queue, self._pair_key)
+        self.table = MonomialTable(ring)    # shared by every reduction
+
+    def run(self):
+        ring = self.ring
+        cfg = self.cfg
+        pairs = self.pairs
+        while len(pairs):
+            if cfg.audit:
+                pairs.check_accounting()
+            popped = self._pop()
+            if popped is None:
+                continue
+            products, pick, info = popped
+            queue = ReducerQueue(ring, cfg.queue, self.table)
+            for coeff, mult, poly in products:
+                queue.push_product(coeff, mult, poly)
+            _, rem = divide_queue(ring, queue, self.polys, self.lookup,
+                                  self.top_only, pick=pick)
+            self._settle(info, rem)
+        self.stats.divmask = self.lookup.stats
 
 
 def prepare_inputs(ring: Ring, polys, reduce: bool, queue_cfg=None):

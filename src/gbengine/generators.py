@@ -9,7 +9,7 @@ n+1 variables, is available via convention="classic".
 from __future__ import annotations
 
 from .poly import Polynomial, poly_from_exps
-from .ring import Ring
+from .ring import Ring, clip
 
 KATSURA_CONVENTIONS = ("vars", "classic")
 
@@ -95,6 +95,9 @@ def builtin_ideal(name: str, p: int = 101):
     for prefix, builder in (("hcyclic", lambda k: cyclic_ideal(k, p, True)),
                             ("katsura", lambda k: katsura_ideal(k, p)),
                             ("cyclic", lambda k: cyclic_ideal(k, p))):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return builder(int(name[len(prefix):]))
-    raise ValueError("unknown builtin ideal %r" % (name,))
+        size = name[len(prefix):]
+        if name.startswith(prefix) and size.isdigit():
+            if len(size) > 3:       # no family that large fits MAX_VARS
+                raise ValueError("%s size out of range" % prefix)
+            return builder(int(size))
+    raise ValueError("unknown builtin ideal %r" % (clip(name),))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .poly import Polynomial, poly_normalize
-from .ring import MAX_VARS, Ring, is_prime, ring_from_order_spec
+from .ring import MAX_VARS, Ring, clip, is_prime, ring_from_order_spec
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
 _FACTOR = re.compile(r"^(?:(\d+)|x(\d+)(?:\^(\d+))?)$")
@@ -54,7 +54,8 @@ def _parse_poly(ring: Ring, text: str, lineno: int) -> Polynomial:
         for factor in chunk.split("*"):
             m = _FACTOR.match(factor)
             if not m:
-                raise IdealFileError("bad term factor %r" % factor, lineno)
+                raise IdealFileError("bad term factor %r" % clip(factor),
+                                     lineno)
             if m.group(1) is not None:
                 coeff = coeff * _int(m.group(1), "coefficient literal too "
                                      "long", lineno) % p
@@ -62,7 +63,8 @@ def _parse_poly(ring: Ring, text: str, lineno: int) -> Polynomial:
                 var = _int(m.group(2), "variable index out of range", lineno)
                 if not 1 <= var <= ring.num_vars:
                     raise IdealFileError(
-                        "variable index %d out of range" % var, lineno)
+                        "variable index %s out of range" % clip(str(var)),
+                        lineno)
                 exps[var - 1] += (_int(m.group(3), "exponent out of range",
                                        lineno) if m.group(3) else 1)
         try:
@@ -79,20 +81,15 @@ def parse_ideal(text: str):
     if len(lines) < 3:
         raise IdealFileError("expected characteristic, num_vars and order "
                              "header lines")
-    try:
-        p = int(lines[0].strip())
-    except ValueError:
-        raise IdealFileError("bad characteristic %r" % lines[0].strip(), 1)
-    if not is_prime(p) or not 2 <= p < 2**31:
+    head = [line.strip() for line in lines[:3]]
+    p = _int(head[0], "bad characteristic %r" % clip(head[0]), 1)
+    if not 2 <= p < 2**31 or not is_prime(p):
         raise IdealFileError("characteristic not prime", 1)
-    try:
-        nv = int(lines[1].strip())
-    except ValueError:
-        raise IdealFileError("bad variable count %r" % lines[1].strip(), 2)
+    nv = _int(head[1], "bad variable count %r" % clip(head[1]), 2)
     if not 1 <= nv <= MAX_VARS:
         raise IdealFileError("variable count not in 1..%d" % MAX_VARS, 2)
     try:
-        ring = ring_from_order_spec(p, nv, lines[2].strip())
+        ring = ring_from_order_spec(p, nv, head[2])
     except ValueError as exc:
         raise IdealFileError(str(exc), 3)
     polys = []

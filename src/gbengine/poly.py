@@ -85,12 +85,6 @@ def poly_add(ring: Ring, f: Polynomial, g: Polynomial) -> Polynomial:
     return poly_normalize(ring, zip(f.coeffs + g.coeffs, f.monos + g.monos))
 
 
-def poly_sub(ring: Ring, f: Polynomial, g: Polynomial) -> Polynomial:
-    p = ring.char
-    return poly_normalize(ring, zip(f.coeffs + tuple(p - c for c in g.coeffs),
-                                    f.monos + g.monos))
-
-
 def poly_mul_term(ring: Ring, f: Polynomial, coeff: int, mono: Monomial) -> Polynomial:
     p = ring.char
     coeff %= p
@@ -99,15 +93,6 @@ def poly_mul_term(ring: Ring, f: Polynomial, coeff: int, mono: Monomial) -> Poly
     mul = ring.mono_mul
     return Polynomial([c * coeff % p for c in f.coeffs],
                       [mul(m, mono) for m in f.monos])
-
-
-def poly_mul(ring: Ring, f: Polynomial, g: Polynomial) -> Polynomial:
-    raw = []
-    mul = ring.mono_mul
-    for c, m in zip(f.coeffs, f.monos):
-        for d, n in zip(g.coeffs, g.monos):
-            raw.append((c * d, mul(m, n)))
-    return poly_normalize(ring, raw)
 
 
 def poly_from_exps(ring: Ring, pairs) -> Polynomial:

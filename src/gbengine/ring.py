@@ -43,6 +43,11 @@ def key_bound(num_vars: int) -> int:
     return num_vars * MAX_EXPONENT * _DIGIT_BASE ** (num_vars + 3)
 
 
+def clip(text: str, width: int = 40) -> str:
+    """text cut to width characters, for echoing in an error message."""
+    return text if len(text) <= width else text[:width] + "..."
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -109,7 +114,7 @@ class Ring:
 
     def __init__(self, char: int, num_vars: int, order: str = GREVLEX,
                  elim_block: int | None = None):
-        if not is_prime(char) or not 2 <= char < 2**31:
+        if not 2 <= char < 2**31 or not is_prime(char):
             raise ValueError("characteristic not prime or out of range")
         if not 1 <= num_vars <= MAX_VARS:
             raise ValueError("variable count not in 1..%d" % MAX_VARS)
@@ -223,8 +228,10 @@ def ring_from_order_spec(char: int, num_vars: int, spec: str) -> Ring:
         raise ValueError("empty order spec")
     if parts[0] == ELIM:
         if len(parts) != 2 or not parts[1].isdigit():
-            raise ValueError("bad elimination order spec %r" % (spec,))
+            raise ValueError("bad elimination order spec %r" % (clip(spec),))
+        if len(parts[1]) > 3:       # no block that long fits MAX_VARS
+            raise ValueError("elimination block size out of range")
         return Ring(char, num_vars, ELIM, int(parts[1]))
     if len(parts) != 1 or parts[0] not in (GREVLEX, LEX):
-        raise ValueError("unknown term order %r" % (spec,))
+        raise ValueError("unknown term order %r" % (clip(spec),))
     return Ring(char, num_vars, parts[0])

@@ -12,10 +12,11 @@ Signature keys and sig/lead ratio ranks are single integers whose order
 is the module order, and each basis element carries its ratio rank, so
 every signature comparison in the hot paths is one integer comparison.
 
-Regular reduction runs through division.divide_queue, the reduction loop
-classic Buchberger uses too; the engine passes it the one regular-reducer
-rule (_regular_reducer), which the singular criterion's existence check
-shares.
+The engine runs on division.Completion, the completion loop classic
+Buchberger runs on too: _pop applies the pop-time criteria and yields the
+seed product with the one regular-reducer rule (_regular_reducer), which
+the singular criterion's existence check shares; _settle adds the
+remainder or records a syzygy.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .division import divide_queue, prepare_inputs, reduced_basis
+from .division import Completion, prepare_inputs, reduced_basis
 from .lookup import make_lookup
 from .pairbits import BitTriangle
 from .poly import poly_monic
 from .ring import InvariantError, Monomial, Ring, key_bound
-from .spairqueue import MinHeap, make_spair_queue
-from .termqueue import MonomialTable, QueueConfig, ReducerQueue
+from .spairqueue import MinHeap
+from .termqueue import QueueConfig
 
 MODULE_ORDERS = ("schreyer", "potop")
 TIEBREAKS = ("low-gt", "high-gt")
@@ -45,40 +46,38 @@ class ModuleOrder:
     back to the Schreyer comparison (within one component that is just the
     ring order).
 
-    Keys are integers: Schreyer packs (key + hd key, tie-break) as
-    (key + hd[i]) * scale + tb(i) with scale = 2m + 1 and |tb(i)| < m;
-    potop packs (component, key) as key + 2 * S * i, S bounding |key|.
-    A ratio rank is then the signature key minus scale times the lead key.
+    A signature key is mono.key * scale + offsets[comp], and a sig/lead
+    ratio rank (sig.key - lead.key) * scale + offsets[comp].  Schreyer
+    has scale = 2m + 1 and offsets[i] = hd[i].key * scale - i (low-gt)
+    or + i (high-gt); potop has scale = 1 and offsets[i] = 2 * S * i, S
+    bounding |key|.
     """
 
-    __slots__ = ("kind", "tiebreak", "hd_keys", "hd_monos", "scale", "span")
+    __slots__ = ("hd_monos", "scale", "offsets")
 
     def __init__(self, kind: str, tiebreak: str, input_leads):
         if kind not in MODULE_ORDERS:
             raise ValueError("unknown module order %r" % (kind,))
         if tiebreak not in TIEBREAKS:
             raise ValueError("unknown tiebreak %r" % (tiebreak,))
-        self.kind = kind
-        self.tiebreak = tiebreak
         self.hd_monos = tuple(input_leads)
-        self.hd_keys = tuple(m.key for m in input_leads)
         if kind == "schreyer":
-            self.scale = 2 * len(self.hd_keys) + 1
-            self.span = 0
+            self.scale = scale = 2 * len(self.hd_monos) + 1
+            sign = -1 if tiebreak == "low-gt" else 1
+            self.offsets = tuple(m.key * scale + sign * i
+                                 for i, m in enumerate(self.hd_monos))
         else:
             self.scale = 1
-            self.span = 2 * key_bound(len(self.hd_monos[0].exps))
+            span = 2 * key_bound(len(self.hd_monos[0].exps))
+            self.offsets = tuple(span * i for i in range(len(self.hd_monos)))
 
     def sig_key(self, mono: Monomial, comp: int) -> int:
         """Ascending sort key; equal keys iff equal module terms."""
-        if self.kind == "schreyer":
-            tb = -comp if self.tiebreak == "low-gt" else comp
-            return (mono.key + self.hd_keys[comp]) * self.scale + tb
-        return mono.key + self.span * comp
+        return mono.key * self.scale + self.offsets[comp]
 
     def ratio_rank(self, sig_mono, lead_mono, comp: int) -> int:
         """Sort key of the formal quotient sig/lead under this order."""
-        return self.sig_key(sig_mono, comp) - self.scale * lead_mono.key
+        return (sig_mono.key - lead_mono.key) * self.scale + self.offsets[comp]
 
     def module_cmp(self, a_mono, a_comp, b_mono, b_comp) -> int:
         ka = self.sig_key(a_mono, a_comp)
@@ -279,24 +278,19 @@ def _divides_bound(mono: Monomial, bound) -> bool:
     return True
 
 
-class _SBEngine:
+class _SBEngine(Completion):
     def __init__(self, ring: Ring, inputs, cfg: SBConfig):
-        self.ring = ring
-        self.cfg = cfg
+        super().__init__(ring, cfg)
         self.morder = ModuleOrder(cfg.module_order, cfg.tiebreak,
                                   [g.lead_mono for g in inputs])
         self.m = len(inputs)
         self.entries = []
-        self.polys = []     # entries' polynomials, the reducers by index
-        self.lead_lookup = make_lookup(cfg.lookup, ring)
         self.sig_lookups = [make_lookup(cfg.lookup, ring)
                             for _ in range(self.m)]
         self.syz = SyzygySet(ring, self.m, cfg.lookup)
         self.tri = BitTriangle(cfg.tri_bit_cap)
         self.koszul = MinHeap()
-        self.pairs = make_spair_queue(cfg.spair_queue, self._pair_key)
         self.stats = SigStats()
-        self.table = MonomialTable(ring)    # shared by every reduction
         self._last_key = None
         for i, g in enumerate(inputs):
             self._append_entry(ring.one, i, g)
@@ -310,15 +304,24 @@ class _SBEngine:
         self.entries.append(entry)
         self.polys.append(poly)
         self._make_new_spairs(entry)
-        self.lead_lookup.insert(entry.lead, idx)
-        self.lead_lookup.maybe_rebuild()
+        self.lookup.insert(entry.lead, idx)
+        self.lookup.maybe_rebuild()
         self.sig_lookups[sig_comp].insert(sig_mono, idx)
         self.sig_lookups[sig_comp].maybe_rebuild()
         return entry
 
     def _pair_key(self, i, j):
-        return self.morder.sig_key(*spair_signature(
-            self.ring, self.entries[i], self.entries[j]))
+        """sig_key of spair_signature(entries[i], entries[j]), made with
+        no Monomial: the larger ratio rank plus scale * key(lcm of leads)."""
+        a, b = self.entries[i], self.entries[j]
+        return max(a.ratio_rank, b.ratio_rank) + self.morder.scale * \
+            self.ring.key_of(map(max, a.lead.exps, b.lead.exps))
+
+    def _koszul_key(self, i, j):
+        """sig_key of koszul_signature(entries[i], entries[j]), likewise."""
+        a, b = self.entries[i], self.entries[j]
+        return max(a.ratio_rank, b.ratio_rank) + self.morder.scale * (
+            a.lead.key + b.lead.key)
 
     def _set_bits(self, pairs):
         tri = self.tri
@@ -341,7 +344,7 @@ class _SBEngine:
         high = low = None
         vbound = None
         if self.cfg.base_divisors >= 1:
-            high = self._max_ratio_divisor(self.lead_lookup, beta.lead)
+            high = self._max_ratio_divisor(self.lookup, beta.lead)
         if self.cfg.base_divisors >= 2:
             low = self._max_ratio_divisor(self.sig_lookups[beta.sig_comp],
                                           beta.sig_mono)
@@ -401,17 +404,14 @@ class _SBEngine:
 
     # -- pop-time pipeline --------------------------------------------------
 
-    def _pop_group(self):
+    def _pop(self):
+        """The seed product of the next surviving signature, with its
+        regular-reducer rule."""
         pairs = self.pairs
-        if self.cfg.audit:
-            pairs.check_accounting()
         tkey = pairs.peek_min_key()
-        group = []
-        while True:
+        group = [pairs.pop_min()]
+        while pairs.peek_min_key() == tkey:
             group.append(pairs.pop_min())
-            nxt = pairs.peek_min_key()
-            if nxt is None or nxt != tkey:
-                break
         group.sort(key=lambda ij: (ij[1], ij[0]))
         if self._last_key is not None and tkey < self._last_key:
             raise InvariantError("signature monotonicity")
@@ -421,8 +421,9 @@ class _SBEngine:
         stats.duplicate += len(group) - 1
         i0, j0 = group[0]
         entries = self.entries
-        sig = spair_signature(self.ring, entries[i0], entries[j0])
-        tmono, tcomp = sig
+        tmono, tcomp = spair_signature(self.ring, entries[i0], entries[j0])
+        if self.morder.sig_key(tmono, tcomp) != tkey:
+            raise InvariantError("pair key is not its signature's key")
         if cfg.use_signature and self.syz.divides(tmono, tcomp):
             stats.sig_late += 1
             self._set_bits(group)
@@ -448,14 +449,15 @@ class _SBEngine:
         if cfg.use_koszul:
             pushees = group if cfg.koszul_push == "group" else group[:1]
             for i, j in pushees:
-                ksig = koszul_signature(self.ring, entries[i], entries[j])
-                self.koszul.push(self.morder.sig_key(*ksig))
+                self.koszul.push(self._koszul_key(i, j))
         champion, tmult = self._champion(tmono, tcomp)
         if cfg.use_singular and not self._regular_top_reducible(
                 self.ring.mono_mul(tmult, champion.lead), tkey):
             stats.singular_late += 1
             return None
-        return sig, champion, tmult, group
+        return (((1, tmult, champion.poly),),
+                partial(self._regular_reducer, cfg.reducer_select, tkey),
+                (tmono, tcomp, group))
 
     def _champion(self, tmono, tcomp):
         """Basis element whose signature divides T with the smallest lead
@@ -478,7 +480,7 @@ class _SBEngine:
 
     def _regular_top_reducible(self, mono, tkey):
         """Has mono, a term of signature key tkey, a regular reducer?"""
-        cands = self.lead_lookup.find_all_divisors(mono)
+        cands = self.lookup.find_all_divisors(mono)
         return self._regular_reducer(None, tkey, mono, cands) is not None
 
     # -- regular reduction ---------------------------------------------------
@@ -501,52 +503,30 @@ class _SBEngine:
                  if entries[i].ratio_rank < rank]
         return select(valid).idx if valid else None
 
-    def _regular_reduce(self, tmono, tcomp, seed_entry, seed_mult):
-        queue = ReducerQueue(self.ring, self.cfg.queue, self.table)
-        queue.push_product(1, seed_mult, seed_entry.poly)
-        pick = partial(self._regular_reducer, self.cfg.reducer_select,
-                       self.morder.sig_key(tmono, tcomp))
-        _, rem = divide_queue(self.ring, queue, self.polys, self.lead_lookup,
-                              top_only=False, pick=pick)
-        return rem
-
-    # -- main loop -------------------------------------------------------------
-
-    def run(self):
+    def _settle(self, info, rem):
+        tmono, tcomp, group = info
         stats = self.stats
-        while len(self.pairs):
-            res = self._pop_group()
-            if res is None:
-                continue
-            (tmono, tcomp), champion, tmult, group = res
-            rem = self._regular_reduce(tmono, tcomp, champion, tmult)
-            if rem:
-                rank = self.morder.ratio_rank(tmono, rem.lead_mono, tcomp)
-                if self._singular_top_reducible(rem.lead_mono, rank):
-                    # the champion construction makes this unreachable while
-                    # the singular criterion is enabled
-                    if self.cfg.use_singular:
-                        raise InvariantError("singular remainder")
-                    stats.singular_late += 1
-                    continue
-                stats.need_reduction += 1
-                stats.to_sb += 1
-                self._append_entry(tmono, tcomp, poly_monic(self.ring, rem))
-            else:
-                stats.need_reduction += 1
-                stats.to_syzygy += 1
-                self.syz.insert(tmono, tcomp)
-                self._set_bits(group)
-        stats.sb_size = len(self.entries)
-        stats.monomials = sum(len(e.poly) for e in self.entries)
-        stats.divmask = self.lead_lookup.stats
-        stats.check(self.cfg.early_singular)
-        if self.cfg.audit:
-            self.syz.audit_minimal()
+        if rem:
+            rank = self.morder.ratio_rank(tmono, rem.lead_mono, tcomp)
+            if self._singular_top_reducible(rem.lead_mono, rank):
+                # the champion construction makes this unreachable while
+                # the singular criterion is enabled
+                if self.cfg.use_singular:
+                    raise InvariantError("singular remainder")
+                stats.singular_late += 1
+                return
+            stats.need_reduction += 1
+            stats.to_sb += 1
+            self._append_entry(tmono, tcomp, poly_monic(self.ring, rem))
+        else:
+            stats.need_reduction += 1
+            stats.to_syzygy += 1
+            self.syz.insert(tmono, tcomp)
+            self._set_bits(group)
 
     def _singular_top_reducible(self, lead_mono, rank):
         entries = self.entries
-        for i in self.lead_lookup.find_all_divisors(lead_mono):
+        for i in self.lookup.find_all_divisors(lead_mono):
             if entries[i].ratio_rank == rank:
                 return True
         return False
@@ -577,7 +557,13 @@ def sb_run(ring: Ring, polys, cfg: SBConfig | None = None) -> SBResult:
     inputs = prepare_inputs(ring, polys, cfg.interreduce, cfg.queue)
     engine = _SBEngine(ring, inputs, cfg)
     engine.run()
+    stats = engine.stats
+    stats.sb_size = len(engine.entries)
+    stats.monomials = sum(len(e.poly) for e in engine.entries)
+    stats.check(cfg.early_singular)
+    if cfg.audit:
+        engine.syz.audit_minimal()
     syzygies = sorted(engine.syz.signatures(),
                       key=lambda mc: engine.morder.sig_key(*mc))
     return SBResult(ring, engine.morder, engine.entries, syzygies,
-                    engine.stats, cfg)
+                    stats, cfg)

@@ -12,8 +12,8 @@ the standard library's heapq.  Every flavour works over a MonomialTable,
 which a run shares between its queues.  The table interns each product
 monomial to a small int id, stores the id's negated order key (so the
 smallest key is the largest monomial), caches per product mult * poly the
-row of ids of its terms, and makes an id's monomial once, at its first
-nonzero pop.  Backends order entries by their first field, that key:
+row of ids of its terms, and makes an id's monomial once, when it interns
+the id.  Backends order entries by their first field, that key:
 
   plain       (key, c, id), c the term's coefficient; dedup folds
               entries of equal key by adding c
@@ -381,7 +381,7 @@ class MonomialTable:
     nothing behind here.
     """
 
-    __slots__ = ("ring", "ids", "keys", "factors", "monos", "rows")
+    __slots__ = ("ring", "ids", "keys", "monos", "rows")
 
     def __init__(self, ring: Ring):
         self.ring = ring
@@ -389,8 +389,7 @@ class MonomialTable:
         # negated order key, so the min-first backends pop the largest
         self.ids = {}           # key -> id
         self.keys = []          # id -> key
-        self.factors = []       # id -> (mult, mono) whose product it names
-        self.monos = []         # id -> Monomial, or None until it first pops
+        self.monos = []         # id -> Monomial
         # (mult key, poly) -> ids of the terms of mult * poly; polynomials
         # hash and compare by value, so equal products share one row
         self.rows = {}
@@ -408,20 +407,14 @@ class MonomialTable:
                 k = nmk - m.key
                 t = ids.get(k)
                 if t is None:
+                    # made first, so that an exponent-cap error leaves
+                    # ids, keys and monos in step
+                    self.monos.append(self.ring.mono_mul(mult, m))
                     t = ids[k] = len(keys)
                     keys.append(k)
-                    self.factors.append((mult, m))
-                    self.monos.append(None)
                 out.append(t)
             row = self.rows[rk] = tuple(out)
         return row
-
-    def monomial(self, t):
-        """The monomial of id t, made at the first call for t."""
-        m = self.monos[t]
-        if m is None:
-            m = self.monos[t] = self.ring.mono_mul(*self.factors[t])
-        return m
 
 
 class ReducerQueue:
@@ -495,7 +488,7 @@ class ReducerQueue:
                 coeff = acc[t] % p
                 acc[t] = 0
                 if coeff:
-                    return (coeff, self.table.monomial(t))
+                    return (coeff, self.table.monos[t])
         table = self.table
         tkeys = table.keys
         compressed = self.cfg.compressed
@@ -522,7 +515,7 @@ class ReducerQueue:
                 top = backend.peek()
             coeff %= p
             if coeff:
-                return (coeff, table.monomial(t))
+                return (coeff, table.monos[t])
 
     def audit(self):
         """Assert that every entry's key is the table key of its id (for a

@@ -127,6 +127,16 @@ def test_char_with_file_is_usage_error(tmp_path, capsys):
         _run(capsys, "run", str(path))
 
 
+@pytest.mark.parametrize("argv", [("run", "katsura" + "9" * 5000),
+                                  ("gen", "hcyclic" + "9" * 5000),
+                                  ("gen", "x" * 5000)],
+                         ids=["run-size", "gen-size", "gen-name"])
+def test_overlong_builtin_name_is_short_error(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and len(err) < 100, err[:100]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "basis.txt"
     code, out, _ = _run(capsys, "run", "--algorithm", "classic", "--out",

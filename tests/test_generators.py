@@ -64,3 +64,12 @@ def test_generator_bad_sizes():
         cyclic_ideal(1)
     with pytest.raises(ValueError):
         katsura_ideal(0)
+
+
+@pytest.mark.parametrize("name", ["katsura" + "9" * 5000, "cyclic1000",
+                                  "hcyclic" + "9" * 5000],
+                         ids=["katsura-5000-digits", "cyclic1000",
+                              "hcyclic-5000-digits"])
+def test_builtin_size_past_three_digits_is_out_of_range(name):
+    with pytest.raises(ValueError, match="size out of range"):
+        builtin_ideal(name)

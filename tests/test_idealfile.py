@@ -44,6 +44,25 @@ def test_parse_overlong_coefficient_reports_line():
         parse_ideal("101\n2\ngrevlex\nx2+1\n" + "1" * 5000 + "*x1\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("9" * 5000 + "\n2\ngrevlex\nx1\n", 1),
+    ("x" * 5000 + "\n2\ngrevlex\nx1\n", 1),
+    ("101\n" + "9" * 5000 + "\ngrevlex\nx1\n", 2),
+    ("101\n" + "x" * 5000 + "\ngrevlex\nx1\n", 2),
+    ("101\n2\n" + "x" * 5000 + "\nx1\n", 3),
+    ("101\n2\nelim " + "9" * 5000 + "\nx1\n", 3),
+    ("101\n2\nelim " + "x" * 5000 + "\nx1\n", 3),
+    ("101\n2\ngrevlex\nx1*" + "y" * 5000 + "\n", 4),
+    ("101\n2\ngrevlex\nx" + "9" * 4000 + "\n", 4),
+], ids=["char-digits", "char-text", "nvars-digits", "nvars-text",
+        "order-text", "elim-digits", "elim-text", "factor", "var-index"])
+def test_parse_overlong_text_gives_short_error(text, line):
+    with pytest.raises(IdealFileError) as err:
+        parse_ideal(text)
+    assert err.value.line == line
+    assert len(str(err.value)) < 100, str(err.value)[:100]
+
+
 def test_parse_variable_count_capped_on_line_2():
     ring, _ = parse_ideal("101\n%d\ngrevlex\nx1\n" % MAX_VARS)
     assert ring.num_vars == MAX_VARS

@@ -7,9 +7,12 @@ import random
 
 import pytest
 
-from gbengine import ClassicConfig, ModuleOrder, Ring, poly_from_exps
+from gbengine import (ClassicConfig, ModuleOrder, Ring, SBConfig,
+                      builtin_ideal, koszul_signature, poly_from_exps,
+                      spair_signature)
 from gbengine.buchberger import _ClassicEngine
 from gbengine.ring import MAX_EXPONENT
+from gbengine.sigbasis import _SBEngine
 
 RINGS = [Ring(32003, 4, "grevlex"), Ring(32003, 4, "lex"),
          Ring(32003, 5, "elim", 2)]
@@ -91,3 +94,27 @@ def test_classic_pair_key_matches_tuple(ring):
         ints.append(engine._pair_key(i, j))
         tuples.append((m.deg, m.key, j, i))
     _assert_same_order(ints, tuples)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("kind", ["schreyer", "potop"])
+@pytest.mark.parametrize("tiebreak", ["low-gt", "high-gt"])
+def test_sb_pair_and_koszul_keys_match_signatures(order, kind, tiebreak):
+    # a finished cyclic4 run, so that signatures are not all trivial
+    base, polys = builtin_ideal("cyclic4")
+    ring = Ring(base.char, base.num_vars, order)
+    inputs = [poly_from_exps(ring, [(c, m.exps)
+                                    for c, m in zip(g.coeffs, g.monos)])
+              for g in polys]
+    engine = _SBEngine(ring, inputs, SBConfig(module_order=kind,
+                                              tiebreak=tiebreak))
+    engine.run()
+    entries = engine.entries
+    assert any(e.sig_mono != ring.one for e in entries)
+    for j in range(len(entries)):
+        for i in range(j):
+            a, b = entries[i], entries[j]
+            assert engine._pair_key(i, j) == engine.morder.sig_key(
+                *spair_signature(ring, a, b))
+            assert engine._koszul_key(i, j) == engine.morder.sig_key(
+                *koszul_signature(ring, a, b))

@@ -54,6 +54,18 @@ def test_ring_validation():
         Ring(101, 3, "weird")
 
 
+def test_characteristic_range_checked_before_primality(monkeypatch):
+    # a primality test of a 4,000-digit characteristic takes seconds;
+    # out of range, it is never run
+    def no_prime_test(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr("gbengine.ring.is_prime", no_prime_test)
+    for char in (2**31 + 11, 10**4000 + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            Ring(char, 3)
+
+
 def test_variable_count_capped():
     # the order weights grow as the square of the variable count
     assert Ring(101, MAX_VARS).num_vars == MAX_VARS
