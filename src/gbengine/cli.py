@@ -23,6 +23,7 @@ from .buchberger import ClassicConfig, buchberger_run
 from .generators import builtin_ideal
 from .idealfile import mono_str, parse_ideal, poly_str, print_ideal
 from .lookup import LOOKUP_KINDS
+from .ring import decimal
 from .sigbasis import SBConfig, sb_run
 from .spairqueue import SPAIR_QUEUE_KINDS
 from .termqueue import BACKENDS, QueueConfig
@@ -49,19 +50,19 @@ def _build_parser():
                      default="schreyer")
     run.add_argument("--schreyer-tiebreak", choices=("low-gt", "high-gt"),
                      default="low-gt")
-    run.add_argument("--base-divisors", type=int, default=2,
+    run.add_argument("--base-divisors", default="2",
                      metavar="N", help="0, 1 (high only) or 2")
     run.add_argument("--early-singular", action="store_true")
     run.add_argument("--no-interreduce", action="store_true",
                      help="skip input interreduction")
-    run.add_argument("--char", type=int,
+    run.add_argument("--char",
                      help="characteristic for builtin ideals (default 101)")
     run.add_argument("--stats", action="store_true")
     run.add_argument("--out", metavar="FILE")
 
     gen = sub.add_parser("gen", help="print a builtin ideal")
     gen.add_argument("name", help="katsuraN, cyclicN or hcyclicN")
-    gen.add_argument("--char", type=int, default=101)
+    gen.add_argument("--char", default="101")
     return ap
 
 
@@ -71,7 +72,8 @@ def _load_input(args):
             raise ValueError("--char applies to builtin ideals only")
         with open(args.input) as fh:
             return parse_ideal(fh.read())
-    return builtin_ideal(args.input, 101 if args.char is None else args.char)
+    return builtin_ideal(args.input, 101 if args.char is None
+                         else decimal(args.char, "--char value"))
 
 
 def _queue_config(args):
@@ -104,7 +106,7 @@ def _cmd_run(args) -> int:
     if not polys:
         raise ValueError("input has no polynomials")
     qcfg = _queue_config(args)
-    if args.base_divisors not in (0, 1, 2):
+    if args.base_divisors not in ("0", "1", "2"):
         raise ValueError("--base-divisors takes 0, 1 or 2")
     t0 = time.monotonic()
     lines = []
@@ -122,7 +124,7 @@ def _cmd_run(args) -> int:
         cfg = SBConfig(module_order=args.module_order,
                        tiebreak=args.schreyer_tiebreak, queue=qcfg,
                        lookup=args.lookup, spair_queue=args.spair_queue,
-                       base_divisors=args.base_divisors,
+                       base_divisors=int(args.base_divisors),
                        early_singular=args.early_singular,
                        interreduce=not args.no_interreduce)
         res = sb_run(ring, polys, cfg)
@@ -150,7 +152,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    ring, polys = builtin_ideal(args.name, args.char)
+    ring, polys = builtin_ideal(args.name, decimal(args.char, "--char value"))
     sys.stdout.write(print_ideal(ring, polys))
     return 0
 

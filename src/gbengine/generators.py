@@ -14,8 +14,7 @@ from .ring import Ring, clip
 KATSURA_CONVENTIONS = ("vars", "classic")
 
 
-def katsura_ideal(n: int, p: int = 101, convention: str = "vars",
-                  linear_first: bool = True):
+def katsura_ideal(n: int, p: int = 101, convention: str = "vars"):
     """Katsura system over F_p, grevlex.
 
     convention="vars": n variables u_0..u_{n-1} and n equations.
@@ -52,8 +51,7 @@ def katsura_ideal(n: int, p: int = 101, convention: str = "vars",
                 raw.append((1, tuple(e)))
         raw.append((p - 1, _unit_exps(nv, k)))
         quads.append(poly_from_exps(ring, raw))
-    polys = [linear] + quads if linear_first else quads + [linear]
-    return ring, polys
+    return ring, [linear] + quads
 
 
 def _unit_exps(n, i, power=1):
@@ -96,7 +94,7 @@ def builtin_ideal(name: str, p: int = 101):
                             ("katsura", lambda k: katsura_ideal(k, p)),
                             ("cyclic", lambda k: cyclic_ideal(k, p))):
         size = name[len(prefix):]
-        if name.startswith(prefix) and size.isdigit():
+        if name.startswith(prefix) and size.isascii() and size.isdigit():
             if len(size) > 3:       # no family that large fits MAX_VARS
                 raise ValueError("%s size out of range" % prefix)
             return builder(int(size))

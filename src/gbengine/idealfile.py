@@ -13,10 +13,11 @@ from __future__ import annotations
 import re
 
 from .poly import Polynomial, poly_normalize
-from .ring import MAX_VARS, Ring, clip, is_prime, ring_from_order_spec
+from .ring import (MAX_VARS, Ring, clip, decimal, is_prime,
+                   ring_from_order_spec)
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
-_FACTOR = re.compile(r"^(?:(\d+)|x(\d+)(?:\^(\d+))?)$")
+_FACTOR = re.compile(r"^(?:([0-9]+)|x([0-9]+)(?:\^([0-9]+))?)$")
 
 
 class IdealFileError(ValueError):
@@ -29,9 +30,8 @@ class IdealFileError(ValueError):
 
 def _int(literal: str, error: str, lineno: int) -> int:
     try:
-        return int(literal)
+        return decimal(literal)
     except ValueError:
-        # int() refuses a literal of more than 4300 digits
         raise IdealFileError(error, lineno)
 
 

@@ -7,16 +7,20 @@ observationally identical: pop_max always returns the order-maximal
 monomial with every pending contribution to its coefficient folded
 together, skipping monomials whose contributions cancel.
 
-Every backend pops the entry of smallest first field; the binary heap is
-the standard library's heapq.  Every flavour works over a MonomialTable,
-which a run shares between its queues.  The table interns each product
-monomial to a small int id, stores the id's negated order key (so the
-smallest key is the largest monomial), caches per product mult * poly the
-row of ids of its terms, and makes an id's monomial once, when it interns
-the id.  Backends order entries by their first field, that key:
+Every backend is a bare priority queue: it pops the entry of smallest
+first field and does no field arithmetic; the binary heap is the standard
+library's heapq.  Entry coefficients are unreduced (a fold adds them as
+they are), and only ReducerQueue reduces mod p: the multiplier when a
+product is pushed, and each sum as it pops.  Every flavour works over a
+MonomialTable, which a run shares between its queues.  The table interns
+each product monomial to a small int id, stores the id's negated order
+key (so the smallest key is the largest monomial), caches per product
+mult * poly the row of ids of its terms, and makes an id's monomial once,
+when it interns the id.  Backends order entries by their first field,
+that key:
 
-  plain       (key, c, id), c the term's coefficient; dedup folds
-              entries of equal key by adding c
+  plain       (key, c, id), c the term's unreduced coefficient; dedup
+              folds entries of equal key by adding c
   compressed  (key, c, j, row, coeffs): a cursor at term j of a product,
               c the multiplier's coefficient; it advances by replace-top
   hashed      (key, id), the id's contributions summed unreduced (all
@@ -81,12 +85,11 @@ def all_queue_configs():
 class Heap:
     """Binary min-heap on heapq."""
 
-    __slots__ = ("a", "fold", "p")
+    __slots__ = ("a", "fold")
 
-    def __init__(self, fold=False, p=0):
+    def __init__(self, fold=False):
         self.a = []
         self.fold = fold
-        self.p = p
 
     def __len__(self):
         return len(self.a)
@@ -105,7 +108,7 @@ class Heap:
             i = (len(a) - 1) >> 1
             par = a[i]
             if par[0] == e[0]:
-                a[i] = (par[0], (par[1] + e[1]) % self.p) + par[2:]
+                a[i] = (par[0], par[1] + e[1]) + par[2:]
                 return
         heappush(a, e)
 
@@ -137,12 +140,11 @@ class Heap:
 class Geobucket:
     """Yan-style bucket list; bucket i holds at most 4 * 4^i entries."""
 
-    __slots__ = ("buckets", "fold", "p", "heads")
+    __slots__ = ("buckets", "fold", "heads")
 
-    def __init__(self, fold=False, p=0):
+    def __init__(self, fold=False):
         self.buckets = []       # each descending by key (min at the end)
         self.fold = fold
-        self.p = p
         self.heads = []         # heap of (last key, index), nonempty buckets
 
     def __len__(self):
@@ -186,7 +188,6 @@ class Geobucket:
         out = []
         push = out.append
         fold = self.fold
-        p = self.p
         i = j = 0
         nx, ny = len(x), len(y)
         while i < nx and j < ny:
@@ -198,7 +199,7 @@ class Geobucket:
                 push(b)
                 j += 1
             elif fold:
-                push((a[0], (a[1] + b[1]) % p) + a[2:])
+                push((a[0], a[1] + b[1]) + a[2:])
                 i += 1
                 j += 1
             else:
@@ -248,47 +249,69 @@ class Geobucket:
 
 
 class TourTree:
-    """Tournament tree in an array; interior nodes name their winning leaf.
+    """Tournament tree in one array of 2 * cap leaf indices.
 
-    Winner replacement replays one root path, a single comparison per
-    level, which makes replace-top cheap.
+    win[cap + i] = i for leaf i, and for 1 <= n < cap win[n] is the leaf
+    of the smallest entry below node n (the left one on a tie); so win[1]
+    is the winner, and a None there means an empty tree.  Free leaves hold
+    None and are listed in free.  Replacing the winner replays one root
+    path, a single comparison per level, which makes replace-top cheap.
     """
 
-    __slots__ = ("cap", "leaves", "inner", "free", "size", "fold", "p")
+    __slots__ = ("cap", "leaves", "win", "free", "fold")
 
-    def __init__(self, fold=False, p=0):
+    def __init__(self, fold=False):
         self.cap = 2
         self.leaves = [None, None]
-        self.inner = [0, 0]     # inner[1] = winning leaf index of the root
+        self.win = [0, 0, 0, 1]
         self.free = [1, 0]
-        self.size = 0
         self.fold = fold
-        self.p = p
 
     def __len__(self):
-        return self.size
+        return self.cap - len(self.free)
 
     def __iter__(self):
         return (e for e in self.leaves if e is not None)
 
     def _grow(self):
-        old = [e for e in self.leaves if e is not None]
-        self.cap *= 2
-        self.leaves = [None] * self.cap
-        for i, e in enumerate(old):
-            self.leaves[i] = e
-        self.free = list(range(self.cap - 1, len(old) - 1, -1))
-        self.inner = [0] * self.cap
-        for leaf in range(0, self.cap, 2):
-            self._replay_path(leaf)
+        # every leaf keeps its index; the new half is free
+        old = self.cap
+        cap = self.cap = 2 * old
+        self.leaves += [None] * old
+        self.free = list(range(cap - 1, old - 1, -1))
+        self.win = [0] * cap + list(range(cap))
+        for n in range(cap - 1, 0, -1):
+            self._play(n, n)
+
+    def _play(self, n, top=1):
+        """Replay the match at node n and at each ancestor up to node top
+        (n alone when top is n): the smaller key wins, the left on a tie."""
+        leaves, win = self.leaves, self.win
+        while n >= top:
+            i, j = win[2 * n], win[2 * n + 1]
+            a, b = leaves[i], leaves[j]
+            win[n] = j if a is None or b is not None and b[0] < a[0] else i
+            n >>= 1
+
+    def _set(self, leaf, e):
+        """Put e (None to free the leaf) at leaf, fold it into its sibling
+        on equal keys, and replay the leaf's path."""
+        leaves = self.leaves
+        leaves[leaf] = e
+        if self.fold and e is not None:
+            sib = leaf ^ 1
+            b = leaves[sib]
+            if b is not None and b[0] == e[0]:
+                lo, hi = (leaf, sib) if leaf < sib else (sib, leaf)
+                leaves[lo] = (e[0], e[1] + b[1]) + e[2:]
+                leaves[hi] = None
+                self.free.append(hi)
+        self._play((self.cap + leaf) >> 1)
 
     def push(self, e):
         if not self.free:
             self._grow()
-        leaf = self.free.pop()
-        self.leaves[leaf] = e
-        self.size += 1
-        self._replay_path(leaf)
+        self._set(self.free.pop(), e)
 
     def push_run(self, run):
         """Insert a run of entries in ascending key order."""
@@ -296,80 +319,46 @@ class TourTree:
             self.push(e)
 
     def peek(self):
-        if self.size == 0:
-            return None
-        return self.leaves[self.inner[1]]
+        return self.leaves[self.win[1]]
 
     def pop(self):
-        if self.size == 0:
-            return None
-        leaf = self.inner[1]
+        leaf = self.win[1]
         e = self.leaves[leaf]
-        self.leaves[leaf] = None
-        self.free.append(leaf)
-        self.size -= 1
-        self._replay_path(leaf)
+        if e is not None:
+            self.free.append(leaf)
+            self._set(leaf, None)
         return e
 
     def replace_top(self, e):
-        if self.size == 0:
+        leaf = self.win[1]
+        top = self.leaves[leaf]
+        if top is None:
             raise ValueError("replace_top on empty queue")
-        leaf = self.inner[1]
-        if e[0] < self.leaves[leaf][0]:
+        if e[0] < top[0]:
             raise ValueError("replace_top key below current min")
-        self.leaves[leaf] = e
-        self._replay_path(leaf)
-
-    def _winner_of(self, pos):
-        # interior position -> winning leaf index; leaf positions map directly
-        if pos >= self.cap:
-            return pos - self.cap
-        return self.inner[pos]
-
-    def _replay_path(self, leaf):
-        leaves, inner, cap = self.leaves, self.inner, self.cap
-        if self.fold:
-            sib = leaf ^ 1
-            a, b = leaves[leaf], leaves[sib]
-            if a is not None and b is not None and a[0] == b[0]:
-                lo, hi = (leaf, sib) if leaf < sib else (sib, leaf)
-                leaves[lo] = (a[0], (a[1] + b[1]) % self.p) + a[2:]
-                leaves[hi] = None
-                self.free.append(hi)
-                self.size -= 1
-        pos = (cap + leaf) >> 1
-        while pos >= 1:
-            l = pos << 1
-            inner[pos] = self._pick(self._winner_of(l), self._winner_of(l + 1))
-            pos >>= 1
-
-    def _pick(self, i, j):
-        a, b = self.leaves[i], self.leaves[j]
-        if a is None:
-            return j
-        if b is None:
-            return i
-        return i if a[0] <= b[0] else j
+        self._set(leaf, e)
 
     def audit(self):
-        for pos in range(1, self.cap):
-            l, r = pos << 1, (pos << 1) + 1
-            wl, wr = self._winner_of(l), self._winner_of(r)
-            best = self._pick(wl, wr)
-            a = self.leaves[self.inner[pos]]
-            b = self.leaves[best]
-            if a is None:
-                assert b is None, "tournament winner"
-            else:
-                assert b is not None and a[0] == b[0], "tournament winner"
+        leaves, win, cap = self.leaves, self.win, self.cap
+        assert win[cap:] == list(range(cap)), "leaf slots"
+        assert sorted(self.free) == [i for i, e in enumerate(leaves)
+                                     if e is None], "free leaves"
+
+        def key(n):
+            e = leaves[win[n]]
+            return None if e is None else e[0]
+
+        for n in range(1, cap):
+            kids = [k for k in (key(2 * n), key(2 * n + 1)) if k is not None]
+            assert key(n) == min(kids, default=None), "tournament winner"
 
 
-def _make_backend(cfg: QueueConfig, p: int):
+def _make_backend(cfg: QueueConfig):
     if cfg.backend == "heap":
-        return Heap(cfg.dedup, p)
+        return Heap(cfg.dedup)
     if cfg.backend == "geobucket":
-        return Geobucket(cfg.dedup, p)
-    return TourTree(cfg.dedup, p)
+        return Geobucket(cfg.dedup)
+    return TourTree(cfg.dedup)
 
 
 class MonomialTable:
@@ -431,18 +420,14 @@ class ReducerQueue:
                  table: MonomialTable | None = None):
         self.cfg = cfg or QueueConfig()
         self.p = ring.char
-        self.backend = _make_backend(self.cfg, self.p)
+        self.backend = _make_backend(self.cfg)
         self.table = MonomialTable(ring) if table is None else table
         # hashed only: id -> pending unreduced sum, 0 if none
         self.acc = [] if self.cfg.hashed else None
 
-    def __len__(self):
-        return len(self.backend)
-
     def push_product(self, coeff: int, mono, poly, start: int = 0) -> None:
         """Add all terms of (coeff * mono) * poly[start:] to the queue."""
-        p = self.p
-        coeff %= p
+        coeff %= self.p
         if not coeff or start >= len(poly):
             return
         table = self.table
@@ -470,7 +455,7 @@ class ReducerQueue:
             self.backend.push((tkeys[row[start]], coeff, start, row,
                                poly.coeffs))
         else:
-            self.backend.push_run([(tkeys[t], coeff * c % p, t)
+            self.backend.push_run([(tkeys[t], coeff * c, t)
                                    for t, c in terms])
 
     def pop_max(self):

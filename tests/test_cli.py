@@ -129,8 +129,13 @@ def test_char_with_file_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [("run", "katsura" + "9" * 5000),
                                   ("gen", "hcyclic" + "9" * 5000),
-                                  ("gen", "x" * 5000)],
-                         ids=["run-size", "gen-size", "gen-name"])
+                                  ("gen", "x" * 5000),
+                                  ("gen", "katsura3", "--char", "9" * 5000),
+                                  ("run", "katsura3", "--char", "9" * 5000),
+                                  ("run", "katsura3", "--base-divisors",
+                                   "9" * 5000)],
+                         ids=["run-size", "gen-size", "gen-name", "gen-char",
+                              "run-char", "run-base-divisors"])
 def test_overlong_builtin_name_is_short_error(capsys, argv):
     code, _, err = _run(capsys, *argv)
     assert code == 1

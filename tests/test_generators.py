@@ -57,6 +57,9 @@ def test_katsura_small_values():
 def test_builtin_ideal_unknown():
     with pytest.raises(ValueError):
         builtin_ideal("sparta300")
+    # a size takes ASCII digits only
+    with pytest.raises(ValueError, match="unknown builtin ideal"):
+        builtin_ideal("katsura\u0663")
 
 
 def test_generator_bad_sizes():

@@ -63,6 +63,24 @@ def test_parse_overlong_text_gives_short_error(text, line):
     assert len(str(err.value)) < 100, str(err.value)[:100]
 
 
+@pytest.mark.parametrize("text, line", [
+    ("1_01\n2\ngrevlex\nx1\n", 1),
+    ("+101\n2\ngrevlex\nx1\n", 1),
+    ("\u0661\u0660\u0661\n2\ngrevlex\nx1\n", 1),
+    ("101\n0_3\ngrevlex\nx1\n", 2),
+    ("101\n3\nelim \u0662\nx1\n", 3),
+    ("101\n2\ngrevlex\nx\u0661^\u0662\n", 4),
+    ("101\n2\ngrevlex\n\u0663*x1\n", 4),
+], ids=["char-underscore", "char-sign", "char-arabic-indic",
+        "nvars-underscore", "elim-arabic-indic", "factor-arabic-indic",
+        "coeff-arabic-indic"])
+def test_parse_accepts_ascii_decimal_literals_only(text, line):
+    # int() and the regex class \d would read each of these as a number
+    with pytest.raises(IdealFileError) as err:
+        parse_ideal(text)
+    assert err.value.line == line
+
+
 def test_parse_variable_count_capped_on_line_2():
     ring, _ = parse_ideal("101\n%d\ngrevlex\nx1\n" % MAX_VARS)
     assert ring.num_vars == MAX_VARS

@@ -400,13 +400,13 @@ def test_dedup_merges_like_terms():
 @pytest.mark.parametrize("fold", [False, True])
 def test_geobucket_cached_top_random_ops(fold):
     # each backend against a sorted oracle under interleaved push, push_run,
-    # peek, pop and replace_top; every entry has coefficient 1 and p exceeds
-    # any fold, so an entry of coefficient c stands for c pushed entries of
-    # its key
+    # peek, pop and replace_top; every entry has coefficient 1 and a fold
+    # adds coefficients unreduced (backends know no p), so an entry of
+    # coefficient c stands for c pushed entries of its key
     rng = random.Random(17)
     for make in (Heap, Geobucket, TourTree):
         for _ in range(30):
-            q = make(fold, 1009)
+            q = make(fold)
             oracle = []         # pending keys, descending, with multiplicity
             for _ in range(rng.randrange(50, 300)):
                 op = rng.random()
@@ -441,5 +441,6 @@ def test_geobucket_cached_top_random_ops(fold):
                 held = sorted((e[0] for e in q for _ in range(e[1])),
                               reverse=True)
                 assert held == oracle, make.__name__
+                assert len(q) == sum(1 for _ in q), make.__name__
                 if not fold:
                     assert len(q) == len(oracle)
