@@ -23,7 +23,7 @@ from .buchberger import ClassicConfig, buchberger_run
 from .generators import builtin_ideal
 from .idealfile import mono_str, parse_ideal, poly_str, print_ideal
 from .lookup import LOOKUP_KINDS
-from .ring import decimal
+from .ring import clip, is_decimal
 from .sigbasis import SBConfig, sb_run
 from .spairqueue import SPAIR_QUEUE_KINDS
 from .termqueue import BACKENDS, QueueConfig
@@ -66,6 +66,12 @@ def _build_parser():
     return ap
 
 
+def _char(text):
+    if is_decimal(text) and len(text) <= 10:    # every p < 2**31 fits
+        return int(text)
+    raise ValueError("bad --char value %r" % clip(text))
+
+
 def _load_input(args):
     if os.path.exists(args.input):
         if args.char is not None:
@@ -73,7 +79,7 @@ def _load_input(args):
         with open(args.input) as fh:
             return parse_ideal(fh.read())
     return builtin_ideal(args.input, 101 if args.char is None
-                         else decimal(args.char, "--char value"))
+                         else _char(args.char))
 
 
 def _queue_config(args):
@@ -152,7 +158,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    ring, polys = builtin_ideal(args.name, decimal(args.char, "--char value"))
+    ring, polys = builtin_ideal(args.name, _char(args.char))
     sys.stdout.write(print_ideal(ring, polys))
     return 0
 

@@ -9,7 +9,7 @@ n+1 variables, is available via convention="classic".
 from __future__ import annotations
 
 from .poly import Polynomial, poly_from_exps
-from .ring import Ring, clip
+from .ring import Ring, clip, is_decimal
 
 KATSURA_CONVENTIONS = ("vars", "classic")
 
@@ -94,7 +94,7 @@ def builtin_ideal(name: str, p: int = 101):
                             ("katsura", lambda k: katsura_ideal(k, p)),
                             ("cyclic", lambda k: cyclic_ideal(k, p))):
         size = name[len(prefix):]
-        if name.startswith(prefix) and size.isascii() and size.isdigit():
+        if name.startswith(prefix) and is_decimal(size):
             if len(size) > 3:       # no family that large fits MAX_VARS
                 raise ValueError("%s size out of range" % prefix)
             return builder(int(size))

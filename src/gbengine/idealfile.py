@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .poly import Polynomial, poly_normalize
-from .ring import (MAX_VARS, Ring, clip, decimal, is_prime,
+from .ring import (MAX_VARS, Ring, clip, is_decimal, is_prime,
                    ring_from_order_spec)
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
@@ -30,9 +30,11 @@ class IdealFileError(ValueError):
 
 def _int(literal: str, error: str, lineno: int) -> int:
     try:
-        return decimal(literal)
-    except ValueError:
-        raise IdealFileError(error, lineno)
+        if is_decimal(literal):
+            return int(literal)
+    except ValueError:          # more digits than int() takes
+        pass
+    raise IdealFileError(error, lineno)
 
 
 def _parse_poly(ring: Ring, text: str, lineno: int) -> Polynomial:

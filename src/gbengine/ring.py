@@ -48,15 +48,10 @@ def clip(text: str, width: int = 40) -> str:
     return text if len(text) <= width else text[:width] + "..."
 
 
-def decimal(text: str, what: str = "number") -> int:
-    """int(text) for ASCII digits [0-9]+; a sign, "_", space, other digit or
-    more than int()'s 4300 digits is a ValueError that echoes text clipped."""
-    try:
-        if text.isascii() and text.isdigit():
-            return int(text)
-    except ValueError:
-        pass
-    raise ValueError("bad %s %r" % (what, clip(text)))
+def is_decimal(text: str) -> bool:
+    """True for ASCII digits [0-9]+ only; int() also takes a sign, "_",
+    spaces and other scripts' digits."""
+    return text.isascii() and text.isdigit()
 
 
 def is_prime(n: int) -> bool:
@@ -238,7 +233,7 @@ def ring_from_order_spec(char: int, num_vars: int, spec: str) -> Ring:
     if not parts:
         raise ValueError("empty order spec")
     if parts[0] == ELIM:
-        if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+        if len(parts) != 2 or not is_decimal(parts[1]):
             raise ValueError("bad elimination order spec %r" % (clip(spec),))
         if len(parts[1]) > 3:       # no block that long fits MAX_VARS
             raise ValueError("elimination block size out of range")

@@ -1,7 +1,7 @@
-"""Print the size of each module of a package: `wc -l` lines and code-only
+"""Print the size of each module of src/gbengine: `wc -l` lines and code-only
 lines (no blank, comment or docstring line), then the totals.
 
-    python3 tools/size.py [PACKAGE_DIR]      (default: src/gbengine)
+    python3 tools/size.py
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import ast
 import sys
 from pathlib import Path
 
-DEFAULT = Path(__file__).resolve().parent.parent / "src" / "gbengine"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gbengine"
 
 
 def docstring_lines(tree):
@@ -39,9 +39,8 @@ def measure(path):
     return text.count("\n"), code
 
 
-def main(argv):
-    root = Path(argv[0]) if argv else DEFAULT
-    rows = [(p.name,) + measure(p) for p in sorted(root.glob("*.py"))]
+def main():
+    rows = [(p.name,) + measure(p) for p in sorted(PACKAGE.glob("*.py"))]
     width = max(len(name) for name, _, _ in rows + [("total", 0, 0)])
     print("%-*s %7s %7s" % (width, "module", "wc -l", "code"))
     for name, wc, code in rows:
@@ -52,4 +51,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
