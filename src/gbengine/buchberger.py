@@ -82,40 +82,25 @@ def lcm_criterion(leads, a: int, b: int, c: int, m,
     return True
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
 def graph_criterion(leads, a: int, b: int, m, tri: BitTriangle,
                     vertices) -> bool:
-    """Bayer's criterion: eliminate (a, b) when a and b are connected in
-    the graph on the divisors of m = lcm(hd a, hd b), an exponent tuple,
-    whose edges are the pairs with lcm != m or already eliminated."""
-    verts = sorted(set(vertices) | {a, b})
-    uf = _UnionFind(verts)
-    for s in range(len(verts)):
-        u = verts[s]
+    """Bayer's criterion: eliminate (a, b) when a path joins a to b in the
+    graph on the divisors of m = lcm(hd a, hd b), an exponent tuple, whose
+    edges are the pairs with lcm != m or already eliminated."""
+    unseen = set(vertices) | {b}
+    unseen.discard(a)
+    stack = [a]
+    while stack:
+        u = stack.pop()
         ue = leads[u].exps
-        for t in range(s + 1, len(verts)):
-            v = verts[t]
-            if tuple(map(max, ue, leads[v].exps)) != m or tri.get(u, v):
-                uf.union(u, v)
-    return uf.find(a) == uf.find(b)
+        for v in [v for v in unseen
+                  if tuple(map(max, ue, leads[v].exps)) != m
+                  or tri.get(u, v)]:
+            if v == b:
+                return True
+            unseen.remove(v)
+            stack.append(v)
+    return False
 
 
 class _ClassicEngine(Completion):
@@ -123,7 +108,6 @@ class _ClassicEngine(Completion):
 
     def __init__(self, ring: Ring, inputs, cfg: ClassicConfig):
         super().__init__(ring, cfg)
-        self.live = []
         self.leads = []
         self.tri = BitTriangle()
         self.cache = {}          # element -> last c that eliminated its pair
@@ -146,14 +130,12 @@ class _ClassicEngine(Completion):
     def _add(self, g: Polynomial):
         n = len(self.polys)
         self.polys.append(g)
-        self.live.append(True)
         self.leads.append(g.lead_mono)
         self._sweep_new_pairs(n)
         # retire stale elements whose lead the new one divides
         mine = g.lead_mono
-        for i in range(n):
-            if self.live[i] and self.ring.mono_divides(mine, self.leads[i]):
-                self.live[i] = False
+        for lead, i in list(self.lookup.entries()):
+            if self.ring.mono_divides(mine, lead):
                 self.lookup.retire(i)
                 self.cache.pop(i, None)
                 for k, c in list(self.cache.items()):
@@ -168,8 +150,9 @@ class _ClassicEngine(Completion):
         leads = self.leads
         tri = self.tri
         me = m.exps
+        # a cached c is live: _add drops every value equal to a retired index
         for c in (self.cache.get(i), self.cache.get(j)):
-            if c is not None and c != i and c != j and self.live[c] \
+            if c is not None and c != i and c != j \
                     and lcm_criterion(leads, i, j, c, me, tri):
                 self.stats.lcm_cache += 1
                 self.cache[i] = self.cache[j] = c
@@ -233,7 +216,7 @@ class _ClassicEngine(Completion):
             self.stats.zero_reductions += 1
 
     def result_basis(self):
-        alive = [g for g, ok in zip(self.polys, self.live) if ok]
+        alive = [self.polys[i] for _, i in self.lookup.entries()]
         return reduced_basis(self.ring, alive, queue_cfg=self.cfg.queue)
 
 

@@ -2,41 +2,28 @@
 
 katsura_ideal(n) follows the size naming where "katsura-n" has n
 variables and n equations (one linear relation plus n-1 quadratic
-convolution identities).  The classic indexing, where katsura(n) lives in
-n+1 variables, is available via convention="classic".
+convolution identities), not the indexing where katsura(n) lives in n+1
+variables.
 """
 
 from __future__ import annotations
 
-from .poly import Polynomial, poly_from_exps
+from .poly import poly_from_exps
 from .ring import Ring, clip, is_decimal
 
-KATSURA_CONVENTIONS = ("vars", "classic")
 
-
-def katsura_ideal(n: int, p: int = 101, convention: str = "vars"):
-    """Katsura system over F_p, grevlex.
-
-    convention="vars": n variables u_0..u_{n-1} and n equations.
-    convention="classic": katsura(n) in n+1 variables.
-    """
-    if convention not in KATSURA_CONVENTIONS:
-        raise ValueError("unknown katsura convention %r" % (convention,))
-    nv = n if convention == "vars" else n + 1
-    if nv < 1:
+def katsura_ideal(n: int, p: int = 101):
+    """Katsura system over F_p, grevlex: n variables u_0..u_{n-1} and n
+    equations."""
+    if n < 1:
         raise ValueError("katsura size too small")
-    ring = Ring(p, nv)
-    top = nv - 1                     # largest index of u_0..u_top
-
-    def u(idx):
-        return abs(idx)
-
-    polys = []
+    ring = Ring(p, n)
+    top = n - 1                      # largest index of u_0..u_top
     # linear relation: u_0 + 2*(u_1 + ... + u_top) - 1
-    lin = [(1, _unit_exps(nv, 0))]
-    for i in range(1, nv):
-        lin.append((2, _unit_exps(nv, i)))
-    lin.append((p - 1, (0,) * nv))
+    lin = [(1, _unit_exps(n, 0))]
+    for i in range(1, n):
+        lin.append((2, _unit_exps(n, i)))
+    lin.append((p - 1, (0,) * n))
     linear = poly_from_exps(ring, lin)
     # convolution identities: sum_{i+j=k, |i|,|j|<=top} u_i u_j = u_k
     quads = []
@@ -45,11 +32,11 @@ def katsura_ideal(n: int, p: int = 101, convention: str = "vars"):
         for i in range(-top, top + 1):
             j = k - i
             if -top <= j <= top:
-                e = list((0,) * nv)
-                e[u(i)] += 1
-                e[u(j)] += 1
+                e = [0] * n
+                e[abs(i)] += 1
+                e[abs(j)] += 1
                 raw.append((1, tuple(e)))
-        raw.append((p - 1, _unit_exps(nv, k)))
+        raw.append((p - 1, _unit_exps(n, k)))
         quads.append(poly_from_exps(ring, raw))
     return ring, [linear] + quads
 

@@ -183,13 +183,6 @@ def _divides(a_exps, b_exps) -> bool:
     return True
 
 
-class _KdLeaf:
-    __slots__ = ("records",)
-
-    def __init__(self, records):
-        self.records = records
-
-
 class _KdNode:
     __slots__ = ("var", "exp", "left", "right", "mask")
 
@@ -210,8 +203,7 @@ class KdLookup:
         self.use_masks = use_masks
         self.divmap = DivMap.trivial(ring) if use_masks else None
         self.stats = DivmaskStats()
-        self.by_id = {}
-        self.live = 0
+        self.by_id = {}          # payload id -> record, live entries only
         self.churn = 0
         # Query answers keyed by packed monomial key.  Callers must not
         # mutate returned lists.  find_divisor answers are dropped by any
@@ -225,7 +217,7 @@ class KdLookup:
         self._all_cache = {}
         self._log = []
         self.leaf_capacity = leaf_capacity
-        self.root = _KdLeaf([])
+        self.root = []           # a leaf is its list of records
 
     def find_divisor(self, q: Monomial):
         k = q.key
@@ -269,13 +261,12 @@ class KdLookup:
         return ~self.divmap.mask_of(q) if self.use_masks else None
 
     def __len__(self):
-        return self.live
+        return len(self.by_id)
 
     def entries(self):
         """Live (mono, payload) pairs, in no particular order."""
         for rec in self.by_id.values():
-            if rec[_LIVE]:
-                yield rec[_MONO], rec[_PID]
+            yield rec[_MONO], rec[_PID]
 
     def _new_record(self, mono, pid):
         if pid in self.by_id:
@@ -283,7 +274,6 @@ class KdLookup:
         mask = self.divmap.mask_of(mono) if self.use_masks else 0
         rec = [mono, pid, mask, True]
         self.by_id[pid] = rec
-        self.live += 1
         self.churn += 1
         if self._one_cache:
             self._one_cache = {}
@@ -297,7 +287,6 @@ class KdLookup:
             raise KeyError("unknown payload id %r" % (pid,))
         rec[_LIVE] = False
         del self.by_id[pid]
-        self.live -= 1
         self.churn += 1
         if self._one_cache:
             self._one_cache = {}
@@ -307,7 +296,7 @@ class KdLookup:
             self._log = []
 
     def maybe_rebuild(self) -> bool:
-        if self.churn <= self.live * REBUILD_CHURN_RATIO:
+        if self.churn <= len(self.by_id) * REBUILD_CHURN_RATIO:
             return False
         self.rebuild()
         return True
@@ -341,8 +330,8 @@ class KdLookup:
                 node, pside = node.right, 1
             else:
                 node, pside = node.left, 0
-        node.records.append(rec)
-        if len(node.records) > self.leaf_capacity:
+        node.append(rec)
+        if len(node) > self.leaf_capacity:
             split = self._split_leaf(node, parent.var if parent else -1)
             if split is not None:
                 if parent is None:
@@ -352,14 +341,14 @@ class KdLookup:
                 else:
                     parent.left = split
 
-    def _split_leaf(self, leaf, parent_var):
+    def _split_leaf(self, recs, parent_var):
         # Split variable cycles from the parent's; the split exponent is the
         # average of the min and max exponent among the leaf's monomials.
         n = self.ring.num_vars
         var = (parent_var + 1) % n
         for _ in range(n):
             los = his = None
-            for rec in leaf.records:
+            for rec in recs:
                 e = rec[_MONO].exps[var]
                 if los is None or e < los:
                     los = e
@@ -368,26 +357,24 @@ class KdLookup:
             if los != his:
                 exp = max(1, (los + his + 1) // 2)
                 left, right = [], []
-                for rec in leaf.records:
+                for rec in recs:
                     (right if rec[_MONO].exps[var] >= exp else left).append(rec)
                 if left and right:
                     mask = -1
-                    for rec in leaf.records:
+                    for rec in recs:
                         mask &= rec[_MASK]
-                    return _KdNode(var, exp, _KdLeaf(left), _KdLeaf(right),
-                                   mask)
+                    return _KdNode(var, exp, left, right, mask)
             var = (var + 1) % n
         return None  # all member exponent vectors equal: cannot split
 
     def _bulk_build(self, recs, parent_var):
         if len(recs) <= self.leaf_capacity:
-            return _KdLeaf(recs)
-        leaf = _KdLeaf(recs)
-        node = self._split_leaf(leaf, parent_var)
+            return recs
+        node = self._split_leaf(recs, parent_var)
         if node is None:
-            return leaf
-        node.left = self._bulk_build(node.left.records, node.var)
-        node.right = self._bulk_build(node.right.records, node.var)
+            return recs
+        node.left = self._bulk_build(node.left, node.var)
+        node.right = self._bulk_build(node.right, node.var)
         return node
 
     # -- queries ----------------------------------------------------------
@@ -412,7 +399,7 @@ class KdLookup:
                     stack.append(node.right)
                 stack.append(node.left)
                 continue
-            _scan(node.records, qexps, notq, stats, out, first_only)
+            _scan(node, qexps, notq, stats, out, first_only)
             if first_only and out:
                 break
         return out
@@ -423,8 +410,8 @@ class KdLookup:
         """Assert the pure-power routing invariant over the whole tree, and
         that each node's mask is a submask of every live mask below it."""
         def walk(node):
-            if isinstance(node, _KdLeaf):
-                return [rec for rec in node.records]
+            if not isinstance(node, _KdNode):
+                return node
             lrecs = walk(node.left)
             rrecs = walk(node.right)
             for rec in lrecs:

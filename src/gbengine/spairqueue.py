@@ -44,19 +44,17 @@ class PairTriangle:
     deterministic since all keys but the column minimum are discarded.
     """
 
-    __slots__ = ("key_fn", "front", "cols", "queued_bytes", "pairs_16",
-                 "pairs_32")
+    __slots__ = ("key_fn", "front", "cols", "queued_bytes", "pairs")
 
     def __init__(self, key_fn, front: str = "tourtree"):
         self.key_fn = key_fn
         self.front = _front(front)
         self.cols = {}
         self.queued_bytes = 0
-        self.pairs_16 = 0
-        self.pairs_32 = 0
+        self.pairs = 0
 
     def __len__(self):
-        return self.pairs_16 + self.pairs_32
+        return self.pairs
 
     def add_column(self, j: int, pairs) -> None:
         """Register the batch of pairs (i, key) for the new element j."""
@@ -70,12 +68,8 @@ class PairTriangle:
                                            else "L")
         col = array(code, [i for i, _ in reversed(pairs)])
         self.cols[j] = col
-        n = len(col)
-        if j < _U16_LIMIT:
-            self.pairs_16 += n
-        else:
-            self.pairs_32 += n
-        self.queued_bytes += n * col.itemsize
+        self.pairs += len(col)
+        self.queued_bytes += len(col) * col.itemsize
         self.front.push((pairs[0][1], j))
 
     def peek_min_key(self):
@@ -90,10 +84,7 @@ class PairTriangle:
         col = self.cols[j]
         i = col.pop()
         self.queued_bytes -= col.itemsize
-        if j < _U16_LIMIT:
-            self.pairs_16 -= 1
-        else:
-            self.pairs_32 -= 1
+        self.pairs -= 1
         if col:
             # recompute the successor's key and sink it into the front
             self.front.replace_top((self.key_fn(col[-1], j), j))
@@ -103,8 +94,10 @@ class PairTriangle:
         return (i, j)
 
     def check_accounting(self):
-        if self.queued_bytes > 2 * self.pairs_16 + 4 * self.pairs_32:
-            raise InvariantError("pair triangle byte accounting")
+        cols = self.cols.values()
+        if (self.pairs != sum(map(len, cols)) or self.queued_bytes
+                != sum(len(col) * col.itemsize for col in cols)):
+            raise InvariantError("pair triangle accounting")
         if len(self.front) != len(self.cols):
             raise InvariantError("front/column mismatch")
 

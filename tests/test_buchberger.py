@@ -89,6 +89,44 @@ def test_graph_criterion_examples():
     assert graph_criterion(leads, 0, 1, m.exps, tri, [0, 1, 2])
 
 
+def _connected_oracle(leads, a, b, m, tri, vertices):
+    # transitive closure of the edge relation over every vertex
+    verts = sorted(set(vertices) | {a, b})
+    reach = {(u, v): u == v or tuple(map(max, leads[u].exps,
+                                         leads[v].exps)) != m
+             or tri.get(u, v) for u in verts for v in verts}
+    for w in verts:
+        for u in verts:
+            for v in verts:
+                if reach[u, w] and reach[w, v]:
+                    reach[u, v] = True
+    return reach[a, b]
+
+
+def test_graph_criterion_matches_closure_oracle():
+    rng = random.Random(131)
+    r = _r3()
+    outcomes = []
+    for _ in range(500):
+        n = rng.randint(3, 7)
+        leads = [r.mono(tuple(rng.randint(0, 2) for _ in range(3)))
+                 for _ in range(n)]
+        tri = BitTriangle()
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.3:
+                tri.set(i, j)
+        a, b = rng.sample(range(n), 2)
+        m = _lcm(r, leads, a, b)
+        vertices = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]
+        if rng.random() < 0.5:
+            vertices += [a, b]
+        rng.shuffle(vertices)
+        want = _connected_oracle(leads, a, b, m, tri, vertices)
+        assert graph_criterion(leads, a, b, m, tri, vertices) == want
+        outcomes.append(want)
+    assert 50 < sum(outcomes) < 450
+
+
 def test_buchberger_two_generators():
     r = _r3()
     f = poly_from_exps(r, [(1, (2, 0, 0)), (100, (0, 1, 0))])   # x^2 - y

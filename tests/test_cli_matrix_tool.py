@@ -1,0 +1,16 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+MATRIX = Path(__file__).resolve().parent.parent / "tools" / "cli_matrix.py"
+
+
+def test_cli_matrix_prints_one_digest_per_run():
+    out = subprocess.run([sys.executable, str(MATRIX)], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert len(out) == 114
+    digests, argvs = zip(*(line.split(" ", 1) for line in out))
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+    assert len(set(argvs)) == 114
+    assert all(a.startswith("run ") and " --stats" in a for a in argvs)

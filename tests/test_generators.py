@@ -41,12 +41,6 @@ def test_katsura10_shape():
         assert max(m.deg for m in g.monos) <= 2
 
 
-def test_katsura_classic_convention():
-    ring, polys = katsura_ideal(3, convention="classic")
-    assert ring.num_vars == 4
-    assert len(polys) == 4
-
-
 def test_katsura_small_values():
     ring, polys = katsura_ideal(2, 101)
     texts = sorted(poly_str(ring, g) for g in polys)

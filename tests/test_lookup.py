@@ -106,7 +106,7 @@ def test_kdtree_split_exponent_and_variable_cycling():
     from gbengine.lookup import _KdNode
     assert isinstance(root, _KdNode)
     assert root.var == 0 and root.exp == 2
-    right_ids = [rec[1] for rec in root.right.records]
+    right_ids = [rec[1] for rec in root.right]
     assert right_ids == [2]
     s.audit()
     # child splits cycle to the next variable
@@ -315,7 +315,7 @@ def test_divlist_counts_only_consultations_made():
     expected = 0
     for step in range(400):
         op = rng.random()
-        if op < 0.3 or not s.live:
+        if op < 0.3 or not len(s):
             s.insert(random_mono(r, rng, 4), step)
             inserts += 1
         elif op < 0.35:
@@ -329,7 +329,7 @@ def test_divlist_counts_only_consultations_made():
             if q.key in made:
                 expected += inserts - made[q.key]
             else:
-                expected += s.live
+                expected += len(s)
             made[q.key] = inserts
             s.find_all_divisors(q)
             assert s.stats.consultations == expected

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gbengine import InvariantError
 from gbengine.spairqueue import (SPAIR_QUEUE_KINDS, FlatPairQueue,
                                  MinHeap, PairTriangle, make_spair_queue)
 
@@ -105,7 +106,14 @@ def test_byte_accounting_and_widths():
     for _ in range(6):
         t.pop_min()
         t.check_accounting()
-    assert t.queued_bytes <= 2 * t.pairs_16 + 4 * t.pairs_32
+    # the counts are checked against the columns, so a drift is caught
+    t.queued_bytes -= 2
+    with pytest.raises(InvariantError):
+        t.check_accounting()
+    t.queued_bytes += 2
+    t.pairs += 1
+    with pytest.raises(InvariantError):
+        t.check_accounting()
 
 
 def test_front_size_bounded_by_columns():

@@ -1,0 +1,60 @@
+"""Run the CLI over a fixed matrix of ideals, algorithms and data-structure
+configs, and print one line per run: the sha256 of its whole stdout (the
+result and the `--stats` block) and its argv.
+
+    python3 tools/cli_matrix.py
+
+The program run is the gbengine source in `src/` of the checkout that holds
+this file.  Two checkouts agree on result bytes and counters exactly when
+their outputs are equal, so a change meant to keep them diffs its output
+against its parent's.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+IDEALS = ("katsura6", "cyclic5", "hcyclic5")
+ALGORITHMS = ("sb", "classic")
+
+
+def configs():
+    """The default, each reducer alone and with each non-default flavour,
+    then each non-default lookup and S-pair queue: 19 flag lists."""
+    out = [[]]
+    for reducer in ("heap", "geobucket", "tourtree"):
+        for flavour in ([], ["--plain"], ["--dedup"], ["--compressed"]):
+            out.append(["--reducer", reducer] + flavour)
+    out += [["--lookup", kind] for kind in ("list", "divlist", "kdtree")]
+    out += [["--spair-queue", kind]
+            for kind in ("triangle-heap", "heap", "tourtree")]
+    return out
+
+
+def main():
+    sys.path.insert(0, str(SRC))
+    from gbengine.cli import run_cli
+    for ideal in IDEALS:
+        for algorithm in ALGORITHMS:
+            for flags in configs():
+                argv = ["run", ideal, "--algorithm", algorithm, "--stats"]
+                argv += flags
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = run_cli(argv)
+                if code:
+                    raise SystemExit("exit %d: %s" % (code, " ".join(argv)))
+                digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                print(digest, " ".join(argv))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
