@@ -4,20 +4,22 @@ basis normalization helpers.
 Completion.run pops S-pairs until none is left; each engine supplies the
 pop-time criteria (_pop) and what happens to a remainder (_settle).
 divide_queue keeps the pending terms of the polynomial being reduced in a
-reducer queue, repeatedly extracts the maximal one and asks a divisor
-lookup which basis leads divide it.  A reducer rule argument picks the
-divisor among those candidates: classic division, interreduction and the
-final autoreduction take the default, the smallest basis index, while
-the signature engine passes its regular-reducer rule.  Either way the
+reducer queue, repeatedly extracts the id of the maximal one and asks a
+divisor lookup which basis leads divide its monomial.  The reducer is the
+smallest index among them, unless the signature engine passes its
+regular-reducer rule, as data the loop tests inline.  Either way the
 choice is deterministic, so runs are reproducible no matter which lookup
-structure serves the divisor queries.
+structure serves the divisor queries.  It caches the row of each reducer
+product under (popped id, basis index), in a dict of the basis list's
+owner: Completion's for the run, or one per classic_reduce or
+reduced_basis call.
 """
 
 from __future__ import annotations
 
 from .lookup import make_lookup
 from .poly import Polynomial, poly_monic, poly_normalize
-from .ring import Ring, ff_inv
+from .ring import InvariantError, Ring, ff_inv
 from .spairqueue import make_spair_queue
 from .termqueue import MonomialTable, QueueConfig, ReducerQueue
 
@@ -51,22 +53,27 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
     if lookup is None:
         lookup = basis_lookup(ring, basis, "list")
     queue = ReducerQueue(ring, queue_cfg, table)
-    queue.push_product(1, ring.one, f)
-    return divide_queue(ring, queue, basis, lookup, top_only,
+    queue.push_product(1, queue.table.row(ring.one, f), f)
+    return divide_queue(ring, queue, basis, lookup, top_only, {},
                         track_quotients)
 
 
 def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
-                 top_only: bool, track_quotients: bool = False, pick=None):
+                 top_only: bool, rows: dict, track_quotients: bool = False,
+                 regular=None, audit: bool = False):
     """classic_reduce of the polynomial whose terms are pending in queue,
     which it empties.
 
-    pick(mono, cands) chooses the reducer of a popped term mono among
-    cands, the nonempty list of basis indices whose lead divides it, and
-    returns its index, or None to keep the term.  The default is the
-    smallest index.
+    A popped term mono is reduced by the smallest basis index whose lead
+    divides it.  With regular = (entries, tkey, scale, select) only indices
+    i of entries[i].ratio_rank < tkey - scale * mono.key qualify, and
+    select, if not None, picks from their entries in index order.  rows
+    caches reducer rows under (popped id, basis index) for this table and
+    basis list; audit checks each reused row (InvariantError if stale).
     """
     p = ring.char
+    tmonos = queue.table.monos
+    entries, tkey, scale, select = regular or (None, 0, 0, None)
     quotients = [[] for _ in basis] if track_quotients else None
     coeffs = []
     monos = []
@@ -75,20 +82,30 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
         top = queue.pop_max()
         if top is None:
             break
-        coeff, mono = top
+        coeff, t = top
+        mono = tmonos[t]
         if not tail_done:
             cands = lookup.find_all_divisors(mono)
+            if cands and entries is not None:
+                bound = tkey - scale * mono.key
+                cands = [i for i in cands if entries[i].ratio_rank < bound]
             if cands:
-                idx = min(cands) if pick is None else pick(mono, cands)
-                if idx is not None:
-                    g = basis[idx]
-                    mult = ring.mono_div(mono, g.monos[0])
-                    lc = g.coeffs[0]
-                    scale = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
-                    if track_quotients:
-                        quotients[idx].append((scale, mult))
-                    queue.push_product(p - scale, mult, g, start=1)
-                    continue
+                idx = min(cands) if select is None else select(
+                    [entries[i] for i in sorted(cands)]).idx
+                g = basis[idx]
+                row = rows.get((t, idx))
+                if row is None or audit:
+                    fresh = queue.table.row(ring.mono_div(mono, g.monos[0]), g)
+                    if row is not None and row != fresh:
+                        raise InvariantError("stale cached reducer row")
+                    row = rows[t, idx] = fresh
+                lc = g.coeffs[0]
+                c = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
+                if track_quotients:
+                    quotients[idx].append(
+                        (c, ring.mono_div(mono, g.monos[0])))
+                queue.push_product(p - c, row, g, 1)
+                continue
             tail_done = top_only
         coeffs.append(coeff)
         monos.append(mono)
@@ -97,9 +114,9 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
 
 class Completion:
     """The completion loop: each turn _pop returns None when a criterion
-    eliminates the popped pair, or (products, pick, info); the (coeff,
-    mult, poly) products are divided by the basis with the reducer rule
-    pick, and _settle(info, remainder) records the outcome."""
+    eliminates the popped pair, or (products, regular, info); the (coeff,
+    mult, poly) products are divided by the basis under the reducer rule
+    regular, and _settle(info, remainder) records the outcome."""
 
     top_only = False
 
@@ -110,6 +127,7 @@ class Completion:
         self.lookup = make_lookup(cfg.lookup, ring)     # over their leads
         self.pairs = make_spair_queue(cfg.spair_queue, self._pair_key)
         self.table = MonomialTable(ring)    # shared by every reduction
+        self.rows = {}          # (id, basis index) -> reducer product row
 
     def run(self):
         ring = self.ring
@@ -121,12 +139,15 @@ class Completion:
             popped = self._pop()
             if popped is None:
                 continue
-            products, pick, info = popped
+            products, regular, info = popped
             queue = ReducerQueue(ring, cfg.queue, self.table)
             for coeff, mult, poly in products:
-                queue.push_product(coeff, mult, poly)
+                queue.push_product(coeff, self.table.row(mult, poly), poly)
+            if cfg.audit:
+                queue.audit()
             _, rem = divide_queue(ring, queue, self.polys, self.lookup,
-                                  self.top_only, pick=pick)
+                                  self.top_only, self.rows, regular=regular,
+                                  audit=cfg.audit)
             self._settle(info, rem)
         self.stats.divmask = self.lookup.stats
 
@@ -185,13 +206,14 @@ def reduced_basis(ring: Ring, polys, queue_cfg=None):
             minimal.append(g)
     lookup = basis_lookup(ring, minimal)
     table = MonomialTable(ring)
+    rows = {}
     out = []
     for g in minimal:
         # no other lead divides g's lead, and g's lead divides no smaller
         # term: reduce the tail and put the lead back in front
         queue = ReducerQueue(ring, queue_cfg, table)
-        queue.push_product(1, ring.one, g, start=1)
-        _, r = divide_queue(ring, queue, minimal, lookup, top_only=False)
+        queue.push_product(1, table.row(ring.one, g), g, start=1)
+        _, r = divide_queue(ring, queue, minimal, lookup, False, rows)
         out.append(poly_monic(ring, Polynomial((g.lead_coeff,) + r.coeffs,
                                                (g.lead_mono,) + r.monos)))
     out.sort(key=lambda g: g.lead_mono.key)

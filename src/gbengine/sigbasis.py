@@ -14,15 +14,15 @@ every signature comparison in the hot paths is one integer comparison.
 
 The engine runs on division.Completion, the completion loop classic
 Buchberger runs on too: _pop applies the pop-time criteria and yields the
-seed product with the one regular-reducer rule (_regular_reducer), which
-the singular criterion's existence check shares; _settle adds the
-remainder or records a syzygy.
+seed product with the regular-reducer rule as data (the entries for their
+ratio ranks, the signature key, the module order's scale and the
+configured reducer_select), which divide_queue tests inline; _settle adds
+the remainder or records a syzygy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from .division import Completion, prepare_inputs, reduced_basis
 from .lookup import make_lookup
@@ -456,7 +456,7 @@ class _SBEngine(Completion):
             stats.singular_late += 1
             return None
         return (((1, tmult, champion.poly),),
-                partial(self._regular_reducer, cfg.reducer_select, tkey),
+                (entries, tkey, self.morder.scale, cfg.reducer_select),
                 (tmono, tcomp, group))
 
     def _champion(self, tmono, tcomp):
@@ -479,29 +479,11 @@ class _SBEngine(Completion):
         return champ, tmult
 
     def _regular_top_reducible(self, mono, tkey):
-        """Has mono, a term of signature key tkey, a regular reducer?"""
-        cands = self.lookup.find_all_divisors(mono)
-        return self._regular_reducer(None, tkey, mono, cands) is not None
-
-    # -- regular reduction ---------------------------------------------------
-
-    def _regular_reducer(self, select, tkey, mono, cands):
-        """The regular-reducer rule for mono, a term of signature key tkey:
-        of cands, the entries whose leads divide mono, those with a
-        sig/lead ratio below the term's own reduce it.  Returns the
-        smallest of their indices, or given select the index of select's
-        choice from them in index order; None when there is none."""
-        rank = tkey - self.morder.scale * mono.key
-        entries = self.entries
-        if select is None:
-            best = None
-            for i in cands:
-                if (best is None or i < best) and entries[i].ratio_rank < rank:
-                    best = i
-            return best
-        valid = [entries[i] for i in sorted(cands)
-                 if entries[i].ratio_rank < rank]
-        return select(valid).idx if valid else None
+        """Has mono, a term of signature key tkey, a regular reducer (by
+        divide_queue's rule)?"""
+        bound = tkey - self.morder.scale * mono.key
+        return any(self.entries[i].ratio_rank < bound
+                   for i in self.lookup.find_all_divisors(mono))
 
     def _settle(self, info, rem):
         tmono, tcomp, group = info
@@ -525,11 +507,8 @@ class _SBEngine(Completion):
             self._set_bits(group)
 
     def _singular_top_reducible(self, lead_mono, rank):
-        entries = self.entries
-        for i in self.lookup.find_all_divisors(lead_mono):
-            if entries[i].ratio_rank == rank:
-                return True
-        return False
+        return any(self.entries[i].ratio_rank == rank
+                   for i in self.lookup.find_all_divisors(lead_mono))
 
 
 class SBResult:

@@ -3,9 +3,9 @@
 Three backends (binary heap, geobucket, tournament tree), each in one of
 four flavours: plain, deduplicating, hashed or compressed.  Hashing and
 folding apply to uncompressed queues only.  All configurations are
-observationally identical: pop_max always returns the order-maximal
-monomial with every pending contribution to its coefficient folded
-together, skipping monomials whose contributions cancel.
+observationally identical: pop_max always returns the id of the
+order-maximal monomial with every pending contribution to its coefficient
+folded together, skipping monomials whose contributions cancel.
 
 Every backend is a bare priority queue: it pops the entry of smallest
 first field and does no field arithmetic; the binary heap is the standard
@@ -16,8 +16,8 @@ MonomialTable, which a run shares between its queues.  The table interns
 each product monomial to a small int id, stores the id's negated order
 key (so the smallest key is the largest monomial), caches per product
 mult * poly the row of ids of its terms, and makes an id's monomial once,
-when it interns the id.  Backends order entries by their first field,
-that key:
+when it interns the id.  A product is pushed as its row and a term pops
+as its id.  Backends order entries by their first field, that key:
 
   plain       (key, c, id), c the term's unreduced coefficient; dedup
               folds entries of equal key by adding c
@@ -425,14 +425,13 @@ class ReducerQueue:
         # hashed only: id -> pending unreduced sum, 0 if none
         self.acc = [] if self.cfg.hashed else None
 
-    def push_product(self, coeff: int, mono, poly, start: int = 0) -> None:
-        """Add all terms of (coeff * mono) * poly[start:] to the queue."""
+    def push_product(self, coeff: int, row, poly, start: int = 0) -> None:
+        """Add all terms of coeff * (mult * poly)[start:] to the queue, row
+        being table.row(mult, poly), the ids of the product's terms."""
         coeff %= self.p
         if not coeff or start >= len(poly):
             return
-        table = self.table
-        row = table.row(mono, poly)
-        tkeys = table.keys
+        tkeys = self.table.keys
         terms = zip(islice(row, start, None),
                     islice(poly.coeffs, start, None))
         acc = self.acc
@@ -459,7 +458,8 @@ class ReducerQueue:
                                    for t, c in terms])
 
     def pop_max(self):
-        """Largest pending (coeff, mono) with like terms folded, or None."""
+        """Largest pending (coeff, id) with like terms folded, or None; the
+        id's monomial is table.monos[id]."""
         backend = self.backend
         p = self.p
         acc = self.acc
@@ -473,9 +473,8 @@ class ReducerQueue:
                 coeff = acc[t] % p
                 acc[t] = 0
                 if coeff:
-                    return (coeff, self.table.monos[t])
-        table = self.table
-        tkeys = table.keys
+                    return (coeff, t)
+        tkeys = self.table.keys
         compressed = self.cfg.compressed
         while True:
             top = backend.peek()
@@ -500,7 +499,7 @@ class ReducerQueue:
                 top = backend.peek()
             coeff %= p
             if coeff:
-                return (coeff, table.monos[t])
+                return (coeff, t)
 
     def audit(self):
         """Assert that every entry's key is the table key of its id (for a

@@ -1,0 +1,174 @@
+"""Reducer rows cached per (popped id, basis index): a hit does no
+multiplier work, a cache never crosses basis lists, and an audited run
+checks every reused row."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from gbengine import (ClassicConfig, InvariantError, Ring, SBConfig,
+                      all_queue_configs, basis_lookup, buchberger_run,
+                      builtin_ideal, classic_reduce, sb_run)
+from gbengine import division
+from gbengine.poly import Polynomial, poly_add, poly_from_exps, poly_mul_term
+from gbengine.ring import ff_inv
+from gbengine.termqueue import MonomialTable, ReducerQueue
+
+from _util import random_poly
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def naive_remainder(ring, f, basis):
+    """Full division with dict arithmetic: the largest reducible term goes
+    first, by the divisor of smallest basis index, as in classic_reduce."""
+    p = ring.char
+    coeffs, monos = [], []
+    while f:
+        c, m = f.coeffs[0], f.monos[0]
+        for g in basis:
+            if ring.mono_divides(g.lead_mono, m):
+                s = c * ff_inv(g.lead_coeff, p) % p
+                f = poly_add(ring, f, poly_mul_term(
+                    ring, g, p - s, ring.mono_div(m, g.lead_mono)))
+                break
+        else:
+            coeffs.append(c)
+            monos.append(m)
+            f = Polynomial(f.coeffs[1:], f.monos[1:])
+    return Polynomial(coeffs, monos)
+
+
+def test_shared_table_serves_bases_that_differ_at_one_index():
+    # both bases hold, at each index, polynomials of one lead and different
+    # tails, so every reducer product of the first call has the id and the
+    # index of one of the second; a row cache kept in the table would hand
+    # the second call the first call's rows
+    rng = random.Random(37)
+    r = Ring(101, 3)
+    cases = []
+    for _ in range(25):
+        leads = [rng.choice(((1, 0, 0), (0, 1, 0), (2, 0, 1), (1, 1, 0)))
+                 for _ in range(2)]
+        one, other = (
+            [poly_from_exps(r, [(1, e)] + [(rng.randrange(1, 101),
+                                            (0, 0, rng.randrange(2)))])
+             for e in leads] for _ in range(2))
+        f = random_poly(r, rng, max_terms=8, max_exp=4)
+        if f and one != other:
+            cases.append((f, one, other))
+    assert len(cases) > 10
+    for cfg in all_queue_configs():
+        table = MonomialTable(r)
+        for f, one, other in cases:
+            for basis in (one, other):
+                _, rem = classic_reduce(r, f, basis, queue_cfg=cfg,
+                                        track_quotients=False, table=table)
+                assert rem == naive_remainder(r, f, basis), cfg.label()
+    # the trap is real: one row cache across both bases gives a wrong
+    # remainder
+    wrong = 0
+    for f, one, other in cases:
+        table = MonomialTable(r)
+        rows = {}
+        for basis in (one, other):
+            q = ReducerQueue(r, None, table)
+            q.push_product(1, table.row(r.one, f), f)
+            lookup = basis_lookup(r, basis)
+            _, rem = division.divide_queue(r, q, basis, lookup, False, rows)
+            wrong += rem != naive_remainder(r, f, basis)
+    assert wrong > 0
+
+
+def test_a_hit_does_no_multiplier_work(monkeypatch):
+    rng = random.Random(41)
+    r = Ring(101, 3)
+    basis = [poly_from_exps(r, [(1, (1, 0, 0)), (3, (0, 0, 1))]),
+             poly_from_exps(r, [(1, (0, 2, 0)), (5, (0, 1, 1)),
+                                (7, (0, 0, 0))])]
+    f = random_poly(r, rng, max_terms=10, max_exp=5)
+    lookup = basis_lookup(r, basis)
+    calls = []
+    real_div = Ring.mono_div
+
+    def counting_div(self, a, b):
+        calls.append(1)
+        return real_div(self, a, b)
+
+    monkeypatch.setattr(Ring, "mono_div", counting_div)
+    for cfg in all_queue_configs():
+        table = MonomialTable(r)
+        rows = {}
+        rems = []
+        for run in range(2):
+            del calls[:]
+            q = ReducerQueue(r, cfg, table)
+            q.push_product(1, table.row(r.one, f), f)
+            rems.append(division.divide_queue(r, q, basis, lookup, False,
+                                              rows)[1])
+            if run == 0:
+                # one division per miss, each making one row
+                assert len(calls) == len(rows) > 0, cfg.label()
+        assert calls == [], cfg.label()
+        assert rems[0] == rems[1] == naive_remainder(r, f, basis), \
+            cfg.label()
+
+
+def _corrupt_after_each_reduction(monkeypatch):
+    # drop the last id of every cached row of more than two ids once each
+    # reduction is done, so the next reuse of any of them is a wrong row
+    # (one that still ends, as an unaudited run does not notice)
+    real = division.divide_queue
+
+    def corrupting(ring, queue, basis, lookup, top_only, rows, *args, **kw):
+        out = real(ring, queue, basis, lookup, top_only, rows, *args, **kw)
+        for key, row in rows.items():
+            if len(row) > 2:
+                rows[key] = row[:-1]
+        return out
+
+    monkeypatch.setattr(division, "divide_queue", corrupting)
+
+
+@pytest.mark.parametrize("algorithm,name", [("sb", "katsura4"),
+                                            ("classic", "cyclic4")])
+def test_audited_run_catches_a_corrupted_cached_row(monkeypatch, algorithm,
+                                                    name):
+    ring, polys = builtin_ideal(name)
+    _corrupt_after_each_reduction(monkeypatch)
+    with pytest.raises(InvariantError, match="stale cached reducer row"):
+        if algorithm == "sb":
+            sb_run(ring, polys, SBConfig(audit=True))
+        else:
+            buchberger_run(ring, polys, ClassicConfig(audit=True))
+
+
+def test_row_check_fires_under_optimize():
+    script = "\n".join([
+        "from gbengine import *",
+        "from gbengine import division",
+        "assert False  # stripped by -O",
+        "real = division.divide_queue",
+        "def corrupting(*args, **kw):",
+        "    out = real(*args, **kw)",
+        "    rows = args[5]",
+        "    for key, row in rows.items():",
+        "        if len(row) > 2:",
+        "            rows[key] = row[:-1]",
+        "    return out",
+        "division.divide_queue = corrupting",
+        "ring, polys = builtin_ideal('katsura4')",
+        "try:",
+        "    sb_run(ring, polys, SBConfig(audit=True))",
+        "except InvariantError:",
+        "    print('ok')"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"

@@ -105,16 +105,27 @@ def _ring():
     return Ring(101, 3)
 
 
+def _push(q, coeff, mono, poly, start=0):
+    # push (coeff * mono) * poly[start:] as the row of ids of mono * poly
+    q.push_product(coeff, q.table.row(mono, poly), poly, start)
+
+
+def _pop(q):
+    # pop_max with the popped id read back as its exponent tuple
+    t = q.pop_max()
+    return None if t is None else (t[0], q.table.monos[t[1]].exps)
+
+
 def test_push_product_logical_content():
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (100, (0, 1, 0))])   # x^2 - y
     x = r.mono((1, 0, 0))
     for cfg in all_queue_configs():
         q = ReducerQueue(r, cfg)
-        q.push_product(1, x, g)
+        _push(q, 1, x, g)
         pops = []
-        while (t := q.pop_max()) is not None:
-            pops.append((t[0], t[1].exps))
+        while (t := _pop(q)) is not None:
+            pops.append(t)
         assert pops == [(1, (3, 0, 0)), (100, (1, 1, 0))], cfg.label()
 
 
@@ -124,11 +135,10 @@ def test_pop_skips_cancelled_terms():
     y = poly_from_exps(r, [(1, (0, 1, 0))])
     for cfg in all_queue_configs():
         q = ReducerQueue(r, cfg)
-        q.push_product(3, r.one, x2)
-        q.push_product(98, r.one, x2)
-        q.push_product(1, r.one, y)
-        t = q.pop_max()
-        assert t[1].exps == (0, 1, 0) and t[0] == 1, cfg.label()
+        _push(q, 3, r.one, x2)
+        _push(q, 98, r.one, x2)
+        _push(q, 1, r.one, y)
+        assert _pop(q) == (1, (0, 1, 0)), cfg.label()
         assert q.pop_max() is None
 
 
@@ -153,12 +163,12 @@ def test_one_product_per_nonzero_pop(monkeypatch):
     for cfg in all_queue_configs():
         del calls[:]
         q = ReducerQueue(r, cfg)
-        q.push_product(1, r.one, f)
-        q.push_product(100, r.one, g)
-        q.push_product(1, r.one, y2)
+        _push(q, 1, r.one, f)
+        _push(q, 100, r.one, g)
+        _push(q, 1, r.one, y2)
         pops = []
-        while (t := q.pop_max()) is not None:
-            pops.append((t[0], t[1].exps))
+        while (t := _pop(q)) is not None:
+            pops.append(t)
         assert pops == [(2, (0, 2, 0)), (100, (0, 1, 1)), (100, (0, 0, 2)),
                         (1, (0, 0, 1))], cfg.label()
         assert len(calls) == len(q.table.monos) == 6, cfg.label()
@@ -172,7 +182,7 @@ def test_product_past_exponent_cap_raises():
     for cfg in all_queue_configs():
         q = ReducerQueue(r, cfg)
         with pytest.raises(ValueError):
-            q.push_product(1, r.mono((40000, 0)), g)
+            _push(q, 1, r.mono((40000, 0)), g)
             q.pop_max()
 
 
@@ -185,15 +195,15 @@ def test_hashed_key_pushed_again_after_pop():
         if not cfg.hashed:
             continue
         q = ReducerQueue(r, cfg)
-        q.push_product(3, r.one, g)
-        assert q.pop_max() == (3, g.lead_mono)
+        _push(q, 3, r.one, g)
+        assert _pop(q) == (3, (2, 0, 0))
         q.audit()
-        q.push_product(5, r.one, g)
-        q.push_product(2, r.one, g)
+        _push(q, 5, r.one, g)
+        _push(q, 2, r.one, g)
         q.audit()
         pops = []
-        while (t := q.pop_max()) is not None:
-            pops.append((t[0], t[1].exps))
+        while (t := _pop(q)) is not None:
+            pops.append(t)
             q.audit()
         assert pops == [(7, (2, 0, 0)), (10, (0, 1, 0))], cfg.label()
 
@@ -203,13 +213,11 @@ def test_compressed_single_entry_advances():
     g = poly_from_exps(r, [(1, (2, 0, 0)), (100, (0, 1, 0))])
     cfg = QueueConfig(backend="heap", hashed=False, compressed=True)
     q = ReducerQueue(r, cfg)
-    q.push_product(1, r.mono((1, 0, 0)), g)
+    _push(q, 1, r.mono((1, 0, 0)), g)
     assert len(q.backend) == 1
-    t = q.pop_max()
-    assert t[1].exps == (3, 0, 0)
+    assert _pop(q) == (1, (3, 0, 0))
     assert len(q.backend) == 1        # advanced in place via replace-top
-    t = q.pop_max()
-    assert (t[0], t[1].exps) == (100, (1, 1, 0))
+    assert _pop(q) == (100, (1, 1, 0))
 
 
 def _run_script(r, cfg, script, table=None):
@@ -218,13 +226,12 @@ def _run_script(r, cfg, script, table=None):
     for op in script:
         if op[0] == "push":
             _, coeff, mono, poly, start = op
-            q.push_product(coeff, mono, poly, start)
+            _push(q, coeff, mono, poly, start)
         else:
-            t = q.pop_max()
-            out.append(None if t is None else (t[0], t[1].exps))
+            out.append(_pop(q))
         q.audit()
-    while (t := q.pop_max()) is not None:
-        out.append((t[0], t[1].exps))
+    while (t := _pop(q)) is not None:
+        out.append(t)
         q.audit()
     return out
 
@@ -307,7 +314,7 @@ def test_shared_table_survives_abandoned_queue():
             first = ReducerQueue(r, cfg, table)
             for op in script[:len(script) // 2]:
                 if op[0] == "push":
-                    first.push_product(*op[1:])
+                    _push(first, *op[1:])
                 else:
                     first.pop_max()
             assert _run_script(r, cfg, script, table) == _oracle(r, script), \
@@ -322,13 +329,13 @@ def test_equal_products_share_one_row():
     x, y = r.mono((1, 0, 0)), r.mono((0, 1, 0))
     table = MonomialTable(r)
     q = ReducerQueue(r, QueueConfig(), table)
-    q.push_product(1, x, f)
-    q.push_product(1, r.mono((1, 0, 0)), g, start=1)
+    _push(q, 1, x, f)
+    _push(q, 1, r.mono((1, 0, 0)), g, start=1)
     assert len(table.rows) == 1 and len(table.keys) == 2
     assert table.row(x, g) is table.row(x, f)
-    q.push_product(1, y, f)
+    _push(q, 1, y, f)
     assert len(table.rows) == 2 and table.row(y, f) != table.row(x, f)
-    assert [(c, m.exps) for c, m in iter(q.pop_max, None)] == \
+    assert list(iter(lambda: _pop(q), None)) == \
         [(1, (3, 0, 0)), (1, (2, 1, 0)), (10, (1, 1, 0)), (5, (0, 2, 0))]
 
 
@@ -368,7 +375,7 @@ def test_hashed_audit_catches_corruption(corrupt):
            "cursor_wrong_key": QueueConfig("heap", hashed=False,
                                            compressed=True)}
     q = ReducerQueue(r, cfg.get(corrupt, QueueConfig("heap")))
-    q.push_product(1, r.one, g)
+    _push(q, 1, r.one, g)
     q.audit()
     e = q.backend.peek()
     key, t = e[0], e[-1]
@@ -391,10 +398,10 @@ def test_dedup_merges_like_terms():
     cfg = QueueConfig(backend="geobucket", hashed=False, dedup=True)
     q = ReducerQueue(r, cfg)
     for _ in range(8):
-        q.push_product(1, r.one, g)
+        _push(q, 1, r.one, g)
     # geobucket merges fold like plain terms, so fewer than 8 entries remain
     assert len(q.backend) < 8
-    assert q.pop_max() == (8, g.lead_mono)
+    assert _pop(q) == (8, (1, 0, 0))
 
 
 @pytest.mark.parametrize("fold", [False, True])
