@@ -17,7 +17,7 @@ from operator import le
 from .division import Completion, prepare_inputs, reduced_basis
 from .pairbits import BitTriangle
 from .poly import Polynomial, poly_monic
-from .ring import InvariantError, Ring, key_bound
+from .ring import Ring, key_bound, require
 from .termqueue import QueueConfig
 
 
@@ -36,9 +36,9 @@ class ClassicStats:
     reduced_pairs: object = None
 
     def check(self):
-        if self.spairs != (self.relprime + self.lcm_cache + self.lcm_simple
-                           + self.graph + self.reductions):
-            raise InvariantError("pair accounting")
+        require(self.spairs == self.relprime + self.lcm_cache
+                + self.lcm_simple + self.graph + self.reductions,
+                "pair accounting")
 
     def rows(self):
         return [
@@ -185,7 +185,7 @@ class _ClassicEngine(Completion):
 
     def _pop(self):
         """The S-polynomial of the next pair that survives the lcm and
-        graph criteria, as its two products, whose lead terms cancel."""
+        graph criteria, as its two products, both of lead term the lcm."""
         cfg = self.cfg
         stats = self.stats
         ring = self.ring
@@ -205,9 +205,8 @@ class _ClassicEngine(Completion):
             stats.reduced_pairs.append((i, j))
         # graph_criterion reads this bit, so it is set only now
         self.tri.set(i, j)
-        return (((1, ring.mono_div(m, self.leads[i]), self.polys[i]),
-                 (ring.char - 1, ring.mono_div(m, self.leads[j]),
-                  self.polys[j])), None, None)
+        return (((1, m, self.polys[i]), (ring.char - 1, m, self.polys[j])),
+                None, None)
 
     def _settle(self, info, rem):
         if rem:

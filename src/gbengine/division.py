@@ -9,17 +9,17 @@ divisor lookup which basis leads divide its monomial.  The reducer is the
 smallest index among them, unless the signature engine passes its
 regular-reducer rule, as data the loop tests inline.  Either way the
 choice is deterministic, so runs are reproducible no matter which lookup
-structure serves the divisor queries.  It caches the row of each reducer
-product under (popped id, basis index), in a dict of the basis list's
-owner: Completion's for the run, or one per classic_reduce or
-reduced_basis call.
+structure serves the divisor queries.  Each reducer product's row comes
+from the monomial table's one row cache, under (popped id, reducer): the
+popped term is the product's lead term, and a polynomial names itself by
+value, whatever list or index holds it.
 """
 
 from __future__ import annotations
 
 from .lookup import make_lookup
 from .poly import Polynomial, poly_monic, poly_normalize
-from .ring import InvariantError, Ring, ff_inv
+from .ring import Ring, ff_inv
 from .spairqueue import make_spair_queue
 from .termqueue import MonomialTable, QueueConfig, ReducerQueue
 
@@ -53,13 +53,14 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
     if lookup is None:
         lookup = basis_lookup(ring, basis, "list")
     queue = ReducerQueue(ring, queue_cfg, table)
-    queue.push_product(1, queue.table.row(ring.one, f), f)
-    return divide_queue(ring, queue, basis, lookup, top_only, {},
+    if f:
+        queue.push_product(1, queue.table.row(f.lead_mono, f), f)
+    return divide_queue(ring, queue, basis, lookup, top_only,
                         track_quotients)
 
 
 def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
-                 top_only: bool, rows: dict, track_quotients: bool = False,
+                 top_only: bool, track_quotients: bool = False,
                  regular=None, audit: bool = False):
     """classic_reduce of the polynomial whose terms are pending in queue,
     which it empties.
@@ -67,12 +68,13 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
     A popped term mono is reduced by the smallest basis index whose lead
     divides it.  With regular = (entries, tkey, scale, select) only indices
     i of entries[i].ratio_rank < tkey - scale * mono.key qualify, and
-    select, if not None, picks from their entries in index order.  rows
-    caches reducer rows under (popped id, basis index) for this table and
-    basis list; audit checks each reused row (InvariantError if stale).
+    select, if not None, picks from their entries in index order.  The
+    reducer product's row is the table's, under (popped id, reducer), and
+    audit has the table check each reused one.
     """
     p = ring.char
     tmonos = queue.table.monos
+    rows = queue.table.rows
     entries, tkey, scale, select = regular or (None, 0, 0, None)
     quotients = [[] for _ in basis] if track_quotients else None
     coeffs = []
@@ -93,12 +95,9 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
                 idx = min(cands) if select is None else select(
                     [entries[i] for i in sorted(cands)]).idx
                 g = basis[idx]
-                row = rows.get((t, idx))
+                row = rows.get((t, g))
                 if row is None or audit:
-                    fresh = queue.table.row(ring.mono_div(mono, g.monos[0]), g)
-                    if row is not None and row != fresh:
-                        raise InvariantError("stale cached reducer row")
-                    row = rows[t, idx] = fresh
+                    row = queue.table.row(mono, g, audit)
                 lc = g.coeffs[0]
                 c = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
                 if track_quotients:
@@ -114,9 +113,9 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
 
 class Completion:
     """The completion loop: each turn _pop returns None when a criterion
-    eliminates the popped pair, or (products, regular, info); the (coeff,
-    mult, poly) products are divided by the basis under the reducer rule
-    regular, and _settle(info, remainder) records the outcome."""
+    eliminates the popped pair, or (products, regular, info); the products
+    (coeff, lead term, poly) are divided by the basis under the reducer
+    rule regular, and _settle(info, remainder) records the outcome."""
 
     top_only = False
 
@@ -127,27 +126,24 @@ class Completion:
         self.lookup = make_lookup(cfg.lookup, ring)     # over their leads
         self.pairs = make_spair_queue(cfg.spair_queue, self._pair_key)
         self.table = MonomialTable(ring)    # shared by every reduction
-        self.rows = {}          # (id, basis index) -> reducer product row
 
     def run(self):
-        ring = self.ring
-        cfg = self.cfg
-        pairs = self.pairs
+        ring, cfg, pairs, table = self.ring, self.cfg, self.pairs, self.table
+        audit = cfg.audit
         while len(pairs):
-            if cfg.audit:
+            if audit:
                 pairs.check_accounting()
             popped = self._pop()
             if popped is None:
                 continue
             products, regular, info = popped
-            queue = ReducerQueue(ring, cfg.queue, self.table)
-            for coeff, mult, poly in products:
-                queue.push_product(coeff, self.table.row(mult, poly), poly)
-            if cfg.audit:
+            queue = ReducerQueue(ring, cfg.queue, table)
+            for coeff, lead, poly in products:
+                queue.push_product(coeff, table.row(lead, poly, audit), poly)
+            if audit:
                 queue.audit()
             _, rem = divide_queue(ring, queue, self.polys, self.lookup,
-                                  self.top_only, self.rows, regular=regular,
-                                  audit=cfg.audit)
+                                  self.top_only, regular=regular, audit=audit)
             self._settle(info, rem)
         self.stats.divmask = self.lookup.stats
 
@@ -206,14 +202,13 @@ def reduced_basis(ring: Ring, polys, queue_cfg=None):
             minimal.append(g)
     lookup = basis_lookup(ring, minimal)
     table = MonomialTable(ring)
-    rows = {}
     out = []
     for g in minimal:
         # no other lead divides g's lead, and g's lead divides no smaller
         # term: reduce the tail and put the lead back in front
         queue = ReducerQueue(ring, queue_cfg, table)
-        queue.push_product(1, table.row(ring.one, g), g, start=1)
-        _, r = divide_queue(ring, queue, minimal, lookup, False, rows)
+        queue.push_product(1, table.row(g.lead_mono, g), g, start=1)
+        _, r = divide_queue(ring, queue, minimal, lookup, False)
         out.append(poly_monic(ring, Polynomial((g.lead_coeff,) + r.coeffs,
                                                (g.lead_mono,) + r.monos)))
     out.sort(key=lambda g: g.lead_mono.key)

@@ -29,7 +29,7 @@ import math
 from bisect import bisect_right
 from operator import getitem
 
-from .ring import Monomial, Ring
+from .ring import Monomial, Ring, require
 
 MASK_BITS = 32
 DEFAULT_LEAF_CAPACITY = 32
@@ -407,7 +407,7 @@ class KdLookup:
     # -- debug audit -------------------------------------------------------
 
     def audit(self) -> None:
-        """Assert the pure-power routing invariant over the whole tree, and
+        """Check the pure-power routing invariant over the whole tree, and
         that each node's mask is a submask of every live mask below it."""
         def walk(node):
             if not isinstance(node, _KdNode):
@@ -415,13 +415,13 @@ class KdLookup:
             lrecs = walk(node.left)
             rrecs = walk(node.right)
             for rec in lrecs:
-                assert rec[_MONO].exps[node.var] < node.exp, "left routing"
+                require(rec[_MONO].exps[node.var] < node.exp, "left routing")
             for rec in rrecs:
-                assert rec[_MONO].exps[node.var] >= node.exp, "right routing"
+                require(rec[_MONO].exps[node.var] >= node.exp, "right routing")
             recs = lrecs + rrecs
             for rec in recs:
-                assert not (rec[_LIVE] and node.mask & ~rec[_MASK]), \
-                    "node mask"
+                require(not (rec[_LIVE] and node.mask & ~rec[_MASK]),
+                        "node mask")
             return recs
         walk(self.root)
 

@@ -36,6 +36,12 @@ class InvariantError(RuntimeError):
     """A result guard failed: the engine reached a state it must not."""
 
 
+def require(ok, what: str) -> None:
+    """Raise InvariantError(what) unless ok; unlike assert, also under -O."""
+    if not ok:
+        raise InvariantError(what)
+
+
 def key_bound(num_vars: int) -> int:
     """Strict bound on |key| of any monomial in num_vars variables, and on
     |key difference| of two of them.  Every order weight is below

@@ -28,7 +28,7 @@ from .division import Completion, prepare_inputs, reduced_basis
 from .lookup import make_lookup
 from .pairbits import BitTriangle
 from .poly import poly_monic
-from .ring import InvariantError, Monomial, Ring, key_bound
+from .ring import InvariantError, Monomial, Ring, key_bound, require
 from .spairqueue import MinHeap
 from .termqueue import QueueConfig
 
@@ -126,14 +126,13 @@ class SigStats:
     divmask: object = None
 
     def check(self, early_singular_enabled=False):
-        if self.spairs != (self.nonregular + self.basedivisor
-                           + self.sig_early + self.early_singular
-                           + self.queued):
-            raise InvariantError("construction accounting")
-        if not early_singular_enabled and self.early_singular:
-            raise InvariantError("early singular eliminations while disabled")
-        if self.need_reduction != self.to_sb + self.to_syzygy:
-            raise InvariantError("reduction-count law")
+        require(self.spairs == self.nonregular + self.basedivisor
+                + self.sig_early + self.early_singular + self.queued,
+                "construction accounting")
+        require(early_singular_enabled or not self.early_singular,
+                "early singular eliminations while disabled")
+        require(self.need_reduction == self.to_sb + self.to_syzygy,
+                "reduction-count law")
 
     def rows(self):
         out = [
@@ -221,8 +220,8 @@ class SyzygySet:
         for i, (m1, c1) in enumerate(sigs):
             for j, (m2, c2) in enumerate(sigs):
                 if i != j and c1 == c2:
-                    assert not self.ring.mono_divides(m1, m2), \
-                        "syzygy set not minimal"
+                    require(not self.ring.mono_divides(m1, m2),
+                            "syzygy set not minimal")
 
 
 def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
@@ -341,8 +340,9 @@ class _SBEngine(Completion):
     # -- S-pair construction ----------------------------------------------
 
     def _find_base_divisors(self, beta: SigEntry):
-        high = low = None
-        vbound = None
+        high = low = vbound = None
+        if self.tri.dropped:        # every tri.get answers False now
+            return high, low, vbound
         if self.cfg.base_divisors >= 1:
             high = self._max_ratio_divisor(self.lookup, beta.lead)
         if self.cfg.base_divisors >= 2:
@@ -359,10 +359,7 @@ class _SBEngine(Completion):
         stats.spairs += bidx
         if bidx == 0:
             return
-        high = low = None
-        vbound = None
-        if cfg.base_divisors and not self.tri.dropped:
-            high, low, vbound = self._find_base_divisors(beta)
+        high, low, vbound = self._find_base_divisors(beta)
         brank = beta.ratio_rank
         tri = self.tri
         syz = self.syz
@@ -413,8 +410,8 @@ class _SBEngine(Completion):
         while pairs.peek_min_key() == tkey:
             group.append(pairs.pop_min())
         group.sort(key=lambda ij: (ij[1], ij[0]))
-        if self._last_key is not None and tkey < self._last_key:
-            raise InvariantError("signature monotonicity")
+        require(self._last_key is None or tkey >= self._last_key,
+                "signature monotonicity")
         self._last_key = tkey
         stats = self.stats
         cfg = self.cfg
@@ -422,8 +419,8 @@ class _SBEngine(Completion):
         i0, j0 = group[0]
         entries = self.entries
         tmono, tcomp = spair_signature(self.ring, entries[i0], entries[j0])
-        if self.morder.sig_key(tmono, tcomp) != tkey:
-            raise InvariantError("pair key is not its signature's key")
+        require(self.morder.sig_key(tmono, tcomp) == tkey,
+                "pair key is not its signature's key")
         if cfg.use_signature and self.syz.divides(tmono, tcomp):
             stats.sig_late += 1
             self._set_bits(group)
@@ -450,33 +447,32 @@ class _SBEngine(Completion):
             pushees = group if cfg.koszul_push == "group" else group[:1]
             for i, j in pushees:
                 self.koszul.push(self._koszul_key(i, j))
-        champion, tmult = self._champion(tmono, tcomp)
-        if cfg.use_singular and not self._regular_top_reducible(
-                self.ring.mono_mul(tmult, champion.lead), tkey):
+        champion, lead = self._champion(tmono, tcomp)
+        if cfg.use_singular and not self._regular_top_reducible(lead, tkey):
             stats.singular_late += 1
             return None
-        return (((1, tmult, champion.poly),),
+        return (((1, lead, champion.poly),),
                 (entries, tkey, self.morder.scale, cfg.reducer_select),
                 (tmono, tcomp, group))
 
     def _champion(self, tmono, tcomp):
         """Basis element whose signature divides T with the smallest lead
-        multiple; equivalently the divisor of maximal sig/lead ratio."""
+        multiple (equivalently the divisor of maximal sig/lead ratio), and
+        that lead multiple, the seed product's lead term."""
         lookup = self.sig_lookups[tcomp]
         champ = self._max_ratio_divisor(lookup, tmono)
-        if champ is None:
-            raise InvariantError(
+        require(champ is not None,
                 "no signature divisor for a popped S-pair signature")
-        tmult = self.ring.mono_div(tmono, champ.sig_mono)
+        lead = self.ring.mono_mul(self.ring.mono_div(tmono, champ.sig_mono),
+                                  champ.lead)
         if self.cfg.audit:
             entries = self.entries
             best = min(self.ring.mono_mul(
                 self.ring.mono_div(tmono, entries[i].sig_mono),
                 entries[i].lead).key
                 for i in lookup.find_all_divisors(tmono))
-            got = self.ring.mono_mul(tmult, champ.lead).key
-            assert got == best, "champion lead not minimal"
-        return champ, tmult
+            require(lead.key == best, "champion lead not minimal")
+        return champ, lead
 
     def _regular_top_reducible(self, mono, tkey):
         """Has mono, a term of signature key tkey, a regular reducer (by

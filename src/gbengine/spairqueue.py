@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 
-from .ring import InvariantError
+from .ring import require
 from .termqueue import Heap, TourTree
 
 SPAIR_QUEUE_KINDS = ("triangle-tt", "triangle-heap", "heap", "tourtree")
@@ -95,11 +95,10 @@ class PairTriangle:
 
     def check_accounting(self):
         cols = self.cols.values()
-        if (self.pairs != sum(map(len, cols)) or self.queued_bytes
-                != sum(len(col) * col.itemsize for col in cols)):
-            raise InvariantError("pair triangle accounting")
-        if len(self.front) != len(self.cols):
-            raise InvariantError("front/column mismatch")
+        require(self.pairs == sum(map(len, cols)) and self.queued_bytes
+                == sum(len(col) * col.itemsize for col in cols),
+                "pair triangle accounting")
+        require(len(self.front) == len(self.cols), "front/column mismatch")
 
 
 class FlatPairQueue:

@@ -14,10 +14,10 @@ they are), and only ReducerQueue reduces mod p: the multiplier when a
 product is pushed, and each sum as it pops.  Every flavour works over a
 MonomialTable, which a run shares between its queues.  The table interns
 each product monomial to a small int id, stores the id's negated order
-key (so the smallest key is the largest monomial), caches per product
-mult * poly the row of ids of its terms, and makes an id's monomial once,
-when it interns the id.  A product is pushed as its row and a term pops
-as its id.  Backends order entries by their first field, that key:
+key (so the smallest key is the largest monomial), caches the row of ids
+of each product's terms under (lead id, poly), and makes an id's monomial
+once, when it interns the id.  A product is pushed as its row and a term
+pops as its id.  Backends order entries by their first field, that key:
 
   plain       (key, c, id), c the term's unreduced coefficient; dedup
               folds entries of equal key by adding c
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
 
-from .ring import Ring
+from .ring import Ring, require
 
 BACKENDS = ("heap", "geobucket", "tourtree")
 
@@ -134,7 +134,7 @@ class Heap:
         # equal key may fall out of whole-tuple order
         a = self.a
         for i in range(1, len(a)):
-            assert a[(i - 1) >> 1][0] <= a[i][0], "heap property"
+            require(a[(i - 1) >> 1][0] <= a[i][0], "heap property")
 
 
 class Geobucket:
@@ -237,15 +237,15 @@ class Geobucket:
 
     def audit(self):
         heads = self.heads
-        assert sorted(heads) == sorted((b[-1][0], i)
-                                       for i, b in enumerate(self.buckets)
-                                       if b), "bucket heads"
+        require(sorted(heads) == sorted((b[-1][0], i)
+                                        for i, b in enumerate(self.buckets)
+                                        if b), "bucket heads")
         for j in range(1, len(heads)):
-            assert heads[(j - 1) >> 1] <= heads[j], "head heap"
+            require(heads[(j - 1) >> 1] <= heads[j], "head heap")
         for i, b in enumerate(self.buckets):
-            assert len(b) <= self._cap(i), "geobucket capacity"
+            require(len(b) <= self._cap(i), "geobucket capacity")
             for j in range(1, len(b)):
-                assert b[j - 1][0] >= b[j][0], "bucket sortedness"
+                require(b[j - 1][0] >= b[j][0], "bucket sortedness")
 
 
 class TourTree:
@@ -313,10 +313,7 @@ class TourTree:
             self._grow()
         self._set(self.free.pop(), e)
 
-    def push_run(self, run):
-        """Insert a run of entries in ascending key order."""
-        for e in run:
-            self.push(e)
+    push_run = Heap.push_run
 
     def peek(self):
         return self.leaves[self.win[1]]
@@ -340,9 +337,9 @@ class TourTree:
 
     def audit(self):
         leaves, win, cap = self.leaves, self.win, self.cap
-        assert win[cap:] == list(range(cap)), "leaf slots"
-        assert sorted(self.free) == [i for i, e in enumerate(leaves)
-                                     if e is None], "free leaves"
+        require(win[cap:] == list(range(cap)), "leaf slots")
+        require(sorted(self.free) == [i for i, e in enumerate(leaves)
+                                      if e is None], "free leaves")
 
         def key(n):
             e = leaves[win[n]]
@@ -350,7 +347,7 @@ class TourTree:
 
         for n in range(1, cap):
             kids = [k for k in (key(2 * n), key(2 * n + 1)) if k is not None]
-            assert key(n) == min(kids, default=None), "tournament winner"
+            require(key(n) == min(kids, default=None), "tournament winner")
 
 
 def _make_backend(cfg: QueueConfig):
@@ -365,9 +362,10 @@ class MonomialTable:
     """Product monomials interned to ids, and cached rows of product ids.
 
     One table serves every queue of a run (an engine, or one interreduce
-    or reduced_basis call) and lives as long as it.  Queues keep their
-    pending terms to themselves, so a queue abandoned part way leaves
-    nothing behind here.
+    or reduced_basis call) and lives as long as it.  Rows are keyed by
+    (lead id, poly), poly by value: whatever list or index holds poly.
+    Queues keep their pending terms to themselves, so a queue abandoned
+    part way leaves nothing behind here.
     """
 
     __slots__ = ("ring", "ids", "keys", "monos", "rows")
@@ -379,30 +377,36 @@ class MonomialTable:
         self.ids = {}           # key -> id
         self.keys = []          # id -> key
         self.monos = []         # id -> Monomial
-        # (mult key, poly) -> ids of the terms of mult * poly; polynomials
-        # hash and compare by value, so equal products share one row
-        self.rows = {}
+        self.rows = {}          # (lead id, poly) -> the product's row
 
-    def row(self, mult, poly):
-        """The ids of the terms of mult * poly, in term order."""
-        rk = (mult.key, poly)
-        row = self.rows.get(rk)
+    def row(self, lead, poly, audit=False):
+        """The ids of the terms of the multiple of poly (nonzero) whose
+        lead term is lead, in term order.  Only a term new to the table
+        needs the multiplier; audit checks the monomials of a cached row
+        (InvariantError if stale)."""
+        row = self.rows.get((self.ids.get(-lead.key), poly))
         if row is None:
-            ids = self.ids
-            keys = self.keys
-            nmk = -mult.key
+            ids, keys = self.ids, self.keys
+            mult = None
+            nmk = poly.monos[0].key - lead.key    # -(mult key): keys add
             out = []
             for m in poly.monos:
                 k = nmk - m.key
                 t = ids.get(k)
                 if t is None:
-                    # made first, so that an exponent-cap error leaves
-                    # ids, keys and monos in step
+                    if mult is None:
+                        mult = self.ring.mono_div(lead, poly.monos[0])
+                    # made first: a cap error leaves ids, keys, monos in step
                     self.monos.append(self.ring.mono_mul(mult, m))
                     t = ids[k] = len(keys)
                     keys.append(k)
                 out.append(t)
-            row = self.rows[rk] = tuple(out)
+            row = self.rows[out[0], poly] = tuple(out)
+        elif audit:
+            mult = self.ring.mono_div(lead, poly.monos[0])
+            require([self.monos[t] for t in row] == [
+                self.ring.mono_mul(mult, m) for m in poly.monos],
+                "stale cached reducer row")
         return row
 
 
@@ -427,7 +431,7 @@ class ReducerQueue:
 
     def push_product(self, coeff: int, row, poly, start: int = 0) -> None:
         """Add all terms of coeff * (mult * poly)[start:] to the queue, row
-        being table.row(mult, poly), the ids of the product's terms."""
+        being the product's row of ids, table.row(lead, poly)."""
         coeff %= self.p
         if not coeff or start >= len(poly):
             return
@@ -502,7 +506,7 @@ class ReducerQueue:
                 return (coeff, t)
 
     def audit(self):
-        """Assert that every entry's key is the table key of its id (for a
+        """Check that every entry's key is the table key of its id (for a
         compressed cursor, of the row id it stands at) and that a hashed
         queue's backend holds each pending id once; then audit the
         backend."""
@@ -510,14 +514,14 @@ class ReducerQueue:
         for e in self.backend:
             if self.cfg.compressed:
                 _, _, j, row, _ = e
-                assert j < len(row), "cursor inside its row"
+                require(j < len(row), "cursor inside its row")
                 t = row[j]
             else:
                 t = e[-1]
-            assert e[0] == keys[t], "entry key is its id's key"
+            require(e[0] == keys[t], "entry key is its id's key")
         if self.acc is not None:
             held = [t for _, t in self.backend]
-            assert len(set(held)) == len(held), "one backend entry per id"
-            assert set(held) == {t for t, a in enumerate(self.acc) if a}, \
-                "pending ids are the backend's"
+            require(len(set(held)) == len(held), "one backend entry per id")
+            require(set(held) == {t for t, a in enumerate(self.acc) if a},
+                    "pending ids are the backend's")
         self.backend.audit()

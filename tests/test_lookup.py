@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gbengine import DivMap, Ring, make_lookup, may_divide
+from gbengine import DivMap, InvariantError, Ring, make_lookup, may_divide
 from gbengine.lookup import LOOKUP_KINDS, KdLookup
 
 from _util import random_mono
@@ -215,7 +215,7 @@ def test_divkdtree_node_mask_is_and_of_subtree():
     s.audit()
     # a node bit that some live entry below lacks would prune a divisor
     s.root.mask = -1
-    with pytest.raises(AssertionError, match="node mask"):
+    with pytest.raises(InvariantError, match="node mask"):
         s.audit()
 
 

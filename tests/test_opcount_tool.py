@@ -1,0 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+OPCOUNT = Path(__file__).resolve().parent.parent / "tools" / "opcount.py"
+
+
+def _opcount(seed, *args):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    return subprocess.run([sys.executable, str(OPCOUNT), *args], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout.splitlines()
+
+
+def test_opcount_is_one_positive_count_whatever_the_hash_seed():
+    first = _opcount(1, "katsura3")
+    second = _opcount(2, "katsura3")
+    assert len(first) == 1
+    count, command = first[0].split(None, 1)
+    assert int(count) > 0
+    assert command == "gbengine run katsura3 --algorithm sb"
+    assert second == first
+
+
+def test_opcount_counts_a_classic_solve():
+    out = _opcount(1, "katsura3", "--algorithm", "classic")
+    count, command = out[0].split(None, 1)
+    assert int(count) > 0 and command.endswith("--algorithm classic")

@@ -1,6 +1,7 @@
-"""Reducer rows cached per (popped id, basis index): a hit does no
-multiplier work, a cache never crosses basis lists, and an audited run
-checks every reused row."""
+"""One reducer-row cache, the monomial table's, under (lead id, poly): a
+polynomial names itself by value, whatever basis list or index holds it,
+a hit does no multiplier work, and an audited run checks every reused
+row."""
 
 import os
 import random
@@ -11,12 +12,12 @@ from pathlib import Path
 import pytest
 
 from gbengine import (ClassicConfig, InvariantError, Ring, SBConfig,
-                      all_queue_configs, basis_lookup, buchberger_run,
-                      builtin_ideal, classic_reduce, sb_run)
+                      all_queue_configs, buchberger_run, builtin_ideal,
+                      classic_reduce, sb_run)
 from gbengine import division
 from gbengine.poly import Polynomial, poly_add, poly_from_exps, poly_mul_term
 from gbengine.ring import ff_inv
-from gbengine.termqueue import MonomialTable, ReducerQueue
+from gbengine.termqueue import MonomialTable
 
 from _util import random_poly
 
@@ -45,9 +46,9 @@ def naive_remainder(ring, f, basis):
 
 def test_shared_table_serves_bases_that_differ_at_one_index():
     # both bases hold, at each index, polynomials of one lead and different
-    # tails, so every reducer product of the first call has the id and the
-    # index of one of the second; a row cache kept in the table would hand
-    # the second call the first call's rows
+    # tails, so every reducer product of the first call has the lead and
+    # the basis index of one of the second, but another polynomial: the
+    # table's rows, keyed by polynomial value, keep the two apart
     rng = random.Random(37)
     r = Ring(101, 3)
     cases = []
@@ -69,65 +70,52 @@ def test_shared_table_serves_bases_that_differ_at_one_index():
                 _, rem = classic_reduce(r, f, basis, queue_cfg=cfg,
                                         track_quotients=False, table=table)
                 assert rem == naive_remainder(r, f, basis), cfg.label()
-    # the trap is real: one row cache across both bases gives a wrong
-    # remainder
-    wrong = 0
-    for f, one, other in cases:
-        table = MonomialTable(r)
-        rows = {}
-        for basis in (one, other):
-            q = ReducerQueue(r, None, table)
-            q.push_product(1, table.row(r.one, f), f)
-            lookup = basis_lookup(r, basis)
-            _, rem = division.divide_queue(r, q, basis, lookup, False, rows)
-            wrong += rem != naive_remainder(r, f, basis)
-    assert wrong > 0
 
 
 def test_a_hit_does_no_multiplier_work(monkeypatch):
+    # a and b sit at indices 0 and 1 of one basis list and at 1 and 2 of
+    # another, whose index 0 divides no term ever pending; a second
+    # division of f, through the second list on the table the first
+    # filled, finds every row cached and divides out no multiplier
     rng = random.Random(41)
     r = Ring(101, 3)
-    basis = [poly_from_exps(r, [(1, (1, 0, 0)), (3, (0, 0, 1))]),
-             poly_from_exps(r, [(1, (0, 2, 0)), (5, (0, 1, 1)),
-                                (7, (0, 0, 0))])]
-    f = random_poly(r, rng, max_terms=10, max_exp=5)
-    lookup = basis_lookup(r, basis)
+    a = poly_from_exps(r, [(1, (1, 0, 0)), (3, (0, 0, 1))])
+    b = poly_from_exps(r, [(1, (0, 2, 0)), (5, (0, 1, 1)), (7, (0, 0, 0))])
+    c = poly_from_exps(r, [(1, (0, 0, 60)), (2, (0, 0, 0))])
+    fs = [random_poly(r, rng, max_terms=10, max_exp=5) for _ in range(5)]
     calls = []
     real_div = Ring.mono_div
 
-    def counting_div(self, a, b):
+    def counting_div(self, x, y):
         calls.append(1)
-        return real_div(self, a, b)
+        return real_div(self, x, y)
 
     monkeypatch.setattr(Ring, "mono_div", counting_div)
     for cfg in all_queue_configs():
         table = MonomialTable(r)
-        rows = {}
-        rems = []
-        for run in range(2):
+        for f in fs:
+            classic_reduce(r, f, [a, b], queue_cfg=cfg,
+                           track_quotients=False, table=table)
             del calls[:]
-            q = ReducerQueue(r, cfg, table)
-            q.push_product(1, table.row(r.one, f), f)
-            rems.append(division.divide_queue(r, q, basis, lookup, False,
-                                              rows)[1])
-            if run == 0:
-                # one division per miss, each making one row
-                assert len(calls) == len(rows) > 0, cfg.label()
-        assert calls == [], cfg.label()
-        assert rems[0] == rems[1] == naive_remainder(r, f, basis), \
-            cfg.label()
+            _, rem = classic_reduce(r, f, [c, a, b], queue_cfg=cfg,
+                                    track_quotients=False, table=table)
+            assert calls == [], cfg.label()
+            assert rem == naive_remainder(r, f, [a, b]), cfg.label()
+    assert len(table.rows) > len(fs)
 
 
 def _corrupt_after_each_reduction(monkeypatch):
     # drop the last id of every cached row of more than two ids once each
-    # reduction is done, so the next reuse of any of them is a wrong row
-    # (one that still ends, as an unaudited run does not notice)
+    # audited reduction is done, so the next reuse of any of them is a
+    # wrong row (one that still ends, as an unaudited run does not notice);
+    # the unaudited input interreduction keeps its table whole
     real = division.divide_queue
 
-    def corrupting(ring, queue, basis, lookup, top_only, rows, *args, **kw):
-        out = real(ring, queue, basis, lookup, top_only, rows, *args, **kw)
+    def corrupting(ring, queue, *args, **kw):
+        out = real(ring, queue, *args, **kw)
+        rows = queue.table.rows
         for key, row in rows.items():
-            if len(row) > 2:
+            if kw.get("audit") and len(row) > 2:
                 rows[key] = row[:-1]
         return out
 
@@ -153,22 +141,43 @@ def test_row_check_fires_under_optimize():
         "from gbengine import division",
         "assert False  # stripped by -O",
         "real = division.divide_queue",
-        "def corrupting(*args, **kw):",
-        "    out = real(*args, **kw)",
-        "    rows = args[5]",
+        "def corrupting(ring, queue, *args, **kw):",
+        "    out = real(ring, queue, *args, **kw)",
+        "    rows = queue.table.rows",
         "    for key, row in rows.items():",
-        "        if len(row) > 2:",
+        "        if kw.get('audit') and len(row) > 2:",
         "            rows[key] = row[:-1]",
         "    return out",
         "division.divide_queue = corrupting",
         "ring, polys = builtin_ideal('katsura4')",
         "try:",
         "    sb_run(ring, polys, SBConfig(audit=True))",
-        "except InvariantError:",
-        "    print('ok')"])
+        "except InvariantError as exc:",
+        "    print(exc)"])
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+    assert out.stdout.strip() == "stale cached reducer row"
+
+
+def test_a_miss_of_known_terms_divides_out_no_multiplier(monkeypatch):
+    # x * (x^2 + 2y) is a new product whose terms x^3 and xy the table
+    # already interned for x * (x^2 + y): its row needs no multiplier
+    r = Ring(101, 3)
+    f = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0))])
+    g = poly_from_exps(r, [(1, (2, 0, 0)), (2, (0, 1, 0))])
+    x3 = r.mono((3, 0, 0))
+    table = MonomialTable(r)
+    row = table.row(x3, f)
+    calls = []
+    real_div = Ring.mono_div
+
+    def counting_div(self, x, y):
+        calls.append(1)
+        return real_div(self, x, y)
+
+    monkeypatch.setattr(Ring, "mono_div", counting_div)
+    assert table.row(x3, g) == row and calls == []
+    assert len(table.rows) == 2 and len(table.keys) == 2

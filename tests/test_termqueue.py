@@ -1,12 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gbengine import QueueConfig, ReducerQueue, Ring, all_queue_configs
+from gbengine import (InvariantError, QueueConfig, ReducerQueue, Ring,
+                      all_queue_configs)
 from gbengine.poly import Polynomial, poly_from_exps
 from gbengine.termqueue import Geobucket, Heap, MonomialTable, TourTree
 
 from _util import random_poly
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_config_validation():
@@ -105,9 +112,17 @@ def _ring():
     return Ring(101, 3)
 
 
+def _lead(r, mono, poly):
+    # the lead term of mono * poly, made without Ring.mono_mul, which some
+    # tests count
+    return r.mono(tuple(map(sum, zip(mono.exps, poly.lead_mono.exps))))
+
+
 def _push(q, coeff, mono, poly, start=0):
-    # push (coeff * mono) * poly[start:] as the row of ids of mono * poly
-    q.push_product(coeff, q.table.row(mono, poly), poly, start)
+    # push (coeff * mono) * poly[start:] as the row of ids of mono * poly,
+    # which the table names by its lead term
+    lead = _lead(q.table.ring, mono, poly)
+    q.push_product(coeff, q.table.row(lead, poly), poly, start)
 
 
 def _pop(q):
@@ -175,15 +190,20 @@ def test_one_product_per_nonzero_pop(monkeypatch):
 
 
 def test_product_past_exponent_cap_raises():
-    # x1^40000 * x1^30000 passes the exponent cap; every config raises by
-    # the time that term pops (the table makes the product at push)
+    # the lead x1^60000*x2^20000 of x1^40000 * g stays below the exponent
+    # cap, its tail term x1^70000 passes it; every config raises by the
+    # time that term pops (the table makes the product at push), and the
+    # table keeps ids, keys and monomials in step
     r = Ring(101, 2)
-    g = poly_from_exps(r, [(1, (30000, 0)), (1, (0, 1))])
+    g = poly_from_exps(r, [(1, (20000, 20000)), (1, (30000, 0))])
     for cfg in all_queue_configs():
         q = ReducerQueue(r, cfg)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exponent out of range"):
             _push(q, 1, r.mono((40000, 0)), g)
             q.pop_max()
+        table = q.table
+        assert len(table.ids) == len(table.keys) == len(table.monos) == 1
+        assert table.rows == {}
 
 
 def test_hashed_key_pushed_again_after_pop():
@@ -327,14 +347,15 @@ def test_equal_products_share_one_row():
     f, g = Polynomial(coeffs, monos), Polynomial(coeffs, list(monos))
     assert f is not g and f == g and hash(f) == hash(g)
     x, y = r.mono((1, 0, 0)), r.mono((0, 1, 0))
+    x3, x2y = r.mono((3, 0, 0)), r.mono((2, 1, 0))  # leads of x*f and y*f
     table = MonomialTable(r)
     q = ReducerQueue(r, QueueConfig(), table)
     _push(q, 1, x, f)
     _push(q, 1, r.mono((1, 0, 0)), g, start=1)
     assert len(table.rows) == 1 and len(table.keys) == 2
-    assert table.row(x, g) is table.row(x, f)
+    assert table.row(x3, g) is table.row(x3, f)
     _push(q, 1, y, f)
-    assert len(table.rows) == 2 and table.row(y, f) != table.row(x, f)
+    assert len(table.rows) == 2 and table.row(x2y, f) != table.row(x3, f)
     assert list(iter(lambda: _pop(q), None)) == \
         [(1, (3, 0, 0)), (1, (2, 1, 0)), (10, (1, 1, 0)), (5, (0, 2, 0))]
 
@@ -388,8 +409,33 @@ def test_hashed_audit_catches_corruption(corrupt):
     else:
         e = q.backend.pop()
         q.backend.push((key - 1,) + e[1:])
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         q.audit()
+
+
+def test_queue_audit_fires_under_optimize():
+    # the audits raise InvariantError, not AssertionError, so python -O
+    # keeps them
+    script = "\n".join([
+        "from gbengine import InvariantError, QueueConfig, ReducerQueue, Ring",
+        "from gbengine.poly import poly_from_exps",
+        "assert False  # stripped by -O",
+        "r = Ring(101, 3)",
+        "g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0))])",
+        "q = ReducerQueue(r, QueueConfig('heap'))",
+        "q.push_product(1, q.table.row(g.lead_mono, g), g)",
+        "q.audit()",
+        "q.acc[q.backend.peek()[-1]] = 0",
+        "try:",
+        "    q.audit()",
+        "except InvariantError as exc:",
+        "    print(exc)"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "pending ids are the backend's"
 
 
 def test_dedup_merges_like_terms():

@@ -1,0 +1,73 @@
+"""Count the bytecode instructions one CLI solve executes.
+
+    python3 tools/opcount.py IDEAL [--algorithm sb|classic]
+
+IDEAL is a builtin name (katsura7, cyclic6, hcyclic5, ...) or an ideal
+file, as for `gbengine run`.  The solve is one in-process
+`run_cli(["run", IDEAL, "--algorithm", ALGORITHM])`, its result bytes
+discarded, run under `sys.settrace` with `f_trace_opcodes` set on every
+frame; each executed instruction of a Python frame counts once.  The
+program counted is the gbengine source in `src/` of the checkout that
+holds this file.  It prints one line: the count, then the command.
+
+The count depends on the Python version but not on the host's load, nor
+on PYTHONHASHSEED, so two trees compare on one run each where wall time
+cannot resolve their difference.  Tracing slows the solve by one to two
+orders of magnitude: a classic cyclic6 solve, about 88 million
+instructions, takes minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def count_opcodes(fn, *args):
+    """(fn(*args), the number of bytecode instructions it executed)."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def enter(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(enter)
+    try:
+        out = fn(*args)
+    finally:
+        sys.settrace(None)
+    return out, count
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(prog="opcount.py")
+    ap.add_argument("ideal", help="builtin name or ideal file")
+    ap.add_argument("--algorithm", choices=("sb", "classic"), default="sb")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(SRC))
+    from gbengine.cli import run_cli
+
+    argv = ["run", args.ideal, "--algorithm", args.algorithm]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code, count = count_opcodes(run_cli, argv)
+    if code:
+        raise SystemExit("exit %d: %s\n%s" % (code, " ".join(argv),
+                                               err.getvalue()))
+    print("%d gbengine %s" % (count, " ".join(argv)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
