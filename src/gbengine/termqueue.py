@@ -362,8 +362,8 @@ class MonomialTable:
     """Product monomials interned to ids, and cached rows of product ids.
 
     One table serves every queue of a run (an engine, or one interreduce
-    or reduced_basis call) and lives as long as it.  Rows are keyed by
-    (lead id, poly), poly by value: whatever list or index holds poly.
+    or reduced_basis call) and lives as long as it.  A product's row is
+    keyed by (lead id, poly), poly by value, whatever list holds poly.
     Queues keep their pending terms to themselves, so a queue abandoned
     part way leaves nothing behind here.
     """
