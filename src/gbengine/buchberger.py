@@ -132,15 +132,13 @@ class _ClassicEngine(Completion):
         self.polys.append(g)
         self.leads.append(g.lead_mono)
         self._sweep_new_pairs(n)
-        # retire stale elements whose lead the new one divides
+        # retire stale elements whose lead the new one divides, and forget
+        # what the lcm cache holds of them
         mine = g.lead_mono
-        for lead, i in list(self.lookup.entries()):
-            if self.ring.mono_divides(mine, lead):
-                self.lookup.retire(i)
-                self.cache.pop(i, None)
-                for k, c in list(self.cache.items()):
-                    if c == i:
-                        del self.cache[k]
+        gone = self.lookup.retire_multiples(mine)
+        if gone:
+            self.cache = {k: c for k, c in self.cache.items()
+                          if k not in gone and c not in gone}
         self.lookup.insert(mine, n)
         self.lookup.maybe_rebuild()
 

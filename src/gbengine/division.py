@@ -10,18 +10,19 @@ smallest index among them, unless the signature engine passes its
 regular-reducer rule, as data the loop tests inline.  Either way the
 choice is deterministic, so runs are reproducible no matter which lookup
 structure serves the divisor queries.  Each reducer product's row comes
-from the monomial table's one row cache, under (popped id, reducer): the
-popped term is the product's lead term, and a polynomial names itself by
-value, whatever list or index holds it.
+from the queue's one row cache, under (popped id, reducer): the popped
+term is the product's lead term, and a polynomial names itself by value,
+whatever list or index holds it.  One queue serves every reduction of its
+owner: an engine, or one interreduce or reduced_basis call.
 """
 
 from __future__ import annotations
 
 from .lookup import make_lookup
 from .poly import Polynomial, poly_monic, poly_normalize
-from .ring import Ring, ff_inv
+from .ring import Ring, ff_inv, require
 from .spairqueue import make_spair_queue
-from .termqueue import MonomialTable, QueueConfig, ReducerQueue
+from .termqueue import ReducerQueue
 
 
 def basis_lookup(ring: Ring, basis, kind: str = "divkdtree"):
@@ -35,10 +36,8 @@ def basis_lookup(ring: Ring, basis, kind: str = "divkdtree"):
 
 
 def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
-                   top_only: bool = False,
-                   queue_cfg: QueueConfig | None = None,
-                   track_quotients: bool = True,
-                   table: MonomialTable | None = None):
+                   top_only: bool = False, track_quotients: bool = True,
+                   queue: ReducerQueue | None = None):
     """Divide f by the basis: returns (per-basis quotient term lists, r).
 
     Guarantees f = sum q_i g_i + r with hd f >= hd(q_i g_i); no term of r
@@ -46,15 +45,17 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
     The reducer for a term is the valid divisor of smallest basis index,
     so the outcome does not depend on the lookup structure.
 
-    The queue interns its products in table, which callers dividing many
-    polynomials share across the calls; without one the call makes a
-    table that lives only as long as the division.
+    The division runs on queue, which it takes and leaves empty, so a
+    caller dividing many polynomials passes one queue and each call reuses
+    the products interned before; without one the call makes a default
+    queue that lives only as long as the division.
     """
     if lookup is None:
         lookup = basis_lookup(ring, basis, "list")
-    queue = ReducerQueue(ring, queue_cfg, table)
+    if queue is None:
+        queue = ReducerQueue(ring)
     if f:
-        queue.push_product(1, queue.table.row(f.lead_mono, f), f)
+        queue.push_product(1, queue.row(f.lead_mono, f), f)
     return divide_queue(ring, queue, basis, lookup, top_only,
                         track_quotients)
 
@@ -69,12 +70,12 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
     divides it.  With regular = (entries, tkey, scale, select) only indices
     i of entries[i].ratio_rank < tkey - scale * mono.key qualify, and
     select, if not None, picks from their entries in index order.  The
-    reducer product's row is the table's, under (popped id, reducer), and
-    audit has the table check each reused one.
+    reducer product's row is the queue's, under (popped id, reducer), and
+    audit has the queue check each reused one.
     """
     p = ring.char
-    tmonos = queue.table.monos
-    rows = queue.table.rows
+    tmonos = queue.monos
+    rows = queue.rows
     entries, tkey, scale, select = regular or (None, 0, 0, None)
     quotients = [[] for _ in basis] if track_quotients else None
     coeffs = []
@@ -97,7 +98,7 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
                 g = basis[idx]
                 row = rows.get((t, g))
                 if row is None or audit:
-                    row = queue.table.row(mono, g, audit)
+                    row = queue.row(mono, g, audit)
                 lc = g.coeffs[0]
                 c = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
                 if track_quotients:
@@ -115,7 +116,8 @@ class Completion:
     """The completion loop: each turn _pop returns None when a criterion
     eliminates the popped pair, or (products, regular, info); the products
     (coeff, lead term, poly) are divided by the basis under the reducer
-    rule regular, and _settle(info, remainder) records the outcome."""
+    rule regular, and _settle(info, remainder) records the outcome.  One
+    queue serves every turn: each division leaves it empty."""
 
     top_only = False
 
@@ -125,10 +127,10 @@ class Completion:
         self.polys = []                     # the reducers by basis index
         self.lookup = make_lookup(cfg.lookup, ring)     # over their leads
         self.pairs = make_spair_queue(cfg.spair_queue, self._pair_key)
-        self.table = MonomialTable(ring)    # shared by every reduction
+        self.queue = ReducerQueue(ring, cfg.queue)  # for every reduction
 
     def run(self):
-        ring, cfg, pairs, table = self.ring, self.cfg, self.pairs, self.table
+        ring, cfg, pairs, queue = self.ring, self.cfg, self.pairs, self.queue
         audit = cfg.audit
         while len(pairs):
             if audit:
@@ -137,9 +139,11 @@ class Completion:
             if popped is None:
                 continue
             products, regular, info = popped
-            queue = ReducerQueue(ring, cfg.queue, table)
+            if audit:
+                require(queue.backend.peek() is None,
+                        "reducer queue empty before a turn")
             for coeff, lead, poly in products:
-                queue.push_product(coeff, table.row(lead, poly, audit), poly)
+                queue.push_product(coeff, queue.row(lead, poly, audit), poly)
             if audit:
                 queue.audit()
             _, rem = divide_queue(ring, queue, self.polys, self.lookup,
@@ -170,7 +174,7 @@ def interreduce(ring: Ring, polys, queue_cfg=None):
     polynomials, as prepare_inputs makes them.
     """
     work = [poly_monic(ring, g) for g in polys if g]
-    table = MonomialTable(ring)
+    queue = ReducerQueue(ring, queue_cfg)
     changed = True
     while changed:
         changed = False
@@ -182,8 +186,7 @@ def interreduce(ring: Ring, polys, queue_cfg=None):
             if not others:
                 continue
             _, r = classic_reduce(ring, g, others, top_only=False,
-                                  queue_cfg=queue_cfg, track_quotients=False,
-                                  table=table)
+                                  track_quotients=False, queue=queue)
             r = poly_monic(ring, r)
             if r != g:
                 work[i] = r
@@ -201,13 +204,12 @@ def reduced_basis(ring: Ring, polys, queue_cfg=None):
                    for h in minimal):
             minimal.append(g)
     lookup = basis_lookup(ring, minimal)
-    table = MonomialTable(ring)
+    queue = ReducerQueue(ring, queue_cfg)
     out = []
     for g in minimal:
         # no other lead divides g's lead, and g's lead divides no smaller
         # term: reduce the tail and put the lead back in front
-        queue = ReducerQueue(ring, queue_cfg, table)
-        queue.push_product(1, table.row(g.lead_mono, g), g, start=1)
+        queue.push_product(1, queue.row(g.lead_mono, g), g, start=1)
         _, r = divide_queue(ring, queue, minimal, lookup, False)
         out.append(poly_monic(ring, Polynomial((g.lead_coeff,) + r.coeffs,
                                                (g.lead_mono,) + r.monos)))
@@ -215,12 +217,11 @@ def reduced_basis(ring: Ring, polys, queue_cfg=None):
     return out
 
 
-def reduces_to_zero(ring: Ring, f: Polynomial, basis, lookup=None,
-                    queue_cfg=None) -> bool:
+def reduces_to_zero(ring: Ring, f: Polynomial, basis, lookup=None) -> bool:
     """Membership oracle: does f top-reduce to zero against the basis?
 
     For a Groebner basis the choice of divisor cannot change the answer.
     """
     _, r = classic_reduce(ring, f, basis, lookup, top_only=True,
-                          queue_cfg=queue_cfg, track_quotients=False)
+                          track_quotients=False)
     return not r

@@ -295,6 +295,15 @@ class KdLookup:
         if self._log:
             self._log = []
 
+    def retire_multiples(self, mono: Monomial):
+        """Retire every live entry that mono divides; returns their payload
+        ids in entries() order."""
+        divides = self.ring.mono_divides
+        gone = [pid for stored, pid in self.entries() if divides(mono, stored)]
+        for pid in gone:
+            self.retire(pid)
+        return gone
+
     def maybe_rebuild(self) -> bool:
         if self.churn <= len(self.by_id) * REBUILD_CHURN_RATIO:
             return False

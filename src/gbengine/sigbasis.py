@@ -200,10 +200,7 @@ class SyzygySet:
         if lk.find_divisor(mono) is not None:
             return False
         # keep the set an antichain: retire stored multiples of the newcomer
-        doomed = [pid for stored, pid in lk.entries()
-                  if self.ring.mono_divides(mono, stored)]
-        for pid in doomed:
-            lk.retire(pid)
+        lk.retire_multiples(mono)
         pid = self._next_id
         self._next_id += 1
         lk.insert(mono, pid)

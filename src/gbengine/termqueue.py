@@ -11,23 +11,23 @@ Every backend is a bare priority queue: it pops the entry of smallest
 first field and does no field arithmetic; the binary heap is the standard
 library's heapq.  Entry coefficients are unreduced (a fold adds them as
 they are), and only ReducerQueue reduces mod p: the multiplier when a
-product is pushed, and each sum as it pops.  Every flavour works over a
-MonomialTable, which a run shares between its queues.  The table interns
-each product monomial to a small int id, stores the id's negated order
-key (so the smallest key is the largest monomial), caches the row of ids
-of each product's terms under (lead id, poly), and makes an id's monomial
-once, when it interns the id.  A product is pushed as its row and a term
-pops as its id.  Backends order entries by their first field, that key:
+product is pushed, and each sum as it pops.  One ReducerQueue serves
+every reduction of a run, and in every flavour it interns each product
+monomial to a small int id, stores the id's negated order key (so the
+smallest key is the largest monomial), caches the row of ids of each
+product's terms under (lead id, poly), and makes an id's monomial once,
+when it interns the id.  A product is pushed as its row and a term pops
+as its id.  Backends order entries by their first field, that key:
 
   plain       (key, c, id), c the term's unreduced coefficient; dedup
               folds entries of equal key by adding c
   compressed  (key, c, j, row, coeffs): a cursor at term j of a product,
               c the multiplier's coefficient; it advances by replace-top
   hashed      (key, id), the id's contributions summed unreduced (all
-              positive, p < 2^31) in the queue's own list indexed by id.
-              An id enters the backend when its sum goes from zero to
-              pending, so a pushed term costs one list read and one list
-              write.
+              positive, p < 2^31) in the list acc, one slot per id, which
+              starts at zero when the id is interned.  An id enters the
+              backend when its sum goes from zero to pending, so a pushed
+              term costs one list read and one list write.
 
 Every field after the key is an int or a tuple of ints, so the heap's
 whole-tuple comparisons never fail on equal keys.
@@ -358,35 +358,42 @@ def _make_backend(cfg: QueueConfig):
     return TourTree(cfg.dedup)
 
 
-class MonomialTable:
-    """Product monomials interned to ids, and cached rows of product ids.
+class ReducerQueue:
+    """The pending terms of the polynomial being reduced, over one backend,
+    and the interned product monomials and rows of every reduction of the
+    queue's owner (an engine, or one interreduce or reduced_basis call).
 
-    One table serves every queue of a run (an engine, or one interreduce
-    or reduced_basis call) and lives as long as it.  A product's row is
-    keyed by (lead id, poly), poly by value, whatever list holds poly.
-    Queues keep their pending terms to themselves, so a queue abandoned
-    part way leaves nothing behind here.
+    Each reduction drains the queue, so the next starts on an empty
+    backend and a hashed queue's sums all zero; the ids, keys, monomials
+    and rows live on.  A product's row is keyed by (lead id, poly), poly by
+    value, whatever list holds poly.
     """
 
-    __slots__ = ("ring", "ids", "keys", "monos", "rows")
+    __slots__ = ("ring", "cfg", "p", "backend", "ids", "keys", "monos",
+                 "rows", "acc")
 
-    def __init__(self, ring: Ring):
+    def __init__(self, ring: Ring, cfg: QueueConfig | None = None):
         self.ring = ring
+        self.cfg = cfg or QueueConfig()
+        self.p = ring.char
+        self.backend = _make_backend(self.cfg)
         # the term order's only reversal: an id's key is its monomial's
         # negated order key, so the min-first backends pop the largest
         self.ids = {}           # key -> id
         self.keys = []          # id -> key
         self.monos = []         # id -> Monomial
         self.rows = {}          # (lead id, poly) -> the product's row
+        # hashed only: id -> pending unreduced sum, 0 if none
+        self.acc = [] if self.cfg.hashed else None
 
     def row(self, lead, poly, audit=False):
         """The ids of the terms of the multiple of poly (nonzero) whose
-        lead term is lead, in term order.  Only a term new to the table
+        lead term is lead, in term order.  Only a term new to the queue
         needs the multiplier; audit checks the monomials of a cached row
         (InvariantError if stale)."""
         row = self.rows.get((self.ids.get(-lead.key), poly))
         if row is None:
-            ids, keys = self.ids, self.keys
+            ids, keys, acc = self.ids, self.keys, self.acc
             mult = None
             nmk = poly.monos[0].key - lead.key    # -(mult key): keys add
             out = []
@@ -396,10 +403,13 @@ class MonomialTable:
                 if t is None:
                     if mult is None:
                         mult = self.ring.mono_div(lead, poly.monos[0])
-                    # made first: a cap error leaves ids, keys, monos in step
+                    # made first: a cap error leaves ids, keys, monos and
+                    # acc in step
                     self.monos.append(self.ring.mono_mul(mult, m))
                     t = ids[k] = len(keys)
                     keys.append(k)
+                    if acc is not None:
+                        acc.append(0)
                 out.append(t)
             row = self.rows[out[0], poly] = tuple(out)
         elif audit:
@@ -409,39 +419,17 @@ class MonomialTable:
                 "stale cached reducer row")
         return row
 
-
-class ReducerQueue:
-    """Facade over one backend implementing the logical term multiset.
-
-    Every flavour takes the ids, keys and monomials of its products from
-    table, normally the run's shared MonomialTable; without one the queue
-    makes a private table that lives as long as it.
-    """
-
-    __slots__ = ("cfg", "p", "backend", "table", "acc")
-
-    def __init__(self, ring: Ring, cfg: QueueConfig | None = None,
-                 table: MonomialTable | None = None):
-        self.cfg = cfg or QueueConfig()
-        self.p = ring.char
-        self.backend = _make_backend(self.cfg)
-        self.table = MonomialTable(ring) if table is None else table
-        # hashed only: id -> pending unreduced sum, 0 if none
-        self.acc = [] if self.cfg.hashed else None
-
     def push_product(self, coeff: int, row, poly, start: int = 0) -> None:
         """Add all terms of coeff * (mult * poly)[start:] to the queue, row
-        being the product's row of ids, table.row(lead, poly)."""
+        being the product's row of ids, self.row(lead, poly)."""
         coeff %= self.p
         if not coeff or start >= len(poly):
             return
-        tkeys = self.table.keys
+        tkeys = self.keys
         terms = zip(islice(row, start, None),
                     islice(poly.coeffs, start, None))
         acc = self.acc
         if acc is not None:
-            if len(acc) < len(tkeys):
-                acc.extend([0] * (len(tkeys) - len(acc)))
             # every contribution is positive, so a zero sum means the id
             # is not pending: it joins the run, in term order
             run = []
@@ -463,7 +451,7 @@ class ReducerQueue:
 
     def pop_max(self):
         """Largest pending (coeff, id) with like terms folded, or None; the
-        id's monomial is table.monos[id]."""
+        id's monomial is self.monos[id]."""
         backend = self.backend
         p = self.p
         acc = self.acc
@@ -478,7 +466,7 @@ class ReducerQueue:
                 acc[t] = 0
                 if coeff:
                     return (coeff, t)
-        tkeys = self.table.keys
+        tkeys = self.keys
         compressed = self.cfg.compressed
         while True:
             top = backend.peek()
@@ -506,11 +494,11 @@ class ReducerQueue:
                 return (coeff, t)
 
     def audit(self):
-        """Check that every entry's key is the table key of its id (for a
-        compressed cursor, of the row id it stands at) and that a hashed
-        queue's backend holds each pending id once; then audit the
-        backend."""
-        keys = self.table.keys
+        """Check that every entry's key is the key of its id (for a
+        compressed cursor, of the row id it stands at), and that a hashed
+        queue keeps one sum per id and its backend holds each pending id
+        once; then audit the backend."""
+        keys = self.keys
         for e in self.backend:
             if self.cfg.compressed:
                 _, _, j, row, _ = e
@@ -520,6 +508,7 @@ class ReducerQueue:
                 t = e[-1]
             require(e[0] == keys[t], "entry key is its id's key")
         if self.acc is not None:
+            require(len(self.acc) == len(keys), "one sum per id")
             held = [t for _, t in self.backend]
             require(len(set(held)) == len(held), "one backend entry per id")
             require(set(held) == {t for t, a in enumerate(self.acc) if a},

@@ -143,6 +143,22 @@ def test_retire_examples():
         assert s.find_divisor(r.mono((0, 1, 1))) == 2
 
 
+def test_retire_multiples_returns_ids_in_entries_order():
+    r = Ring(101, 3)
+    exps = [(2, 1, 0), (0, 1, 0), (1, 1, 3), (1, 0, 0), (1, 2, 0)]
+    for kind in LOOKUP_KINDS:
+        s = make_lookup(kind, r)
+        for pid, e in enumerate(exps):
+            s.insert(r.mono(e), pid)
+        order = [pid for _, pid in s.entries()]
+        gone = s.retire_multiples(r.mono((1, 1, 0)))
+        assert sorted(gone) == [0, 2, 4]
+        assert gone == [pid for pid in order if pid in gone], kind
+        assert sorted(pid for _, pid in s.entries()) == [1, 3]
+        assert s.retire_multiples(r.mono((3, 3, 3))) == []
+        assert sorted(s.find_all_divisors(r.mono((2, 2, 0)))) == [1, 3]
+
+
 def test_maybe_rebuild_trigger():
     r = Ring(101, 3)
     rng = random.Random(31)

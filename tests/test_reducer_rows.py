@@ -1,7 +1,7 @@
-"""One reducer-row cache, the monomial table's, under (lead id, poly): a
-polynomial names itself by value, whatever basis list or index holds it,
-a hit does no multiplier work, and an audited run checks every reused
-row."""
+"""One reducer queue per run, and its one row cache under (lead id, poly):
+a polynomial names itself by value, whatever basis list or index holds it,
+a hit does no multiplier work, and an audited run checks every reused row
+and that each turn starts on an empty queue."""
 
 import os
 import random
@@ -11,13 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from gbengine import (ClassicConfig, InvariantError, Ring, SBConfig,
-                      all_queue_configs, buchberger_run, builtin_ideal,
-                      classic_reduce, sb_run)
+from gbengine import (ClassicConfig, InvariantError, ReducerQueue, Ring,
+                      SBConfig, all_queue_configs, buchberger_run,
+                      builtin_ideal, classic_reduce, sb_run)
 from gbengine import division
 from gbengine.poly import Polynomial, poly_add, poly_from_exps, poly_mul_term
 from gbengine.ring import ff_inv
-from gbengine.termqueue import MonomialTable
 
 from _util import random_poly
 
@@ -44,11 +43,11 @@ def naive_remainder(ring, f, basis):
     return Polynomial(coeffs, monos)
 
 
-def test_shared_table_serves_bases_that_differ_at_one_index():
+def test_one_queue_serves_bases_that_differ_at_one_index():
     # both bases hold, at each index, polynomials of one lead and different
     # tails, so every reducer product of the first call has the lead and
     # the basis index of one of the second, but another polynomial: the
-    # table's rows, keyed by polynomial value, keep the two apart
+    # queue's rows, keyed by polynomial value, keep the two apart
     rng = random.Random(37)
     r = Ring(101, 3)
     cases = []
@@ -64,18 +63,18 @@ def test_shared_table_serves_bases_that_differ_at_one_index():
             cases.append((f, one, other))
     assert len(cases) > 10
     for cfg in all_queue_configs():
-        table = MonomialTable(r)
+        queue = ReducerQueue(r, cfg)
         for f, one, other in cases:
             for basis in (one, other):
-                _, rem = classic_reduce(r, f, basis, queue_cfg=cfg,
-                                        track_quotients=False, table=table)
+                _, rem = classic_reduce(r, f, basis, track_quotients=False,
+                                        queue=queue)
                 assert rem == naive_remainder(r, f, basis), cfg.label()
 
 
 def test_a_hit_does_no_multiplier_work(monkeypatch):
     # a and b sit at indices 0 and 1 of one basis list and at 1 and 2 of
     # another, whose index 0 divides no term ever pending; a second
-    # division of f, through the second list on the table the first
+    # division of f, through the second list on the queue the first
     # filled, finds every row cached and divides out no multiplier
     rng = random.Random(41)
     r = Ring(101, 3)
@@ -92,28 +91,61 @@ def test_a_hit_does_no_multiplier_work(monkeypatch):
 
     monkeypatch.setattr(Ring, "mono_div", counting_div)
     for cfg in all_queue_configs():
-        table = MonomialTable(r)
+        queue = ReducerQueue(r, cfg)
         for f in fs:
-            classic_reduce(r, f, [a, b], queue_cfg=cfg,
-                           track_quotients=False, table=table)
+            classic_reduce(r, f, [a, b], track_quotients=False, queue=queue)
             del calls[:]
-            _, rem = classic_reduce(r, f, [c, a, b], queue_cfg=cfg,
-                                    track_quotients=False, table=table)
+            _, rem = classic_reduce(r, f, [c, a, b], track_quotients=False,
+                                    queue=queue)
             assert calls == [], cfg.label()
             assert rem == naive_remainder(r, f, [a, b]), cfg.label()
-    assert len(table.rows) > len(fs)
+    assert len(queue.rows) > len(fs)
+
+
+def test_two_reductions_through_one_queue(monkeypatch):
+    # the first division leaves the queue empty; the second, of the same
+    # polynomial by the same basis, finds every row interned and gives the
+    # plain division's remainder
+    rng = random.Random(53)
+    r = Ring(101, 3)
+    basis = [poly_from_exps(r, [(1, (1, 1, 0)), (4, (0, 0, 2))]),
+             poly_from_exps(r, [(1, (0, 2, 0)), (9, (1, 0, 0)),
+                                (2, (0, 0, 0))])]
+    f = random_poly(r, rng, max_terms=10, max_exp=5)
+    calls = []
+    real_div = Ring.mono_div
+
+    def counting_div(self, x, y):
+        calls.append(1)
+        return real_div(self, x, y)
+
+    monkeypatch.setattr(Ring, "mono_div", counting_div)
+    want = naive_remainder(r, f, basis)
+    for cfg in all_queue_configs():
+        queue = ReducerQueue(r, cfg)
+        made = []
+        for _ in range(2):
+            del calls[:]
+            _, rem = classic_reduce(r, f, basis, track_quotients=False,
+                                    queue=queue)
+            made.append(len(calls))
+            assert queue.backend.peek() is None, cfg.label()
+            assert queue.acc is None or not any(queue.acc)
+            assert rem == want, cfg.label()
+        assert made[0] > 0 and made[1] == 0, cfg.label()
+    assert want != f
 
 
 def _corrupt_after_each_reduction(monkeypatch):
     # drop the last id of every cached row of more than two ids once each
     # audited reduction is done, so the next reuse of any of them is a
     # wrong row (one that still ends, as an unaudited run does not notice);
-    # the unaudited input interreduction keeps its table whole
+    # the unaudited input interreduction keeps its queue's rows whole
     real = division.divide_queue
 
     def corrupting(ring, queue, *args, **kw):
         out = real(ring, queue, *args, **kw)
-        rows = queue.table.rows
+        rows = queue.rows
         for key, row in rows.items():
             if kw.get("audit") and len(row) > 2:
                 rows[key] = row[:-1]
@@ -143,7 +175,7 @@ def test_row_check_fires_under_optimize():
         "real = division.divide_queue",
         "def corrupting(ring, queue, *args, **kw):",
         "    out = real(ring, queue, *args, **kw)",
-        "    rows = queue.table.rows",
+        "    rows = queue.rows",
         "    for key, row in rows.items():",
         "        if kw.get('audit') and len(row) > 2:",
         "            rows[key] = row[:-1]",
@@ -163,14 +195,14 @@ def test_row_check_fires_under_optimize():
 
 
 def test_a_miss_of_known_terms_divides_out_no_multiplier(monkeypatch):
-    # x * (x^2 + 2y) is a new product whose terms x^3 and xy the table
+    # x * (x^2 + 2y) is a new product whose terms x^3 and xy the queue
     # already interned for x * (x^2 + y): its row needs no multiplier
     r = Ring(101, 3)
     f = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0))])
     g = poly_from_exps(r, [(1, (2, 0, 0)), (2, (0, 1, 0))])
     x3 = r.mono((3, 0, 0))
-    table = MonomialTable(r)
-    row = table.row(x3, f)
+    queue = ReducerQueue(r)
+    row = queue.row(x3, f)
     calls = []
     real_div = Ring.mono_div
 
@@ -179,5 +211,24 @@ def test_a_miss_of_known_terms_divides_out_no_multiplier(monkeypatch):
         return real_div(self, x, y)
 
     monkeypatch.setattr(Ring, "mono_div", counting_div)
-    assert table.row(x3, g) == row and calls == []
-    assert len(table.rows) == 2 and len(table.keys) == 2
+    assert queue.row(x3, g) == row and calls == []
+    assert len(queue.rows) == 2 and len(queue.keys) == len(queue.acc) == 2
+
+
+def test_audited_run_catches_a_stray_queued_term(monkeypatch):
+    # a reduction that left a term behind in the engine's queue would add
+    # it to the next turn's S-polynomial; an audited run refuses that turn
+    real = division.divide_queue
+
+    def leaky(ring, queue, *args, **kw):
+        out = real(ring, queue, *args, **kw)
+        if kw.get("audit"):
+            f = Polynomial((1,), (ring.mono((1,) * ring.num_vars),))
+            queue.push_product(1, queue.row(f.lead_mono, f), f)
+        return out
+
+    monkeypatch.setattr(division, "divide_queue", leaky)
+    ring, polys = builtin_ideal("katsura4")
+    with pytest.raises(InvariantError,
+                       match="reducer queue empty before a turn"):
+        sb_run(ring, polys, SBConfig(audit=True))

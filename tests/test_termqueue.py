@@ -9,7 +9,7 @@ import pytest
 from gbengine import (InvariantError, QueueConfig, ReducerQueue, Ring,
                       all_queue_configs)
 from gbengine.poly import Polynomial, poly_from_exps
-from gbengine.termqueue import Geobucket, Heap, MonomialTable, TourTree
+from gbengine.termqueue import Geobucket, Heap, TourTree
 
 from _util import random_poly
 
@@ -120,15 +120,15 @@ def _lead(r, mono, poly):
 
 def _push(q, coeff, mono, poly, start=0):
     # push (coeff * mono) * poly[start:] as the row of ids of mono * poly,
-    # which the table names by its lead term
-    lead = _lead(q.table.ring, mono, poly)
-    q.push_product(coeff, q.table.row(lead, poly), poly, start)
+    # which the queue names by its lead term
+    lead = _lead(q.ring, mono, poly)
+    q.push_product(coeff, q.row(lead, poly), poly, start)
 
 
 def _pop(q):
     # pop_max with the popped id read back as its exponent tuple
     t = q.pop_max()
-    return None if t is None else (t[0], q.table.monos[t[1]].exps)
+    return None if t is None else (t[0], q.monos[t[1]].exps)
 
 
 def test_push_product_logical_content():
@@ -159,7 +159,7 @@ def test_pop_skips_cancelled_terms():
 
 def test_one_product_per_nonzero_pop(monkeypatch):
     # x^2 and xy cancel, y^2 folds three contributions: 9 pushed terms
-    # name 6 monomials and make 4 nonzero pops; the table makes each
+    # name 6 monomials and make 4 nonzero pops; the queue makes each
     # monomial once, when it interns it
     r = _ring()
     f = poly_from_exps(r, [(1, (2, 0, 0)), (1, (1, 1, 0)), (1, (0, 2, 0)),
@@ -186,14 +186,14 @@ def test_one_product_per_nonzero_pop(monkeypatch):
             pops.append(t)
         assert pops == [(2, (0, 2, 0)), (100, (0, 1, 1)), (100, (0, 0, 2)),
                         (1, (0, 0, 1))], cfg.label()
-        assert len(calls) == len(q.table.monos) == 6, cfg.label()
+        assert len(calls) == len(q.monos) == 6, cfg.label()
 
 
 def test_product_past_exponent_cap_raises():
     # the lead x1^60000*x2^20000 of x1^40000 * g stays below the exponent
     # cap, its tail term x1^70000 passes it; every config raises by the
-    # time that term pops (the table makes the product at push), and the
-    # table keeps ids, keys and monomials in step
+    # time that term pops (the queue makes the product at push), and the
+    # queue keeps ids, keys, monomials and a hashed queue's sums in step
     r = Ring(101, 2)
     g = poly_from_exps(r, [(1, (20000, 20000)), (1, (30000, 0))])
     for cfg in all_queue_configs():
@@ -201,9 +201,9 @@ def test_product_past_exponent_cap_raises():
         with pytest.raises(ValueError, match="exponent out of range"):
             _push(q, 1, r.mono((40000, 0)), g)
             q.pop_max()
-        table = q.table
-        assert len(table.ids) == len(table.keys) == len(table.monos) == 1
-        assert table.rows == {}
+        assert len(q.ids) == len(q.keys) == len(q.monos) == 1
+        assert q.acc is None or len(q.acc) == 1
+        assert q.rows == {}
 
 
 def test_hashed_key_pushed_again_after_pop():
@@ -240,8 +240,9 @@ def test_compressed_single_entry_advances():
     assert _pop(q) == (100, (1, 1, 0))
 
 
-def _run_script(r, cfg, script, table=None):
-    q = ReducerQueue(r, cfg, table)
+def _run_script(r, cfg, script, queue=None):
+    # run script on queue (a new one of config cfg by default), draining it
+    q = ReducerQueue(r, cfg) if queue is None else queue
     out = []
     for op in script:
         if op[0] == "push":
@@ -302,43 +303,23 @@ def make_script(r, rng, n_ops=30):
 
 
 def test_black_box_equivalence_all_configs():
-    # one table serves every hashed queue, so later scripts reuse the ids
-    # and rows of earlier ones
+    # one queue per config serves all 60 scripts, so later scripts reuse
+    # the ids and rows of earlier ones
     rng = random.Random(13)
     r = _ring()
-    configs = all_queue_configs()
-    table = MonomialTable(r)
+    queues = [ReducerQueue(r, cfg) for cfg in all_queue_configs()]
     pushes = 0
     for _ in range(60):
         script = make_script(r, rng)
         pushes += sum(op[0] == "push" for op in script)
         expected = _oracle(r, script)
-        for cfg in configs:
-            assert _run_script(r, cfg, script, table) == expected, \
-                cfg.label()
-    # the three hashed backends ran every push on the one table
-    assert 0 < len(table.rows) <= pushes
-
-
-def test_shared_table_survives_abandoned_queue():
-    # the first queue stops with sums pending; the second, on the same
-    # table, still pops exactly what the oracle pops
-    rng = random.Random(29)
-    r = _ring()
-    for cfg in all_queue_configs():
-        if not cfg.hashed:
-            continue
-        table = MonomialTable(r)
-        for _ in range(20):
-            script = make_script(r, rng)
-            first = ReducerQueue(r, cfg, table)
-            for op in script[:len(script) // 2]:
-                if op[0] == "push":
-                    _push(first, *op[1:])
-                else:
-                    first.pop_max()
-            assert _run_script(r, cfg, script, table) == _oracle(r, script), \
-                cfg.label()
+        for q in queues:
+            assert _run_script(r, q.cfg, script, q) == expected, \
+                q.cfg.label()
+            assert q.backend.peek() is None
+    for q in queues:
+        assert 0 < len(q.rows) <= pushes
+        assert q.acc is None or len(q.acc) == len(q.keys)
 
 
 def test_equal_products_share_one_row():
@@ -348,21 +329,21 @@ def test_equal_products_share_one_row():
     assert f is not g and f == g and hash(f) == hash(g)
     x, y = r.mono((1, 0, 0)), r.mono((0, 1, 0))
     x3, x2y = r.mono((3, 0, 0)), r.mono((2, 1, 0))  # leads of x*f and y*f
-    table = MonomialTable(r)
-    q = ReducerQueue(r, QueueConfig(), table)
+    q = ReducerQueue(r, QueueConfig())
     _push(q, 1, x, f)
     _push(q, 1, r.mono((1, 0, 0)), g, start=1)
-    assert len(table.rows) == 1 and len(table.keys) == 2
-    assert table.row(x3, g) is table.row(x3, f)
+    assert len(q.rows) == 1 and len(q.keys) == 2
+    assert q.row(x3, g) is q.row(x3, f)
     _push(q, 1, y, f)
-    assert len(table.rows) == 2 and table.row(x2y, f) != table.row(x3, f)
+    assert len(q.rows) == 2 and q.row(x2y, f) != q.row(x3, f)
     assert list(iter(lambda: _pop(q), None)) == \
         [(1, (3, 0, 0)), (1, (2, 1, 0)), (10, (1, 1, 0)), (5, (0, 2, 0))]
 
 
-def test_unhashed_flavours_share_one_table(monkeypatch):
-    # plain, dedup and compressed queues on one table each pop the oracle's
-    # stream, and each id's monomial is made once for all of them
+def test_unhashed_flavours_reuse_one_queue(monkeypatch):
+    # one plain, dedup or compressed queue per config, reused across the
+    # 20 scripts, pops the oracle's stream for each, and makes each id's
+    # monomial once
     rng = random.Random(31)
     r = _ring()
     scripts = [make_script(r, rng) for _ in range(20)]
@@ -375,13 +356,14 @@ def test_unhashed_flavours_share_one_table(monkeypatch):
         return real_mul(self, a, b)
 
     monkeypatch.setattr(Ring, "mono_mul", counting_mul)
-    table = MonomialTable(r)
-    configs = [cfg for cfg in all_queue_configs() if not cfg.hashed]
+    queues = [ReducerQueue(r, cfg) for cfg in all_queue_configs()
+              if not cfg.hashed]
     for script, want in zip(scripts, expected):
-        for cfg in configs:
-            assert _run_script(r, cfg, script, table) == want, cfg.label()
-    made = sum(m is not None for m in table.monos)
-    assert 0 < len(calls) == made <= len(table.keys)
+        for q in queues:
+            assert _run_script(r, q.cfg, script, q) == want, q.cfg.label()
+    made = sum(len(q.monos) for q in queues)
+    assert 0 < len(calls) == made
+    assert all(len(q.monos) == len(q.keys) == len(q.ids) for q in queues)
 
 
 @pytest.mark.parametrize("corrupt", ["forget_pending", "stale_sum",
@@ -389,7 +371,7 @@ def test_unhashed_flavours_share_one_table(monkeypatch):
                                      "plain_wrong_key", "cursor_wrong_key"])
 def test_hashed_audit_catches_corruption(corrupt):
     # a hashed queue, and for the last two inputs a plain queue and a
-    # compressed one, each audited against the table
+    # compressed one, each audited against the queue's keys
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))])
     cfg = {"plain_wrong_key": QueueConfig("heap", hashed=False),
@@ -413,6 +395,19 @@ def test_hashed_audit_catches_corruption(corrupt):
         q.audit()
 
 
+def test_hashed_audit_wants_one_sum_per_id():
+    r = _ring()
+    g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0))])
+    q = ReducerQueue(r, QueueConfig("heap"))
+    _push(q, 1, r.one, g)
+    while q.pop_max() is not None:
+        pass
+    q.audit()
+    q.acc.pop()
+    with pytest.raises(InvariantError, match="one sum per id"):
+        q.audit()
+
+
 def test_queue_audit_fires_under_optimize():
     # the audits raise InvariantError, not AssertionError, so python -O
     # keeps them
@@ -423,7 +418,7 @@ def test_queue_audit_fires_under_optimize():
         "r = Ring(101, 3)",
         "g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0))])",
         "q = ReducerQueue(r, QueueConfig('heap'))",
-        "q.push_product(1, q.table.row(g.lead_mono, g), g)",
+        "q.push_product(1, q.row(g.lead_mono, g), g)",
         "q.audit()",
         "q.acc[q.backend.peek()[-1]] = 0",
         "try:",
