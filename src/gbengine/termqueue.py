@@ -363,10 +363,9 @@ class ReducerQueue:
     and the interned product monomials and rows of every reduction of the
     queue's owner (an engine, or one interreduce or reduced_basis call).
 
-    Each reduction drains the queue, so the next starts on an empty
-    backend and a hashed queue's sums all zero; the ids, keys, monomials
-    and rows live on.  A product's row is keyed by (lead id, poly), poly by
-    value, whatever list holds poly.
+    Each reduction drains the queue; a drained queue takes a fresh backend
+    and its hashed sums are all zero, while the ids, keys, monomials and
+    rows (keyed by (lead id, poly), poly by value) live on.
     """
 
     __slots__ = ("ring", "cfg", "p", "backend", "ids", "keys", "monos",
@@ -460,7 +459,7 @@ class ReducerQueue:
             while True:
                 e = backend.pop()
                 if e is None:
-                    return None
+                    return self._drained()
                 t = e[1]
                 coeff = acc[t] % p
                 acc[t] = 0
@@ -471,7 +470,7 @@ class ReducerQueue:
         while True:
             top = backend.peek()
             if top is None:
-                return None
+                return self._drained()
             key = top[0]
             t = top[3][top[2]] if compressed else top[2]
             coeff = 0
@@ -492,6 +491,11 @@ class ReducerQueue:
             coeff %= p
             if coeff:
                 return (coeff, t)
+
+    def _drained(self):
+        # a fresh backend: a tournament tree would keep the height a large
+        # reduction gave it, and replay that many levels per later operation
+        self.backend = _make_backend(self.cfg)
 
     def audit(self):
         """Check that every entry's key is the key of its id (for a
