@@ -240,6 +240,19 @@ def test_compressed_single_entry_advances():
     assert _pop(q) == (100, (1, 1, 0))
 
 
+def test_drained_queue_takes_a_fresh_backend():
+    # a tournament tree grown for one reduction does not stay tall for the
+    # next, which would replay every level on each later operation
+    r = _ring()
+    g = poly_from_exps(r, [(1, (i, 0, 0)) for i in range(6)])
+    q = ReducerQueue(r, QueueConfig("tourtree", hashed=False))
+    _push(q, 1, r.one, g)
+    assert q.backend.cap == 8
+    while q.pop_max() is not None:
+        pass
+    assert q.backend.cap == 2 and len(q.backend) == 0
+
+
 def _run_script(r, cfg, script, queue=None):
     # run script on queue (a new one of config cfg by default), draining it
     q = ReducerQueue(r, cfg) if queue is None else queue
