@@ -46,13 +46,11 @@ def _build_parser():
     run.add_argument("--lookup", choices=LOOKUP_KINDS, default="divkdtree")
     run.add_argument("--spair-queue", choices=SPAIR_QUEUE_KINDS,
                      default="triangle-tt")
-    run.add_argument("--module-order", choices=("schreyer", "potop"),
-                     default="schreyer")
-    run.add_argument("--schreyer-tiebreak", choices=("low-gt", "high-gt"),
-                     default="low-gt")
-    run.add_argument("--base-divisors", default="2",
-                     metavar="N", help="0, 1 (high only) or 2")
-    run.add_argument("--early-singular", action="store_true")
+    run.add_argument("--module-order", choices=("schreyer", "potop"))
+    run.add_argument("--schreyer-tiebreak", choices=("low-gt", "high-gt"))
+    run.add_argument("--base-divisors", metavar="N",
+                     help="0, 1 (high only) or 2")
+    run.add_argument("--early-singular", action="store_true", default=None)
     run.add_argument("--no-interreduce", action="store_true",
                      help="skip input interreduction")
     run.add_argument("--char",
@@ -64,6 +62,11 @@ def _build_parser():
     gen.add_argument("name", help="katsuraN, cyclicN or hcyclicN")
     gen.add_argument("--char", default="101")
     return ap
+
+
+# the flags of the signature engine only, with their defaults there
+_SB_FLAGS = (("module_order", "schreyer"), ("schreyer_tiebreak", "low-gt"),
+             ("base_divisors", "2"), ("early_singular", False))
 
 
 def _char(text):
@@ -108,6 +111,12 @@ def _format_rows(rows):
 
 
 def _cmd_run(args) -> int:
+    for name, default in _SB_FLAGS:
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.algorithm == "classic":
+            raise ValueError("--%s applies to --algorithm sb only"
+                             % name.replace("_", "-"))
     ring, polys = _load_input(args)
     if not polys:
         raise ValueError("input has no polynomials")

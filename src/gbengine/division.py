@@ -14,6 +14,8 @@ from the queue's one row cache, under (popped id, reducer): the popped
 term is the product's lead term, and a polynomial names itself by value,
 whatever list or index holds it.  One queue serves every reduction of its
 owner: an engine, or one interreduce or reduced_basis call.
+
+A division returns its remainder only: no caller uses the quotients.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ def basis_lookup(ring: Ring, basis, kind: str = "divkdtree"):
 
 
 def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
-                   top_only: bool = False, track_quotients: bool = True,
-                   queue: ReducerQueue | None = None):
-    """Divide f by the basis: returns (per-basis quotient term lists, r).
+                   top_only: bool = False,
+                   queue: ReducerQueue | None = None) -> Polynomial:
+    """The remainder r of f divided by the basis.
 
-    Guarantees f = sum q_i g_i + r with hd f >= hd(q_i g_i); no term of r
-    is divisible by any live lead term (top_only: the lead term of r only).
-    The reducer for a term is the valid divisor of smallest basis index,
-    so the outcome does not depend on the lookup structure.
+    f - r is a sum of multiples q_i g_i with hd(q_i g_i) <= hd f, and no
+    term of r is divisible by any live lead term (top_only: the lead term
+    of r only).  The reducer for a term is the valid divisor of smallest
+    basis index, so the outcome does not depend on the lookup structure.
 
     The division runs on queue, which it takes and leaves empty, so a
     caller dividing many polynomials passes one queue and each call reuses
@@ -56,15 +58,14 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
         queue = ReducerQueue(ring)
     if f:
         queue.push_product(1, queue.row(f.lead_mono, f), f)
-    return divide_queue(ring, queue, basis, lookup, top_only,
-                        track_quotients)
+    return divide_queue(ring, queue, basis, lookup, top_only)
 
 
 def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
-                 top_only: bool, track_quotients: bool = False,
-                 regular=None, audit: bool = False):
-    """classic_reduce of the polynomial whose terms are pending in queue,
-    which it empties.
+                 top_only: bool, regular=None,
+                 audit: bool = False) -> Polynomial:
+    """The remainder of the polynomial whose terms are pending in queue,
+    divided by the basis as classic_reduce divides; it empties the queue.
 
     A popped term mono is reduced by the smallest basis index whose lead
     divides it.  With regular = (entries, tkey, scale, select) only indices
@@ -77,7 +78,6 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
     tmonos = queue.monos
     rows = queue.rows
     entries, tkey, scale, select = regular or (None, 0, 0, None)
-    quotients = [[] for _ in basis] if track_quotients else None
     coeffs = []
     monos = []
     tail_done = False
@@ -93,23 +93,19 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
                 bound = tkey - scale * mono.key
                 cands = [i for i in cands if entries[i].ratio_rank < bound]
             if cands:
-                idx = min(cands) if select is None else select(
-                    [entries[i] for i in sorted(cands)]).idx
-                g = basis[idx]
+                g = basis[min(cands) if select is None else select(
+                    [entries[i] for i in sorted(cands)]).idx]
                 row = rows.get((t, g))
                 if row is None or audit:
                     row = queue.row(mono, g, audit)
                 lc = g.coeffs[0]
                 c = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
-                if track_quotients:
-                    quotients[idx].append(
-                        (c, ring.mono_div(mono, g.monos[0])))
                 queue.push_product(p - c, row, g, 1)
                 continue
             tail_done = top_only
         coeffs.append(coeff)
         monos.append(mono)
-    return quotients, Polynomial(coeffs, monos)
+    return Polynomial(coeffs, monos)
 
 
 class Completion:
@@ -146,9 +142,11 @@ class Completion:
                 queue.push_product(coeff, queue.row(lead, poly, audit), poly)
             if audit:
                 queue.audit()
-            _, rem = divide_queue(ring, queue, self.polys, self.lookup,
-                                  self.top_only, regular=regular, audit=audit)
+            rem = divide_queue(ring, queue, self.polys, self.lookup,
+                               self.top_only, regular=regular, audit=audit)
             self._settle(info, rem)
+        if audit:
+            self.lookup.audit()
         self.stats.divmask = self.lookup.stats
 
 
@@ -185,9 +183,8 @@ def interreduce(ring: Ring, polys, queue_cfg=None):
             others = [h for j, h in enumerate(work) if j != i and h]
             if not others:
                 continue
-            _, r = classic_reduce(ring, g, others, top_only=False,
-                                  track_quotients=False, queue=queue)
-            r = poly_monic(ring, r)
+            r = poly_monic(ring, classic_reduce(ring, g, others,
+                                                queue=queue))
             if r != g:
                 work[i] = r
                 changed = True
@@ -210,10 +207,9 @@ def reduced_basis(ring: Ring, polys, queue_cfg=None):
         # no other lead divides g's lead, and g's lead divides no smaller
         # term: reduce the tail and put the lead back in front
         queue.push_product(1, queue.row(g.lead_mono, g), g, start=1)
-        _, r = divide_queue(ring, queue, minimal, lookup, False)
+        r = divide_queue(ring, queue, minimal, lookup, False)
         out.append(poly_monic(ring, Polynomial((g.lead_coeff,) + r.coeffs,
                                                (g.lead_mono,) + r.monos)))
-    out.sort(key=lambda g: g.lead_mono.key)
     return out
 
 
@@ -222,6 +218,4 @@ def reduces_to_zero(ring: Ring, f: Polynomial, basis, lookup=None) -> bool:
 
     For a Groebner basis the choice of divisor cannot change the answer.
     """
-    _, r = classic_reduce(ring, f, basis, lookup, top_only=True,
-                          track_quotients=False)
-    return not r
+    return not classic_reduce(ring, f, basis, lookup, top_only=True)

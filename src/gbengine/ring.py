@@ -13,13 +13,11 @@ packed with further sort fields into one integer.
 
 from __future__ import annotations
 
-from operator import add as _add, sub as _sub
+from operator import add as _add, mul as _mul, sub as _sub
 
 GREVLEX = "grevlex"
 LEX = "lex"
 ELIM = "elim"
-
-LT, EQ, GT = -1, 0, 1
 
 # Exponents are capped so that packed keys of monomials, and of differences
 # of a few monomials, never produce a digit carry.
@@ -107,9 +105,6 @@ class Monomial:
     def __eq__(self, other):
         return self is other or self.exps == other.exps
 
-    def __ne__(self, other):
-        return self.exps != other.exps
-
     def __repr__(self):
         return "Monomial%r" % (self.exps,)
 
@@ -164,20 +159,14 @@ class Ring:
         exps = tuple(exps)
         if len(exps) != self.num_vars:
             raise ValueError("wrong number of exponents")
-        key = 0
-        deg = 0
-        for e, w in zip(exps, self._weights):
-            if e < 0 or e >= MAX_EXPONENT:
-                raise ValueError("exponent out of range")
-            key += e * w
-            deg += e
-        return Monomial(exps, deg, key)
+        if min(exps) < 0 or max(exps) >= MAX_EXPONENT:
+            raise ValueError("exponent out of range")
+        return Monomial(exps, sum(exps), self.key_of(exps))
 
     def key_of(self, exps) -> int:
-        key = 0
-        for e, w in zip(exps, self._weights):
-            key += e * w
-        return key
+        """Order key of an exponent vector: its dot product with the
+        order weights."""
+        return sum(map(_mul, exps, self._weights))
 
     # -- monomial arithmetic --------------------------------------------
 
@@ -196,10 +185,10 @@ class Ring:
         return Monomial(exps, a.deg - b.deg, a.key - b.key)
 
     def mono_gcd(self, a: Monomial, b: Monomial) -> Monomial:
-        return self.mono(tuple(min(x, y) for x, y in zip(a.exps, b.exps)))
+        return self.mono(map(min, a.exps, b.exps))
 
     def mono_lcm(self, a: Monomial, b: Monomial) -> Monomial:
-        return self.mono(tuple(max(x, y) for x, y in zip(a.exps, b.exps)))
+        return self.mono(map(max, a.exps, b.exps))
 
     def mono_divides(self, a: Monomial, b: Monomial) -> bool:
         """True when a divides b."""
@@ -213,15 +202,6 @@ class Ring:
             if x and y:
                 return False
         return True
-
-    def mono_cmp(self, a: Monomial, b: Monomial) -> int:
-        """-1, 0 or +1 as a is below, equal to or above b in the ring order."""
-        ka, kb = a.key, b.key
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
 
     def order_spec(self) -> str:
         if self.order == ELIM:

@@ -23,12 +23,14 @@ the remainder or records a syzygy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 
 from .division import Completion, prepare_inputs, reduced_basis
 from .lookup import make_lookup
 from .pairbits import BitTriangle
 from .poly import poly_monic
-from .ring import InvariantError, Monomial, Ring, key_bound, require
+from .ring import (MAX_EXPONENT, InvariantError, Monomial, Ring, key_bound,
+                   require)
 from .spairqueue import MinHeap
 from .termqueue import QueueConfig
 
@@ -244,34 +246,24 @@ def koszul_signature(ring: Ring, a: SigEntry, b: SigEntry):
 
 
 def low_base_divisor_bound(alpha: SigEntry, beta: SigEntry):
-    """Exponent bound x^v of the low-ratio base divisor criterion.
+    """Exponent bound x^v of the low-ratio base divisor criterion, a tuple
+    of ints.
 
     Requires sig alpha | sig beta.  For gamma ranked below both, the
     covering divisibility sig S(alpha,gamma) | sig S(beta,gamma) holds
-    exactly when hd gamma divides x^v; entries of None mean "no bound".
+    exactly when hd gamma divides x^v.  A coordinate with no bound gets
+    MAX_EXPONENT, which every exponent stays below.
     """
     if alpha.sig_comp != beta.sig_comp:
         raise ValueError("signatures in different components")
     sa, sb = alpha.sig_mono.exps, beta.sig_mono.exps
     if any(x > y for x, y in zip(sa, sb)):
         raise ValueError("sig alpha does not divide sig beta")
-    av = alpha.lead.exps
-    bv = beta.lead.exps
     v = []
-    for i in range(len(av)):
-        p_i = av[i] + sb[i] - sa[i]
-        if bv[i] <= p_i:
-            v.append(None)
-        else:
-            v.append(max(p_i, av[i]))
+    for a, b, s, t in zip(alpha.lead.exps, beta.lead.exps, sa, sb):
+        p = a + t - s           # of hd alpha * sig beta / sig alpha
+        v.append(MAX_EXPONENT if b <= p else max(p, a))
     return tuple(v)
-
-
-def _divides_bound(mono: Monomial, bound) -> bool:
-    for e, b in zip(mono.exps, bound):
-        if b is not None and e > b:
-            return False
-    return True
 
 
 class _SBEngine(Completion):
@@ -371,7 +363,7 @@ class _SBEngine(Completion):
                     and tri.get(high.idx, gamma.idx)) or \
                     (low is not None and grank < brank
                      and grank < low.ratio_rank
-                     and _divides_bound(gamma.lead, vbound)
+                     and all(map(le, gamma.lead.exps, vbound))
                      and tri.get(low.idx, gamma.idx)):
                 stats.basedivisor += 1
                 tri.set(gamma.idx, bidx)
@@ -535,6 +527,8 @@ def sb_run(ring: Ring, polys, cfg: SBConfig | None = None) -> SBResult:
     stats.check(cfg.early_singular)
     if cfg.audit:
         engine.syz.audit_minimal()
+        for lookup in engine.sig_lookups + engine.syz.lookups:
+            lookup.audit()
     syzygies = sorted(engine.syz.signatures(),
                       key=lambda mc: engine.morder.sig_key(*mc))
     return SBResult(ring, engine.morder, engine.entries, syzygies,

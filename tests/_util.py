@@ -2,7 +2,8 @@
 
 import random
 
-from gbengine import Polynomial, Ring, poly_from_exps
+from gbengine import Polynomial, Ring, poly_add, poly_from_exps, poly_mul_term
+from gbengine.ring import ff_inv
 
 
 def grevlex_cmp(a_exps, b_exps):
@@ -42,6 +43,26 @@ def random_poly(ring, rng, max_terms=6, max_exp=6):
     return poly_from_exps(ring, [(c, m.exps) for c, m in raw])
 
 
+def naive_remainder(ring, f, basis):
+    """Full division with dict arithmetic: the largest reducible term goes
+    first, by the divisor of smallest basis index, as in classic_reduce."""
+    p = ring.char
+    coeffs, monos = [], []
+    while f:
+        c, m = f.coeffs[0], f.monos[0]
+        for g in basis:
+            if ring.mono_divides(g.lead_mono, m):
+                s = c * ff_inv(g.lead_coeff, p) % p
+                f = poly_add(ring, f, poly_mul_term(
+                    ring, g, p - s, ring.mono_div(m, g.lead_mono)))
+                break
+        else:
+            coeffs.append(c)
+            monos.append(m)
+            f = Polynomial(f.coeffs[1:], f.monos[1:])
+    return Polynomial(coeffs, monos)
+
+
 def spoly(ring, f, g):
     """Classic S-polynomial, dict arithmetic (independent of the engines)."""
     from gbengine import poly_normalize
@@ -49,7 +70,6 @@ def spoly(ring, f, g):
     m = ring.mono_lcm(f.lead_mono, g.lead_mono)
     uf = ring.mono_div(m, f.lead_mono)
     ug = ring.mono_div(m, g.lead_mono)
-    from gbengine.ring import ff_inv
     cf = ff_inv(f.lead_coeff, p)
     cg = ff_inv(g.lead_coeff, p)
     raw = [(c * cf % p, ring.mono_mul(mo, uf))

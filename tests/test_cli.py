@@ -171,3 +171,29 @@ def test_identical_bytes_across_structures(tmp_path, capsys):
             ref = out
         else:
             assert out == ref, flags
+
+
+SB_ONLY_FLAGS = [("--module-order", "potop"),
+                 ("--module-order", "schreyer"),
+                 ("--schreyer-tiebreak", "high-gt"),
+                 ("--base-divisors", "0"),
+                 ("--base-divisors", "2"),
+                 ("--early-singular",)]
+
+
+@pytest.mark.parametrize("flag", SB_ONLY_FLAGS, ids=" ".join)
+def test_sb_only_flag_with_classic_is_usage_error(capsys, flag):
+    # a default value given explicitly is refused too
+    code, out, err = _run(capsys, "run", "--algorithm", "classic",
+                          "katsura3", *flag)
+    assert (code, out) == (1, "")
+    assert err == "error: %s applies to --algorithm sb only\n" % flag[0]
+
+
+def test_sb_fills_in_its_flag_defaults(capsys):
+    default = _run(capsys, "run", "--stats", "katsura4")
+    spelled = _run(capsys, "run", "--stats", "katsura4", "--module-order",
+                   "schreyer", "--schreyer-tiebreak", "low-gt",
+                   "--base-divisors", "2")
+    assert default[:2] == spelled[:2] and default[0] == 0
+    assert _run(capsys, "run", "--early-singular", "katsura4")[0] == 0

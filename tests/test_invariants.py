@@ -7,9 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from gbengine import ClassicStats, InvariantError, PairTriangle, SigStats
+from gbengine import (ClassicConfig, ClassicStats, InvariantError,
+                      PairTriangle, SBConfig, SigStats, buchberger,
+                      buchberger_run, builtin_ideal, sb_run, sigbasis)
+from gbengine.lookup import _KdNode
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+TESTS = str(Path(__file__).resolve().parent)
 
 BROKEN = {
     "sb construction accounting": "SigStats(spairs=5).check()",
@@ -54,3 +58,57 @@ def test_valid_stats_pass():
              to_syzygy=1).check()
     SigStats(spairs=1, early_singular=1).check(early_singular_enabled=True)
     ClassicStats(spairs=2, relprime=1, reductions=1).check()
+
+
+def _misrouting_settle(real):
+    """_settle, then the lead lookup's leaves split past two records and
+    its root's split exponent set to 0: every query and insert then takes
+    the right branch (a query the left one too), so the run's answers stay
+    right, but the records left of the root are misrouted, which only an
+    audit of the lookup sees."""
+    def settle(self, info, rem):
+        real(self, info, rem)
+        lookup = self.lookup
+        lookup.leaf_capacity = 2
+        if isinstance(lookup.root, _KdNode):
+            lookup.root.exp = 0
+    return settle
+
+
+AUDITED_RUNS = {
+    "sb": "sb_run(*builtin_ideal('katsura4'), SBConfig(audit=True))",
+    "classic": "buchberger_run(*builtin_ideal('cyclic4'), "
+               "ClassicConfig(audit=True))",
+}
+
+
+@pytest.mark.parametrize("engine,run", [
+    (sigbasis._SBEngine, AUDITED_RUNS["sb"]),
+    (buchberger._ClassicEngine, AUDITED_RUNS["classic"])],
+    ids=AUDITED_RUNS.keys())
+def test_audited_run_audits_its_lookup(monkeypatch, engine, run):
+    monkeypatch.setattr(engine, "_settle", _misrouting_settle(engine._settle))
+    with pytest.raises(InvariantError, match="left routing"):
+        eval(run)
+
+
+def test_lookup_audit_fires_under_optimize():
+    script = "\n".join(
+        ["from gbengine import *",
+         "from gbengine import buchberger, sigbasis",
+         "from test_invariants import _misrouting_settle",
+         "assert False  # stripped by -O",
+         "for cls in (sigbasis._SBEngine, buchberger._ClassicEngine):",
+         "    cls._settle = _misrouting_settle(cls._settle)",
+         "for run in %r:" % (list(AUDITED_RUNS.values()),),
+         "    try:",
+         "        eval(run)",
+         "    except InvariantError as exc:",
+         "        print(exc)"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS,
+                                         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == ["left routing", "left routing", ""]

@@ -15,32 +15,11 @@ from gbengine import (ClassicConfig, InvariantError, ReducerQueue, Ring,
                       SBConfig, all_queue_configs, buchberger_run,
                       builtin_ideal, classic_reduce, sb_run)
 from gbengine import division
-from gbengine.poly import Polynomial, poly_add, poly_from_exps, poly_mul_term
-from gbengine.ring import ff_inv
+from gbengine.poly import Polynomial, poly_from_exps
 
-from _util import random_poly
+from _util import naive_remainder, random_poly
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def naive_remainder(ring, f, basis):
-    """Full division with dict arithmetic: the largest reducible term goes
-    first, by the divisor of smallest basis index, as in classic_reduce."""
-    p = ring.char
-    coeffs, monos = [], []
-    while f:
-        c, m = f.coeffs[0], f.monos[0]
-        for g in basis:
-            if ring.mono_divides(g.lead_mono, m):
-                s = c * ff_inv(g.lead_coeff, p) % p
-                f = poly_add(ring, f, poly_mul_term(
-                    ring, g, p - s, ring.mono_div(m, g.lead_mono)))
-                break
-        else:
-            coeffs.append(c)
-            monos.append(m)
-            f = Polynomial(f.coeffs[1:], f.monos[1:])
-    return Polynomial(coeffs, monos)
 
 
 def test_one_queue_serves_bases_that_differ_at_one_index():
@@ -66,8 +45,7 @@ def test_one_queue_serves_bases_that_differ_at_one_index():
         queue = ReducerQueue(r, cfg)
         for f, one, other in cases:
             for basis in (one, other):
-                _, rem = classic_reduce(r, f, basis, track_quotients=False,
-                                        queue=queue)
+                rem = classic_reduce(r, f, basis, queue=queue)
                 assert rem == naive_remainder(r, f, basis), cfg.label()
 
 
@@ -93,10 +71,9 @@ def test_a_hit_does_no_multiplier_work(monkeypatch):
     for cfg in all_queue_configs():
         queue = ReducerQueue(r, cfg)
         for f in fs:
-            classic_reduce(r, f, [a, b], track_quotients=False, queue=queue)
+            classic_reduce(r, f, [a, b], queue=queue)
             del calls[:]
-            _, rem = classic_reduce(r, f, [c, a, b], track_quotients=False,
-                                    queue=queue)
+            rem = classic_reduce(r, f, [c, a, b], queue=queue)
             assert calls == [], cfg.label()
             assert rem == naive_remainder(r, f, [a, b]), cfg.label()
     assert len(queue.rows) > len(fs)
@@ -126,8 +103,7 @@ def test_two_reductions_through_one_queue(monkeypatch):
         made = []
         for _ in range(2):
             del calls[:]
-            _, rem = classic_reduce(r, f, basis, track_quotients=False,
-                                    queue=queue)
+            rem = classic_reduce(r, f, basis, queue=queue)
             made.append(len(calls))
             assert queue.backend.peek() is None, cfg.label()
             assert queue.acc is None or not any(queue.acc)

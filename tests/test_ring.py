@@ -3,9 +3,14 @@ import random
 import pytest
 
 from gbengine import GREVLEX, LEX, Ring, ff_inv
-from gbengine.ring import EQ, GT, LT, MAX_VARS
+from gbengine.ring import MAX_EXPONENT, MAX_VARS
 
 from _util import elim_cmp, grevlex_cmp, lex_cmp, random_mono
+
+
+def _cmp(a, b):
+    """-1, 0 or +1 as a's order key is below, equal to or above b's."""
+    return (a.key > b.key) - (a.key < b.key)
 
 
 def egcd_inverse(a, p):
@@ -74,15 +79,28 @@ def test_variable_count_capped():
         Ring(101, MAX_VARS + 1)
 
 
-def test_mono_cmp_grevlex_examples():
+def test_key_grevlex_examples():
     r = Ring(101, 3)
     x2 = r.mono((2, 0, 0))
     xy = r.mono((1, 1, 0))
     xz = r.mono((1, 0, 1))
     y2 = r.mono((0, 2, 0))
-    assert r.mono_cmp(x2, r.mono((2, 0, 0))) == EQ
-    assert r.mono_cmp(x2, xy) == GT
-    assert r.mono_cmp(xz, y2) == LT
+    assert _cmp(x2, r.mono((2, 0, 0))) == 0
+    assert _cmp(x2, xy) == 1
+    assert _cmp(xz, y2) == -1
+
+
+def test_mono_checks_length_then_range():
+    r = Ring(101, 2)
+    for exps in ((1,), (1, 2, 3), (-1,), (MAX_EXPONENT, 0, 0)):
+        with pytest.raises(ValueError, match="^wrong number of exponents$"):
+            r.mono(exps)
+    for exps in ((-1, 0), (0, -1), (MAX_EXPONENT, 0), (3, MAX_EXPONENT)):
+        with pytest.raises(ValueError, match="^exponent out of range$"):
+            r.mono(exps)
+    top = r.mono((MAX_EXPONENT - 1, 2))
+    assert top.exps == (MAX_EXPONENT - 1, 2)
+    assert top.deg == MAX_EXPONENT + 1 and top.key == r.key_of(top.exps)
 
 
 def test_mono_ops_examples():
@@ -132,8 +150,7 @@ def test_key_matches_reference_order(order, ref):
         for _ in range(2000):
             a = random_mono(r, rng, 9)
             b = random_mono(r, rng, 9)
-            got = r.mono_cmp(a, b)
-            assert got == ref(a.exps, b.exps)
+            assert _cmp(a, b) == ref(a.exps, b.exps)
 
 
 def test_key_matches_reference_elim():
@@ -143,7 +160,7 @@ def test_key_matches_reference_elim():
         for _ in range(2000):
             a = random_mono(r, rng, 9)
             b = random_mono(r, rng, 9)
-            assert r.mono_cmp(a, b) == elim_cmp(a.exps, b.exps, k)
+            assert _cmp(a, b) == elim_cmp(a.exps, b.exps, k)
 
 
 def test_order_compatible_with_multiplication():
@@ -156,7 +173,7 @@ def test_order_compatible_with_multiplication():
             b = random_mono(r, rng, 8)
             c = random_mono(r, rng, 8)
             ca, cb = r.mono_mul(c, a), r.mono_mul(c, b)
-            assert r.mono_cmp(a, b) == r.mono_cmp(ca, cb)
+            assert _cmp(a, b) == _cmp(ca, cb)
 
 
 def test_exponent_bound_enforced():

@@ -5,6 +5,7 @@ import pytest
 from gbengine import (ModuleOrder, Ring, SBConfig, buchberger_run,
                       builtin_ideal, koszul_signature, low_base_divisor_bound,
                       poly_from_exps, poly_str, sb_run, spair_signature)
+from gbengine.ring import MAX_EXPONENT
 from gbengine.sigbasis import SigEntry
 
 from _util import is_reduced_gb, random_mono
@@ -123,17 +124,19 @@ def test_low_base_divisor_bound_example():
     mo = ModuleOrder("schreyer", "low-gt", [r.one])
     alpha = _entry(mo, r, 0, (0, 0), 0, poly_from_exps(r, [(1, (1, 0))]))
     beta = _entry(mo, r, 1, (0, 2), 0, poly_from_exps(r, [(1, (2, 1))]))
-    # p = hd(alpha)*sig(beta)/sig(alpha) = (1,2); v1=max(p1,a1)=1, v2=inf
-    assert low_base_divisor_bound(alpha, beta) == (1, None)
+    # p = hd(alpha)*sig(beta)/sig(alpha) = (1,2); v1=max(p1,a1)=1, and v2 is
+    # unbounded, so it is MAX_EXPONENT
+    assert low_base_divisor_bound(alpha, beta) == (1, MAX_EXPONENT)
 
 
 def test_low_base_divisor_bound_vacuous_when_ratio_divides():
     r = Ring(101, 2)
     mo = ModuleOrder("schreyer", "low-gt", [r.one])
-    # ratio(alpha) | ratio(beta): v is all infinite
+    # ratio(alpha) | ratio(beta): v is unbounded, all MAX_EXPONENT
     alpha = _entry(mo, r, 0, (1, 1), 0, poly_from_exps(r, [(1, (1, 1))]))
     beta = _entry(mo, r, 1, (2, 2), 0, poly_from_exps(r, [(1, (1, 1))]))
-    assert low_base_divisor_bound(alpha, beta) == (None, None)
+    assert low_base_divisor_bound(alpha, beta) == (MAX_EXPONENT,
+                                                   MAX_EXPONENT)
 
 
 def test_base_divisor_precondition_errors():
