@@ -99,8 +99,11 @@ def test_mono_checks_length_then_range():
         with pytest.raises(ValueError, match="^exponent out of range$"):
             r.mono(exps)
     top = r.mono((MAX_EXPONENT - 1, 2))
-    assert top.exps == (MAX_EXPONENT - 1, 2)
-    assert top.deg == MAX_EXPONENT + 1 and top.key == r.key_of(top.exps)
+    assert top.exps == (MAX_EXPONENT - 1, 2) and top.deg == MAX_EXPONENT + 1
+    # keys at the cap still order as the reference does
+    for other in ((MAX_EXPONENT - 1, 1), (MAX_EXPONENT - 2, 3),
+                  (2, MAX_EXPONENT - 1)):
+        assert _cmp(top, r.mono(other)) == grevlex_cmp(top.exps, other)
 
 
 def test_mono_ops_examples():
