@@ -6,7 +6,9 @@ as they are constructed, through the lcm criterion again when popped
 criterion just before an S-polynomial would actually be reduced.  A
 triangular bit array marks pairs that were eliminated or reduced; the lcm
 criterion's anti-circularity rule consults it so that of three pairwise
-equal lcms exactly one pair can ever be eliminated.
+equal lcms exactly one pair can ever be eliminated.  Each S-polynomial
+is fully reduced, so no term of a new basis element is divisible by a live
+lead term, and later S-polynomials carry no reducible tail.
 """
 
 from __future__ import annotations
@@ -104,8 +106,6 @@ def graph_criterion(leads, a: int, b: int, m, tri: BitTriangle,
 
 
 class _ClassicEngine(Completion):
-    top_only = True
-
     def __init__(self, ring: Ring, inputs, cfg: ClassicConfig):
         super().__init__(ring, cfg)
         self.leads = []
@@ -208,6 +208,11 @@ class _ClassicEngine(Completion):
 
     def _settle(self, info, rem):
         if rem:
+            if self.cfg.audit:
+                divides = self.ring.mono_divides
+                require(not any(divides(lead, m) for m in rem.monos
+                                for lead, _ in self.lookup.entries()),
+                        "remainder fully reduced")
             self._add(poly_monic(self.ring, rem))
         else:
             self.stats.zero_reductions += 1

@@ -113,9 +113,9 @@ class Completion:
     eliminates the popped pair, or (products, regular, info); the products
     (coeff, lead term, poly) are divided by the basis under the reducer
     rule regular, and _settle(info, remainder) records the outcome.  One
-    queue serves every turn: each division leaves it empty."""
-
-    top_only = False
+    queue serves every turn: each division leaves it empty.  Every
+    division runs to the last term, so no term of a remainder has a
+    reducer under its turn's rule."""
 
     def __init__(self, ring: Ring, cfg):
         self.ring = ring
@@ -142,8 +142,8 @@ class Completion:
                 queue.push_product(coeff, queue.row(lead, poly, audit), poly)
             if audit:
                 queue.audit()
-            rem = divide_queue(ring, queue, self.polys, self.lookup,
-                               self.top_only, regular=regular, audit=audit)
+            rem = divide_queue(ring, queue, self.polys, self.lookup, False,
+                               regular=regular, audit=audit)
             self._settle(info, rem)
         if audit:
             self.lookup.audit()

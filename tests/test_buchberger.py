@@ -1,9 +1,13 @@
 import itertools
 import random
 
+import pytest
+
 from gbengine import (ClassicConfig, Ring, buchberger_run, builtin_ideal,
                       graph_criterion, lcm_criterion, poly_from_exps,
                       poly_str)
+from gbengine.buchberger import _ClassicEngine
+from gbengine.division import prepare_inputs
 from gbengine.pairbits import BitTriangle
 
 from _util import is_reduced_gb, reduces_to_zero, spoly
@@ -207,3 +211,18 @@ def test_retirement_keeps_gb_property():
     g = poly_from_exps(r, [(1, (1, 1))])                # xy
     basis, _ = buchberger_run(r, [f, g])
     assert is_reduced_gb(r, basis)
+
+
+@pytest.mark.parametrize("name", ["katsura5", "cyclic5"])
+def test_every_element_is_fully_reduced(name):
+    # each remainder is reduced by every live lead, and every retired lead
+    # is divided by a live one, so no earlier lead divides a later term
+    ring, polys = builtin_ideal(name)
+    cfg = ClassicConfig()
+    engine = _ClassicEngine(ring, prepare_inputs(ring, polys, True), cfg)
+    engine.run()
+    for i, g in enumerate(engine.polys):
+        for k in range(i):
+            lead = engine.polys[k].lead_mono
+            assert not any(ring.mono_divides(lead, m) for m in g.monos), \
+                (name, k, i)

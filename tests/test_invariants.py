@@ -9,7 +9,8 @@ import pytest
 
 from gbengine import (ClassicConfig, ClassicStats, InvariantError,
                       PairTriangle, SBConfig, SigStats, buchberger,
-                      buchberger_run, builtin_ideal, sb_run, sigbasis)
+                      buchberger_run, builtin_ideal, division, sb_run,
+                      sigbasis)
 from gbengine.lookup import _KdNode
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -112,3 +113,39 @@ def test_lookup_audit_fires_under_optimize():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n") == ["left routing", "left routing", ""]
+
+
+def _top_only_division(real):
+    """divide_queue reducing only the lead term, as classic Buchberger
+    once did: the tails of new elements stay reducible."""
+    def divide_queue(ring, queue, basis, lookup, top_only, **kw):
+        return real(ring, queue, basis, lookup, True, **kw)
+    return divide_queue
+
+
+def test_audited_classic_run_requires_full_reduction(monkeypatch):
+    eval(AUDITED_RUNS["classic"])
+    monkeypatch.setattr(division, "divide_queue",
+                        _top_only_division(division.divide_queue))
+    with pytest.raises(InvariantError, match="remainder fully reduced"):
+        eval(AUDITED_RUNS["classic"])
+
+
+def test_full_reduction_audit_fires_under_optimize():
+    script = "\n".join(
+        ["from gbengine import *",
+         "from gbengine import division",
+         "from test_invariants import _top_only_division",
+         "assert False  # stripped by -O",
+         "division.divide_queue = _top_only_division(division.divide_queue)",
+         "try:",
+         "    " + AUDITED_RUNS["classic"],
+         "except InvariantError as exc:",
+         "    print(exc)"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS,
+                                         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "remainder fully reduced\n"
