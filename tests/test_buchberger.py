@@ -218,8 +218,8 @@ def test_every_element_is_fully_reduced(name):
     # each remainder is reduced by every live lead, and every retired lead
     # is divided by a live one, so no earlier lead divides a later term
     ring, polys = builtin_ideal(name)
-    cfg = ClassicConfig()
-    engine = _ClassicEngine(ring, prepare_inputs(ring, polys, True), cfg)
+    engine = _ClassicEngine(ring, prepare_inputs(ring, polys, True),
+                            ClassicConfig())
     engine.run()
     for i, g in enumerate(engine.polys):
         for k in range(i):
