@@ -14,12 +14,11 @@ lead term, and later S-polynomials carry no reducible tail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import le
 
 from .division import Completion, prepare_inputs, reduced_basis
 from .pairbits import BitTriangle
 from .poly import Polynomial, poly_monic
-from .ring import Ring, key_bound, require
+from .ring import Ring, key_bound, require, word_divides, word_max
 from .termqueue import QueueConfig
 
 
@@ -67,36 +66,38 @@ class ClassicConfig:
     audit: bool = False
 
 
-def lcm_criterion(leads, a: int, b: int, c: int, m,
+def lcm_criterion(leads, a: int, b: int, c: int, m: int, guard: int,
                   tri: BitTriangle) -> bool:
     """Anti-circular lcm criterion: c may eliminate (a, b).
 
-    m is the exponent tuple of lcm(hd a, hd b).  Requires hd c | m; then
-    (a, b) goes iff lcm(a,c) != m or (a,c) is done, and likewise for (b,c).
+    m is the exponent word of lcm(hd a, hd b) and guard the ring's guard
+    mask.  Requires hd c | m; then (a, b) goes iff lcm(a,c) != m or (a,c)
+    is done, and likewise for (b,c).
     """
-    ce = leads[c].exps
-    if not all(map(le, ce, m)):
+    cw = leads[c].word
+    if not word_divides(cw, m, guard):
         return False
-    if tuple(map(max, leads[a].exps, ce)) == m and not tri.get(a, c):
+    if word_max(leads[a].word, cw, guard) == m and not tri.get(a, c):
         return False
-    if tuple(map(max, leads[b].exps, ce)) == m and not tri.get(b, c):
+    if word_max(leads[b].word, cw, guard) == m and not tri.get(b, c):
         return False
     return True
 
 
-def graph_criterion(leads, a: int, b: int, m, tri: BitTriangle,
-                    vertices) -> bool:
+def graph_criterion(leads, a: int, b: int, m: int, guard: int,
+                    tri: BitTriangle, vertices) -> bool:
     """Bayer's criterion: eliminate (a, b) when a path joins a to b in the
-    graph on the divisors of m = lcm(hd a, hd b), an exponent tuple, whose
-    edges are the pairs with lcm != m or already eliminated."""
+    graph on the divisors of m = lcm(hd a, hd b), an exponent word (guard
+    the ring's guard mask), whose edges are the pairs with lcm != m or
+    already eliminated."""
     unseen = set(vertices) | {b}
     unseen.discard(a)
     stack = [a]
     while stack:
         u = stack.pop()
-        ue = leads[u].exps
+        uw = leads[u].word
         for v in [v for v in unseen
-                  if tuple(map(max, ue, leads[v].exps)) != m
+                  if word_max(uw, leads[v].word, guard) != m
                   or tri.get(u, v)]:
             if v == b:
                 return True
@@ -147,16 +148,18 @@ class _ClassicEngine(Completion):
         of the pair's leads."""
         leads = self.leads
         tri = self.tri
-        me = m.exps
+        mw = m.word
+        g = self.ring.guard
         # a cached c is live: _add drops every value equal to a retired index
         for c in (self.cache.get(i), self.cache.get(j)):
             if c is not None and c != i and c != j \
-                    and lcm_criterion(leads, i, j, c, me, tri):
+                    and lcm_criterion(leads, i, j, c, mw, g, tri):
                 self.stats.lcm_cache += 1
                 self.cache[i] = self.cache[j] = c
                 return True
         for c in sorted(self.lookup.find_all_divisors(m)):
-            if c != i and c != j and lcm_criterion(leads, i, j, c, me, tri):
+            if c != i and c != j and lcm_criterion(leads, i, j, c, mw, g,
+                                                   tri):
                 self.stats.lcm_simple += 1
                 self.cache[i] = self.cache[j] = c
                 return True
@@ -194,7 +197,8 @@ class _ClassicEngine(Completion):
             return None
         if cfg.use_graph:
             verts = self.lookup.find_all_divisors(m)
-            if graph_criterion(self.leads, i, j, m.exps, self.tri, verts):
+            if graph_criterion(self.leads, i, j, m.word, ring.guard, self.tri,
+                               verts):
                 stats.graph += 1
                 self.tri.set(i, j)
                 return None

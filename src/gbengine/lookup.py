@@ -29,7 +29,7 @@ import math
 from bisect import bisect_right
 from operator import getitem
 
-from .ring import Monomial, Ring, require
+from .ring import Monomial, Ring, require, word_divides
 
 MASK_BITS = 32
 DEFAULT_LEAF_CAPACITY = 32
@@ -145,17 +145,19 @@ class DivmaskStats:
         return self.hits / d if d else 0.0
 
 
-# Entry record layout: [mono, payload-id, mask, live-flag].
-_MONO, _PID, _MASK, _LIVE = range(4)
+# Entry record layout: [mono, payload-id, mask, live-flag, word], word
+# being mono's exponent word.
+_MONO, _PID, _MASK, _LIVE, _WORD = range(5)
 
 
-def _scan(recs, qexps, notq, stats, out, first_only):
+def _scan(recs, qg, guard, notq, stats, out, first_only):
     """Append to out the payload ids of the live records in recs dividing
-    the monomial with exponents qexps; notq is the complement of its mask
+    the monomial whose exponent word with the guard bits set is qg (the
+    test is word_divides, inlined); notq is the complement of its mask
     (None: no masks, and nothing is counted)."""
     if notq is None:
         for rec in recs:
-            if rec[_LIVE] and _divides(rec[_MONO].exps, qexps):
+            if rec[_LIVE] and (qg - rec[_WORD]) & guard == guard:
                 out.append(rec[_PID])
                 if first_only:
                     break
@@ -166,7 +168,7 @@ def _scan(recs, qexps, notq, stats, out, first_only):
         if rec[_MASK] & notq:
             stats.hits += 1
             continue
-        if _divides(rec[_MONO].exps, qexps):
+        if (qg - rec[_WORD]) & guard == guard:
             stats.divisibilities += 1
             out.append(rec[_PID])
             if first_only:
@@ -174,13 +176,6 @@ def _scan(recs, qexps, notq, stats, out, first_only):
         else:
             stats.misses += 1
     return out
-
-
-def _divides(a_exps, b_exps) -> bool:
-    for x, y in zip(a_exps, b_exps):
-        if x > y:
-            return False
-    return True
 
 
 class _KdNode:
@@ -246,7 +241,9 @@ class KdLookup:
             self.stats.extended += 1
             if divmap is not self.divmap:
                 notq = self._notq(q)
-            new = _scan(log[stamp:], q.exps, notq, self.stats, [], False)
+            guard = self.ring.guard
+            new = _scan(log[stamp:], q.word | guard, guard, notq,
+                        self.stats, [], False)
             if new:
                 out = out + new
         self._all_cache[k] = (len(log), out, notq, self.divmap)
@@ -272,7 +269,7 @@ class KdLookup:
         if pid in self.by_id:
             raise ValueError("payload id %r already present" % (pid,))
         mask = self.divmap.mask_of(mono) if self.use_masks else 0
-        rec = [mono, pid, mask, True]
+        rec = [mono, pid, mask, True, mono.word]
         self.by_id[pid] = rec
         self.churn += 1
         if self._one_cache:
@@ -298,8 +295,10 @@ class KdLookup:
     def retire_multiples(self, mono: Monomial):
         """Retire every live entry that mono divides; returns their payload
         ids in entries() order."""
-        divides = self.ring.mono_divides
-        gone = [pid for stored, pid in self.entries() if divides(mono, stored)]
+        w = mono.word
+        g = self.ring.guard
+        gone = [rec[_PID] for rec in self.by_id.values()
+                if word_divides(w, rec[_WORD], g)]
         for pid in gone:
             self.retire(pid)
         return gone
@@ -393,6 +392,8 @@ class KdLookup:
         first_only), counting mask consultations in self.stats; notq is
         the complement of q's mask (None without masks)."""
         qexps = q.exps
+        guard = self.ring.guard
+        qg = q.word | guard
         stats = self.stats
         masks = self.use_masks
         out = []
@@ -408,7 +409,7 @@ class KdLookup:
                     stack.append(node.right)
                 stack.append(node.left)
                 continue
-            _scan(node, qexps, notq, stats, out, first_only)
+            _scan(node, qg, guard, notq, stats, out, first_only)
             if first_only and out:
                 break
         return out
@@ -416,8 +417,13 @@ class KdLookup:
     # -- debug audit -------------------------------------------------------
 
     def audit(self) -> None:
-        """Check the pure-power routing invariant over the whole tree, and
-        that each node's mask is a submask of every live mask below it."""
+        """Check the pure-power routing invariant over the whole tree, that
+        each node's mask is a submask of every live mask below it, and
+        that each live record's word is the word of its exponents."""
+        word_of = self.ring.word_of
+        for rec in self.by_id.values():
+            require(rec[_WORD] == word_of(rec[_MONO].exps), "record word")
+
         def walk(node):
             if not isinstance(node, _KdNode):
                 return node

@@ -9,11 +9,28 @@ keys.  The linearity also holds for formal exponent differences (used by
 sig/lead ratio comparisons), as long as every entry stays well below the
 digit base.  key_bound gives a strict bound on the keys, so a key can be
 packed with further sort fields into one integer.
+
+Every monomial also caches its packed exponent word: variable i owns the
+17-bit field at bit 17*i, its exponent in the low 16 bits and a guard bit
+(bit 16 of the field) that is clear in every stored word.  The ring's
+guard mask G has all guard bits set.  Every exponent stays below the
+2^16 cap, which is checked before a word is formed, so a field never
+carries into its neighbour and the exponent-wise tests are a few integer
+operations on whole words:
+
+* a divides b  iff  ((b | G) - a) & G == G: field i of b | G minus a_i
+  keeps its guard bit exactly when a_i <= b_i, and never borrows from the
+  next field;
+* lcm(a, b): d = ((a | G) - b) & G marks the fields where a_i >= b_i,
+  m = d - (d >> 16) fills those fields' low 16 bits, and the lcm is
+  (a & m) | (b & ~m);
+* the word of a product is the sum of the words, of a quotient their
+  difference; a product field at or past the cap raises before it exists.
 """
 
 from __future__ import annotations
 
-from operator import add as _add, mul as _mul, sub as _sub
+from operator import add as _add, lshift as _lshift, mul as _mul, sub as _sub
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -23,6 +40,8 @@ ELIM = "elim"
 # of a few monomials, never produce a digit carry.
 MAX_EXPONENT = 1 << 16
 _DIGIT_BASE = 1 << 28
+# One exponent word field per variable: 16 exponent bits and a guard bit.
+WORD_FIELD = 17
 # The order weights take about 3.5 * n^2 bytes in n variables; the largest
 # builtin ideal in use has 10.
 MAX_VARS = 256
@@ -89,21 +108,44 @@ def ff_inv(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+def guard_mask(num_vars: int) -> int:
+    """The guard bits of every field of a num_vars-variable word."""
+    return sum(MAX_EXPONENT << s
+               for s in range(0, WORD_FIELD * num_vars, WORD_FIELD))
+
+
+def word_divides(a: int, b: int, guard: int) -> bool:
+    """True when the monomial of word a divides that of word b, guard
+    being their ring's guard mask.  Hot loops inline it, with b | guard
+    computed once per query."""
+    return ((b | guard) - a) & guard == guard
+
+
+def word_max(a: int, b: int, guard: int) -> int:
+    """Field-wise maximum of two exponent words, guard being their ring's
+    guard mask: the word of the lcm."""
+    d = ((a | guard) - b) & guard
+    m = d - (d >> 16)
+    return (a & m) | (b & ~m)
+
+
 class Monomial:
-    """Exponent vector with cached degree and order key."""
+    """Exponent vector with cached degree, order key and packed word."""
 
-    __slots__ = ("exps", "deg", "key")
+    __slots__ = ("exps", "deg", "key", "word")
 
-    def __init__(self, exps, deg, key):
+    def __init__(self, exps, deg, key, word):
         self.exps = exps
         self.deg = deg
         self.key = key
+        self.word = word
 
+    # within one ring the word determines the exponent vector
     def __hash__(self):
-        return hash(self.exps)
+        return hash(self.word)
 
     def __eq__(self, other):
-        return self is other or self.exps == other.exps
+        return self is other or self.word == other.word
 
     def __repr__(self):
         return "Monomial%r" % (self.exps,)
@@ -117,7 +159,8 @@ class Ring:
     with ties broken by grevlex on the whole exponent vector.
     """
 
-    __slots__ = ("char", "num_vars", "order", "elim_block", "_weights", "one")
+    __slots__ = ("char", "num_vars", "order", "elim_block", "_weights",
+                 "_shifts", "guard", "ones", "one")
 
     def __init__(self, char: int, num_vars: int, order: str = GREVLEX,
                  elim_block: int | None = None):
@@ -137,7 +180,10 @@ class Ring:
         self.order = order
         self.elim_block = elim_block
         self._weights = self._order_weights()
-        self.one = Monomial((0,) * num_vars, 0, 0)
+        self._shifts = tuple(range(0, WORD_FIELD * num_vars, WORD_FIELD))
+        self.guard = guard_mask(num_vars)
+        self.ones = self.guard >> 16        # a 1 in every field
+        self.one = Monomial((0,) * num_vars, 0, 0, 0)
 
     def _order_weights(self):
         n = self.num_vars
@@ -161,12 +207,18 @@ class Ring:
             raise ValueError("wrong number of exponents")
         if min(exps) < 0 or max(exps) >= MAX_EXPONENT:
             raise ValueError("exponent out of range")
-        return Monomial(exps, sum(exps), self.key_of(exps))
+        return Monomial(exps, sum(exps), self.key_of(exps),
+                        self.word_of(exps))
 
     def key_of(self, exps) -> int:
         """Order key of an exponent vector: its dot product with the
         order weights."""
         return sum(map(_mul, exps, self._weights))
+
+    def word_of(self, exps) -> int:
+        """Packed word of an exponent vector, each entry in
+        [0, MAX_EXPONENT)."""
+        return sum(map(_lshift, exps, self._shifts))
 
     # -- monomial arithmetic --------------------------------------------
 
@@ -176,32 +228,31 @@ class Ring:
         # no exponent can reach the cap while the degree stays below it
         if deg >= MAX_EXPONENT and max(exps) >= MAX_EXPONENT:
             raise ValueError("exponent out of range")
-        return Monomial(exps, deg, a.key + b.key)
+        return Monomial(exps, deg, a.key + b.key, a.word + b.word)
 
     def mono_div(self, a: Monomial, b: Monomial) -> Monomial:
-        exps = tuple(map(_sub, a.exps, b.exps))
-        if min(exps) < 0:
+        if not word_divides(b.word, a.word, self.guard):
             raise ValueError("not divisible")
-        return Monomial(exps, a.deg - b.deg, a.key - b.key)
+        return Monomial(tuple(map(_sub, a.exps, b.exps)), a.deg - b.deg,
+                        a.key - b.key, a.word - b.word)
 
     def mono_gcd(self, a: Monomial, b: Monomial) -> Monomial:
         return self.mono(map(min, a.exps, b.exps))
 
     def mono_lcm(self, a: Monomial, b: Monomial) -> Monomial:
-        return self.mono(map(max, a.exps, b.exps))
+        exps = tuple(map(max, a.exps, b.exps))
+        return Monomial(exps, sum(exps), self.key_of(exps),
+                        word_max(a.word, b.word, self.guard))
 
     def mono_divides(self, a: Monomial, b: Monomial) -> bool:
         """True when a divides b."""
-        for x, y in zip(a.exps, b.exps):
-            if x > y:
-                return False
-        return True
+        return word_divides(a.word, b.word, self.guard)
 
     def mono_coprime(self, a: Monomial, b: Monomial) -> bool:
-        for x, y in zip(a.exps, b.exps):
-            if x and y:
-                return False
-        return True
+        """True when no variable occurs in both a and b."""
+        # (w | G) - ones keeps a field's guard bit iff the field is nonzero
+        g, ones = self.guard, self.ones
+        return not ((a.word | g) - ones) & ((b.word | g) - ones) & g
 
     def order_spec(self) -> str:
         if self.order == ELIM:

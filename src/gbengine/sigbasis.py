@@ -23,14 +23,14 @@ the remainder or records a syzygy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import le
+from operator import add, sub
 
 from .division import Completion, prepare_inputs, reduced_basis
 from .lookup import make_lookup
 from .pairbits import BitTriangle
 from .poly import poly_monic
-from .ring import (MAX_EXPONENT, InvariantError, Monomial, Ring, key_bound,
-                   require)
+from .ring import (MAX_EXPONENT, InvariantError, Monomial, Ring, guard_mask,
+                   key_bound, require, word_divides, word_max)
 from .spairqueue import MinHeap
 from .termqueue import QueueConfig
 
@@ -232,10 +232,17 @@ def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
     winning side.
     """
     win, other = (a, b) if a.ratio_rank >= b.ratio_rank else (b, a)
-    we = win.lead.exps
-    oe = other.lead.exps
-    mult = tuple(y - x if y > x else 0 for x, y in zip(we, oe))
-    mono = ring.mono_mul(win.sig_mono, ring.mono(mult))
+    lead, sig = win.lead, win.sig_mono
+    # sig * mult, mult = lcm(hd a, hd b) / hd win, capped as mono_mul caps
+    we = lead.exps
+    mult = tuple(map(sub, map(max, we, other.lead.exps), we))
+    exps = tuple(map(add, sig.exps, mult))
+    deg = sig.deg + sum(mult)
+    if deg >= MAX_EXPONENT and max(exps) >= MAX_EXPONENT:
+        raise ValueError("exponent out of range")
+    lw = lead.word
+    mono = Monomial(exps, deg, sig.key + ring.key_of(mult),
+                    sig.word + word_max(lw, other.lead.word, ring.guard) - lw)
     return mono, win.sig_comp
 
 
@@ -257,7 +264,8 @@ def low_base_divisor_bound(alpha: SigEntry, beta: SigEntry):
     if alpha.sig_comp != beta.sig_comp:
         raise ValueError("signatures in different components")
     sa, sb = alpha.sig_mono.exps, beta.sig_mono.exps
-    if any(x > y for x, y in zip(sa, sb)):
+    if not word_divides(alpha.sig_mono.word, beta.sig_mono.word,
+                        guard_mask(len(sa))):
         raise ValueError("sig alpha does not divide sig beta")
     v = []
     for a, b, s, t in zip(alpha.lead.exps, beta.lead.exps, sa, sb):
@@ -329,6 +337,9 @@ class _SBEngine(Completion):
     # -- S-pair construction ----------------------------------------------
 
     def _find_base_divisors(self, beta: SigEntry):
+        """The high and low base divisors of beta (None where there is
+        none) and the low one's bound as an exponent word with the guard
+        bits set."""
         high = low = vbound = None
         if self.tri.dropped:        # every tri.get answers False now
             return high, low, vbound
@@ -338,7 +349,12 @@ class _SBEngine(Completion):
             low = self._max_ratio_divisor(self.sig_lookups[beta.sig_comp],
                                           beta.sig_mono)
             if low is not None:
-                vbound = low_base_divisor_bound(low, beta)
+                # every exponent is below the cap, so clamping changes no
+                # test and keeps each field inside its 16 bits
+                ring = self.ring
+                vbound = ring.guard | ring.word_of(
+                    min(v, MAX_EXPONENT - 1)
+                    for v in low_base_divisor_bound(low, beta))
         return high, low, vbound
 
     def _make_new_spairs(self, beta: SigEntry):
@@ -353,6 +369,7 @@ class _SBEngine(Completion):
         tri = self.tri
         syz = self.syz
         morder = self.morder
+        guard = self.ring.guard
         batch = []
         for gamma in self.entries[:bidx]:
             grank = gamma.ratio_rank
@@ -363,7 +380,8 @@ class _SBEngine(Completion):
                     and tri.get(high.idx, gamma.idx)) or \
                     (low is not None and grank < brank
                      and grank < low.ratio_rank
-                     and all(map(le, gamma.lead.exps, vbound))
+                     # word_divides(hd gamma, x^v), inlined
+                     and (vbound - gamma.lead.word) & guard == guard
                      and tri.get(low.idx, gamma.idx)):
                 stats.basedivisor += 1
                 tri.set(gamma.idx, bidx)

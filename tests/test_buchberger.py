@@ -22,8 +22,8 @@ def _mono_poly(r, exps):
 
 
 def _lcm(r, leads, a, b):
-    # the criteria take the pair's lcm as an exponent tuple
-    return r.mono_lcm(leads[a], leads[b]).exps
+    # the criteria take the pair's lcm as an exponent word
+    return r.mono_lcm(leads[a], leads[b]).word
 
 
 def test_relprime_examples():
@@ -39,7 +39,8 @@ def test_lcm_criterion_strict_divisor_case():
     # divisors of lcm(a,b)=x^2y^2z^2, so (a,b) goes regardless of the bits
     leads = [r.mono((2, 2, 0)), r.mono((0, 2, 2)), r.mono((1, 1, 1))]
     tri = BitTriangle()
-    assert lcm_criterion(leads, 0, 1, 2, _lcm(r, leads, 0, 1), tri)
+    assert lcm_criterion(leads, 0, 1, 2, _lcm(r, leads, 0, 1), r.guard,
+                         tri)
 
 
 def test_lcm_criterion_equal_lcm_blocks_without_bit():
@@ -48,17 +49,17 @@ def test_lcm_criterion_equal_lcm_blocks_without_bit():
     leads = [r.mono((1, 1, 0)), r.mono((1, 0, 1)), r.mono((0, 1, 1))]
     m = _lcm(r, leads, 0, 1)
     tri = BitTriangle()
-    assert not lcm_criterion(leads, 0, 1, 2, m, tri)
+    assert not lcm_criterion(leads, 0, 1, 2, m, r.guard, tri)
     tri.set(0, 2)
-    assert not lcm_criterion(leads, 0, 1, 2, m, tri)   # (b,c) still open
+    assert not lcm_criterion(leads, 0, 1, 2, m, r.guard, tri)   # (b,c) still open
     tri.set(1, 2)
-    assert lcm_criterion(leads, 0, 1, 2, m, tri)
+    assert lcm_criterion(leads, 0, 1, 2, m, r.guard, tri)
 
 
 def test_lcm_criterion_inapplicable_divisor():
     r = _r3()
     leads = [r.mono((2, 0, 0)), r.mono((0, 2, 0)), r.mono((0, 0, 1))]
-    assert not lcm_criterion(leads, 0, 1, 2, _lcm(r, leads, 0, 1),
+    assert not lcm_criterion(leads, 0, 1, 2, _lcm(r, leads, 0, 1), r.guard,
                              BitTriangle())
 
 
@@ -73,7 +74,8 @@ def test_three_way_equal_lcm_exactly_one_eliminable():
         eliminated = []
         for (a, b) in order:
             c = ({0, 1, 2} - {a, b}).pop()
-            if lcm_criterion(leads, a, b, c, _lcm(r, leads, a, b), tri):
+            if lcm_criterion(leads, a, b, c, _lcm(r, leads, a, b), r.guard,
+                             tri):
                 eliminated.append((a, b))
             tri.set(a, b)     # eliminated or reduced either way
         assert len(eliminated) == 1
@@ -84,17 +86,18 @@ def test_graph_criterion_examples():
     r = _r3()
     leads = [r.mono((1, 1, 0)), r.mono((1, 0, 1))]
     tri = BitTriangle()
-    assert not graph_criterion(leads, 0, 1, _lcm(r, leads, 0, 1), tri,
-                               [0, 1])
+    assert not graph_criterion(leads, 0, 1, _lcm(r, leads, 0, 1), r.guard,
+                               tri, [0, 1])
     # third vertex dividing m with both lcms != m gives the path a-c-b
     leads = [r.mono((2, 1, 0)), r.mono((1, 0, 2)), r.mono((1, 1, 1))]
-    m = r.mono_lcm(leads[0], leads[1])
-    assert r.mono_divides(leads[2], m)
-    assert graph_criterion(leads, 0, 1, m.exps, tri, [0, 1, 2])
+    assert r.mono_divides(leads[2], r.mono_lcm(leads[0], leads[1]))
+    assert graph_criterion(leads, 0, 1, _lcm(r, leads, 0, 1), r.guard, tri,
+                           [0, 1, 2])
 
 
 def _connected_oracle(leads, a, b, m, tri, vertices):
-    # transitive closure of the edge relation over every vertex
+    # transitive closure of the edge relation over every vertex; m is the
+    # lcm's exponent tuple
     verts = sorted(set(vertices) | {a, b})
     reach = {(u, v): u == v or tuple(map(max, leads[u].exps,
                                          leads[v].exps)) != m
@@ -120,13 +123,14 @@ def test_graph_criterion_matches_closure_oracle():
             if rng.random() < 0.3:
                 tri.set(i, j)
         a, b = rng.sample(range(n), 2)
-        m = _lcm(r, leads, a, b)
+        m = r.mono_lcm(leads[a], leads[b])
         vertices = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]
         if rng.random() < 0.5:
             vertices += [a, b]
         rng.shuffle(vertices)
-        want = _connected_oracle(leads, a, b, m, tri, vertices)
-        assert graph_criterion(leads, a, b, m, tri, vertices) == want
+        want = _connected_oracle(leads, a, b, m.exps, tri, vertices)
+        assert graph_criterion(leads, a, b, m.word, r.guard, tri,
+                               vertices) == want
         outcomes.append(want)
     assert 50 < sum(outcomes) < 450
 

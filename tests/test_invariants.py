@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from gbengine import (ClassicConfig, ClassicStats, InvariantError,
-                      PairTriangle, SBConfig, SigStats, buchberger,
+                      PairTriangle, Ring, SBConfig, SigStats, buchberger,
                       buchberger_run, builtin_ideal, division, sb_run,
                       sigbasis)
-from gbengine.lookup import _KdNode
+from gbengine.lookup import _WORD, _KdNode, make_lookup
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 TESTS = str(Path(__file__).resolve().parent)
@@ -113,6 +113,45 @@ def test_lookup_audit_fires_under_optimize():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n") == ["left routing", "left routing", ""]
+
+
+def _lookup_with_a_wrong_word():
+    """A divkdtree lookup of six monomials, one of whose records carries
+    the word of x1 times its monomial: queries then miss that divisor,
+    which only an audit of the lookup sees."""
+    ring = Ring(101, 3)
+    lookup = make_lookup("divkdtree", ring, leaf_capacity=2)
+    for pid, exps in enumerate([(1, 0, 0), (0, 2, 0), (0, 0, 3),
+                                (1, 1, 0), (0, 1, 1), (2, 0, 1)]):
+        lookup.insert(ring.mono(exps), pid)
+    lookup.audit()
+    lookup.by_id[4][_WORD] += 1
+    return lookup
+
+
+def test_lookup_audit_checks_record_words():
+    lookup = _lookup_with_a_wrong_word()
+    assert lookup.find_all_divisors(lookup.ring.mono((0, 1, 1))) == []
+    with pytest.raises(InvariantError, match="record word"):
+        lookup.audit()
+
+
+def test_record_word_audit_fires_under_optimize():
+    script = "\n".join(
+        ["from gbengine import InvariantError",
+         "from test_invariants import _lookup_with_a_wrong_word",
+         "assert False  # stripped by -O",
+         "try:",
+         "    _lookup_with_a_wrong_word().audit()",
+         "except InvariantError as exc:",
+         "    print(exc)"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS,
+                                         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "record word\n"
 
 
 def _top_only_division(real):

@@ -1,4 +1,5 @@
 import random
+from operator import add, le, sub
 
 import pytest
 
@@ -6,6 +7,11 @@ from gbengine import GREVLEX, LEX, Ring, ff_inv
 from gbengine.ring import MAX_EXPONENT, MAX_VARS
 
 from _util import elim_cmp, grevlex_cmp, lex_cmp, random_mono
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:     # the package declares no dependencies
+    given = None
 
 
 def _cmp(a, b):
@@ -198,3 +204,105 @@ def test_mono_mul_enforces_exponent_bound():
         r.mono_mul(top, r.mono((1, 0)))
     # a degree past the cap spread over several variables is fine
     assert r.mono_mul(a, r.mono((0, 60000))).exps == (60000, 60000)
+
+
+# -- packed exponent words against their exponent-tuple definitions ---------
+
+WORD_VAR_COUNTS = (1, 2, 7, 10, MAX_VARS)
+WORD_RINGS = {n: Ring(101, n) for n in WORD_VAR_COUNTS}
+
+
+def _word(exps):
+    # reference packing: exponent i in the 17-bit field at bit 17 * i
+    return sum(e << (17 * i) for i, e in enumerate(exps))
+
+
+def _assert_made_right(ring, mono, exps):
+    assert mono.exps == exps
+    assert mono.deg == sum(exps)
+    assert mono.key == ring.key_of(exps)
+    assert mono.word == _word(exps)
+
+
+def _pairs():
+    """(ring, a, b): two monomials of one of WORD_RINGS, each exponent in
+    [0, 2^16), with 0, 2^16 - 1 and small ones drawn often; b is unrelated
+    to a, a multiple of a, or shares no variable with a."""
+    top = MAX_EXPONENT - 1
+    entry = st.one_of(st.sampled_from((0, top)), st.integers(0, 3),
+                      st.integers(0, top))
+
+    @st.composite
+    def pairs(draw):
+        n = draw(st.sampled_from(WORD_VAR_COUNTS))
+        a = draw(st.lists(entry, min_size=n, max_size=n))
+        b = draw(st.lists(entry, min_size=n, max_size=n))
+        how = draw(st.sampled_from(("free", "multiple", "coprime")))
+        if how == "multiple":
+            b = [min(x + y, top) for x, y in zip(a, b)]
+        elif how == "coprime":
+            a = [0 if y else x for x, y in zip(a, b)]
+        ring = WORD_RINGS[n]
+        return ring, ring.mono(a), ring.mono(b)
+    return pairs()
+
+
+def _over_pairs(check):
+    """check(ring, a, b) as a property over _pairs(); skipped where
+    hypothesis is missing."""
+    if given is None:
+        def test():
+            pytest.skip("hypothesis is not installed")
+        return test
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(_pairs())
+    def test(case):
+        check(*case)
+    return test
+
+
+@_over_pairs
+def test_words_of_made_monomials(ring, a, b):
+    for m in (a, b):
+        _assert_made_right(ring, m, m.exps)
+
+
+@_over_pairs
+def test_word_divides(ring, a, b):
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert ring.mono_divides(x, y) == all(map(le, x.exps, y.exps))
+
+
+@_over_pairs
+def test_word_coprime(ring, a, b):
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert ring.mono_coprime(x, y) == \
+            (not any(map(min, x.exps, y.exps)))
+
+
+@_over_pairs
+def test_word_lcm(ring, a, b):
+    _assert_made_right(ring, ring.mono_lcm(a, b),
+                       tuple(map(max, a.exps, b.exps)))
+
+
+@_over_pairs
+def test_word_mul(ring, a, b):
+    exps = tuple(map(add, a.exps, b.exps))
+    if max(exps) >= MAX_EXPONENT:
+        with pytest.raises(ValueError, match="^exponent out of range$"):
+            ring.mono_mul(a, b)
+    else:
+        _assert_made_right(ring, ring.mono_mul(a, b), exps)
+
+
+@_over_pairs
+def test_word_div(ring, a, b):
+    for x, y in ((a, b), (b, a), (a, a)):
+        exps = tuple(map(sub, y.exps, x.exps))
+        if min(exps) < 0:
+            with pytest.raises(ValueError, match="^not divisible$"):
+                ring.mono_div(y, x)
+        else:
+            _assert_made_right(ring, ring.mono_div(y, x), exps)
