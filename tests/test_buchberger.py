@@ -51,7 +51,8 @@ def test_lcm_criterion_equal_lcm_blocks_without_bit():
     tri = BitTriangle()
     assert not lcm_criterion(leads, 0, 1, 2, m, r.guard, tri)
     tri.set(0, 2)
-    assert not lcm_criterion(leads, 0, 1, 2, m, r.guard, tri)   # (b,c) still open
+    # (b,c) still open
+    assert not lcm_criterion(leads, 0, 1, 2, m, r.guard, tri)
     tri.set(1, 2)
     assert lcm_criterion(leads, 0, 1, 2, m, r.guard, tri)
 
