@@ -13,6 +13,13 @@ Entries are retired by tombstone and physically dropped at the next
 rebuild; a rebuild also recalibrates the divmap so masks always fit the
 current contents.
 
+Queries: find_divisor takes a monomial's packed exponent word and returns
+one divisor's payload id or None; find_all_divisors takes the Monomial
+and returns every divisor's.  Both route through the tree on exponents
+and test each scanned record by its word.  find_divisor gets the
+exponents back from the word (Ring.exps_of) only when it has to query, as
+its answers are kept by word until the next insert or retire.
+
 Answers of find_all_divisors outlive inserts: a repeated query scans only
 the entries inserted since its answer was made, and only a retire drops
 the stored answers.  Each answer keeps the query's divmask, so bringing it
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from operator import getitem
+from operator import getitem, le
 
 from .ring import Monomial, Ring, require, word_divides
 
@@ -102,9 +109,12 @@ class DivMap:
         return cls(entries)
 
     def mask_of(self, mono: Monomial) -> int:
+        return self.mask_of_exps(mono.exps)
+
+    def mask_of_exps(self, exps) -> int:
         # the variables own disjoint bits, so the sum is their OR
         return sum(map(getitem, self._prefixes,
-                       map(bisect_right, self._thresholds, mono.exps)))
+                       map(bisect_right, self._thresholds, exps)))
 
 
 def may_divide(a_mask: int, b_mask: int) -> bool:
@@ -200,7 +210,8 @@ class KdLookup:
         self.stats = DivmaskStats()
         self.by_id = {}          # payload id -> record, live entries only
         self.churn = 0
-        # Query answers keyed by packed monomial key.  Callers must not
+        # Query answers: find_divisor's keyed by the query's exponent
+        # word, find_all_divisors' by its order key.  Callers must not
         # mutate returned lists.  find_divisor answers are dropped by any
         # mutation.  A find_all_divisors answer is stored as (stamp, list,
         # notq, divmap), stamp being len(self._log) when it was made; _log
@@ -214,15 +225,18 @@ class KdLookup:
         self.leaf_capacity = leaf_capacity
         self.root = []           # a leaf is its list of records
 
-    def find_divisor(self, q: Monomial):
-        k = q.key
+    def find_divisor(self, word: int):
+        """Payload id of one live entry dividing the monomial whose
+        exponent word is word, or None."""
         cache = self._one_cache
-        if k in cache:
+        if word in cache:
             self.stats.reused += 1
-            return cache[k]
+            return cache[word]
         self.stats.computed += 1
-        found = self._query(q, self._notq(q), True)
-        out = cache[k] = found[0] if found else None
+        exps = self.ring.exps_of(word)
+        notq = ~self.divmap.mask_of_exps(exps) if self.use_masks else None
+        found = self._query(exps, word, notq, True)
+        out = cache[word] = found[0] if found else None
         return out
 
     def find_all_divisors(self, q: Monomial):
@@ -232,7 +246,7 @@ class KdLookup:
         if got is None:
             self.stats.computed += 1
             notq = self._notq(q)
-            out = self._query(q, notq, False)
+            out = self._query(q.exps, q.word, notq, False)
         else:
             stamp, out, notq, divmap = got
             if stamp == len(log):
@@ -251,7 +265,7 @@ class KdLookup:
 
     def _find_all_divisors(self, q: Monomial):
         """A full query, bypassing the stored answers."""
-        return self._query(q, self._notq(q), False)
+        return self._query(q.exps, q.word, self._notq(q), False)
 
     def _notq(self, q):
         """Complement of q's divmask, or None without masks."""
@@ -387,13 +401,13 @@ class KdLookup:
 
     # -- queries ----------------------------------------------------------
 
-    def _query(self, q, notq, first_only):
-        """Payload ids of the live entries dividing q (at most one when
-        first_only), counting mask consultations in self.stats; notq is
-        the complement of q's mask (None without masks)."""
-        qexps = q.exps
+    def _query(self, qexps, qword, notq, first_only):
+        """Payload ids of the live entries dividing the query, of exponents
+        qexps and word qword (at most one when first_only), counting mask
+        consultations in self.stats; notq is the complement of its mask
+        (None without masks)."""
         guard = self.ring.guard
-        qg = q.word | guard
+        qg = qword | guard
         stats = self.stats
         masks = self.use_masks
         out = []
@@ -415,6 +429,15 @@ class KdLookup:
         return out
 
     # -- debug audit -------------------------------------------------------
+
+    def audit_divisor(self, word: int, found) -> None:
+        """Check found, the answer of find_divisor(word), against a scan of
+        the live records."""
+        q = self.ring.exps_of(word)
+        live = [pid for pid, rec in self.by_id.items()
+                if all(map(le, rec[_MONO].exps, q))]
+        require(found in live if live else found is None,
+                "find_divisor answer")
 
     def audit(self) -> None:
         """Check the pure-power routing invariant over the whole tree, that

@@ -30,7 +30,9 @@ operations on whole words:
 
 from __future__ import annotations
 
-from operator import add as _add, lshift as _lshift, mul as _mul, sub as _sub
+from itertools import repeat
+from operator import (add as _add, and_ as _and, lshift as _lshift,
+                      mul as _mul, rshift as _rshift, sub as _sub)
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -219,6 +221,12 @@ class Ring:
         """Packed word of an exponent vector, each entry in
         [0, MAX_EXPONENT)."""
         return sum(map(_lshift, exps, self._shifts))
+
+    def exps_of(self, word: int) -> tuple:
+        """Exponent vector of a packed word whose guard bits are clear:
+        the inverse of word_of."""
+        return tuple(map(_and, map(_rshift, repeat(word), self._shifts),
+                         repeat(MAX_EXPONENT - 1)))
 
     # -- monomial arithmetic --------------------------------------------
 

@@ -82,6 +82,8 @@ class ModuleOrder:
         return (sig_mono.key - lead_mono.key) * self.scale + self.offsets[comp]
 
     def module_cmp(self, a_mono, a_comp, b_mono, b_comp) -> int:
+        """-1, 0 or 1 by sig_key.  The engine compares keys; the direct
+        signature oracle of the acceptance criteria compares with this."""
         ka = self.sig_key(a_mono, a_comp)
         kb = self.sig_key(b_mono, b_comp)
         return -1 if ka < kb else (1 if ka > kb else 0)
@@ -187,20 +189,29 @@ class SBConfig:
 
 
 class SyzygySet:
-    """Minimal known syzygy signatures, one divisor structure per component."""
+    """Minimal known syzygy signatures, one divisor structure per component.
+    With audit, every divisibility answer is checked against a scan."""
 
-    def __init__(self, ring: Ring, num_components: int, kind: str):
+    def __init__(self, ring: Ring, num_components: int, kind: str,
+                 audit: bool = False):
         self.ring = ring
         self.lookups = [make_lookup(kind, ring) for _ in range(num_components)]
+        self.audit = audit
         self._next_id = 0
 
-    def divides(self, mono: Monomial, comp: int) -> bool:
-        return self.lookups[comp].find_divisor(mono) is not None
+    def divides(self, word: int, comp: int) -> bool:
+        """Does a stored signature of component comp divide the monomial
+        whose exponent word is word?"""
+        lk = self.lookups[comp]
+        found = lk.find_divisor(word)
+        if self.audit:
+            lk.audit_divisor(word, found)
+        return found is not None
 
     def insert(self, mono: Monomial, comp: int) -> bool:
-        lk = self.lookups[comp]
-        if lk.find_divisor(mono) is not None:
+        if self.divides(mono.word, comp):
             return False
+        lk = self.lookups[comp]
         # keep the set an antichain: retire stored multiples of the newcomer
         lk.retire_multiples(mono)
         pid = self._next_id
@@ -229,7 +240,10 @@ def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
 
     Compares the stored sig/lead ratios to pick the larger of
     (hd b / gcd) * sig a and (hd a / gcd) * sig b, and only computes the
-    winning side.
+    winning side.  The engine calls it at pop time, once per popped
+    signature, and at pair construction only for the early singular
+    criterion: the other construction criteria need only the signature's
+    word and the queue only its key.
     """
     win, other = (a, b) if a.ratio_rank >= b.ratio_rank else (b, a)
     lead, sig = win.lead, win.sig_mono
@@ -283,7 +297,7 @@ class _SBEngine(Completion):
         self.entries = []
         self.sig_lookups = [make_lookup(cfg.lookup, ring)
                             for _ in range(self.m)]
-        self.syz = SyzygySet(ring, self.m, cfg.lookup)
+        self.syz = SyzygySet(ring, self.m, cfg.lookup, cfg.audit)
         self.tri = BitTriangle(cfg.tri_bit_cap)
         self.koszul = MinHeap()
         self.stats = SigStats()
@@ -368,7 +382,6 @@ class _SBEngine(Completion):
         brank = beta.ratio_rank
         tri = self.tri
         syz = self.syz
-        morder = self.morder
         guard = self.ring.guard
         batch = []
         for gamma in self.entries[:bidx]:
@@ -386,15 +399,23 @@ class _SBEngine(Completion):
                 stats.basedivisor += 1
                 tri.set(gamma.idx, bidx)
                 continue
-            sig = spair_signature(self.ring, beta, gamma)
-            if cfg.use_signature and syz.divides(sig[0], sig[1]):
+            # the word of spair_signature(beta, gamma), sig win * lcm of
+            # the leads / hd win; a field reaching the cap sets its guard
+            win, other = (beta, gamma) if brank > grank else (gamma, beta)
+            lw = win.lead.word
+            mult = word_max(lw, other.lead.word, guard) - lw
+            sword = win.sig_mono.word + mult
+            if sword & guard:
+                raise ValueError("exponent out of range")
+            if cfg.use_signature and syz.divides(sword, win.sig_comp):
                 stats.sig_early += 1
                 tri.set(gamma.idx, bidx)
                 continue
-            if cfg.early_singular and self._early_singular(sig, beta, gamma):
+            if cfg.early_singular and self._early_singular(
+                    spair_signature(self.ring, beta, gamma), beta, gamma):
                 stats.early_singular += 1
                 continue
-            batch.append((gamma.idx, morder.sig_key(*sig)))
+            batch.append((gamma.idx, self._pair_key(gamma.idx, bidx)))
         stats.queued += len(batch)
         self.pairs.add_column(bidx, batch)
 
@@ -428,7 +449,7 @@ class _SBEngine(Completion):
         tmono, tcomp = spair_signature(self.ring, entries[i0], entries[j0])
         require(self.morder.sig_key(tmono, tcomp) == tkey,
                 "pair key is not its signature's key")
-        if cfg.use_signature and self.syz.divides(tmono, tcomp):
+        if cfg.use_signature and self.syz.divides(tmono.word, tcomp):
             stats.sig_late += 1
             self._set_bits(group)
             return None

@@ -197,3 +197,14 @@ def test_sb_fills_in_its_flag_defaults(capsys):
                    "--base-divisors", "2")
     assert default[:2] == spelled[:2] and default[0] == 0
     assert _run(capsys, "run", "--early-singular", "katsura4")[0] == 0
+
+
+def test_sb_pair_signature_past_the_cap_is_short_error(tmp_path, capsys):
+    # basis element 1073 (lead x2^64464 x3^1073) makes an S-pair whose
+    # signature passes the 2^16 exponent cap: the run stops at pair
+    # construction, before that pair is queued
+    path = tmp_path / "in.ideal"
+    path.write_text("101\n3\ngrevlex\nx1^65000*x3+x2\nx2^65000*x3+x1\n"
+                    "x1*x2+x3^2\n")
+    assert _run(capsys, "run", str(path)) == \
+        (1, "", "error: exponent out of range\n")

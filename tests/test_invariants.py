@@ -11,7 +11,7 @@ from gbengine import (ClassicConfig, ClassicStats, InvariantError,
                       PairTriangle, Ring, SBConfig, SigStats, buchberger,
                       buchberger_run, builtin_ideal, division, sb_run,
                       sigbasis)
-from gbengine.lookup import _WORD, _KdNode, make_lookup
+from gbengine.lookup import _WORD, KdLookup, _KdNode, make_lookup
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 TESTS = str(Path(__file__).resolve().parent)
@@ -188,3 +188,39 @@ def test_full_reduction_audit_fires_under_optimize():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "remainder fully reduced\n"
+
+
+def _blind_find_divisor(real):
+    """find_divisor answering None to every query: a pair whose signature
+    a known syzygy divides survives, which only an audited run sees."""
+    def find_divisor(self, word):
+        real(self, word)
+        return None
+    return find_divisor
+
+
+def test_audited_sb_run_checks_find_divisor_answers(monkeypatch):
+    monkeypatch.setattr(KdLookup, "find_divisor",
+                        _blind_find_divisor(KdLookup.find_divisor))
+    with pytest.raises(InvariantError, match="find_divisor answer"):
+        eval(AUDITED_RUNS["sb"])
+
+
+def test_find_divisor_audit_fires_under_optimize():
+    script = "\n".join(
+        ["from gbengine import *",
+         "from gbengine.lookup import KdLookup",
+         "from test_invariants import _blind_find_divisor",
+         "assert False  # stripped by -O",
+         "KdLookup.find_divisor = _blind_find_divisor(KdLookup.find_divisor)",
+         "try:",
+         "    " + AUDITED_RUNS["sb"],
+         "except InvariantError as exc:",
+         "    print(exc)"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS,
+                                         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "find_divisor answer\n"

@@ -4,8 +4,14 @@ import pytest
 
 from gbengine import DivMap, InvariantError, Ring, make_lookup, may_divide
 from gbengine.lookup import LOOKUP_KINDS, KdLookup
+from gbengine.ring import MAX_EXPONENT, MAX_VARS, word_divides
 
 from _util import random_mono
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:     # the package declares no dependencies
+    given = None
 
 
 def test_calibrate_one_bit_per_var_uses_floor_average():
@@ -82,8 +88,8 @@ def test_insert_empty_then_query():
         s = make_lookup(kind, r)
         s.insert(r.mono((1, 0, 0)), 0)
         assert len(s) == 1
-        assert s.find_divisor(r.mono((1, 1, 0))) == 0
-        assert s.find_divisor(r.mono((0, 1, 1))) is None
+        assert s.find_divisor(r.mono((1, 1, 0)).word) == 0
+        assert s.find_divisor(r.mono((0, 1, 1)).word) is None
 
 
 def test_duplicate_monomials_distinct_ids():
@@ -130,7 +136,7 @@ def test_retire_examples():
         s = make_lookup(kind, r)
         s.insert(r.mono((1, 0, 0)), 0)
         s.retire(0)
-        assert s.find_divisor(r.mono((1, 1, 1))) is None
+        assert s.find_divisor(r.mono((1, 1, 1)).word) is None
         with pytest.raises(KeyError):
             s.retire(0)
         with pytest.raises(KeyError):
@@ -140,7 +146,7 @@ def test_retire_examples():
         s.retire(1)
         s.rebuild()
         assert len(s) == 1
-        assert s.find_divisor(r.mono((0, 1, 1))) == 2
+        assert s.find_divisor(r.mono((0, 1, 1)).word) == 2
 
 
 def test_retire_multiples_returns_ids_in_entries_order():
@@ -207,7 +213,7 @@ def test_structure_equivalence_random_ops():
                     structures["list"].find_all_divisors(q))
                 for kind, s in structures.items():
                     assert sorted(s.find_all_divisors(q)) == expected, kind
-                    one = s.find_divisor(q)
+                    one = s.find_divisor(q.word)
                     assert (one is None) == (not expected)
                     if one is not None:
                         assert one in expected
@@ -245,7 +251,7 @@ def test_hit_accounting_identity():
         s.rebuild()
         for _ in range(300):
             s.find_all_divisors(random_mono(r, rng, 6))
-            s.find_divisor(random_mono(r, rng, 6))
+            s.find_divisor(random_mono(r, rng, 6).word)
         st = s.stats
         assert st.consultations == st.hits + st.misses + st.divisibilities
         assert st.consultations > 0
@@ -308,7 +314,7 @@ def test_stored_answers_across_mutations():
                 assert len(got) == len(set(got)), kind
                 assert set(got) == want, kind
                 assert not retired.intersection(got), kind
-                one = s.find_divisor(q)
+                one = s.find_divisor(q.word)
                 assert one in want if want else one is None, kind
                 queries += 2
         st = s.stats
@@ -381,3 +387,85 @@ def test_extended_answer_reuses_query_mask(kind, monkeypatch):
         assert len(made) == masks and made[-1] is s.divmap
         assert sorted(got) == [j for j in range(i + 1)
                                if r.mono_divides(monos[j], q)]
+
+
+# -- find_divisor by exponent word against a scan -----------------------------
+
+WORD_RINGS = {n: Ring(101, n) for n in (1, 2, 7, 10, MAX_VARS)}
+
+
+def _lookup_ops():
+    """(ring, ops): a ring of WORD_RINGS and up to 40 lookup operations,
+    ("insert", exps), ("retire", k), ("rebuild", full) or ("query", exps,
+    k), each exponent in [0, 2^16) with 0, 2^16 - 1 and small ones drawn
+    often; k picks a live entry, which a query then takes the lcm with so
+    that it has a divisor, or none when k is None."""
+    top = MAX_EXPONENT - 1
+    entry = st.one_of(st.sampled_from((0, top)), st.integers(0, 3),
+                      st.integers(0, top))
+    pick = st.one_of(st.none(), st.integers(0, 1 << 16))
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.sampled_from(sorted(WORD_RINGS)))
+        exps = st.lists(entry, min_size=n, max_size=n).map(tuple)
+        ops = []
+        for _ in range(draw(st.integers(1, 40))):
+            kind = draw(st.sampled_from(("insert",) * 4 + ("query",) * 4
+                                        + ("retire", "rebuild")))
+            if kind == "insert":
+                ops.append((kind, draw(exps)))
+            elif kind == "query":
+                ops.append((kind, draw(exps), draw(pick)))
+            elif kind == "retire":
+                ops.append((kind, draw(st.integers(0, 1 << 16))))
+            else:
+                ops.append((kind, draw(st.booleans())))
+        return WORD_RINGS[n], ops
+    return cases()
+
+
+def _check_find_divisor(ring, ops):
+    lookups = [make_lookup(kind, ring, leaf_capacity=2)
+               for kind in LOOKUP_KINDS]
+    live = {}
+    for step, op in enumerate(ops):
+        if op[0] == "insert":
+            live[step] = ring.mono(op[1])
+            for lk in lookups:
+                lk.insert(live[step], step)
+        elif op[0] == "retire" and live:
+            pid = sorted(live)[op[1] % len(live)]
+            del live[pid]
+            for lk in lookups:
+                lk.retire(pid)
+        elif op[0] == "rebuild" and op[1]:
+            for lk in lookups:
+                lk.rebuild()
+        elif op[0] == "rebuild":
+            for lk in lookups:
+                lk.maybe_rebuild()
+        elif op[0] == "query":
+            q = op[1]
+            if op[2] is not None and live:
+                divisor = live[sorted(live)[op[2] % len(live)]]
+                q = tuple(map(max, q, divisor.exps))
+            word = ring.mono(q).word
+            want = {pid for pid, m in live.items()
+                    if word_divides(m.word, word, ring.guard)}
+            for lk in lookups:
+                for _ in range(2):      # computed, then reused
+                    got = lk.find_divisor(word)
+                    assert got in want if want else got is None, lk
+    for lk in lookups:
+        lk.audit()
+
+
+if given is None:
+    def test_find_divisor_by_word_agrees_with_a_scan():
+        pytest.skip("hypothesis is not installed")
+else:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(_lookup_ops())
+    def test_find_divisor_by_word_agrees_with_a_scan(case):
+        _check_find_divisor(*case)

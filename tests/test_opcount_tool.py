@@ -27,3 +27,22 @@ def test_opcount_counts_a_classic_solve():
     out = _opcount(1, "katsura3", "--algorithm", "classic")
     count, command = out[0].split(None, 1)
     assert int(count) > 0 and command.endswith("--algorithm classic")
+
+
+def test_opcount_passes_run_flags_after_a_double_dash():
+    plain = _opcount(1, "katsura3")[0].split(None, 1)
+    out = _opcount(1, "katsura3", "--", "--reducer", "tourtree",
+                   "--compressed")
+    count, command = out[0].split(None, 1)
+    assert command == ("gbengine run katsura3 --algorithm sb "
+                       "--reducer tourtree --compressed")
+    assert int(count) != int(plain[0])
+
+
+def test_opcount_refuses_a_bad_run_flag():
+    done = subprocess.run([sys.executable, str(OPCOUNT), "katsura3", "--",
+                           "--no-such-flag"], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "exit 2: run katsura3 --algorithm sb --no-such-flag" in done.stderr

@@ -28,3 +28,15 @@ def test_profile_classic_solve_reaches_the_reduction_loop():
     out = _profile("katsura3", "--algorithm", "classic", "--top", "1000")
     assert out[0].endswith("--algorithm classic")
     assert any(line.endswith("(divide_queue)") for line in out[2:])
+
+
+def test_profile_passes_run_flags_after_a_double_dash():
+    # the default reducer, a geobucket, merges its buckets; a tournament
+    # tree has no merge
+    merges = [line for line in _profile("katsura3", "--top", "1000")[2:]
+              if line.endswith("(_merge)")]
+    out = _profile("katsura3", "--top", "1000", "--", "--reducer",
+                   "tourtree", "--compressed")
+    assert out[0].endswith(": gbengine run katsura3 --algorithm sb "
+                           "--reducer tourtree --compressed")
+    assert merges and not any(line.endswith("(_merge)") for line in out[2:])

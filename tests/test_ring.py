@@ -269,6 +269,13 @@ def test_words_of_made_monomials(ring, a, b):
 
 
 @_over_pairs
+def test_exps_of_inverts_word_of(ring, a, b):
+    for m in (a, b, ring.mono_lcm(a, b)):
+        assert ring.exps_of(ring.word_of(m.exps)) == m.exps
+        assert ring.exps_of(m.word) == m.exps
+
+
+@_over_pairs
 def test_word_divides(ring, a, b):
     for x, y in ((a, b), (b, a), (a, a)):
         assert ring.mono_divides(x, y) == all(map(le, x.exps, y.exps))

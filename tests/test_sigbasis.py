@@ -24,17 +24,25 @@ def _entry(morder, ring, idx, sig_exps, comp, poly):
     return e
 
 
+def _assert_order(mo, lo, hi):
+    """lo = (mono, comp) is below hi in the module order mo, by sig_key
+    and by module_cmp both ways."""
+    assert mo.sig_key(*lo) < mo.sig_key(*hi)
+    assert mo.module_cmp(*lo, *hi) == -1 and mo.module_cmp(*hi, *lo) == 1
+
+
 def test_module_cmp_examples():
     r, g1, g2 = _two_gens()
     mo = ModuleOrder("schreyer", "low-gt", [g1.lead_mono, g2.lead_mono])
     y, x, one = r.mono((0, 1, 0)), r.mono((1, 0, 0)), r.one
     # weights tie at x^2 y; the lower component wins
-    assert mo.module_cmp(y, 0, x, 1) == 1
+    _assert_order(mo, (x, 1), (y, 0))
+    assert mo.sig_key(one, 0) == mo.sig_key(r.mono((0, 0, 0)), 0)
     assert mo.module_cmp(one, 0, one, 0) == 0
-    assert mo.module_cmp(x, 0, one, 0) == 1
+    _assert_order(mo, (one, 0), (x, 0))
     # the alternative tie-break flips the first comparison
     mo2 = ModuleOrder("schreyer", "high-gt", [g1.lead_mono, g2.lead_mono])
-    assert mo2.module_cmp(y, 0, x, 1) == -1
+    _assert_order(mo2, (y, 0), (x, 1))
 
 
 def test_module_cmp_potop():
@@ -42,9 +50,8 @@ def test_module_cmp_potop():
     mo = ModuleOrder("potop", "low-gt", [g1.lead_mono, g2.lead_mono])
     big, small = r.mono((5, 5, 5)), r.one
     # higher component dominates regardless of the monomials
-    assert mo.module_cmp(big, 0, small, 1) == -1
-    assert mo.module_cmp(small, 1, big, 0) == 1
-    assert mo.module_cmp(small, 1, big, 1) == -1
+    _assert_order(mo, (big, 0), (small, 1))
+    _assert_order(mo, (small, 1), (big, 1))
 
 
 def test_spair_signature_example():

@@ -1,14 +1,17 @@
 """Count the bytecode instructions one CLI solve executes.
 
     python3 tools/opcount.py IDEAL [--algorithm sb|classic]
+                             [-- RUN_FLAG ...]
 
 IDEAL is a builtin name (katsura7, cyclic6, hcyclic5, ...) or an ideal
-file, as for `gbengine run`.  The solve is one in-process
-`run_cli(["run", IDEAL, "--algorithm", ALGORITHM])`, its result bytes
-discarded, run under `sys.settrace` with `f_trace_opcodes` set on every
-frame; each executed instruction of a Python frame counts once.  The
-program counted is the gbengine source in `src/` of the checkout that
-holds this file.  It prints one line: the count, then the command.
+file, as for `gbengine run`.  Each RUN_FLAG after `--` is passed on to
+`gbengine run`, as in `opcount.py katsura8 -- --reducer tourtree
+--compressed`.  The solve is one in-process `run_cli(["run", IDEAL,
+"--algorithm", ALGORITHM, RUN_FLAG, ...])`, its result bytes discarded,
+run under `sys.settrace` with `f_trace_opcodes` set on every frame; each
+executed instruction of a Python frame counts once.  The program counted
+is the gbengine source in `src/` of the checkout that holds this file.
+It prints one line: the count, then the command.
 
 The count depends on the Python version but not on the host's load, nor
 on PYTHONHASHSEED, so two trees compare on one run each where wall time
@@ -51,14 +54,21 @@ def count_opcodes(fn, *args):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="opcount.py")
+    ap = argparse.ArgumentParser(
+        prog="opcount.py", usage="%(prog)s IDEAL [--algorithm sb|classic]"
+        " [-- RUN_FLAG ...]")
     ap.add_argument("ideal", help="builtin name or ideal file")
     ap.add_argument("--algorithm", choices=("sb", "classic"), default="sb")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    run_flags = []
+    if "--" in argv:
+        cut = argv.index("--")
+        argv, run_flags = argv[:cut], argv[cut + 1:]
     args = ap.parse_args(argv)
     sys.path.insert(0, str(SRC))
     from gbengine.cli import run_cli
 
-    argv = ["run", args.ideal, "--algorithm", args.algorithm]
+    argv = ["run", args.ideal, "--algorithm", args.algorithm, *run_flags]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         code, count = count_opcodes(run_cli, argv)

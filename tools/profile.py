@@ -3,14 +3,17 @@ time: calls, self seconds, cumulative seconds and the cumulative share of
 the profiled total.
 
     python3 tools/profile.py IDEAL [--algorithm sb|classic] [--top N]
+                             [-- RUN_FLAG ...]
 
 IDEAL is a builtin name (katsura9, cyclic6, hcyclic6, ...) or an ideal
-file, as for `gbengine run`.  The solve is one in-process
-`run_cli(["run", IDEAL, "--algorithm", ALGORITHM])`, its result bytes
-discarded.  The program profiled is the gbengine source in `src/` of the
-checkout that holds this file.  cProfile slows the solve several times
-over, and the slowdown is not even across functions, so quote shares of
-the profiled total, not seconds.
+file, as for `gbengine run`.  Each RUN_FLAG after `--` is passed on to
+`gbengine run`, as in `profile.py katsura8 -- --reducer tourtree
+--compressed`.  The solve is one in-process `run_cli(["run", IDEAL,
+"--algorithm", ALGORITHM, RUN_FLAG, ...])`, its result bytes discarded.
+The program profiled is the gbengine source in `src/` of the checkout
+that holds this file.  cProfile slows the solve several times over, and
+the slowdown is not even across functions, so quote shares of the
+profiled total, not seconds.
 """
 
 from __future__ import annotations
@@ -44,15 +47,22 @@ def where(func):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="profile.py")
+    ap = argparse.ArgumentParser(
+        prog="profile.py", usage="%(prog)s IDEAL [--algorithm sb|classic]"
+        " [--top N] [-- RUN_FLAG ...]")
     ap.add_argument("ideal", help="builtin name or ideal file")
     ap.add_argument("--algorithm", choices=("sb", "classic"), default="sb")
     ap.add_argument("--top", type=int, default=25, metavar="N")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    run_flags = []
+    if "--" in argv:
+        cut = argv.index("--")
+        argv, run_flags = argv[:cut], argv[cut + 1:]
     args = ap.parse_args(argv)
     sys.path.insert(0, str(SRC))
     from gbengine.cli import run_cli
 
-    argv = ["run", args.ideal, "--algorithm", args.algorithm]
+    argv = ["run", args.ideal, "--algorithm", args.algorithm, *run_flags]
     prof = cProfile.Profile()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
