@@ -16,9 +16,9 @@ current contents.
 Queries: find_divisor takes a monomial's packed exponent word and returns
 one divisor's payload id or None; find_all_divisors takes the Monomial
 and returns every divisor's.  Both route through the tree on exponents
-and test each scanned record by its word.  find_divisor gets the
-exponents back from the word (Ring.exps_of) only when it has to query, as
-its answers are kept by word until the next insert or retire.
+and test each scanned record by its word.  find_divisor keeps its answers
+by word until the next insert, retire or rebuild, and gets the exponents
+back from the word (Ring.exps_of) only when it has to query.
 
 Answers of find_all_divisors outlive inserts: a repeated query scans only
 the entries inserted since its answer was made, and only a retire drops
@@ -109,10 +109,13 @@ class DivMap:
         return cls(entries)
 
     def mask_of(self, mono: Monomial) -> int:
-        return self.mask_of_exps(mono.exps)
+        # the variables own disjoint bits, so the sum is their OR
+        return sum(map(getitem, self._prefixes,
+                       map(bisect_right, self._thresholds, mono.exps)))
 
     def mask_of_exps(self, exps) -> int:
-        # the variables own disjoint bits, so the sum is their OR
+        """mask_of for a bare exponent vector; mask_of does not call it, to
+        keep a call off the insert and find_all_divisors paths."""
         return sum(map(getitem, self._prefixes,
                        map(bisect_right, self._thresholds, exps)))
 

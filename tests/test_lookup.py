@@ -280,6 +280,7 @@ def test_mask_of_matches_threshold_loop():
             for _ in range(300):
                 m = random_mono(r, rng, max_exp)
                 assert dm.mask_of(m) == _mask_by_threshold_loop(dm, m)
+                assert dm.mask_of_exps(m.exps) == dm.mask_of(m)
 
 
 def test_stored_answers_across_mutations():
