@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .division import Completion, prepare_inputs, reduced_basis
+from .lookup import DEFAULT_LOOKUP
 from .pairbits import BitTriangle
 from .poly import Polynomial, poly_monic
 from .ring import Ring, key_bound, require, word_divides, word_max
@@ -56,7 +57,7 @@ class ClassicStats:
 @dataclass
 class ClassicConfig:
     queue: QueueConfig = field(default_factory=QueueConfig)
-    lookup: str = "divkdtree"
+    lookup: str = DEFAULT_LOOKUP
     spair_queue: str = "triangle-tt"
     use_relprime: bool = True
     use_lcm: bool = True

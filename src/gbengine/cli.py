@@ -22,7 +22,7 @@ import time
 from .buchberger import ClassicConfig, buchberger_run
 from .generators import builtin_ideal
 from .idealfile import mono_str, parse_ideal, poly_str, print_ideal
-from .lookup import LOOKUP_KINDS
+from .lookup import DEFAULT_LOOKUP, LOOKUP_KINDS
 from .ring import clip, is_decimal
 from .sigbasis import SBConfig, sb_run
 from .spairqueue import SPAIR_QUEUE_KINDS
@@ -43,7 +43,8 @@ def _build_parser():
                      help="queue each product as one cursor (not hashed)")
     run.add_argument("--plain", action="store_true",
                      help="turn off the default hashed reducer table")
-    run.add_argument("--lookup", choices=LOOKUP_KINDS, default="divkdtree")
+    run.add_argument("--lookup", choices=LOOKUP_KINDS,
+                     default=DEFAULT_LOOKUP)
     run.add_argument("--spair-queue", choices=SPAIR_QUEUE_KINDS,
                      default="triangle-tt")
     run.add_argument("--module-order", choices=("schreyer", "potop"))

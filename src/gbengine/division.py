@@ -20,14 +20,14 @@ A division returns its remainder only: no caller uses the quotients.
 
 from __future__ import annotations
 
-from .lookup import make_lookup
+from .lookup import DEFAULT_LOOKUP, make_lookup
 from .poly import Polynomial, poly_monic, poly_normalize
 from .ring import Ring, ff_inv, require
 from .spairqueue import make_spair_queue
 from .termqueue import ReducerQueue
 
 
-def basis_lookup(ring: Ring, basis, kind: str = "divkdtree"):
+def basis_lookup(ring: Ring, basis, kind: str = DEFAULT_LOOKUP):
     """Divisor structure over the lead terms, payloads = basis indices."""
     lookup = make_lookup(kind, ring)
     for idx, g in enumerate(basis):

@@ -4,10 +4,17 @@ Four interchangeable variants answer "which stored monomials divide q":
 
 * kdtree      - binary tree whose interior nodes hold a pure power x_i^k;
                 the right subtree holds exactly the multiples of x_i^k
+                (DEFAULT_LOOKUP)
 * divkdtree   - kd-tree whose nodes carry the AND of their subtree's
                 masks, pruning whole subtrees at once
 * list        - scan every entry: a kd-tree whose one leaf never splits
 * divlist     - the same scan with a 32-bit divmask pre-filter per entry
+
+The default carries no divmasks.  Each record is tested by one
+subtraction on packed exponent words (ring.word_divides), about what the
+mask test that would skip it costs, so the masks' own work (a mask per
+query, a mask test and a count per record) no longer pays for itself.
+The divmask variants stay selectable as the axis the paper studies.
 
 Entries are retired by tombstone and physically dropped at the next
 rebuild; a rebuild also recalibrates the divmap so masks always fit the
@@ -18,7 +25,9 @@ one divisor's payload id or None; find_all_divisors takes the Monomial
 and returns every divisor's.  Both route through the tree on exponents
 and test each scanned record by its word.  find_divisor keeps its answers
 by word until the next insert, retire or rebuild, and gets the exponents
-back from the word (Ring.exps_of) only when it has to query.
+back from the word (Ring.exps_of) only when it has to query through a
+kd node or compute a mask: a maskless lookup whose root is still a leaf
+answers with a bare word scan.
 
 Answers of find_all_divisors outlive inserts: a repeated query scans only
 the entries inserted since its answer was made, and only a retire drops
@@ -43,6 +52,7 @@ DEFAULT_LEAF_CAPACITY = 32
 REBUILD_CHURN_RATIO = 0.5
 
 LOOKUP_KINDS = ("list", "divlist", "kdtree", "divkdtree")
+DEFAULT_LOOKUP = "kdtree"
 
 
 class DivMap:
@@ -236,9 +246,14 @@ class KdLookup:
             self.stats.reused += 1
             return cache[word]
         self.stats.computed += 1
-        exps = self.ring.exps_of(word)
-        notq = ~self.divmap.mask_of_exps(exps) if self.use_masks else None
-        found = self._query(exps, word, notq, True)
+        root = self.root
+        if self.use_masks or isinstance(root, _KdNode):
+            exps = self.ring.exps_of(word)
+            notq = ~self.divmap.mask_of_exps(exps) if self.use_masks else None
+            found = self._query(exps, word, notq, True)
+        else:
+            guard = self.ring.guard
+            found = _scan(root, word | guard, guard, None, None, [], True)
         out = cache[word] = found[0] if found else None
         return out
 

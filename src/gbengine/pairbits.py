@@ -18,16 +18,13 @@ class BitTriangle:
         self.cap_bits = cap_bits
         self.dropped = False
 
-    @staticmethod
-    def _index(i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return j * (j - 1) // 2 + i
+    # The bit of pair {i, j}, i < j, is j * (j - 1) // 2 + i; set and get
+    # compute it inline, as they run once per pair test.
 
     def set(self, i: int, j: int) -> None:
         if self.dropped or i == j:
             return
-        idx = self._index(i, j)
+        idx = i * (i - 1) // 2 + j if i > j else j * (j - 1) // 2 + i
         if self.cap_bits is not None and idx >= self.cap_bits:
             self.drop()
             return
@@ -39,7 +36,7 @@ class BitTriangle:
     def get(self, i: int, j: int) -> bool:
         if self.dropped or i == j:
             return False
-        idx = self._index(i, j)
+        idx = i * (i - 1) // 2 + j if i > j else j * (j - 1) // 2 + i
         byte = idx >> 3
         if byte >= len(self.bits):
             return False

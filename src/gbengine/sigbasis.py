@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import add, sub
 
 from .division import Completion, prepare_inputs, reduced_basis
-from .lookup import make_lookup
+from .lookup import DEFAULT_LOOKUP, make_lookup
 from .pairbits import BitTriangle
 from .poly import poly_monic
 from .ring import (MAX_EXPONENT, InvariantError, Monomial, Ring, guard_mask,
@@ -167,7 +167,7 @@ class SBConfig:
     module_order: str = "schreyer"
     tiebreak: str = "low-gt"
     queue: QueueConfig = field(default_factory=QueueConfig)
-    lookup: str = "divkdtree"
+    lookup: str = DEFAULT_LOOKUP
     spair_queue: str = "triangle-tt"
     base_divisors: int = 2
     use_signature: bool = True

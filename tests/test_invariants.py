@@ -200,10 +200,19 @@ def _blind_find_divisor(real):
 
 
 def test_audited_sb_run_checks_find_divisor_answers(monkeypatch):
-    monkeypatch.setattr(KdLookup, "find_divisor",
-                        _blind_find_divisor(KdLookup.find_divisor))
+    # under the default lookup every syzygy query of this run takes the
+    # word-only path: no masks, and a root that is still one leaf
+    routed = []
+    blind = _blind_find_divisor(KdLookup.find_divisor)
+
+    def find_divisor(self, word):
+        routed.append(self.use_masks or isinstance(self.root, _KdNode))
+        return blind(self, word)
+
+    monkeypatch.setattr(KdLookup, "find_divisor", find_divisor)
     with pytest.raises(InvariantError, match="find_divisor answer"):
         eval(AUDITED_RUNS["sb"])
+    assert routed and not any(routed)
 
 
 def test_find_divisor_audit_fires_under_optimize():

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from gbengine import DivMap, InvariantError, Ring, make_lookup, may_divide
-from gbengine.lookup import LOOKUP_KINDS, KdLookup
+from gbengine import (ClassicConfig, DivMap, InvariantError, Ring, SBConfig,
+                      basis_lookup, cli, make_lookup, may_divide)
+from gbengine.lookup import (DEFAULT_LEAF_CAPACITY, DEFAULT_LOOKUP,
+                             LOOKUP_KINDS, KdLookup, _KdNode)
 from gbengine.ring import MAX_EXPONENT, MAX_VARS, word_divides
 
 from _util import random_mono
@@ -427,8 +429,8 @@ def _lookup_ops():
 
 
 def _check_find_divisor(ring, ops):
-    lookups = [make_lookup(kind, ring, leaf_capacity=2)
-               for kind in LOOKUP_KINDS]
+    lookups = [make_lookup(kind, ring, leaf_capacity=cap)
+               for cap in (2, DEFAULT_LEAF_CAPACITY) for kind in LOOKUP_KINDS]
     live = {}
     for step, op in enumerate(ops):
         if op[0] == "insert":
@@ -470,3 +472,63 @@ else:
     @given(_lookup_ops())
     def test_find_divisor_by_word_agrees_with_a_scan(case):
         _check_find_divisor(*case)
+
+
+# -- the default lookup and its word-only find_divisor ------------------------
+
+def test_every_default_lookup_is_default_lookup():
+    args = cli._build_parser().parse_args(["run", "katsura4"])
+    r = Ring(101, 3)
+    made = basis_lookup(r, [])
+    assert DEFAULT_LOOKUP in LOOKUP_KINDS
+    assert SBConfig().lookup == ClassicConfig().lookup == DEFAULT_LOOKUP
+    assert args.lookup == DEFAULT_LOOKUP
+    assert isinstance(made, KdLookup) and not made.use_masks
+    assert made.leaf_capacity == DEFAULT_LEAF_CAPACITY
+
+
+def _counting_exps_of(monkeypatch):
+    calls = []
+    real = Ring.exps_of
+
+    def exps_of(self, word):
+        calls.append(word)
+        return real(self, word)
+
+    monkeypatch.setattr(Ring, "exps_of", exps_of)
+    return calls
+
+
+def test_maskless_leaf_root_answers_from_the_word_alone(monkeypatch):
+    rng = random.Random(21)
+    r = Ring(101, 4)
+    s = make_lookup("kdtree", r)
+    monos = [random_mono(r, rng, 3) for _ in range(DEFAULT_LEAF_CAPACITY)]
+    for i, m in enumerate(monos):
+        s.insert(m, i)
+    assert not isinstance(s.root, _KdNode)
+    calls = _counting_exps_of(monkeypatch)
+    for _ in range(60):
+        q = random_mono(r, rng, 5)
+        got = s.find_divisor(q.word)
+        want = [i for i, m in enumerate(monos) if r.mono_divides(m, q)]
+        assert got in want if want else got is None
+    assert calls == []
+
+
+def test_find_divisor_after_the_root_splits(monkeypatch):
+    rng = random.Random(22)
+    r = Ring(101, 4)
+    s = make_lookup("kdtree", r, leaf_capacity=4)
+    monos = [random_mono(r, rng, 3) for _ in range(30)]
+    for i, m in enumerate(monos):
+        s.insert(m, i)
+    assert isinstance(s.root, _KdNode)
+    calls = _counting_exps_of(monkeypatch)
+    for _ in range(60):
+        q = random_mono(r, rng, 5)
+        got = s.find_divisor(q.word)
+        want = [i for i, m in enumerate(monos) if r.mono_divides(m, q)]
+        assert got in want if want else got is None
+    assert calls    # a kd node routes the query on its exponents
+    s.audit()

@@ -1,0 +1,225 @@
+"""Run the benchmark on two source trees in alternating pairs and write
+their comparison to BENCH_<n>.json.
+
+    python3 tools/ab.py PARENT_TREE CHANGE_TREE [--workload W ...]
+                        [--pairs N] [--seconds S] [--first-seed N]
+                        [--out FILE]
+
+Each tree is a checkout (for instance a `git archive` of a commit) that
+holds `perfbench/run.py` and the gbengine source it runs, `src/`.  For each
+of N seeds (FIRST_SEED, FIRST_SEED + 1, ...) and each workload in turn, the
+tool runs `python3 TREE/perfbench/run.py --workload W --seed SEED --seconds
+S --trace 0` once on each tree, one process at a time, so each side runs
+its own `src/` in a fresh interpreter.  The parent runs first for the
+first seed, the change for the second, and so on alternately, so that a
+drift of the host's speed falls on both sides alike.
+
+The workloads (by default all of them), the end-to-end metrics and the
+default --seconds come from the change tree's BENCHMARK.json.  The report
+goes to FILE, by default BENCH_<n>.json in the change tree, n being one
+more than the largest n already there.  Per workload it holds the seeds,
+each side's failed units, whether every unit was correct, each run's exit
+code and units run; per end-to-end metric, each side's median and
+quartiles (statistics.quantiles, method 'inclusive'), change_pct (change
+median over parent median, minus 1, in percent), the number of seeds on
+which the change read lower and higher, and every run's value.  'runs'
+keeps the result line of every run.  A run that exits non-zero or prints
+no result line counts as incorrect, and its seed is left out of the
+pairing of every metric.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def tree_digest(tree):
+    """sha256 over the relative paths and bytes of tree's src/*.py files."""
+    h = hashlib.sha256()
+    src = tree / "src"
+    for path in sorted(src.rglob("*.py")):
+        h.update(str(path.relative_to(src)).encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def next_bench_path(tree):
+    numbers = [int(m.group(1)) for p in tree.glob("BENCH_*.json")
+               if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
+    return tree / ("BENCH_%d.json" % (max(numbers, default=0) + 1))
+
+
+def run_once(tree, workload, seed, seconds):
+    """One benchmark process; returns its exit code and result (or None)."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    result = None
+    if proc.returncode == 0 and lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass
+    if result is None:
+        print("%s %s seed %d: exit %d: %s" % (tree, workload, seed,
+                                              proc.returncode,
+                                              proc.stderr.strip()[-400:]),
+              file=sys.stderr)
+    return proc.returncode, result
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return [values[0], values[0]] if values else []
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [q[0], q[2]]
+
+
+def compare(runs, metric):
+    """The summary of one end-to-end metric over the paired runs."""
+    values = {side: [r["result"]["metrics"][metric]["value"]
+                     for r in runs[side] if r["result"] is not None]
+              for side in SIDES}
+    pairs = [(p["result"], c["result"])
+             for p, c in zip(runs["parent"], runs["change"])
+             if p["result"] is not None and c["result"] is not None]
+    lower = higher = 0
+    for p, c in pairs:
+        a = p["metrics"][metric]["value"]
+        b = c["metrics"][metric]["value"]
+        lower += b < a
+        higher += b > a
+    out = {}
+    for side in SIDES:
+        if values[side]:
+            out[side + "_median"] = statistics.median(values[side])
+            out[side + "_quartiles"] = quartiles(values[side])
+    if values["parent"] and values["change"] and out["parent_median"]:
+        out["change_pct"] = 100.0 * (out["change_median"]
+                                     / out["parent_median"] - 1.0)
+    out["pairs_change_lower"] = lower
+    out["pairs_change_higher"] = higher
+    out["parent_runs"] = values["parent"]
+    out["change_runs"] = values["change"]
+    return out
+
+
+def summarize(runs, seeds, metrics):
+    """Per-workload summary of runs[side] (one entry per seed)."""
+    out = {"seeds": seeds, "pairs": len(seeds)}
+    out["failed_units"] = {side: sum(r["result"]["failed"] for r in
+                                     runs[side] if r["result"] is not None)
+                           for side in SIDES}
+    out["correct"] = {side: all(r["result"] is not None
+                                and r["result"]["correct"]
+                                for r in runs[side]) for side in SIDES}
+    out["exits"] = {side: [r["exit"] for r in runs[side]] for side in SIDES}
+    out["units_per_run"] = {side: [r["result"]["attempted"]
+                                   if r["result"] is not None else None
+                                   for r in runs[side]] for side in SIDES}
+    for metric in metrics:
+        out[metric] = compare(runs, metric)
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(
+        prog="ab.py", description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="parent source tree")
+    ap.add_argument("change", type=Path, help="change source tree")
+    ap.add_argument("--workload", action="append", metavar="W",
+                    help="a workload to run (repeatable; default: all)")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float,
+                    help="run length (default: BENCHMARK.json's)")
+    ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--out", type=Path, help="report file")
+    args = ap.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, tree in trees.items():
+        if not (tree / "perfbench" / "run.py").is_file():
+            ap.error("%s tree %s has no perfbench/run.py" % (side, tree))
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = args.workload or known
+    for w in workloads:
+        if w not in known:
+            ap.error("unknown workload %r (choose from %s)"
+                     % (w, ", ".join(known)))
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    seconds = args.seconds if args.seconds is not None \
+        else bench["run_seconds"]
+    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    out_path = args.out or next_bench_path(trees["change"])
+
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
+    log = []
+    for k, seed in enumerate(seeds):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        for w in workloads:
+            for side in order:
+                code, result = run_once(trees[side], w, seed, seconds)
+                entry = {"workload": w, "seed": seed, "side": side,
+                         "exit": code, "result": result}
+                runs[w][side].append(entry)
+                log.append(entry)
+                print("%-17s seed %-5d %-6s exit %d %s"
+                      % (w, seed, side, code,
+                         "" if result is None else
+                         "solve_s %.4f" % result["metrics"]["solve_s"]
+                         ["value"]), flush=True)
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count()
+    report = {
+        "about": {
+            "command": "perfbench/run.py --workload W --seed SEED "
+                       "--seconds %g --trace 0" % seconds,
+            "design": "one process per (tree, workload, seed); within a "
+                      "seed the workloads run in turn; the parent runs "
+                      "first on seeds %s, the change on the others"
+                      % seeds[::2],
+            "trees": {side: {"path": str(getattr(args, side)),
+                             "src_sha256": tree_digest(trees[side])}
+                      for side in SIDES},
+            "seconds": seconds, "pairs": args.pairs, "seeds": seeds,
+            "host": {"nproc": cpus, "python": platform.python_version(),
+                     "machine": platform.machine()},
+            "quartiles": "statistics.quantiles(method='inclusive')",
+        },
+        "summary": {w: summarize(runs[w], seeds, metrics)
+                    for w in workloads},
+        "runs": log,
+    }
+    out_path.write_text(json.dumps(report, indent=1) + "\n")
+    for w, s in report["summary"].items():
+        for metric in metrics:
+            m = s[metric]
+            if "change_pct" in m:
+                print("%-17s %-12s %.4f -> %.4f (%+.1f%%), lower in %d of "
+                      "%d" % (w, metric, m["parent_median"],
+                              m["change_median"], m["change_pct"],
+                              m["pairs_change_lower"], len(seeds)))
+    print("wrote %s" % out_path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,12 +31,15 @@ DIVMASK_ROWS = ("# divmask hits", "# divmask misses", "# divisibilities",
 
 def configs():
     """The default, each reducer alone and with each non-default flavour,
-    then each non-default lookup and S-pair queue: 19 flag lists."""
+    then each lookup and each non-default S-pair queue: 20 flag lists.
+    The default lookup is listed too, so that the four kinds stay in the
+    matrix whichever of them is the default."""
     out = [[]]
     for reducer in ("heap", "geobucket", "tourtree"):
         for flavour in ([], ["--plain"], ["--dedup"], ["--compressed"]):
             out.append(["--reducer", reducer] + flavour)
-    out += [["--lookup", kind] for kind in ("list", "divlist", "kdtree")]
+    out += [["--lookup", kind]
+            for kind in ("list", "divlist", "kdtree", "divkdtree")]
     out += [["--spair-queue", kind]
             for kind in ("triangle-heap", "heap", "tourtree")]
     return out
