@@ -118,14 +118,9 @@ class DivMap:
                 entries.append((i, lo[i] + span * (j + 1) // (c + 1)))
         return cls(entries)
 
-    def mask_of(self, mono: Monomial) -> int:
+    def mask_of(self, exps) -> int:
+        """Divmask of an exponent vector (a Monomial iterates as one)."""
         # the variables own disjoint bits, so the sum is their OR
-        return sum(map(getitem, self._prefixes,
-                       map(bisect_right, self._thresholds, mono.exps)))
-
-    def mask_of_exps(self, exps) -> int:
-        """mask_of for a bare exponent vector; mask_of does not call it, to
-        keep a call off the insert and find_all_divisors paths."""
         return sum(map(getitem, self._prefixes,
                        map(bisect_right, self._thresholds, exps)))
 
@@ -249,7 +244,7 @@ class KdLookup:
         root = self.root
         if self.use_masks or isinstance(root, _KdNode):
             exps = self.ring.exps_of(word)
-            notq = ~self.divmap.mask_of_exps(exps) if self.use_masks else None
+            notq = ~self.divmap.mask_of(exps) if self.use_masks else None
             found = self._query(exps, word, notq, True)
         else:
             guard = self.ring.guard
@@ -287,7 +282,7 @@ class KdLookup:
 
     def _notq(self, q):
         """Complement of q's divmask, or None without masks."""
-        return ~self.divmap.mask_of(q) if self.use_masks else None
+        return ~self.divmap.mask_of(q.exps) if self.use_masks else None
 
     def __len__(self):
         return len(self.by_id)
@@ -300,7 +295,7 @@ class KdLookup:
     def _new_record(self, mono, pid):
         if pid in self.by_id:
             raise ValueError("payload id %r already present" % (pid,))
-        mask = self.divmap.mask_of(mono) if self.use_masks else 0
+        mask = self.divmap.mask_of(mono.exps) if self.use_masks else 0
         rec = [mono, pid, mask, True, mono.word]
         self.by_id[pid] = rec
         self.churn += 1
@@ -349,7 +344,7 @@ class KdLookup:
             self.divmap = DivMap.calibrate(self.ring, [r[_MONO] for r in recs])
             mask_of = self.divmap.mask_of
             for r in recs:
-                r[_MASK] = mask_of(r[_MONO])
+                r[_MASK] = mask_of(r[_MONO].exps)
         self.churn = 0
         if self._one_cache:
             self._one_cache = {}

@@ -1,20 +1,11 @@
 """Prime fields, monomials and ring term orders.
 
-Monomial comparison is the hottest operation in the whole engine, so every
-monomial caches an integer sort key.  All supported orders are linear
-functionals of the exponent vector, packed into one big integer with
-28-bit digits; comparing keys as integers is then equivalent to comparing
-monomials in the ring order, and the key of a product is the sum of the
-keys.  The linearity also holds for formal exponent differences (used by
-sig/lead ratio comparisons), as long as every entry stays well below the
-digit base.  key_bound gives a strict bound on the keys, so a key can be
-packed with further sort fields into one integer.
-
-Every monomial also caches its packed exponent word: variable i owns the
-17-bit field at bit 17*i, its exponent in the low 16 bits and a guard bit
-(bit 16 of the field) that is clear in every stored word.  The ring's
-guard mask G has all guard bits set.  Every exponent stays below the
-2^16 cap, which is checked before a word is formed, so a field never
+Every monomial caches its packed exponent word: variable i owns one
+28-bit field, its exponent in the low 16 bits, bit 16 a guard bit that is
+clear in every stored word, and the bits above spare.  Under lex the
+fields are laid out in reverse (variable 0 in the top field), otherwise
+variable i sits at bit 28 * i.  The ring's guard mask G has all guard
+bits set.  Every exponent stays below the 2^16 cap, so a field never
 carries into its neighbour and the exponent-wise tests are a few integer
 operations on whole words:
 
@@ -25,14 +16,28 @@ operations on whole words:
   m = d - (d >> 16) fills those fields' low 16 bits, and the lcm is
   (a & m) | (b & ~m);
 * the word of a product is the sum of the words, of a quotient their
-  difference; a product field at or past the cap raises before it exists.
+  difference.  The one cap test: a sum of two words holds an exponent at
+  or past the cap exactly when it has a guard bit set.
+
+Monomial comparison is the hottest operation in the whole engine, so every
+monomial also caches an integer sort key, read off its word: each field
+is one digit base B = 2^28 of the key.  The lex key is the word itself;
+the grevlex key is deg * B^n - word, and elim adds the block degree
+times B^(n+2).  The degrees are digits of word * (1 + B + ... + B^(n-1)),
+whose digit j sums fields 0..j without a carry.  Comparing keys as
+integers is then equivalent to comparing monomials in the ring order, and
+the key of a product is the sum of the keys.  The linearity also holds
+for formal exponent differences (used by sig/lead ratio comparisons), as
+long as every entry stays well below the digit base.  key_bound gives a
+strict bound on the keys, so a key can be packed with further sort
+fields into one integer.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from operator import (add as _add, and_ as _and, lshift as _lshift,
-                      mul as _mul, rshift as _rshift, sub as _sub)
+                      rshift as _rshift, sub as _sub)
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -41,11 +46,13 @@ ELIM = "elim"
 # Exponents are capped so that packed keys of monomials, and of differences
 # of a few monomials, never produce a digit carry.
 MAX_EXPONENT = 1 << 16
-_DIGIT_BASE = 1 << 28
-# One exponent word field per variable: 16 exponent bits and a guard bit.
-WORD_FIELD = 17
-# The order weights take about 3.5 * n^2 bytes in n variables; the largest
-# builtin ideal in use has 10.
+# One exponent word field per variable, one key digit: 16 exponent bits, a
+# guard bit, and room for a degree sum over MAX_VARS fields.
+WORD_FIELD = 28
+_DIGIT_BASE = 1 << WORD_FIELD
+# A degree digit sums n fields of under 2^16 each, so n may be at most
+# 2^12; the cap sits well inside that.  The largest builtin ideal in use
+# has 10 variables.
 MAX_VARS = 256
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -63,8 +70,9 @@ def require(ok, what: str) -> None:
 
 def key_bound(num_vars: int) -> int:
     """Strict bound on |key| of any monomial in num_vars variables, and on
-    |key difference| of two of them.  Every order weight is below
-    2 * B^(n+2) (B the digit base) and every exponent below MAX_EXPONENT."""
+    |key difference| of two of them.  A key is a combination of the
+    exponents whose weights are each below 2 * B^(n+2) (B the digit base),
+    and every exponent is below MAX_EXPONENT."""
     return num_vars * MAX_EXPONENT * _DIGIT_BASE ** (num_vars + 3)
 
 
@@ -132,15 +140,22 @@ def word_max(a: int, b: int, guard: int) -> int:
 
 
 class Monomial:
-    """Exponent vector with cached degree, order key and packed word."""
+    """Exponent vector with cached order key and packed word."""
 
-    __slots__ = ("exps", "deg", "key", "word")
+    __slots__ = ("exps", "key", "word")
 
-    def __init__(self, exps, deg, key, word):
+    def __init__(self, exps, key, word):
         self.exps = exps
-        self.deg = deg
         self.key = key
         self.word = word
+
+    @property
+    def deg(self):
+        return sum(self.exps)
+
+    # iterates as its exponent vector, as DivMap.mask_of reads it
+    def __iter__(self):
+        return iter(self.exps)
 
     # within one ring the word determines the exponent vector
     def __hash__(self):
@@ -161,8 +176,9 @@ class Ring:
     with ties broken by grevlex on the whole exponent vector.
     """
 
-    __slots__ = ("char", "num_vars", "order", "elim_block", "_weights",
-                 "_shifts", "guard", "ones", "one")
+    __slots__ = ("char", "num_vars", "order", "elim_block", "_shifts",
+                 "guard", "ones", "_deg_digit", "_block_digit",
+                 "_block_shift", "one")
 
     def __init__(self, char: int, num_vars: int, order: str = GREVLEX,
                  elim_block: int | None = None):
@@ -181,25 +197,17 @@ class Ring:
         self.num_vars = num_vars
         self.order = order
         self.elim_block = elim_block
-        self._weights = self._order_weights()
-        self._shifts = tuple(range(0, WORD_FIELD * num_vars, WORD_FIELD))
-        self.guard = guard_mask(num_vars)
+        n, k, F = num_vars, elim_block or 1, WORD_FIELD
+        shifts = tuple(range(0, F * n, F))
+        self._shifts = shifts[::-1] if order == LEX else shifts
+        self.guard = guard_mask(n)
         self.ones = self.guard >> 16        # a 1 in every field
-        self.one = Monomial((0,) * num_vars, 0, 0, 0)
-
-    def _order_weights(self):
-        n = self.num_vars
-        B = _DIGIT_BASE
-        if self.order == LEX:
-            return tuple(B ** (n - 1 - i) for i in range(n))
-        # grevlex: key(v) = deg(v)*B^n - sum_k v_k B^(k-1); the most
-        # significant varying digit is the negated last exponent.
-        grev = tuple(B ** n - B ** i for i in range(n))
-        if self.order == GREVLEX:
-            return grev
-        k = self.elim_block
-        top = B ** (n + 2)
-        return tuple(grev[i] + (top if i < k else 0) for i in range(n))
+        # digit n-1 of word * ones is the degree, digit k-1 the elim block
+        # degree; key_of_word moves them to digits n and n+2
+        self._deg_digit = (_DIGIT_BASE - 1) << F * (n - 1)
+        self._block_digit = (_DIGIT_BASE - 1) << F * (k - 1)
+        self._block_shift = F * (n + 3 - k)
+        self.one = Monomial((0,) * n, 0, 0)
 
     # -- monomial construction ------------------------------------------
 
@@ -209,13 +217,18 @@ class Ring:
             raise ValueError("wrong number of exponents")
         if min(exps) < 0 or max(exps) >= MAX_EXPONENT:
             raise ValueError("exponent out of range")
-        return Monomial(exps, sum(exps), self.key_of(exps),
-                        self.word_of(exps))
+        word = self.word_of(exps)
+        return Monomial(exps, self.key_of_word(word), word)
 
-    def key_of(self, exps) -> int:
-        """Order key of an exponent vector: its dot product with the
-        order weights."""
-        return sum(map(_mul, exps, self._weights))
+    def key_of_word(self, word: int) -> int:
+        """Order key of a packed word whose guard bits are clear."""
+        if self.order == LEX:
+            return word
+        sums = word * self.ones
+        key = ((sums & self._deg_digit) << WORD_FIELD) - word
+        if self.elim_block:
+            key += (sums & self._block_digit) << self._block_shift
+        return key
 
     def word_of(self, exps) -> int:
         """Packed word of an exponent vector, each entry in
@@ -231,26 +244,25 @@ class Ring:
     # -- monomial arithmetic --------------------------------------------
 
     def mono_mul(self, a: Monomial, b: Monomial) -> Monomial:
-        exps = tuple(map(_add, a.exps, b.exps))
-        deg = a.deg + b.deg
-        # no exponent can reach the cap while the degree stays below it
-        if deg >= MAX_EXPONENT and max(exps) >= MAX_EXPONENT:
+        word = a.word + b.word
+        if word & self.guard:
             raise ValueError("exponent out of range")
-        return Monomial(exps, deg, a.key + b.key, a.word + b.word)
+        return Monomial(tuple(map(_add, a.exps, b.exps)), a.key + b.key,
+                        word)
 
     def mono_div(self, a: Monomial, b: Monomial) -> Monomial:
         if not word_divides(b.word, a.word, self.guard):
             raise ValueError("not divisible")
-        return Monomial(tuple(map(_sub, a.exps, b.exps)), a.deg - b.deg,
-                        a.key - b.key, a.word - b.word)
+        return Monomial(tuple(map(_sub, a.exps, b.exps)), a.key - b.key,
+                        a.word - b.word)
 
     def mono_gcd(self, a: Monomial, b: Monomial) -> Monomial:
         return self.mono(map(min, a.exps, b.exps))
 
     def mono_lcm(self, a: Monomial, b: Monomial) -> Monomial:
-        exps = tuple(map(max, a.exps, b.exps))
-        return Monomial(exps, sum(exps), self.key_of(exps),
-                        word_max(a.word, b.word, self.guard))
+        word = word_max(a.word, b.word, self.guard)
+        return Monomial(tuple(map(max, a.exps, b.exps)),
+                        self.key_of_word(word), word)
 
     def mono_divides(self, a: Monomial, b: Monomial) -> bool:
         """True when a divides b."""

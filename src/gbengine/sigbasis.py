@@ -23,7 +23,6 @@ the remainder or records a syzygy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, sub
 
 from .division import Completion, prepare_inputs, reduced_basis
 from .lookup import DEFAULT_LOOKUP, make_lookup
@@ -234,30 +233,29 @@ class SyzygySet:
                             "syzygy set not minimal")
 
 
-def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
-    """Signature (mono, comp) of the S-pair of a and b; the pair is regular
-    iff their ratio ranks differ.
+def spair_word(ring: Ring, a: SigEntry, b: SigEntry):
+    """Signature (word, comp) of the S-pair of a and b, as an exponent word;
+    the pair is regular iff their ratio ranks differ.
 
     Compares the stored sig/lead ratios to pick the larger of
     (hd b / gcd) * sig a and (hd a / gcd) * sig b, and only computes the
-    winning side.  The engine calls it at pop time, once per popped
-    signature, and at pair construction only for the early singular
-    criterion: the other construction criteria need only the signature's
-    word and the queue only its key.
+    winning side: sig win * lcm(hd a, hd b) / hd win.
     """
     win, other = (a, b) if a.ratio_rank >= b.ratio_rank else (b, a)
-    lead, sig = win.lead, win.sig_mono
-    # sig * mult, mult = lcm(hd a, hd b) / hd win, capped as mono_mul caps
-    we = lead.exps
-    mult = tuple(map(sub, map(max, we, other.lead.exps), we))
-    exps = tuple(map(add, sig.exps, mult))
-    deg = sig.deg + sum(mult)
-    if deg >= MAX_EXPONENT and max(exps) >= MAX_EXPONENT:
+    lw = win.lead.word
+    word = win.sig_mono.word + word_max(lw, other.lead.word, ring.guard) - lw
+    if word & ring.guard:
         raise ValueError("exponent out of range")
-    lw = lead.word
-    mono = Monomial(exps, deg, sig.key + ring.key_of(mult),
-                    sig.word + word_max(lw, other.lead.word, ring.guard) - lw)
-    return mono, win.sig_comp
+    return word, win.sig_comp
+
+
+def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
+    """Signature (mono, comp) of the S-pair of a and b.  Pair construction
+    needs it only for the early singular criterion; _pop builds the same
+    Monomial itself, only for the pops that pass the late signature
+    criterion."""
+    word, comp = spair_word(ring, a, b)
+    return Monomial(ring.exps_of(word), ring.key_of_word(word), word), comp
 
 
 def koszul_signature(ring: Ring, a: SigEntry, b: SigEntry):
@@ -324,8 +322,9 @@ class _SBEngine(Completion):
         """sig_key of spair_signature(entries[i], entries[j]), made with
         no Monomial: the larger ratio rank plus scale * key(lcm of leads)."""
         a, b = self.entries[i], self.entries[j]
+        ring = self.ring
         return max(a.ratio_rank, b.ratio_rank) + self.morder.scale * \
-            self.ring.key_of(map(max, a.lead.exps, b.lead.exps))
+            ring.key_of_word(word_max(a.lead.word, b.lead.word, ring.guard))
 
     def _koszul_key(self, i, j):
         """sig_key of koszul_signature(entries[i], entries[j]), likewise."""
@@ -382,7 +381,8 @@ class _SBEngine(Completion):
         brank = beta.ratio_rank
         tri = self.tri
         syz = self.syz
-        guard = self.ring.guard
+        ring = self.ring
+        guard = ring.guard
         batch = []
         for gamma in self.entries[:bidx]:
             grank = gamma.ratio_rank
@@ -399,20 +399,13 @@ class _SBEngine(Completion):
                 stats.basedivisor += 1
                 tri.set(gamma.idx, bidx)
                 continue
-            # the word of spair_signature(beta, gamma), sig win * lcm of
-            # the leads / hd win; a field reaching the cap sets its guard
-            win, other = (beta, gamma) if brank > grank else (gamma, beta)
-            lw = win.lead.word
-            mult = word_max(lw, other.lead.word, guard) - lw
-            sword = win.sig_mono.word + mult
-            if sword & guard:
-                raise ValueError("exponent out of range")
-            if cfg.use_signature and syz.divides(sword, win.sig_comp):
+            sword, scomp = spair_word(ring, beta, gamma)
+            if cfg.use_signature and syz.divides(sword, scomp):
                 stats.sig_early += 1
                 tri.set(gamma.idx, bidx)
                 continue
             if cfg.early_singular and self._early_singular(
-                    spair_signature(self.ring, beta, gamma), beta, gamma):
+                    spair_signature(ring, beta, gamma), beta, gamma):
                 stats.early_singular += 1
                 continue
             batch.append((gamma.idx, self._pair_key(gamma.idx, bidx)))
@@ -446,13 +439,17 @@ class _SBEngine(Completion):
         stats.duplicate += len(group) - 1
         i0, j0 = group[0]
         entries = self.entries
-        tmono, tcomp = spair_signature(self.ring, entries[i0], entries[j0])
-        require(self.morder.sig_key(tmono, tcomp) == tkey,
+        ring, morder = self.ring, self.morder
+        tword, tcomp = spair_word(ring, entries[i0], entries[j0])
+        key = ring.key_of_word(tword)
+        # morder.sig_key of the signature, with no Monomial
+        require(key * morder.scale + morder.offsets[tcomp] == tkey,
                 "pair key is not its signature's key")
-        if cfg.use_signature and self.syz.divides(tmono.word, tcomp):
+        if cfg.use_signature and self.syz.divides(tword, tcomp):
             stats.sig_late += 1
             self._set_bits(group)
             return None
+        tmono = Monomial(ring.exps_of(tword), key, tword)
         if cfg.use_koszul:
             kq = self.koszul
             top = kq.peek()

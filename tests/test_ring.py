@@ -1,10 +1,11 @@
+import functools
 import random
 from operator import add, le, sub
 
 import pytest
 
 from gbengine import GREVLEX, LEX, Ring, ff_inv
-from gbengine.ring import MAX_EXPONENT, MAX_VARS
+from gbengine.ring import ELIM, MAX_EXPONENT, MAX_VARS
 
 from _util import elim_cmp, grevlex_cmp, lex_cmp, random_mono
 
@@ -78,7 +79,7 @@ def test_characteristic_range_checked_before_primality(monkeypatch):
 
 
 def test_variable_count_capped():
-    # the order weights grow as the square of the variable count
+    # a degree sum over every field must fit one 28-bit key digit
     assert Ring(101, MAX_VARS).num_vars == MAX_VARS
     with pytest.raises(ValueError, match="variable count not in 1..%d"
                        % MAX_VARS):
@@ -133,7 +134,7 @@ def test_mono_caches():
         b = random_mono(r, rng)
         ab = r.mono_mul(a, b)
         assert ab.deg == sum(ab.exps)
-        assert ab.key == r.key_of(ab.exps)
+        assert ab.key == _ref_key(r, ab.exps)
         g = r.mono_gcd(a, b)
         d = r.mono_div(ab, b)
         assert d.exps == a.exps and d.key == a.key and d.deg == a.deg
@@ -209,19 +210,66 @@ def test_mono_mul_enforces_exponent_bound():
 # -- packed exponent words against their exponent-tuple definitions ---------
 
 WORD_VAR_COUNTS = (1, 2, 7, 10, MAX_VARS)
-WORD_RINGS = {n: Ring(101, n) for n in WORD_VAR_COUNTS}
 
 
-def _word(exps):
-    # reference packing: exponent i in the 17-bit field at bit 17 * i
-    return sum(e << (17 * i) for i, e in enumerate(exps))
+def _rings(n):
+    """grevlex, lex and elim 1, n // 2 and n - 1 rings in n variables."""
+    out = [Ring(101, n), Ring(101, n, LEX)]
+    out += [Ring(101, n, ELIM, k) for k in sorted({1, n // 2, n - 1})
+            if 0 < k < n]
+    return out
+
+
+WORD_RINGS = {n: _rings(n) for n in WORD_VAR_COUNTS}
+
+
+def _word(ring, exps):
+    # reference packing: exponent i in the 28-bit field at bit 28 * i,
+    # at bit 28 * (n - 1 - i) under lex
+    n = len(exps)
+    return sum(e << 28 * (n - 1 - i if ring.order == LEX else i)
+               for i, e in enumerate(exps))
+
+
+@functools.lru_cache(maxsize=None)
+def _weights(order, n, k):
+    # the order's weight per variable, digit base B = 2^28
+    B = 1 << 28
+    if order == LEX:
+        return [B ** (n - 1 - i) for i in range(n)]
+    # grevlex: deg * B^n - sum e_i B^i; elim adds block degree * B^(n+2)
+    return [B ** n - B ** i + (B ** (n + 2) if i < k else 0)
+            for i in range(n)]
+
+
+def _ref_key(ring, exps):
+    # reference key: the dot product of exps with the order's weights
+    weights = _weights(ring.order, ring.num_vars, ring.elim_block or 0)
+    return sum(e * w for e, w in zip(exps, weights))
 
 
 def _assert_made_right(ring, mono, exps):
     assert mono.exps == exps
     assert mono.deg == sum(exps)
-    assert mono.key == ring.key_of(exps)
-    assert mono.word == _word(exps)
+    assert mono.key == _ref_key(ring, exps)
+    assert mono.word == _word(ring, exps)
+
+
+def test_keys_match_reference_weights():
+    # every variable count and order of WORD_RINGS, at the exponent cap
+    # too, where a degree sum passes 16 bits
+    rng = random.Random(23)
+    top = MAX_EXPONENT - 1
+    for rings in WORD_RINGS.values():
+        for ring in rings:
+            n = ring.num_vars
+            for exps in ([top] * n, [0] * n, [top] + [0] * (n - 1),
+                         [0] * (n - 1) + [top]):
+                _assert_made_right(ring, ring.mono(exps), tuple(exps))
+            for _ in range(20):
+                exps = tuple(rng.choice((0, 1, top, rng.randrange(top + 1)))
+                             for _ in range(n))
+                _assert_made_right(ring, ring.mono(exps), exps)
 
 
 def _pairs():
@@ -242,7 +290,7 @@ def _pairs():
             b = [min(x + y, top) for x, y in zip(a, b)]
         elif how == "coprime":
             a = [0 if y else x for x, y in zip(a, b)]
-        ring = WORD_RINGS[n]
+        ring = draw(st.sampled_from(WORD_RINGS[n]))
         return ring, ring.mono(a), ring.mono(b)
     return pairs()
 

@@ -290,3 +290,36 @@ def test_syzygy_set_minimality():
     s.audit_minimal()
     assert sorted((m.exps, c) for m, c in s.signatures()) == \
         sorted([((0, 1), 0), ((1, 0), 0), ((2, 1), 1)])
+
+
+def test_pop_builds_a_signature_monomial_only_past_the_late_criterion(
+        monkeypatch):
+    # the late signature criterion needs only the signature's word and
+    # key, so a pop it ends builds no Monomial for the signature
+    from gbengine import sigbasis
+    inside, made, pops = [], [], []
+
+    class CountingMonomial(sigbasis.Monomial):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            if inside:
+                made.append(args)
+            super().__init__(*args)
+
+    real_pop = sigbasis._SBEngine._pop
+
+    def counting_pop(self):
+        pops.append(None)
+        inside.append(None)
+        try:
+            return real_pop(self)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sigbasis, "Monomial", CountingMonomial)
+    monkeypatch.setattr(sigbasis._SBEngine, "_pop", counting_pop)
+    ring, polys = builtin_ideal("hcyclic5")
+    stats = sb_run(ring, polys).stats
+    assert 0 < stats.sig_late < len(pops)
+    assert len(made) == len(pops) - stats.sig_late

@@ -1,6 +1,7 @@
 """Run the CLI over a fixed matrix of ideals, algorithms and data-structure
-configs, and print one line per run: two sha256 digests of its stdout,
-then its argv.  The first covers the result and every `--stats` row but the
+configs, then over a few ideal files in other term orders in the default
+config, and print one line per run: two sha256 digests of its stdout,
+then its argv (a file named by its path in the checkout).  The first covers the result and every `--stats` row but the
 five divmask rows, which count the lead lookup's mask tests; the second
 covers those five rows.
 
@@ -21,9 +22,14 @@ import io
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 IDEALS = ("katsura6", "cyclic5", "hcyclic5")
+# katsura4 under lex and cyclic5 under elim 2, for the orders the builtins
+# (all grevlex) do not reach
+ORDER_FILES = ("tests/data/katsura4-lex.ideal",
+               "tests/data/cyclic5-elim2.ideal")
 ALGORITHMS = ("sb", "classic")
 DIVMASK_ROWS = ("# divmask hits", "# divmask misses", "# divisibilities",
                 "hit rate", "effective hit rate")
@@ -54,21 +60,30 @@ def digests(stdout):
     return [hashlib.sha256("".join(p).encode()).hexdigest() for p in parts]
 
 
-def main():
-    sys.path.insert(0, str(SRC))
-    from gbengine.cli import run_cli
+def runs():
+    """(input, algorithm, flags) of every run, in order."""
     for ideal in IDEALS:
         for algorithm in ALGORITHMS:
             for flags in configs():
-                argv = ["run", ideal, "--algorithm", algorithm, "--stats"]
-                argv += flags
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = run_cli(argv)
-                if code:
-                    raise SystemExit("exit %d: %s" % (code, " ".join(argv)))
-                print(*digests(out.getvalue()), " ".join(argv))
+                yield ideal, algorithm, flags
+    for name in ORDER_FILES:
+        for algorithm in ALGORITHMS:
+            yield name, algorithm, []
+
+
+def main():
+    sys.path.insert(0, str(SRC))
+    from gbengine.cli import run_cli
+    for name, algorithm, flags in runs():
+        argv = ["run", name, "--algorithm", algorithm, "--stats"] + flags
+        path = str(ROOT / name) if name in ORDER_FILES else name
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(["run", path] + argv[2:])
+        if code:
+            raise SystemExit("exit %d: %s" % (code, " ".join(argv)))
+        print(*digests(out.getvalue()), " ".join(argv))
     return 0
 
 
