@@ -1,9 +1,10 @@
 """Run the CLI over a fixed matrix of ideals, algorithms and data-structure
 configs, then over a few ideal files in other term orders in the default
 config, and print one line per run: two sha256 digests of its stdout,
-then its argv (a file named by its path in the checkout).  The first covers the result and every `--stats` row but the
-five divmask rows, which count the lead lookup's mask tests; the second
-covers those five rows.
+then its argv (a file named by its path in the checkout).  The first
+covers the result and every `--stats` row but the five divmask rows,
+which count the lead lookup's mask tests; the second covers those five
+rows.
 
     python3 tools/cli_matrix.py
 
