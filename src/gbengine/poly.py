@@ -2,12 +2,19 @@
 
 A polynomial holds two parallel tuples: coeffs, each in [1, p-1], and
 monos, the Monomials of its terms in strictly decreasing ring order.  The
-zero polynomial has no terms.  The dict-based helpers at the bottom are
+zero polynomial has no terms.  Its packed form, built on first use and
+kept, is one int holding coeffs[i] in the 64-bit slot i, so that one
+big-integer multiply scales every coefficient: Ring takes p < 2^31, so a
+product of a coefficient and a multiplier below p is below 2^62 and never
+carries into the next slot.  The dict-based helpers at the bottom are
 deliberately naive; the tests use them as independent oracles for the
 queue-driven division code.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 from .ring import Monomial, Ring, ff_inv
 
@@ -15,12 +22,13 @@ from .ring import Monomial, Ring, ff_inv
 class Polynomial:
     """Immutable terms, strictly decreasing in the ring order."""
 
-    __slots__ = ("coeffs", "monos", "_hash")
+    __slots__ = ("coeffs", "monos", "_hash", "_packed")
 
     def __init__(self, coeffs, monos):
         self.coeffs = tuple(coeffs)
         self.monos = tuple(monos)
         self._hash = None
+        self._packed = None
 
     def __len__(self):
         return len(self.coeffs)
@@ -39,6 +47,16 @@ class Polynomial:
         if h is None:
             h = self._hash = hash((self.coeffs, self.monos))
         return h
+
+    @property
+    def packed(self) -> int:
+        """sum(coeffs[i] << 64*i), built in C and kept; its bytes in
+        sys.byteorder are coeffs as an array('Q')."""
+        v = self._packed
+        if v is None:
+            v = self._packed = int.from_bytes(array("Q", self.coeffs)
+                                              .tobytes(), sys.byteorder)
+        return v
 
     def __repr__(self):
         return "Polynomial(%d terms)" % len(self.coeffs)

@@ -383,6 +383,7 @@ class _SBEngine(Completion):
         syz = self.syz
         ring = self.ring
         guard = ring.guard
+        scale, offsets = self.morder.scale, self.morder.offsets
         batch = []
         for gamma in self.entries[:bidx]:
             grank = gamma.ratio_rank
@@ -408,7 +409,9 @@ class _SBEngine(Completion):
                     spair_signature(ring, beta, gamma), beta, gamma):
                 stats.early_singular += 1
                 continue
-            batch.append((gamma.idx, self._pair_key(gamma.idx, bidx)))
+            # _pair_key(gamma.idx, bidx), from the signature word at hand
+            batch.append((gamma.idx, ring.key_of_word(sword) * scale
+                          + offsets[scomp]))
         stats.queued += len(batch)
         self.pairs.add_column(bidx, batch)
 

@@ -26,8 +26,11 @@ as its id.  Backends order entries by their first field, that key:
   hashed      (key, id), the id's contributions summed unreduced (all
               positive, p < 2^31) in the list acc, one slot per id, which
               starts at zero when the id is interned.  An id enters the
-              backend when its sum goes from zero to pending, so a pushed
-              term costs one list read and one list write.
+              backend when its sum goes from zero to pending.  A push
+              scales the whole product with one big-integer multiply of
+              the polynomial's packed coefficients (see poly.py), so a
+              pushed term costs one list read, one addition and one list
+              write, with no multiply in Python.
 
 Every field after the key is an int or a tuple of ints, so the heap's
 whole-tuple comparisons never fail on equal keys.
@@ -35,6 +38,7 @@ whole-tuple comparisons never fail on equal keys.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
@@ -274,14 +278,21 @@ class TourTree:
         return (e for e in self.leaves if e is not None)
 
     def _grow(self):
-        # every leaf keeps its index; the new half is free
+        # the old tree, full, becomes the new root's left subtree with no
+        # replay: its node n at depth d is node n + 2^d, so leaf i keeps
+        # its index; every node of the new right half has only free leaves
+        # below it, and the leftmost of them stands as its winner
         old = self.cap
         cap = self.cap = 2 * old
         self.leaves += [None] * old
         self.free = list(range(cap - 1, old - 1, -1))
-        self.win = [0] * cap + list(range(cap))
-        for n in range(cap - 1, 0, -1):
-            self._play(n, n)
+        win, d = [0, 0], 1
+        while d <= old:
+            win += self.win[d:2 * d]
+            win += range(old, cap, old // d)
+            d *= 2
+        win[1] = win[2]
+        self.win = win
 
     def _play(self, n, top=1):
         """Replay the match at node n and at each ancestor up to node top
@@ -422,22 +433,28 @@ class ReducerQueue:
         """Add all terms of coeff * (mult * poly)[start:] to the queue, row
         being the product's row of ids, self.row(lead, poly)."""
         coeff %= self.p
-        if not coeff or start >= len(poly):
+        n = len(poly)
+        if not coeff or start >= n:
             return
         tkeys = self.keys
-        terms = zip(islice(row, start, None),
-                    islice(poly.coeffs, start, None))
         acc = self.acc
         if acc is not None:
+            # one multiply scales every term: slot i of coeff * packed is
+            # coeff * coeffs[i] < 2^62 (p < 2^31), so no slot carries, and
+            # to_bytes raises OverflowError rather than truncate; bytes and
+            # the 'Q' cast share sys.byteorder, so item i is slot i on
+            # either byte order
+            scaled = memoryview((coeff * poly.packed).to_bytes(
+                8 * n, sys.byteorder)).cast("Q")
             # every contribution is positive, so a zero sum means the id
             # is not pending: it joins the run, in term order
             run = []
-            for t, c in terms:
+            for t, c in zip(islice(row, start, None), scaled[start:]):
                 a = acc[t]
                 if a:
-                    acc[t] = a + coeff * c
+                    acc[t] = a + c
                 else:
-                    acc[t] = coeff * c
+                    acc[t] = c
                     run.append((tkeys[t], t))
             if run:
                 self.backend.push_run(run)
@@ -445,6 +462,8 @@ class ReducerQueue:
             self.backend.push((tkeys[row[start]], coeff, start, row,
                                poly.coeffs))
         else:
+            terms = zip(islice(row, start, None),
+                        islice(poly.coeffs, start, None))
             self.backend.push_run([(tkeys[t], coeff * c, t)
                                    for t, c in terms])
 

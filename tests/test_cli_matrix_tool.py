@@ -13,10 +13,10 @@ GOLDEN = ROOT / "tests" / "data" / "cli_matrix.txt"
 def test_cli_matrix_prints_two_digests_per_run():
     out = subprocess.run([sys.executable, str(MATRIX)], capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert len(out) == 124
+    assert len(out) == 127
     counted, divmask, argvs = zip(*(line.split(" ", 2) for line in out))
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in counted + divmask)
-    assert len(set(argvs)) == 124
+    assert len(set(argvs)) == 127
     assert all(a.startswith("run ") and " --stats" in a for a in argvs)
     golden = GOLDEN.read_text().splitlines()
     assert len(golden) == len(out)

@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from gbengine import (ClassicConfig, ModuleOrder, Ring, SBConfig,
-                      builtin_ideal, koszul_signature, poly_from_exps,
-                      spair_signature)
+from gbengine import (ClassicConfig, ModuleOrder, PairTriangle, Ring,
+                      SBConfig, builtin_ideal, koszul_signature,
+                      poly_from_exps, sb_run, spair_signature)
 from gbengine.buchberger import _ClassicEngine
 from gbengine.ring import MAX_EXPONENT
 from gbengine.sigbasis import _SBEngine
@@ -118,3 +118,26 @@ def test_sb_pair_and_koszul_keys_match_signatures(order, kind, tiebreak):
                 *spair_signature(ring, a, b))
             assert engine._koszul_key(i, j) == engine.morder.sig_key(
                 *koszul_signature(ring, a, b))
+
+
+@pytest.mark.parametrize("name", ["hcyclic5", "katsura5"])
+@pytest.mark.parametrize("kind, tiebreak", [("schreyer", "low-gt"),
+                                            ("schreyer", "high-gt"),
+                                            ("potop", "low-gt")])
+def test_queued_pair_keys_are_pair_keys(monkeypatch, name, kind, tiebreak):
+    # pair construction keys each queued pair from its signature word; the
+    # pair triangle recomputes every later key with its key_fn, the
+    # engine's _pair_key, so the two must agree on every pair
+    queued = []
+    real_add = PairTriangle.add_column
+
+    def spy(self, j, pairs):
+        queued.extend((i, j, key, self.key_fn) for i, key in pairs)
+        real_add(self, j, pairs)
+
+    monkeypatch.setattr(PairTriangle, "add_column", spy)
+    ring, polys = builtin_ideal(name)
+    sb_run(ring, polys, SBConfig(module_order=kind, tiebreak=tiebreak))
+    assert len(queued) > 50
+    for i, j, key, pair_key in queued:
+        assert key == pair_key(i, j), (i, j)

@@ -13,6 +13,11 @@ from gbengine.termqueue import Geobucket, Heap, TourTree
 
 from _util import random_poly
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:     # the package declares no dependencies
+    given = None
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -106,6 +111,39 @@ def test_tourtree_interior_invariant():
     for _ in range(150):
         q.pop()
         q.audit()
+
+
+def test_tourtree_grows_through_doublings():
+    # pushes outrun pops, so the tree doubles from 2 to 1024 leaves with
+    # entries spread over the leaves freed by earlier pops; each pop must
+    # be the smallest pending key, and every grown tree must audit clean
+    rng = random.Random(41)
+    q = TourTree()
+    pending = []
+    caps = [q.cap]
+    for _ in range(300):
+        for _ in range(3):
+            k = rng.randrange(200)
+            q.push(_e(k))
+            pending.append(k)
+            if q.cap != caps[-1]:
+                caps.append(q.cap)
+                q.audit()
+        pending.sort()
+        assert q.pop()[0] == pending.pop(0)
+    assert caps == [2 ** i for i in range(1, 11)]
+    q.audit()
+    got = []
+    while (e := q.pop()) is not None:
+        got.append(e[0])
+    assert got == sorted(pending)
+    # a grown tree is whole before the push that made it grow
+    full = TourTree()
+    for k in (5, 3, 8, 1):
+        full.push(_e(k))
+    full._grow()
+    full.audit()
+    assert full.peek()[0] == 1 and len(full) == 4
 
 
 def _ring():
@@ -505,3 +543,92 @@ def test_geobucket_cached_top_random_ops(fold):
                 assert len(q) == sum(1 for _ in q), make.__name__
                 if not fold:
                     assert len(q) == len(oracle)
+
+
+def _property(strategy):
+    """check(case) as a derandomized hypothesis property over strategy(),
+    with no deadline and no database; skipped where hypothesis is
+    missing."""
+    def wrap(check):
+        if given is None:
+            def test():
+                pytest.skip("hypothesis is not installed")
+            return test
+        return settings(derandomize=True, deadline=None, database=None)(
+            given(strategy())(check))
+    return wrap
+
+
+_PACK_PRIMES = (2 ** 31 - 1, 2)
+
+
+def _field_coeff(p):
+    # 1 and p - 1 drawn often: the smallest and the largest slot products
+    return st.one_of(st.sampled_from((1, p - 1)), st.integers(1, p - 1))
+
+
+def _products():
+    """(p, [(coeff, multiplier exps, terms, start)]): one to three products
+    in two variables over p = 2^31 - 1 or 2, each of 1-300 terms (coeff,
+    exps) from a 20 x 20 grid, so that products overlap and fold."""
+    @st.composite
+    def products(draw):
+        p = draw(st.sampled_from(_PACK_PRIMES))
+        out = []
+        for _ in range(draw(st.integers(1, 3))):
+            cells = draw(st.lists(st.integers(0, 399), min_size=1,
+                                  max_size=300, unique=True))
+            terms = [(draw(_field_coeff(p)), divmod(c, 20)) for c in cells]
+            n = len(terms)
+            start = draw(st.sampled_from(sorted({0, 1, n - 1} - {n})))
+            mult = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            out.append((draw(_field_coeff(p)), mult, terms, start))
+        return p, out
+    return products()
+
+
+@_property(_products)
+def test_hashed_push_matches_dict_oracle(case):
+    # every hashed backend pops the terms of the summed products, each
+    # coefficient the sum of coeff * c mod p, against a dict of the sums
+    p, products = case
+    r = Ring(p, 2)
+    pushes = []
+    sums = {}
+    for coeff, mult, terms, start in products:
+        g = poly_from_exps(r, terms)
+        pushes.append((coeff, r.mono(mult), g, start))
+        for c, m in zip(g.coeffs[start:], g.monos[start:]):
+            exps = (m.exps[0] + mult[0], m.exps[1] + mult[1])
+            sums[exps] = sums.get(exps, 0) + coeff * c
+    want = sorted(((c % p, exps) for exps, c in sums.items() if c % p),
+                  key=lambda t: r.mono(t[1]).key, reverse=True)
+    for cfg in all_queue_configs():
+        if not cfg.hashed:
+            continue
+        q = ReducerQueue(r, cfg)
+        for coeff, mono, g, start in pushes:
+            _push(q, coeff, mono, g, start)
+        q.audit()
+        assert list(iter(lambda: _pop(q), None)) == want, cfg.label()
+
+
+def _scalings():
+    """(k, coeffs): k in [0, p-1] and 1-300 coefficients in [1, p-1], for p
+    = 2^31 - 1 or 2."""
+    return st.sampled_from(_PACK_PRIMES).flatmap(lambda p: st.tuples(
+        st.just(0) | _field_coeff(p),
+        st.lists(_field_coeff(p), min_size=1, max_size=300)))
+
+
+@_property(_scalings)
+def test_packed_coeffs_scale_slot_by_slot(case):
+    # unpacked by shifts and masks, slot i of k * packed is k * coeffs[i]
+    k, coeffs = case
+    f = Polynomial(coeffs, [None] * len(coeffs))
+    packed = f.packed
+    assert packed is f.packed
+    assert packed == sum(c << 64 * i for i, c in enumerate(coeffs))
+    mask = (1 << 64) - 1
+    assert [k * packed >> 64 * i & mask for i in range(len(coeffs))] == \
+        [k * c for c in coeffs]

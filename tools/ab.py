@@ -20,9 +20,13 @@ goes to FILE, by default BENCH_<n>.json in the change tree, n being one
 more than the largest n already there.  Per workload it holds the seeds,
 each side's failed units, whether every unit was correct, each run's exit
 code and units run; per end-to-end metric, each side's median and
-quartiles (statistics.quantiles, method 'inclusive'), change_pct (change
-median over parent median, minus 1, in percent), the number of seeds on
-which the change read lower and higher, and every run's value.  'runs'
+quartiles (statistics.quantiles, method 'inclusive'), parent_iqr (the
+distance between the parent's quartiles), change_pct (change median over
+parent median, minus 1, in percent), the number of seeds on which the
+change read lower and higher, claim_rule_met, and every run's value.
+claim_rule_met holds when the change read lower on at least nine tenths
+of the seeds run, ties counting for neither, and its median is below the
+parent's by more than parent_iqr: the rule a claimed gain must meet.  'runs'
 keeps the result line of every run.  A run that exits non-zero or prints
 no result line counts as incorrect, and its seed is left out of the
 pairing of every metric.
@@ -107,11 +111,18 @@ def compare(runs, metric):
         if values[side]:
             out[side + "_median"] = statistics.median(values[side])
             out[side + "_quartiles"] = quartiles(values[side])
+    if values["parent"]:
+        low, high = out["parent_quartiles"]
+        out["parent_iqr"] = high - low
     if values["parent"] and values["change"] and out["parent_median"]:
         out["change_pct"] = 100.0 * (out["change_median"]
                                      / out["parent_median"] - 1.0)
     out["pairs_change_lower"] = lower
     out["pairs_change_higher"] = higher
+    out["claim_rule_met"] = bool(
+        values["parent"] and values["change"]
+        and 10 * lower >= 9 * len(runs["parent"])
+        and out["parent_median"] - out["change_median"] > out["parent_iqr"])
     out["parent_runs"] = values["parent"]
     out["change_runs"] = values["change"]
     return out
@@ -214,9 +225,11 @@ def main(argv=None):
             m = s[metric]
             if "change_pct" in m:
                 print("%-17s %-12s %.4f -> %.4f (%+.1f%%), lower in %d of "
-                      "%d" % (w, metric, m["parent_median"],
-                              m["change_median"], m["change_pct"],
-                              m["pairs_change_lower"], len(seeds)))
+                      "%d, parent IQR %.4f, claim rule %s"
+                      % (w, metric, m["parent_median"], m["change_median"],
+                         m["change_pct"], m["pairs_change_lower"],
+                         len(seeds), m["parent_iqr"],
+                         "met" if m["claim_rule_met"] else "not met"))
     print("wrote %s" % out_path)
     return 0
 

@@ -1,10 +1,10 @@
 """Run the CLI over a fixed matrix of ideals, algorithms and data-structure
 configs, then over a few ideal files in other term orders in the default
-config, and print one line per run: two sha256 digests of its stdout,
-then its argv (a file named by its path in the checkout).  The first
-covers the result and every `--stats` row but the five divmask rows,
-which count the lead lookup's mask tests; the second covers those five
-rows.
+config, then a few runs at the largest characteristic, and print one line
+per run: two sha256 digests of its stdout, then its argv (a file named by
+its path in the checkout).  The first covers the result and every
+`--stats` row but the five divmask rows, which count the lead lookup's
+mask tests; the second covers those five rows.
 
     python3 tools/cli_matrix.py
 
@@ -32,6 +32,11 @@ IDEALS = ("katsura6", "cyclic5", "hcyclic5")
 ORDER_FILES = ("tests/data/katsura4-lex.ideal",
                "tests/data/cyclic5-elim2.ideal")
 ALGORITHMS = ("sb", "classic")
+# at the largest prime Ring accepts (below 2^31) a coefficient product comes
+# near 2^62; the builtins run at 101 otherwise
+LARGE_CHAR = "2147483647"
+LARGE_CHAR_RUNS = (("katsura6", "sb", []), ("cyclic5", "classic", []),
+                   ("katsura6", "sb", ["--reducer", "heap", "--plain"]))
 DIVMASK_ROWS = ("# divmask hits", "# divmask misses", "# divisibilities",
                 "hit rate", "effective hit rate")
 
@@ -70,6 +75,8 @@ def runs():
     for name in ORDER_FILES:
         for algorithm in ALGORITHMS:
             yield name, algorithm, []
+    for ideal, algorithm, flags in LARGE_CHAR_RUNS:
+        yield ideal, algorithm, ["--char", LARGE_CHAR] + flags
 
 
 def main():
