@@ -38,14 +38,13 @@ def basis_lookup(ring: Ring, basis, kind: str = DEFAULT_LOOKUP):
 
 
 def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
-                   top_only: bool = False,
                    queue: ReducerQueue | None = None) -> Polynomial:
     """The remainder r of f divided by the basis.
 
     f - r is a sum of multiples q_i g_i with hd(q_i g_i) <= hd f, and no
-    term of r is divisible by any live lead term (top_only: the lead term
-    of r only).  The reducer for a term is the valid divisor of smallest
-    basis index, so the outcome does not depend on the lookup structure.
+    term of r is divisible by any live lead term.  The reducer for a term
+    is the valid divisor of smallest basis index, so the outcome does not
+    depend on the lookup structure.
 
     The division runs on queue, which it takes and leaves empty, so a
     caller dividing many polynomials passes one queue and each call reuses
@@ -58,12 +57,11 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
         queue = ReducerQueue(ring)
     if f:
         queue.push_product(1, queue.row(f.lead_mono, f), f)
-    return divide_queue(ring, queue, basis, lookup, top_only)
+    return divide_queue(ring, queue, basis, lookup)
 
 
 def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
-                 top_only: bool, regular=None,
-                 audit: bool = False) -> Polynomial:
+                 regular=None, audit: bool = False) -> Polynomial:
     """The remainder of the polynomial whose terms are pending in queue,
     divided by the basis as classic_reduce divides; it empties the queue.
 
@@ -80,29 +78,26 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
     entries, tkey, scale, select = regular or (None, 0, 0, None)
     coeffs = []
     monos = []
-    tail_done = False
     while True:
         top = queue.pop_max()
         if top is None:
             break
         coeff, t = top
         mono = tmonos[t]
-        if not tail_done:
-            cands = lookup.find_all_divisors(mono)
-            if cands and entries is not None:
-                bound = tkey - scale * mono.key
-                cands = [i for i in cands if entries[i].ratio_rank < bound]
-            if cands:
-                g = basis[min(cands) if select is None else select(
-                    [entries[i] for i in sorted(cands)]).idx]
-                row = rows.get((t, g))
-                if row is None or audit:
-                    row = queue.row(mono, g, audit)
-                lc = g.coeffs[0]
-                c = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
-                queue.push_product(p - c, row, g, 1)
-                continue
-            tail_done = top_only
+        cands = lookup.find_all_divisors(mono)
+        if cands and entries is not None:
+            bound = tkey - scale * mono.key
+            cands = [i for i in cands if entries[i].ratio_rank < bound]
+        if cands:
+            g = basis[min(cands) if select is None else select(
+                [entries[i] for i in sorted(cands)]).idx]
+            row = rows.get((t, g))
+            if row is None or audit:
+                row = queue.row(mono, g, audit)
+            lc = g.coeffs[0]
+            c = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
+            queue.push_product(p - c, row, g, 1)
+            continue
         coeffs.append(coeff)
         monos.append(mono)
     return Polynomial(coeffs, monos)
@@ -142,7 +137,7 @@ class Completion:
                 queue.push_product(coeff, queue.row(lead, poly, audit), poly)
             if audit:
                 queue.audit()
-            rem = divide_queue(ring, queue, self.polys, self.lookup, False,
+            rem = divide_queue(ring, queue, self.polys, self.lookup,
                                regular=regular, audit=audit)
             self._settle(info, rem)
         if audit:
@@ -207,15 +202,15 @@ def reduced_basis(ring: Ring, polys, queue_cfg=None):
         # no other lead divides g's lead, and g's lead divides no smaller
         # term: reduce the tail and put the lead back in front
         queue.push_product(1, queue.row(g.lead_mono, g), g, start=1)
-        r = divide_queue(ring, queue, minimal, lookup, False)
+        r = divide_queue(ring, queue, minimal, lookup)
         out.append(poly_monic(ring, Polynomial((g.lead_coeff,) + r.coeffs,
                                                (g.lead_mono,) + r.monos)))
     return out
 
 
 def reduces_to_zero(ring: Ring, f: Polynomial, basis, lookup=None) -> bool:
-    """Membership oracle: does f top-reduce to zero against the basis?
+    """Membership oracle: does f reduce to zero against the basis?
 
     For a Groebner basis the choice of divisor cannot change the answer.
     """
-    return not classic_reduce(ring, f, basis, lookup, top_only=True)
+    return not classic_reduce(ring, f, basis, lookup)

@@ -9,28 +9,32 @@ folded together, skipping monomials whose contributions cancel.
 
 Every backend is a bare priority queue: it pops the entry of smallest
 first field and does no field arithmetic; the binary heap is the standard
-library's heapq.  Entry coefficients are unreduced (a fold adds them as
-they are), and only ReducerQueue reduces mod p: the multiplier when a
-product is pushed, and each sum as it pops.  One ReducerQueue serves
-every reduction of a run, and in every flavour it interns each product
-monomial to a small int id, stores the id's negated order key (so the
-smallest key is the largest monomial), caches the row of ids of each
-product's terms under (lead id, poly), and makes an id's monomial once,
-when it interns the id.  A product is pushed as its row and a term pops
-as its id.  Backends order entries by their first field, that key:
+library's heapq.  One ReducerQueue serves every reduction of a run, and in
+every flavour it interns each product monomial to a small int id, stores
+the id's negated order key (so the smallest key is the largest monomial),
+caches the row of ids of each product's terms under (lead id, poly), and
+makes an id's monomial once, when it interns the id.  A product is pushed
+as its row and a term pops as its id.  Only ReducerQueue reduces mod p:
+the multiplier when a product is pushed, and each sum as it pops.
+Backends order entries by their first field, that key:
 
-  plain       (key, c, id), c the term's unreduced coefficient; dedup
-              folds entries of equal key by adding c
+  plain, dedup, hashed
+              (key, id).  The id's contributions are summed unreduced
+              (all positive, p < 2^31) in the list acc, one slot per id,
+              which starts at zero when the id is interned, so a zero
+              sum means not pending.  A push scales the whole product
+              with one big-integer multiply of the polynomial's packed
+              coefficients (see poly.py), so a pushed term costs a list
+              read, an addition and a list write, with no multiply in
+              Python.  The flavours differ only in what enters the
+              backend: plain pushes every term; dedup pushes every term,
+              and the backend drops an entry that meets an equal queued
+              key; hashed pushes an id only when its sum goes from zero
+              to pending.  Every entry of an id has the id's key, so the
+              first to pop drains the sum and any other pops a zero sum,
+              which is skipped.
   compressed  (key, c, j, row, coeffs): a cursor at term j of a product,
               c the multiplier's coefficient; it advances by replace-top
-  hashed      (key, id), the id's contributions summed unreduced (all
-              positive, p < 2^31) in the list acc, one slot per id, which
-              starts at zero when the id is interned.  An id enters the
-              backend when its sum goes from zero to pending.  A push
-              scales the whole product with one big-integer multiply of
-              the polynomial's packed coefficients (see poly.py), so a
-              pushed term costs one list read, one addition and one list
-              write, with no multiply in Python.
 
 Every field after the key is an int or a tuple of ints, so the heap's
 whole-tuple comparisons never fail on equal keys.
@@ -107,13 +111,9 @@ class Heap:
 
     def push(self, e):
         a = self.a
-        if self.fold and a:
-            # fold into the would-be parent slot when the keys tie
-            i = (len(a) - 1) >> 1
-            par = a[i]
-            if par[0] == e[0]:
-                a[i] = (par[0], par[1] + e[1]) + par[2:]
-                return
+        # fold: drop e when its would-be parent slot holds its key
+        if self.fold and a and a[(len(a) - 1) >> 1][0] == e[0]:
+            return
         heappush(a, e)
 
     def push_run(self, run):
@@ -134,11 +134,10 @@ class Heap:
         heapreplace(a, e)
 
     def audit(self):
-        # keys only: a fold rewrites a coefficient in place, so entries of
-        # equal key may fall out of whole-tuple order
+        # whole entries: heapq orders them so, and no queued entry changes
         a = self.a
         for i in range(1, len(a)):
-            require(a[(i - 1) >> 1][0] <= a[i][0], "heap property")
+            require(a[(i - 1) >> 1] <= a[i], "heap property")
 
 
 class Geobucket:
@@ -202,13 +201,12 @@ class Geobucket:
             elif a[0] < b[0]:
                 push(b)
                 j += 1
-            elif fold:
-                push((a[0], a[1] + b[1]) + a[2:])
-                i += 1
-                j += 1
             else:
+                # equal keys: a fold keeps only one of the two entries
                 push(a)
                 i += 1
+                if fold:
+                    j += 1
         out.extend(x[i:])
         out.extend(y[j:])
         return out
@@ -305,23 +303,18 @@ class TourTree:
             n >>= 1
 
     def _set(self, leaf, e):
-        """Put e (None to free the leaf) at leaf, fold it into its sibling
-        on equal keys, and replay the leaf's path."""
-        leaves = self.leaves
-        leaves[leaf] = e
-        if self.fold and e is not None:
-            sib = leaf ^ 1
-            b = leaves[sib]
-            if b is not None and b[0] == e[0]:
-                lo, hi = (leaf, sib) if leaf < sib else (sib, leaf)
-                leaves[lo] = (e[0], e[1] + b[1]) + e[2:]
-                leaves[hi] = None
-                self.free.append(hi)
+        """Put e (None to free the leaf) at leaf and replay its path."""
+        self.leaves[leaf] = e
         self._play((self.cap + leaf) >> 1)
 
     def push(self, e):
         if not self.free:
             self._grow()
+        leaf = self.free[-1]
+        # fold: drop e when the free leaf's sibling holds its key
+        sib = self.leaves[leaf ^ 1]
+        if self.fold and sib is not None and sib[0] == e[0]:
+            return
         self._set(self.free.pop(), e)
 
     push_run = Heap.push_run
@@ -375,8 +368,8 @@ class ReducerQueue:
     queue's owner (an engine, or one interreduce or reduced_basis call).
 
     Each reduction drains the queue; a drained queue takes a fresh backend
-    and its hashed sums are all zero, while the ids, keys, monomials and
-    rows (keyed by (lead id, poly), poly by value) live on.
+    and its sums are all zero, while the ids, keys, monomials and rows
+    (keyed by (lead id, poly), poly by value) live on.
     """
 
     __slots__ = ("ring", "cfg", "p", "backend", "ids", "keys", "monos",
@@ -393,8 +386,9 @@ class ReducerQueue:
         self.keys = []          # id -> key
         self.monos = []         # id -> Monomial
         self.rows = {}          # (lead id, poly) -> the product's row
-        # hashed only: id -> pending unreduced sum, 0 if none
-        self.acc = [] if self.cfg.hashed else None
+        # id -> pending unreduced sum, 0 if none; compressed cursors carry
+        # their multiplier's coefficient instead
+        self.acc = None if self.cfg.compressed else []
 
     def row(self, lead, poly, audit=False):
         """The ids of the terms of the multiple of poly (nonzero) whose
@@ -438,34 +432,35 @@ class ReducerQueue:
             return
         tkeys = self.keys
         acc = self.acc
-        if acc is not None:
-            # one multiply scales every term: slot i of coeff * packed is
-            # coeff * coeffs[i] < 2^62 (p < 2^31), so no slot carries, and
-            # to_bytes raises OverflowError rather than truncate; bytes and
-            # the 'Q' cast share sys.byteorder, so item i is slot i on
-            # either byte order
-            scaled = memoryview((coeff * poly.packed).to_bytes(
-                8 * n, sys.byteorder)).cast("Q")
+        if acc is None:
+            self.backend.push((tkeys[row[start]], coeff, start, row,
+                               poly.coeffs))
+            return
+        # one multiply scales every term: slot i of coeff * packed is
+        # coeff * coeffs[i] < 2^62 (p < 2^31), so no slot carries, and
+        # to_bytes raises OverflowError rather than truncate; bytes and the
+        # 'Q' cast share sys.byteorder, so item i is slot i on either byte
+        # order
+        scaled = memoryview((coeff * poly.packed).to_bytes(
+            8 * n, sys.byteorder)).cast("Q")
+        terms = zip(islice(row, start, None), scaled[start:])
+        run = []
+        if self.cfg.hashed:
             # every contribution is positive, so a zero sum means the id
             # is not pending: it joins the run, in term order
-            run = []
-            for t, c in zip(islice(row, start, None), scaled[start:]):
+            for t, c in terms:
                 a = acc[t]
                 if a:
                     acc[t] = a + c
                 else:
                     acc[t] = c
                     run.append((tkeys[t], t))
-            if run:
-                self.backend.push_run(run)
-        elif self.cfg.compressed:
-            self.backend.push((tkeys[row[start]], coeff, start, row,
-                               poly.coeffs))
         else:
-            terms = zip(islice(row, start, None),
-                        islice(poly.coeffs, start, None))
-            self.backend.push_run([(tkeys[t], coeff * c, t)
-                                   for t, c in terms])
+            for t, c in terms:
+                acc[t] += c
+                run.append((tkeys[t], t))
+        if run:
+            self.backend.push_run(run)
 
     def pop_max(self):
         """Largest pending (coeff, id) with like terms folded, or None; the
@@ -474,7 +469,8 @@ class ReducerQueue:
         p = self.p
         acc = self.acc
         if acc is not None:
-            # the backend holds each pending id once: its top is the largest
+            # the top entry's id is the largest pending one, unless its sum
+            # is zero: an earlier entry of the id drained it
             while True:
                 e = backend.pop()
                 if e is None:
@@ -485,26 +481,20 @@ class ReducerQueue:
                 if coeff:
                     return (coeff, t)
         tkeys = self.keys
-        compressed = self.cfg.compressed
         while True:
             top = backend.peek()
             if top is None:
                 return self._drained()
             key = top[0]
-            t = top[3][top[2]] if compressed else top[2]
+            t = top[3][top[2]]
             coeff = 0
             while top is not None and top[0] == key:
-                if compressed:
-                    _, c, j, row, coeffs = top
-                    coeff += c * coeffs[j]
-                    j += 1
-                    if j < len(row):
-                        backend.replace_top((tkeys[row[j]], c, j, row,
-                                             coeffs))
-                    else:
-                        backend.pop()
+                _, c, j, row, coeffs = top
+                coeff += c * coeffs[j]
+                j += 1
+                if j < len(row):
+                    backend.replace_top((tkeys[row[j]], c, j, row, coeffs))
                 else:
-                    coeff += top[1]
                     backend.pop()
                 top = backend.peek()
             coeff %= p
@@ -518,22 +508,27 @@ class ReducerQueue:
 
     def audit(self):
         """Check that every entry's key is the key of its id (for a
-        compressed cursor, of the row id it stands at), and that a hashed
-        queue keeps one sum per id and its backend holds each pending id
-        once; then audit the backend."""
-        keys = self.keys
+        compressed cursor, of the row id it stands at), that the queue keeps
+        one sum per id and its backend holds every pending id, a hashed
+        backend each pending id once and nothing else; then audit the
+        backend."""
+        keys, acc = self.keys, self.acc
         for e in self.backend:
-            if self.cfg.compressed:
+            if acc is None:
                 _, _, j, row, _ = e
                 require(j < len(row), "cursor inside its row")
                 t = row[j]
             else:
-                t = e[-1]
+                t = e[1]
             require(e[0] == keys[t], "entry key is its id's key")
-        if self.acc is not None:
-            require(len(self.acc) == len(keys), "one sum per id")
+        if acc is not None:
+            require(len(acc) == len(keys), "one sum per id")
             held = [t for _, t in self.backend]
-            require(len(set(held)) == len(held), "one backend entry per id")
-            require(set(held) == {t for t, a in enumerate(self.acc) if a},
-                    "pending ids are the backend's")
+            pending = {t for t, a in enumerate(acc) if a}
+            if self.cfg.hashed:
+                require(len(set(held)) == len(held),
+                        "one backend entry per id")
+                require(set(held) == pending, "pending ids are the backend's")
+            else:
+                require(pending <= set(held), "pending ids are held")
         self.backend.audit()

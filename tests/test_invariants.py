@@ -154,11 +154,27 @@ def test_record_word_audit_fires_under_optimize():
     assert out.stdout == "record word\n"
 
 
+class _TopOnlyLookup:
+    """A lookup that finds no divisor once one query found none."""
+
+    def __init__(self, real):
+        self.real = real
+        self.tail = False
+
+    def find_all_divisors(self, mono):
+        if self.tail:
+            return []
+        found = self.real.find_all_divisors(mono)
+        self.tail = not found
+        return found
+
+
 def _top_only_division(real):
-    """divide_queue reducing only the lead term, as classic Buchberger
-    once did: the tails of new elements stay reducible."""
-    def divide_queue(ring, queue, basis, lookup, top_only, **kw):
-        return real(ring, queue, basis, lookup, True, **kw)
+    """divide_queue reducing only up to the first irreducible term, as
+    classic Buchberger's top reduction once did: the tails of new elements
+    stay reducible."""
+    def divide_queue(ring, queue, basis, lookup, *args, **kw):
+        return real(ring, queue, basis, _TopOnlyLookup(lookup), *args, **kw)
     return divide_queue
 
 

@@ -73,19 +73,3 @@ def test_classic_reduce_identity_and_contract():
         for mono in rem.monos:
             for g in basis:
                 assert not r.mono_divides(g.lead_mono, mono)
-
-
-def test_classic_reduce_top_only():
-    r = Ring(101, 2)
-    # f = x^2 + x, basis {x}: top term reducible, then x reducible too,
-    # but top-only must stop reducing after the first irreducible term.
-    f = poly_from_exps(r, [(1, (2, 0)), (1, (1, 1)), (1, (0, 1))])
-    g = poly_from_exps(r, [(1, (1, 0)), (1, (0, 1))])  # x + y
-    rem_full = classic_reduce(r, f, [g])
-    rem_top = classic_reduce(r, f, [g], top_only=True)
-    # the full remainder has no x at all
-    assert all(m.exps[0] == 0 for m in rem_full.monos)
-    # top-only guarantees just the lead term
-    if rem_top:
-        assert not r.mono_divides(g.lead_mono, rem_top.lead_mono)
-

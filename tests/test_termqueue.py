@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from gbengine import (InvariantError, QueueConfig, ReducerQueue, Ring,
                       all_queue_configs)
 from gbengine.poly import Polynomial, poly_from_exps
-from gbengine.termqueue import Geobucket, Heap, TourTree
+from gbengine.termqueue import BACKENDS, Geobucket, Heap, TourTree
 
 from _util import random_poly
 
@@ -35,9 +36,9 @@ def test_config_validation():
     assert len(all_queue_configs()) == 12
 
 
-def _e(k, c=1):
-    # a plain entry (key, c, id); backends read key and c only
-    return (k, c, 0)
+def _e(k):
+    # a bare entry (key, id); backends read the key only
+    return (k, 0)
 
 
 @pytest.mark.parametrize("make", [Heap, Geobucket, TourTree])
@@ -419,15 +420,20 @@ def test_unhashed_flavours_reuse_one_queue(monkeypatch):
 
 @pytest.mark.parametrize("corrupt", ["forget_pending", "stale_sum",
                                      "duplicate_entry", "wrong_key",
-                                     "plain_wrong_key", "cursor_wrong_key"])
+                                     "plain_wrong_key", "cursor_wrong_key",
+                                     "plain_lost_entry", "dedup_lost_entry"])
 def test_hashed_audit_catches_corruption(corrupt):
-    # a hashed queue, and for the last two inputs a plain queue and a
-    # compressed one, each audited against the queue's keys
+    # a hashed queue, and for the last four inputs a plain, a compressed
+    # and a dedup queue: keys are audited against the queue's, and a plain
+    # or dedup queue must hold an entry for every pending id
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))])
     cfg = {"plain_wrong_key": QueueConfig("heap", hashed=False),
            "cursor_wrong_key": QueueConfig("heap", hashed=False,
-                                           compressed=True)}
+                                           compressed=True),
+           "plain_lost_entry": QueueConfig("heap", hashed=False),
+           "dedup_lost_entry": QueueConfig("tourtree", hashed=False,
+                                           dedup=True)}
     q = ReducerQueue(r, cfg.get(corrupt, QueueConfig("heap")))
     _push(q, 1, r.one, g)
     q.audit()
@@ -435,7 +441,7 @@ def test_hashed_audit_catches_corruption(corrupt):
     key, t = e[0], e[-1]
     if corrupt == "forget_pending":
         q.acc[t] = 0
-    elif corrupt == "stale_sum":
+    elif corrupt in ("stale_sum", "plain_lost_entry", "dedup_lost_entry"):
         q.backend.pop()
     elif corrupt == "duplicate_entry":
         q.backend.push((key, t))
@@ -484,40 +490,52 @@ def test_queue_audit_fires_under_optimize():
     assert out.stdout.strip() == "pending ids are the backend's"
 
 
-def test_dedup_merges_like_terms():
+def test_uncompressed_entries_are_key_id_pairs():
+    # plain, dedup and hashed queues keep a pending sum in acc, unreduced,
+    # and give every backend bare (key, id) entries: eight pushes of x
+    # leave acc[x] == 8 under eight, one and one entries
     r = _ring()
     g = poly_from_exps(r, [(1, (1, 0, 0))])
-    cfg = QueueConfig(backend="geobucket", hashed=False, dedup=True)
-    q = ReducerQueue(r, cfg)
-    for _ in range(8):
-        _push(q, 1, r.one, g)
-    # geobucket merges fold like plain terms, so fewer than 8 entries remain
-    assert len(q.backend) < 8
-    assert _pop(q) == (8, (1, 0, 0))
+    for backend in BACKENDS:
+        for hashed, dedup, entries in ((False, False, 8), (False, True, 1),
+                                       (True, False, 1)):
+            q = ReducerQueue(r, QueueConfig(backend, hashed, dedup))
+            for _ in range(8):
+                _push(q, 1, r.one, g)
+            q.audit()
+            t = q.row(g.lead_mono, g)[0]
+            assert q.acc[t] == 8, q.cfg.label()
+            assert list(q.backend) == [(q.keys[t], t)] * entries, \
+                q.cfg.label()
+            assert _pop(q) == (8, (1, 0, 0)) and q.pop_max() is None
+            assert q.acc[t] == 0
 
 
 @pytest.mark.parametrize("fold", [False, True])
 def test_geobucket_cached_top_random_ops(fold):
-    # each backend against a sorted oracle under interleaved push, push_run,
-    # peek, pop and replace_top; every entry has coefficient 1 and a fold
-    # adds coefficients unreduced (backends know no p), so an entry of
-    # coefficient c stands for c pushed entries of its key
+    # each backend against an oracle under interleaved push, push_run,
+    # peek, pop and replace_top.  The oracle counts the pushes of each
+    # pending key.  Without fold the backend holds just those entries; a
+    # fold drops an entry that meets an equal queued key, so the backend
+    # holds every pending key, never more often than it was pushed, and a
+    # key whose last entry pops is no longer pending
     rng = random.Random(17)
     for make in (Heap, Geobucket, TourTree):
         for _ in range(30):
             q = make(fold)
-            oracle = []         # pending keys, descending, with multiplicity
+            oracle = Counter()
             for _ in range(rng.randrange(50, 300)):
                 op = rng.random()
+                taken = None
                 if op < 0.25:
                     k = rng.randrange(60)
                     q.push(_e(k))
-                    oracle.append(k)
+                    oracle[k] += 1
                 elif op < 0.4:
                     run = sorted(rng.randrange(60)
                                  for _ in range(rng.randrange(1, 30)))
                     q.push_run([_e(k) for k in run])
-                    oracle += run
+                    oracle.update(run)
                 elif op < 0.65:
                     top = q.peek()
                     assert (top[0] if top else None) == \
@@ -527,22 +545,24 @@ def test_geobucket_cached_top_random_ops(fold):
                     if e is None:
                         assert not oracle
                         continue
-                    assert oracle[-e[1]:] == [e[0]] * e[1]
-                    del oracle[-e[1]:]
+                    taken = e[0]
+                    assert taken == min(oracle)
                 else:
-                    top = q.peek()
-                    k = rng.randrange(top[0], 60)
+                    taken = q.peek()[0]
+                    k = rng.randrange(taken, 60)
                     q.replace_top(_e(k))
-                    del oracle[-top[1]:]
-                    oracle.append(k)
-                oracle.sort(reverse=True)
+                    oracle[k] += 1
                 q.audit()
-                held = sorted((e[0] for e in q for _ in range(e[1])),
-                              reverse=True)
-                assert held == oracle, make.__name__
-                assert len(q) == sum(1 for _ in q), make.__name__
+                held = Counter(e[0] for e in q)
+                if taken is not None:
+                    oracle[taken] -= 1
+                    if not oracle[taken] or fold and not held[taken]:
+                        del oracle[taken]
+                assert set(held) == set(oracle), make.__name__
+                assert all(held[k] <= oracle[k] for k in held)
                 if not fold:
-                    assert len(q) == len(oracle)
+                    assert held == oracle, make.__name__
+                assert len(q) == sum(held.values()), make.__name__
 
 
 def _property(strategy):
@@ -589,8 +609,9 @@ def _products():
 
 @_property(_products)
 def test_hashed_push_matches_dict_oracle(case):
-    # every hashed backend pops the terms of the summed products, each
-    # coefficient the sum of coeff * c mod p, against a dict of the sums
+    # every backend, plain, dedup or hashed (each push takes the packed
+    # multiply), pops the terms of the summed products, each coefficient
+    # the sum of coeff * c mod p, against a dict of the sums
     p, products = case
     r = Ring(p, 2)
     pushes = []
@@ -604,7 +625,7 @@ def test_hashed_push_matches_dict_oracle(case):
     want = sorted(((c % p, exps) for exps, c in sums.items() if c % p),
                   key=lambda t: r.mono(t[1]).key, reverse=True)
     for cfg in all_queue_configs():
-        if not cfg.hashed:
+        if cfg.compressed:
             continue
         q = ReducerQueue(r, cfg)
         for coeff, mono, g, start in pushes:
