@@ -11,7 +11,11 @@ integer plus one materialized key per column.
 Two reference queues keep every pair with its key in a single heap or
 tournament tree; they trade memory for simplicity and are used for
 cross-checking.  The fronts and the reference queues are the term
-queue's heap and tournament tree.
+queue's heap and tournament tree, so each entry is one int, compared
+whole: a front entry is key << 32 | j, a reference entry
+key << 64 | j << 32 | i.  Between equal keys the triangle's front pops
+the smaller column first and a reference queue the smaller (j, i).  A
+pair index reaching 2^32 raises ValueError before the queue changes.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ SPAIR_QUEUE_KINDS = ("triangle-tt", "triangle-heap", "heap", "tourtree")
 
 _U16_LIMIT = 1 << 16
 
+# the width of a pair index field in a packed entry
+PAIR_INDEX_BITS = 32
+
 
 class MinHeap(Heap):
     """Heap of integer keys; the sb engine's Koszul syzygy queue.  A class
@@ -35,6 +42,11 @@ class MinHeap(Heap):
 
 def _front(kind):
     return TourTree() if kind == "tourtree" else Heap()
+
+
+def _check_index(i):
+    if i >> PAIR_INDEX_BITS:
+        raise ValueError("pair index %d reaches 2^%d" % (i, PAIR_INDEX_BITS))
 
 
 class PairTriangle:
@@ -62,6 +74,7 @@ class PairTriangle:
             return
         if j in self.cols:
             raise ValueError("column %d already present" % j)
+        _check_index(j)
         pairs = sorted(pairs, key=lambda t: t[1])
         # rows kept descending by key so the column minimum pops from the end
         code = "H" if j < _U16_LIMIT else ("I" if array("I").itemsize == 4
@@ -70,24 +83,25 @@ class PairTriangle:
         self.cols[j] = col
         self.pairs += len(col)
         self.queued_bytes += len(col) * col.itemsize
-        self.front.push((pairs[0][1], j))
+        self.front.push(pairs[0][1] << PAIR_INDEX_BITS | j)
 
     def peek_min_key(self):
         top = self.front.peek()
-        return top[0] if top is not None else None
+        return top >> PAIR_INDEX_BITS if top is not None else None
 
     def pop_min(self):
         top = self.front.peek()
         if top is None:
             return None
-        _, j = top
+        j = top & (1 << PAIR_INDEX_BITS) - 1
         col = self.cols[j]
         i = col.pop()
         self.queued_bytes -= col.itemsize
         self.pairs -= 1
         if col:
             # recompute the successor's key and sink it into the front
-            self.front.replace_top((self.key_fn(col[-1], j), j))
+            self.front.replace_top(
+                self.key_fn(col[-1], j) << PAIR_INDEX_BITS | j)
         else:
             self.front.pop()
             del self.cols[j]
@@ -99,6 +113,14 @@ class PairTriangle:
                 == sum(len(col) * col.itemsize for col in cols),
                 "pair triangle accounting")
         require(len(self.front) == len(self.cols), "front/column mismatch")
+        # each column once, under the key of its minimum pair
+        b = PAIR_INDEX_BITS
+        mask = (1 << b) - 1
+        require(sorted(e & mask for e in self.front) == sorted(self.cols)
+                and all(e >> b == self.key_fn(self.cols[e & mask][-1],
+                                              e & mask)
+                        for e in self.front), "front entry is its column's")
+        self.front.audit()
 
 
 class FlatPairQueue:
@@ -113,21 +135,26 @@ class FlatPairQueue:
         return len(self.q)
 
     def add_column(self, j, pairs) -> None:
-        for i, key in pairs:
-            self.q.push((key, j, i))
+        if not pairs:
+            return
+        _check_index(j)
+        _check_index(max(i for i, _ in pairs))
+        b = PAIR_INDEX_BITS
+        self.q.push_run([key << 2 * b | j << b | i for i, key in pairs])
 
     def peek_min_key(self):
         top = self.q.peek()
-        return top[0] if top is not None else None
+        return top >> 2 * PAIR_INDEX_BITS if top is not None else None
 
     def pop_min(self):
         top = self.q.pop()
         if top is None:
             return None
-        return (top[2], top[1])
+        mask = (1 << PAIR_INDEX_BITS) - 1
+        return (top & mask, top >> PAIR_INDEX_BITS & mask)
 
     def check_accounting(self):
-        pass
+        self.q.audit()
 
 
 def make_spair_queue(kind: str, key_fn):

@@ -7,37 +7,50 @@ observationally identical: pop_max always returns the id of the
 order-maximal monomial with every pending contribution to its coefficient
 folded together, skipping monomials whose contributions cancel.
 
-Every backend is a bare priority queue: it pops the entry of smallest
-first field and does no field arithmetic; the binary heap is the standard
-library's heapq.  One ReducerQueue serves every reduction of a run, and in
-every flavour it interns each product monomial to a small int id, stores
-the id's negated order key (so the smallest key is the largest monomial),
-caches the row of ids of each product's terms under (lead id, poly), and
-makes an id's monomial once, when it interns the id.  A product is pushed
-as its row and a term pops as its id.  Only ReducerQueue reduces mod p:
-the multiplier when a product is pushed, and each sum as it pops.
-Backends order entries by their first field, that key:
+Every backend is a bare priority queue of ints: it pops the smallest
+entry, comparing whole entries, one integer comparison each, and does no
+arithmetic on them; the binary heap is the standard library's heapq.
+replace_top(e) swaps the smallest entry for e, which must not be smaller,
+and returns the new smallest.  One ReducerQueue serves every reduction of
+a run, and in every flavour it interns each product monomial to a small
+int id, caches the row of ids of each product's terms under (lead id,
+poly), and makes an id's monomial once, when it interns the id.  It
+also packs the id's entry once then:
+
+    (kb + k) << ID_BITS | id
+
+k being the monomial's negated order key (so the smallest entry is the
+largest monomial) and kb = key_bound(num_vars), which keeps every entry
+non-negative.  Distinct ids have distinct keys, so entries order as keys
+do.  A product is pushed as its row and a term pops as its id.  Only
+ReducerQueue reduces mod p: the multiplier when a product is pushed, and
+each sum as it pops.  What the backend holds per flavour:
 
   plain, dedup, hashed
-              (key, id).  The id's contributions are summed unreduced
-              (all positive, p < 2^31) in the list acc, one slot per id,
-              which starts at zero when the id is interned, so a zero
-              sum means not pending.  A push scales the whole product
-              with one big-integer multiply of the polynomial's packed
-              coefficients (see poly.py), so a pushed term costs a list
-              read, an addition and a list write, with no multiply in
-              Python.  The flavours differ only in what enters the
+              the id's entry; pop_max reads the id back as
+              entry & ID_MASK.  The id's contributions are summed
+              unreduced (all positive, p < 2^31) in the list acc, one
+              slot per id, which starts at zero when the id is interned,
+              so a zero sum means not pending.  A push scales the whole
+              product with one big-integer multiply of the polynomial's
+              packed coefficients (see poly.py), so a pushed term costs a
+              list read, an addition and a list write, with no multiply
+              in Python.  The flavours differ only in what enters the
               backend: plain pushes every term; dedup pushes every term,
               and the backend drops an entry that meets an equal queued
-              key; hashed pushes an id only when its sum goes from zero
-              to pending.  Every entry of an id has the id's key, so the
+              entry; hashed pushes an id only when its sum goes from zero
+              to pending.  Every entry of an id is the same int, so the
               first to pop drains the sum and any other pops a zero sum,
               which is skipped.
-  compressed  (key, c, j, row, coeffs): a cursor at term j of a product,
-              c the multiplier's coefficient; it advances by replace-top
+  compressed  id_entry << ID_BITS | cursor: a cursor [c, j, row, coeffs]
+              at term j of a product, c the multiplier's coefficient, kept
+              in a list that is reset when the queue drains; the cursor
+              stands at id row[j] and advances by replace-top.  All
+              cursors at one id lie below (id_entry + 1) << ID_BITS, so
+              pop_max gathers them with one comparison each.
 
-Every field after the key is an int or a tuple of ints, so the heap's
-whole-tuple comparisons never fail on equal keys.
+Ids and cursor indices stay below 2^ID_BITS; reaching it raises
+ValueError before the queue changes, so no entry can sort wrong.
 """
 
 from __future__ import annotations
@@ -47,12 +60,23 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
 
-from .ring import Ring, require
+from .ring import Ring, key_bound, require
 
 BACKENDS = ("heap", "geobucket", "tourtree")
 
+# the low field of a packed entry: an id, or a compressed cursor's index
+ID_BITS = 32
+ID_MASK = (1 << ID_BITS) - 1
+
 GEOBUCKET_GROWTH = 4
 GEOBUCKET_CAP0 = 4
+# bucket i holds at most GEOBUCKET_CAPS[i] entries; 32 buckets hold more
+# entries than a list can
+GEOBUCKET_CAPS = tuple(GEOBUCKET_CAP0 * GEOBUCKET_GROWTH ** i
+                       for i in range(32))
+
+# a free tournament-tree leaf: it loses to every int
+EMPTY = float("inf")
 
 
 @dataclass(frozen=True)
@@ -110,16 +134,15 @@ class Heap:
         return a[0] if a else None
 
     def push(self, e):
-        a = self.a
-        # fold: drop e when its would-be parent slot holds its key
-        if self.fold and a and a[(len(a) - 1) >> 1][0] == e[0]:
-            return
-        heappush(a, e)
+        self.push_run((e,))
 
     def push_run(self, run):
-        """Insert a run of entries in ascending key order."""
+        """Insert a run of entries, in any order."""
+        a, fold = self.a, self.fold
         for e in run:
-            self.push(e)
+            # fold: drop e when its would-be parent slot holds it
+            if not (fold and a and a[(len(a) - 1) >> 1] == e):
+                heappush(a, e)
 
     def pop(self):
         a = self.a
@@ -129,26 +152,27 @@ class Heap:
         a = self.a
         if not a:
             raise ValueError("replace_top on empty queue")
-        if e[0] < a[0][0]:
-            raise ValueError("replace_top key below current min")
+        if e < a[0]:
+            raise ValueError("replace_top entry below current min")
         heapreplace(a, e)
+        return a[0]
 
     def audit(self):
-        # whole entries: heapq orders them so, and no queued entry changes
         a = self.a
         for i in range(1, len(a)):
             require(a[(i - 1) >> 1] <= a[i], "heap property")
 
 
 class Geobucket:
-    """Yan-style bucket list; bucket i holds at most 4 * 4^i entries."""
+    """Yan-style bucket list; bucket i holds at most GEOBUCKET_CAPS[i]
+    entries."""
 
     __slots__ = ("buckets", "fold", "heads")
 
     def __init__(self, fold=False):
-        self.buckets = []       # each descending by key (min at the end)
+        self.buckets = []       # each descending (min at the end)
         self.fold = fold
-        self.heads = []         # heap of (last key, index), nonempty buckets
+        self.heads = []         # heap of (last entry, index), nonempty buckets
 
     def __len__(self):
         return sum(len(b) for b in self.buckets)
@@ -157,58 +181,38 @@ class Geobucket:
         for b in self.buckets:
             yield from b
 
-    @staticmethod
-    def _cap(i):
-        return GEOBUCKET_CAP0 * GEOBUCKET_GROWTH ** i
-
     def push(self, e):
         self.push_run([e])
 
     def push_run(self, run):
-        """Insert a run of entries in ascending key order."""
+        """Insert a run of entries in ascending order."""
         run = run[::-1]
+        caps = GEOBUCKET_CAPS
+        buckets = self.buckets
         i = 0
-        while self._cap(i) < len(run):
+        while caps[i] < len(run):
             i += 1
-        while len(self.buckets) <= i:
-            self.buckets.append([])
-        b = self.buckets[i]
-        self.buckets[i] = self._merge(b, run) if b else run
+        while len(buckets) <= i:
+            buckets.append([])
+        b = buckets[i]
+        buckets[i] = self._merge(b, run) if b else run
         # cascade overflow into larger buckets
-        while len(self.buckets[i]) > self._cap(i):
-            if len(self.buckets) <= i + 1:
-                self.buckets.append([])
-            nxt = self.buckets[i + 1]
-            spill = self.buckets[i]
-            self.buckets[i] = []
-            self.buckets[i + 1] = self._merge(nxt, spill) if nxt else spill
+        while len(buckets[i]) > caps[i]:
+            if len(buckets) <= i + 1:
+                buckets.append([])
+            nxt = buckets[i + 1]
+            spill = buckets[i]
+            buckets[i] = []
+            buckets[i + 1] = self._merge(nxt, spill) if nxt else spill
             i += 1
-        heads = self.heads = [(b[-1][0], j)
-                              for j, b in enumerate(self.buckets) if b]
+        heads = self.heads = [(b[-1], j) for j, b in enumerate(buckets) if b]
         heapify(heads)
 
     def _merge(self, x, y):
-        out = []
-        push = out.append
-        fold = self.fold
-        i = j = 0
-        nx, ny = len(x), len(y)
-        while i < nx and j < ny:
-            a, b = x[i], y[j]
-            if a[0] > b[0]:
-                push(a)
-                i += 1
-            elif a[0] < b[0]:
-                push(b)
-                j += 1
-            else:
-                # equal keys: a fold keeps only one of the two entries
-                push(a)
-                i += 1
-                if fold:
-                    j += 1
-        out.extend(x[i:])
-        out.extend(y[j:])
+        # x and y are descending: reversed, they are two ascending runs,
+        # which the list sort merges; a fold drops every repeated entry
+        out = list({*x, *y}) if self.fold else x + y
+        out.sort(reverse=True)
         return out
 
     def peek(self):
@@ -223,7 +227,7 @@ class Geobucket:
         b = self.buckets[i]
         e = b.pop()
         if b:
-            heapreplace(heads, (b[-1][0], i))
+            heapreplace(heads, (b[-1], i))
         else:
             heappop(heads)
         return e
@@ -232,39 +236,43 @@ class Geobucket:
         top = self.peek()
         if top is None:
             raise ValueError("replace_top on empty queue")
-        if e[0] < top[0]:
-            raise ValueError("replace_top key below current min")
+        if e < top:
+            raise ValueError("replace_top entry below current min")
         self.pop()
         self.push(e)
+        return self.peek()
 
     def audit(self):
         heads = self.heads
-        require(sorted(heads) == sorted((b[-1][0], i)
+        require(sorted(heads) == sorted((b[-1], i)
                                         for i, b in enumerate(self.buckets)
                                         if b), "bucket heads")
         for j in range(1, len(heads)):
             require(heads[(j - 1) >> 1] <= heads[j], "head heap")
         for i, b in enumerate(self.buckets):
-            require(len(b) <= self._cap(i), "geobucket capacity")
+            require(len(b) <= GEOBUCKET_CAPS[i], "geobucket capacity")
             for j in range(1, len(b)):
-                require(b[j - 1][0] >= b[j][0], "bucket sortedness")
+                require(b[j - 1] >= b[j], "bucket sortedness")
 
 
 class TourTree:
     """Tournament tree in one array of 2 * cap leaf indices.
 
     win[cap + i] = i for leaf i, and for 1 <= n < cap win[n] is the leaf
-    of the smallest entry below node n (the left one on a tie); so win[1]
-    is the winner, and a None there means an empty tree.  Free leaves hold
-    None and are listed in free.  Replacing the winner replays one root
-    path, a single comparison per level, which makes replace-top cheap.
+    of the smallest entry below node n, one of its children's winners; so
+    win[1] is the winner's leaf, which holds EMPTY only in an empty tree.
+    Free leaves hold EMPTY and are listed in free.  Every node on the
+    winner's path names the winner, so a pop or a replace-top replays that
+    path against the sibling subtrees' winners only, one comparison per
+    level; a push climbs from its leaf only while it beats a node's
+    winner.
     """
 
     __slots__ = ("cap", "leaves", "win", "free", "fold")
 
     def __init__(self, fold=False):
         self.cap = 2
-        self.leaves = [None, None]
+        self.leaves = [EMPTY, EMPTY]
         self.win = [0, 0, 0, 1]
         self.free = [1, 0]
         self.fold = fold
@@ -273,7 +281,7 @@ class TourTree:
         return self.cap - len(self.free)
 
     def __iter__(self):
-        return (e for e in self.leaves if e is not None)
+        return (e for e in self.leaves if e is not EMPTY)
 
     def _grow(self):
         # the old tree, full, becomes the new root's left subtree with no
@@ -282,7 +290,7 @@ class TourTree:
         # below it, and the leftmost of them stands as its winner
         old = self.cap
         cap = self.cap = 2 * old
-        self.leaves += [None] * old
+        self.leaves += [EMPTY] * old
         self.free = list(range(cap - 1, old - 1, -1))
         win, d = [0, 0], 1
         while d <= old:
@@ -292,66 +300,79 @@ class TourTree:
         win[1] = win[2]
         self.win = win
 
-    def _play(self, n, top=1):
-        """Replay the match at node n and at each ancestor up to node top
-        (n alone when top is n): the smaller key wins, the left on a tie."""
+    def _replay(self, leaf, e):
+        """Put e (EMPTY to free it) at leaf, the winner, and replay its
+        path: each node's winner is the smaller of the path's winner so far
+        and the sibling subtree's.  Returns the new winner's entry."""
         leaves, win = self.leaves, self.win
-        while n >= top:
-            i, j = win[2 * n], win[2 * n + 1]
-            a, b = leaves[i], leaves[j]
-            win[n] = j if a is None or b is not None and b[0] < a[0] else i
+        leaves[leaf] = e
+        n = self.cap + leaf
+        w = leaf
+        while n > 1:
+            s = win[n ^ 1]
+            x = leaves[s]
+            if x < e:
+                w, e = s, x
             n >>= 1
-
-    def _set(self, leaf, e):
-        """Put e (None to free the leaf) at leaf and replay its path."""
-        self.leaves[leaf] = e
-        self._play((self.cap + leaf) >> 1)
+            win[n] = w
+        return e
 
     def push(self, e):
-        if not self.free:
-            self._grow()
-        leaf = self.free[-1]
-        # fold: drop e when the free leaf's sibling holds its key
-        sib = self.leaves[leaf ^ 1]
-        if self.fold and sib is not None and sib[0] == e[0]:
-            return
-        self._set(self.free.pop(), e)
+        self.push_run((e,))
 
-    push_run = Heap.push_run
+    def push_run(self, run):
+        """Insert a run of entries, in any order."""
+        leaves, fold = self.leaves, self.fold
+        free, win, cap = self.free, self.win, self.cap
+        for e in run:
+            if not free:
+                self._grow()
+                leaves, free = self.leaves, self.free
+                win, cap = self.win, self.cap
+            leaf = free[-1]
+            # fold: drop e when the free leaf's sibling holds it
+            if fold and leaves[leaf ^ 1] == e:
+                continue
+            free.pop()
+            # e wins each node up to the first whose winner is no larger;
+            # the free leaf still holds EMPTY, so it loses its old matches
+            n = (cap + leaf) >> 1
+            while n and e < leaves[win[n]]:
+                win[n] = leaf
+                n >>= 1
+            leaves[leaf] = e
 
     def peek(self):
-        return self.leaves[self.win[1]]
+        e = self.leaves[self.win[1]]
+        return None if e is EMPTY else e
 
     def pop(self):
         leaf = self.win[1]
         e = self.leaves[leaf]
-        if e is not None:
-            self.free.append(leaf)
-            self._set(leaf, None)
+        if e is EMPTY:
+            return None
+        self.free.append(leaf)
+        self._replay(leaf, EMPTY)
         return e
 
     def replace_top(self, e):
         leaf = self.win[1]
         top = self.leaves[leaf]
-        if top is None:
+        if top is EMPTY:
             raise ValueError("replace_top on empty queue")
-        if e[0] < top[0]:
-            raise ValueError("replace_top key below current min")
-        self._set(leaf, e)
+        if e < top:
+            raise ValueError("replace_top entry below current min")
+        return self._replay(leaf, e)
 
     def audit(self):
         leaves, win, cap = self.leaves, self.win, self.cap
         require(win[cap:] == list(range(cap)), "leaf slots")
         require(sorted(self.free) == [i for i, e in enumerate(leaves)
-                                      if e is None], "free leaves")
-
-        def key(n):
-            e = leaves[win[n]]
-            return None if e is None else e[0]
-
+                                      if e is EMPTY], "free leaves")
         for n in range(1, cap):
-            kids = [k for k in (key(2 * n), key(2 * n + 1)) if k is not None]
-            require(key(n) == min(kids, default=None), "tournament winner")
+            kids = win[2 * n], win[2 * n + 1]
+            require(win[n] in kids and leaves[win[n]]
+                    == min(leaves[k] for k in kids), "tournament winner")
 
 
 def _make_backend(cfg: QueueConfig):
@@ -368,27 +389,29 @@ class ReducerQueue:
     queue's owner (an engine, or one interreduce or reduced_basis call).
 
     Each reduction drains the queue; a drained queue takes a fresh backend
-    and its sums are all zero, while the ids, keys, monomials and rows
-    (keyed by (lead id, poly), poly by value) live on.
+    and no cursors, and its sums are all zero, while the ids, keys,
+    monomials and rows (keyed by (lead id, poly), poly by value) live on.
     """
 
-    __slots__ = ("ring", "cfg", "p", "backend", "ids", "keys", "monos",
-                 "rows", "acc")
+    __slots__ = ("ring", "cfg", "p", "kb", "backend", "ids", "keys",
+                 "monos", "rows", "acc", "cursors")
 
     def __init__(self, ring: Ring, cfg: QueueConfig | None = None):
         self.ring = ring
         self.cfg = cfg or QueueConfig()
         self.p = ring.char
+        self.kb = key_bound(ring.num_vars)
         self.backend = _make_backend(self.cfg)
         # the term order's only reversal: an id's key is its monomial's
         # negated order key, so the min-first backends pop the largest
         self.ids = {}           # key -> id
-        self.keys = []          # id -> key
+        self.keys = []          # id -> its entry, (kb + key) << ID_BITS | id
         self.monos = []         # id -> Monomial
         self.rows = {}          # (lead id, poly) -> the product's row
         # id -> pending unreduced sum, 0 if none; compressed cursors carry
         # their multiplier's coefficient instead
         self.acc = None if self.cfg.compressed else []
+        self.cursors = []       # compressed: [c, j, row, coeffs] per product
 
     def row(self, lead, poly, audit=False):
         """The ids of the terms of the multiple of poly (nonzero) whose
@@ -398,6 +421,7 @@ class ReducerQueue:
         row = self.rows.get((self.ids.get(-lead.key), poly))
         if row is None:
             ids, keys, acc = self.ids, self.keys, self.acc
+            kb = self.kb
             mult = None
             nmk = poly.monos[0].key - lead.key    # -(mult key): keys add
             out = []
@@ -407,11 +431,15 @@ class ReducerQueue:
                 if t is None:
                     if mult is None:
                         mult = self.ring.mono_div(lead, poly.monos[0])
-                    # made first: a cap error leaves ids, keys, monos and
-                    # acc in step
+                    # checked and made first: a width or cap error leaves
+                    # ids, keys, monos and acc in step
+                    t = len(keys)
+                    if t >> ID_BITS:
+                        raise ValueError("reducer queue ids reach 2^%d"
+                                         % ID_BITS)
                     self.monos.append(self.ring.mono_mul(mult, m))
-                    t = ids[k] = len(keys)
-                    keys.append(k)
+                    ids[k] = t
+                    keys.append((kb + k) << ID_BITS | t)
                     if acc is not None:
                         acc.append(0)
                 out.append(t)
@@ -433,8 +461,12 @@ class ReducerQueue:
         tkeys = self.keys
         acc = self.acc
         if acc is None:
-            self.backend.push((tkeys[row[start]], coeff, start, row,
-                               poly.coeffs))
+            cursors = self.cursors
+            ci = len(cursors)
+            if ci >> ID_BITS:
+                raise ValueError("compressed cursors reach 2^%d" % ID_BITS)
+            cursors.append([coeff, start, row, poly.coeffs])
+            self.backend.push(tkeys[row[start]] << ID_BITS | ci)
             return
         # one multiply scales every term: slot i of coeff * packed is
         # coeff * coeffs[i] < 2^62 (p < 2^31), so no slot carries, and
@@ -454,11 +486,11 @@ class ReducerQueue:
                     acc[t] = a + c
                 else:
                     acc[t] = c
-                    run.append((tkeys[t], t))
+                    run.append(tkeys[t])
         else:
             for t, c in terms:
                 acc[t] += c
-                run.append((tkeys[t], t))
+                run.append(tkeys[t])
         if run:
             self.backend.push_run(run)
 
@@ -475,55 +507,66 @@ class ReducerQueue:
                 e = backend.pop()
                 if e is None:
                     return self._drained()
-                t = e[1]
+                t = e & ID_MASK
                 coeff = acc[t] % p
                 acc[t] = 0
                 if coeff:
                     return (coeff, t)
-        tkeys = self.keys
-        while True:
-            top = backend.peek()
-            if top is None:
-                return self._drained()
-            key = top[0]
-            t = top[3][top[2]]
+        tkeys, cursors = self.keys, self.cursors
+        bits, mask = ID_BITS, ID_MASK
+        replace_top, peek = backend.replace_top, backend.peek
+        top = peek()
+        while top is not None:
+            t = top >> bits & mask
+            # every cursor at id t, and no other, lies below limit
+            limit = (top | mask) + 1
             coeff = 0
-            while top is not None and top[0] == key:
-                _, c, j, row, coeffs = top
+            while top is not None and top < limit:
+                ci = top & mask
+                cursor = cursors[ci]
+                c, j, row, coeffs = cursor
                 coeff += c * coeffs[j]
                 j += 1
                 if j < len(row):
-                    backend.replace_top((tkeys[row[j]], c, j, row, coeffs))
+                    cursor[1] = j
+                    top = replace_top(tkeys[row[j]] << bits | ci)
                 else:
                     backend.pop()
-                top = backend.peek()
+                    top = peek()
             coeff %= p
             if coeff:
                 return (coeff, t)
+        return self._drained()
 
     def _drained(self):
         # a fresh backend: a tournament tree would keep the height a large
         # reduction gave it, and replay that many levels per later operation
         self.backend = _make_backend(self.cfg)
+        self.cursors = []
 
     def audit(self):
-        """Check that every entry's key is the key of its id (for a
-        compressed cursor, of the row id it stands at), that the queue keeps
-        one sum per id and its backend holds every pending id, a hashed
-        backend each pending id once and nothing else; then audit the
+        """Check that every entry is its id's entry (for a compressed
+        cursor, that of the row id it stands at, over the cursor's index),
+        that the queue keeps one sum per id and its backend holds every
+        pending id, a hashed backend each pending id once and nothing else,
+        a compressed one each cursor at most once; then audit the
         backend."""
-        keys, acc = self.keys, self.acc
-        for e in self.backend:
+        keys, acc, cursors = self.keys, self.acc, self.cursors
+        # each entry's low field: an id, or a compressed cursor's index
+        held = [e & ID_MASK for e in self.backend]
+        for e, t in zip(self.backend, held):
             if acc is None:
-                _, _, j, row, _ = e
+                require(t < len(cursors), "entry names a cursor")
+                _, j, row, _ = cursors[t]
                 require(j < len(row), "cursor inside its row")
-                t = row[j]
-            else:
-                t = e[1]
-            require(e[0] == keys[t], "entry key is its id's key")
-        if acc is not None:
+                t, e = row[j], e >> ID_BITS
+            require(t < len(keys) and e == keys[t],
+                    "entry is its id's entry")
+        if acc is None:
+            require(len(set(held)) == len(held),
+                    "one backend entry per cursor")
+        else:
             require(len(acc) == len(keys), "one sum per id")
-            held = [t for _, t in self.backend]
             pending = {t for t, a in enumerate(acc) if a}
             if self.cfg.hashed:
                 require(len(set(held)) == len(held),

@@ -25,7 +25,7 @@ BROKEN = {
     "triangle bytes": "t = PairTriangle(lambda i, j: 0); "
                       "t.queued_bytes = 1; t.check_accounting()",
     "triangle front": "t = PairTriangle(lambda i, j: 0); "
-                      "t.front.push((0, 1)); t.check_accounting()",
+                      "t.front.push(0 << 32 | 1); t.check_accounting()",
 }
 
 

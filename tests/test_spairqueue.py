@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gbengine import InvariantError
+from gbengine import InvariantError, spairqueue
 from gbengine.spairqueue import (SPAIR_QUEUE_KINDS, FlatPairQueue,
                                  MinHeap, PairTriangle, make_spair_queue)
 
@@ -134,3 +134,76 @@ def test_duplicate_column_rejected():
     t.add_column(1, [(0, 0)])
     with pytest.raises(ValueError):
         t.add_column(1, [(0, 0)])
+
+
+def _groups(kind, table, script):
+    # run script (columns to add, then a number of equal-key groups to
+    # pop) on a queue of kind; the popped groups as (key, set of pairs)
+    q = make_spair_queue(kind, lambda i, j: table[(i, j)])
+    out = []
+    for cols, pops in script:
+        for j in cols:
+            q.add_column(j, [(i, table[(i, j)]) for i in range(j)])
+        for _ in range(pops):
+            key = q.peek_min_key()
+            if key is None:
+                break
+            group = set()
+            while q.peek_min_key() == key:
+                group.add(q.pop_min())
+            out.append((key, group))
+        q.check_accounting()
+    while (key := q.peek_min_key()) is not None:
+        group = set()
+        while q.peek_min_key() == key:
+            group.add(q.pop_min())
+        out.append((key, group))
+    return out
+
+
+def test_queue_kinds_yield_the_same_equal_key_groups():
+    # keys from a narrow range, half of them negative, tie often; columns
+    # arrive between pops, as they do in a run
+    rng = random.Random(29)
+    for _ in range(300):
+        ncols = rng.randrange(1, 10)
+        lo = rng.choice((-3, -40))
+        table = {(i, j): rng.randrange(lo, 4)
+                 for j in range(1, ncols + 1) for i in range(j)}
+        script, j = [], 1
+        while j <= ncols:
+            k = rng.randrange(1, 4)
+            script.append((range(j, min(j + k, ncols + 1)),
+                           rng.randrange(3)))
+            j += k
+        want = _groups(SPAIR_QUEUE_KINDS[0], table, script)
+        assert sum(len(g) for _, g in want) == len(table)
+        for kind in SPAIR_QUEUE_KINDS[1:]:
+            assert _groups(kind, table, script) == want, kind
+
+
+def test_flat_queue_breaks_key_ties_by_column_then_row():
+    for kind in ("heap", "tourtree"):
+        q = make_spair_queue(kind, None)
+        q.add_column(3, [(2, -1), (0, -1), (1, 5)])
+        q.add_column(2, [(1, -1), (0, -1)])
+        assert [q.pop_min() for _ in range(6)] == \
+            [(0, 2), (1, 2), (0, 3), (2, 3), (1, 3), None]
+
+
+@pytest.mark.parametrize("kind", SPAIR_QUEUE_KINDS)
+def test_pair_index_past_its_width_raises(monkeypatch, kind):
+    # with 3-bit pair indices, column 8 (and in a flat queue row 8) cannot
+    # be queued: ValueError, and the queue is as it was
+    monkeypatch.setattr(spairqueue, "PAIR_INDEX_BITS", 3)
+    q = make_spair_queue(kind, lambda i, j: i - j)
+    q.add_column(7, [(i, i - 7) for i in range(7)])
+    with pytest.raises(ValueError, match="pair index 8 reaches 2"):
+        q.add_column(8, [(0, -8)])
+    if kind in ("heap", "tourtree"):
+        with pytest.raises(ValueError, match="pair index 8 reaches 2"):
+            q.add_column(6, [(8, 0)])
+    assert len(q) == 7
+    q.check_accounting()
+    assert [q.pop_min() for _ in range(8)] == \
+        [(i, 7) for i in range(7)] + [None]

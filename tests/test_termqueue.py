@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from gbengine import (InvariantError, QueueConfig, ReducerQueue, Ring,
-                      all_queue_configs)
+from gbengine import (ClassicConfig, InvariantError, QueueConfig,
+                      ReducerQueue, Ring, SBConfig, all_queue_configs,
+                      buchberger_run, builtin_ideal, sb_run, termqueue)
 from gbengine.poly import Polynomial, poly_from_exps
-from gbengine.termqueue import BACKENDS, Geobucket, Heap, TourTree
+from gbengine.spairqueue import SPAIR_QUEUE_KINDS
+from gbengine.termqueue import (BACKENDS, EMPTY, ID_BITS, ID_MASK, Geobucket,
+                                Heap, TourTree)
 
 from _util import random_poly
 
@@ -37,8 +40,8 @@ def test_config_validation():
 
 
 def _e(k):
-    # a bare entry (key, id); backends read the key only
-    return (k, 0)
+    # a backend entry is one int, compared whole
+    return k
 
 
 @pytest.mark.parametrize("make", [Heap, Geobucket, TourTree])
@@ -47,9 +50,9 @@ def test_backend_replace_top_examples(make):
     for k in (1, 4, 6, 8):
         q.push(_e(k))
     q.replace_top(_e(7))
-    assert q.peek()[0] == 4
+    assert q.peek() == 4
     q.replace_top(_e(4))
-    assert q.peek()[0] == 4
+    assert q.peek() == 4
     with pytest.raises(ValueError):
         q.replace_top(_e(-99))
 
@@ -68,7 +71,7 @@ def test_backend_random_vs_sorted(make):
             e = q.pop()
             if e is None:
                 break
-            got.append(e[0])
+            got.append(e)
         assert got == sorted(vals)
 
 
@@ -87,9 +90,9 @@ def test_backend_replace_top_equals_pop_push(make):
         b.push(_e(new))
         out_a, out_b = [], []
         while (e := a.pop()) is not None:
-            out_a.append(e[0])
+            out_a.append(e)
         while (e := b.pop()) is not None:
-            out_b.append(e[0])
+            out_b.append(e)
         assert out_a == out_b
 
 
@@ -131,12 +134,12 @@ def test_tourtree_grows_through_doublings():
                 caps.append(q.cap)
                 q.audit()
         pending.sort()
-        assert q.pop()[0] == pending.pop(0)
+        assert q.pop() == pending.pop(0)
     assert caps == [2 ** i for i in range(1, 11)]
     q.audit()
     got = []
     while (e := q.pop()) is not None:
-        got.append(e[0])
+        got.append(e)
     assert got == sorted(pending)
     # a grown tree is whole before the push that made it grow
     full = TourTree()
@@ -144,7 +147,7 @@ def test_tourtree_grows_through_doublings():
         full.push(_e(k))
     full._grow()
     full.audit()
-    assert full.peek()[0] == 1 and len(full) == 4
+    assert full.peek() == 1 and len(full) == 4
 
 
 def _ring():
@@ -420,17 +423,20 @@ def test_unhashed_flavours_reuse_one_queue(monkeypatch):
 
 @pytest.mark.parametrize("corrupt", ["forget_pending", "stale_sum",
                                      "duplicate_entry", "wrong_key",
-                                     "plain_wrong_key", "cursor_wrong_key",
+                                     "wrong_id", "plain_wrong_key",
+                                     "cursor_wrong_key", "cursor_unknown",
                                      "plain_lost_entry", "dedup_lost_entry"])
 def test_hashed_audit_catches_corruption(corrupt):
-    # a hashed queue, and for the last four inputs a plain, a compressed
-    # and a dedup queue: keys are audited against the queue's, and a plain
-    # or dedup queue must hold an entry for every pending id
+    # a hashed queue, and for the last five inputs a plain, a compressed
+    # and a dedup queue: entries are audited against the queue's, a
+    # cursor entry must name a cursor, and a plain or dedup queue must
+    # hold an entry for every pending id
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))])
+    compressed = QueueConfig("heap", hashed=False, compressed=True)
     cfg = {"plain_wrong_key": QueueConfig("heap", hashed=False),
-           "cursor_wrong_key": QueueConfig("heap", hashed=False,
-                                           compressed=True),
+           "cursor_wrong_key": compressed,
+           "cursor_unknown": compressed,
            "plain_lost_entry": QueueConfig("heap", hashed=False),
            "dedup_lost_entry": QueueConfig("tourtree", hashed=False,
                                            dedup=True)}
@@ -438,16 +444,22 @@ def test_hashed_audit_catches_corruption(corrupt):
     _push(q, 1, r.one, g)
     q.audit()
     e = q.backend.peek()
-    key, t = e[0], e[-1]
+    t = e & ID_MASK
     if corrupt == "forget_pending":
         q.acc[t] = 0
     elif corrupt in ("stale_sum", "plain_lost_entry", "dedup_lost_entry"):
         q.backend.pop()
     elif corrupt == "duplicate_entry":
-        q.backend.push((key, t))
+        q.backend.push(e)
+    elif corrupt == "wrong_id":
+        # the key of the top id over the id of the next term
+        q.backend.replace_top(e + 1)
+    elif corrupt == "cursor_unknown":
+        q.backend.replace_top(e + 1)
     else:
-        e = q.backend.pop()
-        q.backend.push((key - 1,) + e[1:])
+        # the key field one lower: the entry of no id
+        q.backend.pop()
+        q.backend.push(e - (1 << ID_BITS))
     with pytest.raises(InvariantError):
         q.audit()
 
@@ -471,13 +483,14 @@ def test_queue_audit_fires_under_optimize():
     script = "\n".join([
         "from gbengine import InvariantError, QueueConfig, ReducerQueue, Ring",
         "from gbengine.poly import poly_from_exps",
+        "from gbengine.termqueue import ID_MASK",
         "assert False  # stripped by -O",
         "r = Ring(101, 3)",
         "g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0))])",
         "q = ReducerQueue(r, QueueConfig('heap'))",
         "q.push_product(1, q.row(g.lead_mono, g), g)",
         "q.audit()",
-        "q.acc[q.backend.peek()[-1]] = 0",
+        "q.acc[q.backend.peek() & ID_MASK] = 0",
         "try:",
         "    q.audit()",
         "except InvariantError as exc:",
@@ -490,10 +503,11 @@ def test_queue_audit_fires_under_optimize():
     assert out.stdout.strip() == "pending ids are the backend's"
 
 
-def test_uncompressed_entries_are_key_id_pairs():
+def test_uncompressed_entries_are_ints():
     # plain, dedup and hashed queues keep a pending sum in acc, unreduced,
-    # and give every backend bare (key, id) entries: eight pushes of x
-    # leave acc[x] == 8 under eight, one and one entries
+    # and give every backend the id's entry, one non-negative int packing
+    # the key bound plus the negated order key over the id: eight pushes
+    # of x leave acc[x] == 8 under eight, one and one entries
     r = _ring()
     g = poly_from_exps(r, [(1, (1, 0, 0))])
     for backend in BACKENDS:
@@ -505,8 +519,9 @@ def test_uncompressed_entries_are_key_id_pairs():
             q.audit()
             t = q.row(g.lead_mono, g)[0]
             assert q.acc[t] == 8, q.cfg.label()
-            assert list(q.backend) == [(q.keys[t], t)] * entries, \
-                q.cfg.label()
+            entry = (q.kb - q.monos[t].key) << ID_BITS | t
+            assert q.keys[t] == entry > 0
+            assert list(q.backend) == [entry] * entries, q.cfg.label()
             assert _pop(q) == (8, (1, 0, 0)) and q.pop_max() is None
             assert q.acc[t] == 0
 
@@ -538,22 +553,21 @@ def test_geobucket_cached_top_random_ops(fold):
                     oracle.update(run)
                 elif op < 0.65:
                     top = q.peek()
-                    assert (top[0] if top else None) == \
-                        min(oracle, default=None)
+                    assert top == min(oracle, default=None)
                 elif op < 0.85 or not oracle:
                     e = q.pop()
                     if e is None:
                         assert not oracle
                         continue
-                    taken = e[0]
+                    taken = e
                     assert taken == min(oracle)
                 else:
-                    taken = q.peek()[0]
+                    taken = q.peek()
                     k = rng.randrange(taken, 60)
                     q.replace_top(_e(k))
                     oracle[k] += 1
                 q.audit()
-                held = Counter(e[0] for e in q)
+                held = Counter(q)
                 if taken is not None:
                     oracle[taken] -= 1
                     if not oracle[taken] or fold and not held[taken]:
@@ -653,3 +667,163 @@ def test_packed_coeffs_scale_slot_by_slot(case):
     mask = (1 << 64) - 1
     assert [k * packed >> 64 * i & mask for i in range(len(coeffs))] == \
         [k * c for c in coeffs]
+
+
+def _backend_ops():
+    """(fold, ops): up to 150 operations on int entries in [-8, 24), so
+    that entries repeat, some negative; runs of up to 40 entries make a
+    tournament tree double several times."""
+    entry = st.integers(-8, 23)
+    op = st.one_of(
+        st.tuples(st.just("push"), entry),
+        st.tuples(st.just("run"),
+                  st.lists(entry, min_size=1, max_size=40).map(sorted)),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("replace"), st.integers(0, 10)))
+    return st.tuples(st.booleans(), st.lists(op, max_size=150))
+
+
+@_property(_backend_ops)
+def test_backends_pop_sorted_and_audit_clean(case):
+    # every backend against a count of the pushes of each pending entry;
+    # a fold may drop an entry that meets an equal one, so the backend
+    # then holds each pending entry at least once and at most as often
+    # as it was pushed, and an entry whose last copy pops is gone
+    fold, ops = case
+    for make in (Heap, Geobucket, TourTree):
+        q = make(fold)
+        pending = Counter()
+        for op in ops:
+            taken = None
+            if op[0] == "push":
+                q.push(op[1])
+                pending[op[1]] += 1
+            elif op[0] == "run":
+                q.push_run(op[1])
+                pending.update(op[1])
+            elif op[0] == "pop":
+                taken = q.pop()
+                assert taken == min(pending, default=None), make.__name__
+            elif pending:
+                taken = q.peek()
+                e = taken + op[1]
+                assert q.replace_top(e) == q.peek()
+                pending[e] += 1
+            q.audit()
+            held = Counter(q)
+            if taken is not None:
+                pending[taken] -= 1
+                if not pending[taken] or fold and not held[taken]:
+                    del pending[taken]
+            assert q.peek() == min(pending, default=None), make.__name__
+            assert set(held) == set(pending), make.__name__
+            assert all(held[e] <= pending[e] for e in held)
+            if not fold:
+                assert held == pending, make.__name__
+        out = list(iter(q.pop, None))
+        assert out == sorted(out) and set(out) == set(pending)
+        q.audit()
+
+
+@pytest.mark.parametrize("make", [Heap, Geobucket, TourTree])
+def test_replace_top_returns_the_new_min(make):
+    q = make()
+    q.push_run([3, 5, 9])
+    assert q.replace_top(4) == 4
+    assert q.replace_top(7) == 5
+    assert [q.pop() for _ in range(4)] == [5, 7, 9, None]
+
+
+def test_tourtree_free_leaves_hold_the_sentinel():
+    # a free leaf holds EMPTY, which loses to every int; the empty tree
+    # peeks and pops None
+    q = TourTree()
+    assert q.leaves == [EMPTY, EMPTY] and q.peek() is None
+    q.push_run([2, 1, 3])
+    assert q.cap == 4 and q.leaves.count(EMPTY) == 1
+    assert [q.pop() for _ in range(4)] == [1, 2, 3, None]
+    assert q.leaves == [EMPTY] * 4 and q.pop() is None
+    with pytest.raises(ValueError, match="empty"):
+        q.replace_top(0)
+
+
+def _narrow_ids(monkeypatch, bits):
+    monkeypatch.setattr(termqueue, "ID_BITS", bits)
+    monkeypatch.setattr(termqueue, "ID_MASK", (1 << bits) - 1)
+
+
+def test_interning_past_the_id_width_raises(monkeypatch):
+    # with 2-bit ids the fifth monomial cannot be interned: ValueError,
+    # and ids, keys, monos and acc stay in step; the four ids work
+    _narrow_ids(monkeypatch, 2)
+    r = _ring()
+    g = poly_from_exps(r, [(1, (i, 0, 0)) for i in range(4, -1, -1)])
+    for cfg in all_queue_configs():
+        q = ReducerQueue(r, cfg)
+        with pytest.raises(ValueError, match="ids reach 2"):
+            _push(q, 1, r.one, g)
+        assert len(q.ids) == len(q.keys) == len(q.monos) == 4
+        assert q.acc is None or len(q.acc) == 4
+        assert q.rows == {} and len(q.backend) == 0
+        h = poly_from_exps(r, [(1, (i, 0, 0)) for i in range(4, 0, -1)])
+        _push(q, 1, r.one, h)
+        q.audit()
+        assert [t[1] for t in iter(lambda: _pop(q), None)] == \
+            [(i, 0, 0) for i in range(4, 0, -1)], cfg.label()
+
+
+def test_opening_past_the_cursor_width_raises(monkeypatch):
+    # with 2-bit fields a compressed queue holds four cursors; the fifth
+    # push raises ValueError and leaves the queue as it was, and a drained
+    # queue starts its cursors afresh
+    _narrow_ids(monkeypatch, 2)
+    r = _ring()
+    g = poly_from_exps(r, [(1, (1, 0, 0)), (1, (0, 1, 0))])
+    for backend in BACKENDS:
+        q = ReducerQueue(r, QueueConfig(backend, hashed=False,
+                                        compressed=True))
+        for c in range(1, 5):
+            _push(q, c, r.one, g)
+        with pytest.raises(ValueError, match="cursors reach 2"):
+            _push(q, 5, r.one, g)
+        assert len(q.cursors) == len(q.backend) == 4
+        q.audit()
+        assert list(iter(lambda: _pop(q), None)) == \
+            [(10, (1, 0, 0)), (10, (0, 1, 0))]
+        assert q.cursors == []
+        _push(q, 5, r.one, g)
+        assert _pop(q) == (5, (1, 0, 0))
+
+
+@pytest.mark.parametrize("cfg", all_queue_configs(), ids=QueueConfig.label)
+def test_audited_traffic_through_every_reducer_queue(cfg):
+    # an audited run checks the queue after each turn's pushes: every
+    # entry is its id's (a cursor inside its row), the tournament winners,
+    # the geobucket heads; each config gives the default's basis
+    for name, run, make in (("katsura4", sb_run, SBConfig),
+                            ("cyclic4", buchberger_run, ClassicConfig)):
+        ring, polys = builtin_ideal(name)
+        want = _basis(run(ring, polys, make()))
+        assert _basis(run(ring, polys, make(queue=cfg, audit=True))) == \
+            want, (name, cfg.label())
+
+
+@pytest.mark.parametrize("kind", SPAIR_QUEUE_KINDS)
+def test_audited_traffic_through_every_pair_queue(kind):
+    # an audited run checks the pair queue on each turn: every front entry
+    # is its column's minimum, and the heap or tournament tree audits clean
+    for name, run, make in (("katsura4", sb_run, SBConfig),
+                            ("cyclic4", buchberger_run, ClassicConfig)):
+        ring, polys = builtin_ideal(name)
+        want = _basis(run(ring, polys, make()))
+        assert _basis(run(ring, polys, make(spair_queue=kind,
+                                            audit=True))) == want, \
+            (name, kind)
+
+
+def _basis(result):
+    # the reduced basis of an sb or classic run, as comparable tuples
+    basis = result.groebner_basis() if hasattr(result, "groebner_basis") \
+        else result[0]
+    return [(tuple(g.coeffs), tuple(m.exps for m in g.monos))
+            for g in basis]
