@@ -143,6 +143,10 @@ class Completion:
         if audit:
             self.lookup.audit()
         self.stats.divmask = self.lookup.stats
+        # the drained pair queue holds the bound method self._pair_key:
+        # dropping it breaks that cycle, so the engine's state is freed
+        # when its caller lets go of it, not at a later cyclic collection
+        self.pairs = None
 
 
 def prepare_inputs(ring: Ring, polys, reduce: bool, queue_cfg=None):

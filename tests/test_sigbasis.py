@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -323,3 +324,19 @@ def test_pop_builds_a_signature_monomial_only_past_the_late_criterion(
     stats = sb_run(ring, polys).stats
     assert 0 < stats.sig_late < len(pops)
     assert len(made) == len(pops) - stats.sig_late
+
+
+def test_runs_leave_no_cyclic_garbage():
+    # an engine's pair queue holds the engine's bound key method; the run
+    # drops that cycle, so the engine's state is freed by reference
+    # counting when the run returns, not by a later cyclic collection
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        sb_run(*builtin_ideal("katsura4"))
+        buchberger_run(*builtin_ideal("cyclic4"))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
