@@ -795,6 +795,14 @@ def test_opening_past_the_cursor_width_raises(monkeypatch):
         assert _pop(q) == (5, (1, 0, 0))
 
 
+def _basis(result):
+    # the reduced basis of an sb or classic run, as comparable tuples
+    basis = result.groebner_basis() if hasattr(result, "groebner_basis") \
+        else result[0]
+    return [(tuple(g.coeffs), tuple(m.exps for m in g.monos))
+            for g in basis]
+
+
 @pytest.mark.parametrize("cfg", all_queue_configs(), ids=QueueConfig.label)
 def test_audited_traffic_through_every_reducer_queue(cfg):
     # an audited run checks the queue after each turn's pushes: every
@@ -819,11 +827,3 @@ def test_audited_traffic_through_every_pair_queue(kind):
         assert _basis(run(ring, polys, make(spair_queue=kind,
                                             audit=True))) == want, \
             (name, kind)
-
-
-def _basis(result):
-    # the reduced basis of an sb or classic run, as comparable tuples
-    basis = result.groebner_basis() if hasattr(result, "groebner_basis") \
-        else result[0]
-    return [(tuple(g.coeffs), tuple(m.exps for m in g.monos))
-            for g in basis]
