@@ -121,13 +121,13 @@ class _ClassicEngine(Completion):
             self._add(g)
 
     def _pair_key(self, i, j):
-        return self._lcm_pair_key(
-            self.ring.mono_lcm(self.leads[i], self.leads[j]), i, j)
-
-    def _lcm_pair_key(self, m, i, j):
         # smallest lcm degree first, ring-order ties, then newest column:
-        # (deg, key, j, i) packed into one integer; indices stay below 2^32
-        return ((m.deg * self.key_bound + m.key) << 64) + (j << 32) + i
+        # (deg, key, j, i) of the leads' lcm packed into one integer;
+        # indices stay below 2^32
+        ring = self.ring
+        w = word_max(self.leads[i].word, self.leads[j].word, ring.guard)
+        return (((ring.deg_of_word(w) * self.key_bound + ring.key_of_word(w))
+                 << 64) + (j << 32) + i)
 
     def _add(self, g: Polynomial):
         n = len(self.polys)
@@ -178,11 +178,11 @@ class _ClassicEngine(Completion):
                 stats.relprime += 1
                 self.tri.set(i, n)
                 continue
-            m = ring.mono_lcm(self.leads[i], self.leads[n])
-            if cfg.use_lcm and self._try_lcm(i, n, m):
+            if cfg.use_lcm and self._try_lcm(
+                    i, n, ring.mono_lcm(self.leads[i], self.leads[n])):
                 self.tri.set(i, n)
                 continue
-            batch.append((i, self._lcm_pair_key(m, i, n)))
+            batch.append((i, self._pair_key(i, n)))
         self.pairs.add_column(n, batch)
 
     def _pop(self):

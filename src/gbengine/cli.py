@@ -125,13 +125,13 @@ def _cmd_run(args) -> int:
     if args.base_divisors not in ("0", "1", "2"):
         raise ValueError("--base-divisors takes 0, 1 or 2")
     t0 = time.monotonic()
-    lines = []
+    lines, texts = [], {}       # texts: poly_str's memo for this output
     if args.algorithm == "classic":
         cfg = ClassicConfig(queue=qcfg, lookup=args.lookup,
                             spair_queue=args.spair_queue,
                             interreduce=not args.no_interreduce)
         basis, stats = buchberger_run(ring, polys, cfg)
-        lines += [poly_str(ring, g) for g in basis]
+        lines += [poly_str(ring, g, texts) for g in basis]
         stat_rows = ([("algorithm", "classic"),
                       ("#basis", stats.basis_size),
                       ("#monomials", stats.monomials)] + stats.rows()
@@ -145,7 +145,7 @@ def _cmd_run(args) -> int:
                        interreduce=not args.no_interreduce)
         res = sb_run(ring, polys, cfg)
         basis = res.groebner_basis()
-        lines += [poly_str(ring, g) for g in basis]
+        lines += [poly_str(ring, g, texts) for g in basis]
         lines += ["%s*e_%d" % (mono_str(ring, m), c + 1)
                   for m, c in res.syzygies]
         stat_rows = ([("algorithm", "sb"),

@@ -112,12 +112,18 @@ def mono_str(ring: Ring, mono) -> str:
             parts.append("x%d^%d" % (i + 1, e))
     return "*".join(parts) if parts else "1"
 
-def poly_str(ring: Ring, f: Polynomial) -> str:
+
+def poly_str(ring: Ring, f: Polynomial, texts=None) -> str:
+    """f as text.  texts maps words to mono_str texts; the polynomials of
+    one output share it, as they repeat few distinct monomials."""
     if not f:
         return "0"
+    texts = {} if texts is None else texts
     parts = []
     for c, m in zip(f.coeffs, f.monos):
-        ms = mono_str(ring, m)
+        ms = texts.get(m.word)
+        if ms is None:
+            ms = texts[m.word] = mono_str(ring, m)
         if ms == "1":
             parts.append(str(c))
         elif c == 1:
@@ -128,6 +134,7 @@ def poly_str(ring: Ring, f: Polynomial) -> str:
 
 
 def print_ideal(ring: Ring, polys) -> str:
+    texts = {}
     lines = [str(ring.char), str(ring.num_vars), ring.order_spec()]
-    lines += [poly_str(ring, g) for g in polys]
+    lines += [poly_str(ring, g, texts) for g in polys]
     return "\n".join(lines) + "\n"

@@ -22,12 +22,12 @@ current contents.
 
 Queries: find_divisor takes a monomial's packed exponent word and returns
 one divisor's payload id or None; find_all_divisors takes the Monomial
-and returns every divisor's.  Both route through the tree on exponents
-and test each scanned record by its word.  find_divisor keeps its answers
-by word until the next insert, retire or rebuild, and gets the exponents
-back from the word (Ring.exps_of) only when it has to query through a
-kd node or compute a mask: a maskless lookup whose root is still a leaf
-answers with a bare word scan.
+and returns every divisor's.  Everything works on words: a kd node keeps
+the word field of its variable and the word of its pure power x_i^k, so
+a monomial of word w goes right exactly when w & field >= power, and
+each scanned record is tested by its word.  The exponents are read back
+off a word (Ring.exps_of) only to compute a divmask.  find_divisor keeps
+its answers by word until the next insert, retire or rebuild.
 
 Answers of find_all_divisors outlive inserts: a repeated query scans only
 the entries inserted since its answer was made, and only a retire drops
@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from operator import getitem, le
+from operator import getitem
 
-from .ring import Monomial, Ring, require, word_divides
+from .ring import MAX_EXPONENT, Monomial, Ring, require, word_divides
 
 MASK_BITS = 32
 DEFAULT_LEAF_CAPACITY = 32
@@ -97,15 +97,8 @@ class DivMap:
         if not monomials:
             raise ValueError("cannot calibrate a divmap from an empty set")
         nv = min(MASK_BITS, ring.num_vars)
-        lo = list(monomials[0].exps[:nv])
-        hi = list(lo)
-        for m in monomials[1:]:
-            e = m.exps
-            for i in range(nv):
-                if e[i] < lo[i]:
-                    lo[i] = e[i]
-                elif e[i] > hi[i]:
-                    hi[i] = e[i]
+        cols = list(zip(*[m.exps for m in monomials]))[:nv]
+        lo, hi = list(map(min, cols)), list(map(max, cols))
         per_var = [0] * nv
         for b in range(MASK_BITS):
             per_var[b % nv] += 1
@@ -197,13 +190,14 @@ def _scan(recs, qg, guard, notq, stats, out, first_only):
 
 
 class _KdNode:
-    __slots__ = ("var", "exp", "left", "right", "mask")
+    __slots__ = ("var", "field", "power", "left", "right", "mask")
 
-    def __init__(self, var, exp, left, right, mask):
+    def __init__(self, var, field, power, left, right, mask):
         self.var = var
-        self.exp = exp
-        self.left = left      # entries NOT divisible by x_var^exp
-        self.right = right    # entries divisible by x_var^exp
+        self.field = field    # x_var's field of an exponent word
+        self.power = power    # word of the pure power x_var^k
+        self.left = left      # entries NOT divisible by x_var^k
+        self.right = right    # entries divisible by x_var^k
         self.mask = mask      # AND of the subtree's masks (divmask variant)
 
 
@@ -241,14 +235,7 @@ class KdLookup:
             self.stats.reused += 1
             return cache[word]
         self.stats.computed += 1
-        root = self.root
-        if self.use_masks or isinstance(root, _KdNode):
-            exps = self.ring.exps_of(word)
-            notq = ~self.divmap.mask_of(exps) if self.use_masks else None
-            found = self._query(exps, word, notq, True)
-        else:
-            guard = self.ring.guard
-            found = _scan(root, word | guard, guard, None, None, [], True)
+        found = self._query(word, self._notq(word), True)
         out = cache[word] = found[0] if found else None
         return out
 
@@ -258,8 +245,8 @@ class KdLookup:
         got = self._all_cache.get(k)
         if got is None:
             self.stats.computed += 1
-            notq = self._notq(q)
-            out = self._query(q.exps, q.word, notq, False)
+            notq = self._notq(q.word)
+            out = self._query(q.word, notq, False)
         else:
             stamp, out, notq, divmap = got
             if stamp == len(log):
@@ -267,7 +254,7 @@ class KdLookup:
                 return out
             self.stats.extended += 1
             if divmap is not self.divmap:
-                notq = self._notq(q)
+                notq = self._notq(q.word)
             guard = self.ring.guard
             new = _scan(log[stamp:], q.word | guard, guard, notq,
                         self.stats, [], False)
@@ -278,11 +265,14 @@ class KdLookup:
 
     def _find_all_divisors(self, q: Monomial):
         """A full query, bypassing the stored answers."""
-        return self._query(q.exps, q.word, self._notq(q), False)
+        return self._query(q.word, self._notq(q.word), False)
 
-    def _notq(self, q):
-        """Complement of q's divmask, or None without masks."""
-        return ~self.divmap.mask_of(q.exps) if self.use_masks else None
+    def _notq(self, word):
+        """Complement of the divmask of an exponent word, or None without
+        masks."""
+        if not self.use_masks:
+            return None
+        return ~self.divmap.mask_of(self.ring.exps_of(word))
 
     def __len__(self):
         return len(self.by_id)
@@ -295,7 +285,8 @@ class KdLookup:
     def _new_record(self, mono, pid):
         if pid in self.by_id:
             raise ValueError("payload id %r already present" % (pid,))
-        mask = self.divmap.mask_of(mono.exps) if self.use_masks else 0
+        mask = (self.divmap.mask_of(self.ring.exps_of(mono.word))
+                if self.use_masks else 0)
         rec = [mono, pid, mask, True, mono.word]
         self.by_id[pid] = rec
         self.churn += 1
@@ -342,9 +333,9 @@ class KdLookup:
         recs = list(self.by_id.values())
         if self.use_masks and recs:
             self.divmap = DivMap.calibrate(self.ring, [r[_MONO] for r in recs])
-            mask_of = self.divmap.mask_of
+            mask_of, exps_of = self.divmap.mask_of, self.ring.exps_of
             for r in recs:
-                r[_MASK] = mask_of(r[_MONO].exps)
+                r[_MASK] = mask_of(exps_of(r[_WORD]))
         self.churn = 0
         if self._one_cache:
             self._one_cache = {}
@@ -357,11 +348,11 @@ class KdLookup:
         node = self.root
         parent = None
         pside = 0
-        exps = mono.exps
+        word = rec[_WORD]
         while isinstance(node, _KdNode):
             node.mask &= rec[_MASK]
             parent = node
-            if exps[node.var] >= node.exp:
+            if word & node.field >= node.power:
                 node, pside = node.right, 1
             else:
                 node, pside = node.left, 0
@@ -378,27 +369,26 @@ class KdLookup:
 
     def _split_leaf(self, recs, parent_var):
         # Split variable cycles from the parent's; the split exponent is the
-        # average of the min and max exponent among the leaf's monomials.
-        n = self.ring.num_vars
+        # average of the min and max exponent among the leaf's monomials,
+        # all read in the variable's word field.
+        shifts = self.ring.shifts
+        n = len(shifts)
         var = (parent_var + 1) % n
         for _ in range(n):
-            los = his = None
-            for rec in recs:
-                e = rec[_MONO].exps[var]
-                if los is None or e < los:
-                    los = e
-                if his is None or e > his:
-                    his = e
-            if los != his:
-                exp = max(1, (los + his + 1) // 2)
+            shift = shifts[var]
+            field = (MAX_EXPONENT - 1) << shift
+            es = [rec[_WORD] & field for rec in recs]
+            lo, hi = min(es), max(es)
+            if lo != hi:
+                power = ((lo + hi >> shift) + 1) // 2 << shift
                 left, right = [], []
-                for rec in recs:
-                    (right if rec[_MONO].exps[var] >= exp else left).append(rec)
+                for rec, e in zip(recs, es):
+                    (right if e >= power else left).append(rec)
                 if left and right:
                     mask = -1
                     for rec in recs:
                         mask &= rec[_MASK]
-                    return _KdNode(var, exp, left, right, mask)
+                    return _KdNode(var, field, power, left, right, mask)
             var = (var + 1) % n
         return None  # all member exponent vectors equal: cannot split
 
@@ -414,9 +404,9 @@ class KdLookup:
 
     # -- queries ----------------------------------------------------------
 
-    def _query(self, qexps, qword, notq, first_only):
-        """Payload ids of the live entries dividing the query, of exponents
-        qexps and word qword (at most one when first_only), counting mask
+    def _query(self, qword, notq, first_only):
+        """Payload ids of the live entries dividing the query of exponent
+        word qword (at most one when first_only), counting mask
         consultations in self.stats; notq is the complement of its mask
         (None without masks)."""
         guard = self.ring.guard
@@ -432,7 +422,7 @@ class KdLookup:
                     # no entry below can divide q: prune both children
                     stats.hits += 1
                     continue
-                if qexps[node.var] >= node.exp:
+                if qword & node.field >= node.power:
                     stack.append(node.right)
                 stack.append(node.left)
                 continue
@@ -446,19 +436,17 @@ class KdLookup:
     def audit_divisor(self, word: int, found) -> None:
         """Check found, the answer of find_divisor(word), against a scan of
         the live records."""
-        q = self.ring.exps_of(word)
         live = [pid for pid, rec in self.by_id.items()
-                if all(map(le, rec[_MONO].exps, q))]
+                if word_divides(rec[_MONO].word, word, self.ring.guard)]
         require(found in live if live else found is None,
                 "find_divisor answer")
 
     def audit(self) -> None:
         """Check the pure-power routing invariant over the whole tree, that
         each node's mask is a submask of every live mask below it, and
-        that each live record's word is the word of its exponents."""
-        word_of = self.ring.word_of
+        that each live record's word is its monomial's."""
         for rec in self.by_id.values():
-            require(rec[_WORD] == word_of(rec[_MONO].exps), "record word")
+            require(rec[_WORD] == rec[_MONO].word, "record word")
 
         def walk(node):
             if not isinstance(node, _KdNode):
@@ -466,9 +454,10 @@ class KdLookup:
             lrecs = walk(node.left)
             rrecs = walk(node.right)
             for rec in lrecs:
-                require(rec[_MONO].exps[node.var] < node.exp, "left routing")
+                require(rec[_WORD] & node.field < node.power, "left routing")
             for rec in rrecs:
-                require(rec[_MONO].exps[node.var] >= node.exp, "right routing")
+                require(rec[_WORD] & node.field >= node.power,
+                        "right routing")
             recs = lrecs + rrecs
             for rec in recs:
                 require(not (rec[_LIVE] and node.mask & ~rec[_MASK]),

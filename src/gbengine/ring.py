@@ -1,13 +1,13 @@
 """Prime fields, monomials and ring term orders.
 
-Every monomial caches its packed exponent word: variable i owns one
-28-bit field, its exponent in the low 16 bits, bit 16 a guard bit that is
-clear in every stored word, and the bits above spare.  Under lex the
-fields are laid out in reverse (variable 0 in the top field), otherwise
-variable i sits at bit 28 * i.  The ring's guard mask G has all guard
-bits set.  Every exponent stays below the 2^16 cap, so a field never
-carries into its neighbour and the exponent-wise tests are a few integer
-operations on whole words:
+A monomial is its packed exponent word and its order key.  Variable i
+owns one 28-bit field of the word, its exponent in the low 16 bits, bit
+16 a guard bit that is clear in every stored word, and the bits above
+spare.  Under lex the fields are laid out in reverse (variable 0 in the
+top field), otherwise variable i sits at bit 28 * i.  The ring's guard
+mask G has all guard bits set.  Every exponent stays below the 2^16 cap,
+so a field never carries into its neighbour and the exponent-wise tests
+are a few integer operations on whole words:
 
 * a divides b  iff  ((b | G) - a) & G == G: field i of b | G minus a_i
   keeps its guard bit exactly when a_i <= b_i, and never borrows from the
@@ -15,9 +15,14 @@ operations on whole words:
 * lcm(a, b): d = ((a | G) - b) & G marks the fields where a_i >= b_i,
   m = d - (d >> 16) fills those fields' low 16 bits, and the lcm is
   (a & m) | (b & ~m);
+* gcd(a, b) is a + b - lcm(a, b), field by field;
 * the word of a product is the sum of the words, of a quotient their
   difference.  The one cap test: a sum of two words holds an exponent at
   or past the cap exactly when it has a guard bit set.
+
+The exponent vector and the degree are read off the word on demand
+(Monomial.exps and .deg, Ring.exps_of and deg_of_word); no arithmetic
+builds them.
 
 Monomial comparison is the hottest operation in the whole engine, so every
 monomial also caches an integer sort key, read off its word: each field
@@ -36,8 +41,7 @@ fields into one integer.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import (add as _add, and_ as _and, lshift as _lshift,
-                      rshift as _rshift, sub as _sub)
+from operator import and_ as _and, lshift as _lshift, rshift as _rshift
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -139,15 +143,27 @@ def word_max(a: int, b: int, guard: int) -> int:
     return (a & m) | (b & ~m)
 
 
+def _exps_of(word: int, shifts) -> tuple:
+    """Exponent vector of a packed word whose guard bits are clear, its
+    fields at the bit offsets shifts."""
+    return tuple(map(_and, map(_rshift, repeat(word), shifts),
+                     repeat(MAX_EXPONENT - 1)))
+
+
 class Monomial:
-    """Exponent vector with cached order key and packed word."""
+    """A packed exponent word with its order key.  It keeps its ring's
+    field offsets, not the ring, so that Ring.one makes no cycle."""
 
-    __slots__ = ("exps", "key", "word")
+    __slots__ = ("word", "key", "_shifts")
 
-    def __init__(self, exps, key, word):
-        self.exps = exps
-        self.key = key
+    def __init__(self, word, key, shifts):
         self.word = word
+        self.key = key
+        self._shifts = shifts
+
+    @property
+    def exps(self):
+        return _exps_of(self.word, self._shifts)
 
     @property
     def deg(self):
@@ -176,7 +192,7 @@ class Ring:
     with ties broken by grevlex on the whole exponent vector.
     """
 
-    __slots__ = ("char", "num_vars", "order", "elim_block", "_shifts",
+    __slots__ = ("char", "num_vars", "order", "elim_block", "shifts",
                  "guard", "ones", "_deg_digit", "_block_digit",
                  "_block_shift", "one")
 
@@ -199,7 +215,7 @@ class Ring:
         self.elim_block = elim_block
         n, k, F = num_vars, elim_block or 1, WORD_FIELD
         shifts = tuple(range(0, F * n, F))
-        self._shifts = shifts[::-1] if order == LEX else shifts
+        self.shifts = shifts[::-1] if order == LEX else shifts
         self.guard = guard_mask(n)
         self.ones = self.guard >> 16        # a 1 in every field
         # digit n-1 of word * ones is the degree, digit k-1 the elim block
@@ -207,7 +223,7 @@ class Ring:
         self._deg_digit = (_DIGIT_BASE - 1) << F * (n - 1)
         self._block_digit = (_DIGIT_BASE - 1) << F * (k - 1)
         self._block_shift = F * (n + 3 - k)
-        self.one = Monomial((0,) * n, 0, 0)
+        self.one = Monomial(0, 0, self.shifts)
 
     # -- monomial construction ------------------------------------------
 
@@ -217,8 +233,11 @@ class Ring:
             raise ValueError("wrong number of exponents")
         if min(exps) < 0 or max(exps) >= MAX_EXPONENT:
             raise ValueError("exponent out of range")
-        word = self.word_of(exps)
-        return Monomial(exps, self.key_of_word(word), word)
+        return self.mono_of_word(self.word_of(exps))
+
+    def mono_of_word(self, word: int) -> Monomial:
+        """The monomial of a packed word whose guard bits are clear."""
+        return Monomial(word, self.key_of_word(word), self.shifts)
 
     def key_of_word(self, word: int) -> int:
         """Order key of a packed word whose guard bits are clear."""
@@ -230,16 +249,20 @@ class Ring:
             key += (sums & self._block_digit) << self._block_shift
         return key
 
+    def deg_of_word(self, word: int) -> int:
+        """Total degree of a packed word whose guard bits are clear."""
+        return (word * self.ones & self._deg_digit) >> \
+            WORD_FIELD * (self.num_vars - 1)
+
     def word_of(self, exps) -> int:
         """Packed word of an exponent vector, each entry in
         [0, MAX_EXPONENT)."""
-        return sum(map(_lshift, exps, self._shifts))
+        return sum(map(_lshift, exps, self.shifts))
 
     def exps_of(self, word: int) -> tuple:
         """Exponent vector of a packed word whose guard bits are clear:
         the inverse of word_of."""
-        return tuple(map(_and, map(_rshift, repeat(word), self._shifts),
-                         repeat(MAX_EXPONENT - 1)))
+        return _exps_of(word, self.shifts)
 
     # -- monomial arithmetic --------------------------------------------
 
@@ -247,22 +270,19 @@ class Ring:
         word = a.word + b.word
         if word & self.guard:
             raise ValueError("exponent out of range")
-        return Monomial(tuple(map(_add, a.exps, b.exps)), a.key + b.key,
-                        word)
+        return Monomial(word, a.key + b.key, self.shifts)
 
     def mono_div(self, a: Monomial, b: Monomial) -> Monomial:
         if not word_divides(b.word, a.word, self.guard):
             raise ValueError("not divisible")
-        return Monomial(tuple(map(_sub, a.exps, b.exps)), a.key - b.key,
-                        a.word - b.word)
+        return Monomial(a.word - b.word, a.key - b.key, self.shifts)
 
     def mono_gcd(self, a: Monomial, b: Monomial) -> Monomial:
-        return self.mono(map(min, a.exps, b.exps))
+        return self.mono_of_word(
+            a.word + b.word - word_max(a.word, b.word, self.guard))
 
     def mono_lcm(self, a: Monomial, b: Monomial) -> Monomial:
-        word = word_max(a.word, b.word, self.guard)
-        return Monomial(tuple(map(max, a.exps, b.exps)),
-                        self.key_of_word(word), word)
+        return self.mono_of_word(word_max(a.word, b.word, self.guard))
 
     def mono_divides(self, a: Monomial, b: Monomial) -> bool:
         """True when a divides b."""

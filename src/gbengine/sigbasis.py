@@ -255,7 +255,7 @@ def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
     Monomial itself, only for the pops that pass the late signature
     criterion."""
     word, comp = spair_word(ring, a, b)
-    return Monomial(ring.exps_of(word), ring.key_of_word(word), word), comp
+    return ring.mono_of_word(word), comp
 
 
 def koszul_signature(ring: Ring, a: SigEntry, b: SigEntry):
@@ -452,7 +452,7 @@ class _SBEngine(Completion):
             stats.sig_late += 1
             self._set_bits(group)
             return None
-        tmono = Monomial(ring.exps_of(tword), key, tword)
+        tmono = ring.mono_of_word(tword)
         if cfg.use_koszul:
             kq = self.koszul
             top = kq.peek()

@@ -208,3 +208,28 @@ def test_sb_pair_signature_past_the_cap_is_short_error(tmp_path, capsys):
                     "x1*x2+x3^2\n")
     assert _run(capsys, "run", str(path)) == \
         (1, "", "error: exponent out of range\n")
+
+
+def test_output_formats_each_distinct_monomial_once(capsys, monkeypatch):
+    # one printed output keeps one text per word: a basis repeats few
+    # distinct monomials over many terms
+    from gbengine import cli, idealfile
+    _, want, _ = _run(capsys, "run", "--algorithm", "classic", "katsura5")
+    ring, polys = builtin_ideal("katsura5")
+    want_ideal = print_ideal(ring, polys)
+    words = []
+    real = idealfile.mono_str
+
+    def mono_str(r, m):
+        words.append(m.word)
+        return real(r, m)
+
+    monkeypatch.setattr(idealfile, "mono_str", mono_str)
+    monkeypatch.setattr(cli, "mono_str", mono_str)
+    assert print_ideal(ring, polys) == want_ideal
+    assert len(words) == len(set(words)) == \
+        len({m.word for g in polys for m in g.monos})
+    words.clear()
+    assert _run(capsys, "run", "--algorithm", "classic", "katsura5")[1] \
+        == want
+    assert words and len(words) == len(set(words))

@@ -63,7 +63,7 @@ def test_valid_stats_pass():
 
 def _misrouting_settle(real):
     """_settle, then the lead lookup's leaves split past two records and
-    its root's split exponent set to 0: every query and insert then takes
+    its root's split power set to x^0: every query and insert then takes
     the right branch (a query the left one too), so the run's answers stay
     right, but the records left of the root are misrouted, which only an
     audit of the lookup sees."""
@@ -72,7 +72,7 @@ def _misrouting_settle(real):
         lookup = self.lookup
         lookup.leaf_capacity = 2
         if isinstance(lookup.root, _KdNode):
-            lookup.root.exp = 0
+            lookup.root.power = 0
     return settle
 
 

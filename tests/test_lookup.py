@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from gbengine import (ClassicConfig, DivMap, InvariantError, Ring, SBConfig,
-                      basis_lookup, cli, make_lookup, may_divide)
+from gbengine import (ClassicConfig, DivMap, InvariantError, Monomial, Ring,
+                      SBConfig, basis_lookup, cli, make_lookup, may_divide)
 from gbengine.lookup import (DEFAULT_LEAF_CAPACITY, DEFAULT_LOOKUP,
                              LOOKUP_KINDS, KdLookup, _KdNode)
 from gbengine.ring import MAX_EXPONENT, MAX_VARS, word_divides
@@ -113,7 +113,7 @@ def test_kdtree_split_exponent_and_variable_cycling():
     root = s.root
     from gbengine.lookup import _KdNode
     assert isinstance(root, _KdNode)
-    assert root.var == 0 and root.exp == 2
+    assert root.var == 0 and root.power == r.mono((2, 0)).word
     right_ids = [rec[1] for rec in root.right]
     assert right_ids == [2]
     s.audit()
@@ -124,7 +124,7 @@ def test_kdtree_split_exponent_and_variable_cycling():
 
     def vars_of(node, acc):
         if isinstance(node, _KdNode):
-            acc.append((node.var, node.exp))
+            acc.append((node.var, node.power))
             vars_of(node.left, acc)
             vars_of(node.right, acc)
         return acc
@@ -187,40 +187,42 @@ def test_maybe_rebuild_trigger():
 
 
 def test_structure_equivalence_random_ops():
+    # under lex the word fields are laid out in reverse, and kd nodes read
+    # them in the ring's layout
     rng = random.Random(37)
-    r = Ring(101, 4)
-    for _ in range(40):
-        structures = {kind: make_lookup(kind, r, leaf_capacity=4)
-                      for kind in LOOKUP_KINDS}
-        live = []
-        next_id = 0
-        for _ in range(rng.randrange(10, 60)):
-            op = rng.random()
-            if op < 0.5 or not live:
-                m = random_mono(r, rng, 4)
-                for s in structures.values():
-                    s.insert(m, next_id)
-                live.append(next_id)
-                next_id += 1
-            elif op < 0.65:
-                pid = live.pop(rng.randrange(len(live)))
-                for s in structures.values():
-                    s.retire(pid)
-            elif op < 0.75:
-                for s in structures.values():
-                    s.maybe_rebuild()
-            else:
-                q = random_mono(r, rng, 6)
-                expected = sorted(
-                    structures["list"].find_all_divisors(q))
-                for kind, s in structures.items():
-                    assert sorted(s.find_all_divisors(q)) == expected, kind
-                    one = s.find_divisor(q.word)
-                    assert (one is None) == (not expected)
-                    if one is not None:
-                        assert one in expected
-        structures["kdtree"].audit()
-        structures["divkdtree"].audit()
+    for r in (Ring(101, 4), Ring(101, 4, "lex")):
+        for _ in range(40):
+            structures = {kind: make_lookup(kind, r, leaf_capacity=4)
+                          for kind in LOOKUP_KINDS}
+            live = []
+            next_id = 0
+            for _ in range(rng.randrange(10, 60)):
+                op = rng.random()
+                if op < 0.5 or not live:
+                    m = random_mono(r, rng, 4)
+                    for s in structures.values():
+                        s.insert(m, next_id)
+                    live.append(next_id)
+                    next_id += 1
+                elif op < 0.65:
+                    pid = live.pop(rng.randrange(len(live)))
+                    for s in structures.values():
+                        s.retire(pid)
+                elif op < 0.75:
+                    for s in structures.values():
+                        s.maybe_rebuild()
+                else:
+                    q = random_mono(r, rng, 6)
+                    expected = sorted(
+                        structures["list"].find_all_divisors(q))
+                    for kind, s in structures.items():
+                        assert sorted(s.find_all_divisors(q)) == expected, kind
+                        one = s.find_divisor(q.word)
+                        assert (one is None) == (not expected)
+                        if one is not None:
+                            assert one in expected
+            structures["kdtree"].audit()
+            structures["divkdtree"].audit()
 
 
 def test_divkdtree_node_mask_is_and_of_subtree():
@@ -377,7 +379,7 @@ def test_extended_answer_reuses_query_mask(kind, monkeypatch):
     real = DivMap.mask_of
 
     def counting(self, exps):
-        if exps is q.exps:
+        if tuple(exps) == q.exps:
             made.append(self)
         return real(self, exps)
 
@@ -395,7 +397,8 @@ def test_extended_answer_reuses_query_mask(kind, monkeypatch):
 
 # -- find_divisor by exponent word against a scan -----------------------------
 
-WORD_RINGS = {n: Ring(101, n) for n in (1, 2, 7, 10, MAX_VARS)}
+WORD_RINGS = tuple([Ring(101, n) for n in (1, 2, 7, 10, MAX_VARS)]
+                   + [Ring(101, 7, "lex"), Ring(101, 7, "elim", 3)])
 
 
 def _lookup_ops():
@@ -411,7 +414,8 @@ def _lookup_ops():
 
     @st.composite
     def cases(draw):
-        n = draw(st.sampled_from(sorted(WORD_RINGS)))
+        ring = draw(st.sampled_from(WORD_RINGS))
+        n = ring.num_vars
         exps = st.lists(entry, min_size=n, max_size=n).map(tuple)
         ops = []
         for _ in range(draw(st.integers(1, 40))):
@@ -425,7 +429,7 @@ def _lookup_ops():
                 ops.append((kind, draw(st.integers(0, 1 << 16))))
             else:
                 ops.append((kind, draw(st.booleans())))
-        return WORD_RINGS[n], ops
+        return ring, ops
     return cases()
 
 
@@ -489,47 +493,42 @@ def test_every_default_lookup_is_default_lookup():
 
 
 def _counting_exps_of(monkeypatch):
+    """A list that every Ring.exps_of call and Monomial.exps read appends
+    the word of to."""
     calls = []
-    real = Ring.exps_of
+    real_of, real_exps = Ring.exps_of, Monomial.exps.fget
 
     def exps_of(self, word):
         calls.append(word)
-        return real(self, word)
+        return real_of(self, word)
+
+    def exps(mono):
+        calls.append(mono.word)
+        return real_exps(mono)
 
     monkeypatch.setattr(Ring, "exps_of", exps_of)
+    monkeypatch.setattr(Monomial, "exps", property(exps))
     return calls
 
 
-def test_maskless_leaf_root_answers_from_the_word_alone(monkeypatch):
+def test_maskless_find_divisor_answers_from_the_word_alone(monkeypatch):
+    # a maskless lookup reads no exponent vector, whether its root is
+    # still one leaf or a kd node: the nodes route on word fields
     rng = random.Random(21)
     r = Ring(101, 4)
-    s = make_lookup("kdtree", r)
-    monos = [random_mono(r, rng, 3) for _ in range(DEFAULT_LEAF_CAPACITY)]
-    for i, m in enumerate(monos):
-        s.insert(m, i)
-    assert not isinstance(s.root, _KdNode)
     calls = _counting_exps_of(monkeypatch)
-    for _ in range(60):
-        q = random_mono(r, rng, 5)
-        got = s.find_divisor(q.word)
-        want = [i for i, m in enumerate(monos) if r.mono_divides(m, q)]
-        assert got in want if want else got is None
+    for cap, n, root_kind in ((DEFAULT_LEAF_CAPACITY, DEFAULT_LEAF_CAPACITY,
+                               list), (4, 30, _KdNode)):
+        s = make_lookup("kdtree", r, leaf_capacity=cap)
+        monos = [random_mono(r, rng, 3) for _ in range(n)]
+        for i, m in enumerate(monos):
+            s.insert(m, i)
+        assert isinstance(s.root, root_kind)
+        for _ in range(60):
+            q = random_mono(r, rng, 5)
+            want = [i for i, m in enumerate(monos) if r.mono_divides(m, q)]
+            got = s.find_divisor(q.word)
+            assert got in want if want else got is None
+            assert sorted(s.find_all_divisors(q)) == want
+        s.audit()
     assert calls == []
-
-
-def test_find_divisor_after_the_root_splits(monkeypatch):
-    rng = random.Random(22)
-    r = Ring(101, 4)
-    s = make_lookup("kdtree", r, leaf_capacity=4)
-    monos = [random_mono(r, rng, 3) for _ in range(30)]
-    for i, m in enumerate(monos):
-        s.insert(m, i)
-    assert isinstance(s.root, _KdNode)
-    calls = _counting_exps_of(monkeypatch)
-    for _ in range(60):
-        q = random_mono(r, rng, 5)
-        got = s.find_divisor(q.word)
-        want = [i for i, m in enumerate(monos) if r.mono_divides(m, q)]
-        assert got in want if want else got is None
-    assert calls    # a kd node routes the query on its exponents
-    s.audit()
