@@ -511,24 +511,37 @@ def _counting_exps_of(monkeypatch):
     return calls
 
 
-def test_maskless_find_divisor_answers_from_the_word_alone(monkeypatch):
-    # a maskless lookup reads no exponent vector, whether its root is
-    # still one leaf or a kd node: the nodes route on word fields
+def _check_word_only_queries(monkeypatch, r, s, monos, rng):
+    calls = _counting_exps_of(monkeypatch)
+    for _ in range(60):
+        q = random_mono(r, rng, 5)
+        want = [i for i, m in enumerate(monos) if r.mono_divides(m, q)]
+        got = s.find_divisor(q.word)
+        assert got in want if want else got is None
+        assert sorted(s.find_all_divisors(q)) == want
+    assert calls == []
+
+
+def test_maskless_leaf_root_answers_from_the_word_alone(monkeypatch):
     rng = random.Random(21)
     r = Ring(101, 4)
-    calls = _counting_exps_of(monkeypatch)
-    for cap, n, root_kind in ((DEFAULT_LEAF_CAPACITY, DEFAULT_LEAF_CAPACITY,
-                               list), (4, 30, _KdNode)):
-        s = make_lookup("kdtree", r, leaf_capacity=cap)
-        monos = [random_mono(r, rng, 3) for _ in range(n)]
-        for i, m in enumerate(monos):
-            s.insert(m, i)
-        assert isinstance(s.root, root_kind)
-        for _ in range(60):
-            q = random_mono(r, rng, 5)
-            want = [i for i, m in enumerate(monos) if r.mono_divides(m, q)]
-            got = s.find_divisor(q.word)
-            assert got in want if want else got is None
-            assert sorted(s.find_all_divisors(q)) == want
-        s.audit()
-    assert calls == []
+    s = make_lookup("kdtree", r)
+    monos = [random_mono(r, rng, 3) for _ in range(DEFAULT_LEAF_CAPACITY)]
+    for i, m in enumerate(monos):
+        s.insert(m, i)
+    assert not isinstance(s.root, _KdNode)
+    _check_word_only_queries(monkeypatch, r, s, monos, rng)
+
+
+def test_find_divisor_after_the_root_splits(monkeypatch):
+    # a kd node routes the query on the split variable's word field, so a
+    # split root reads no exponent vector either
+    rng = random.Random(22)
+    r = Ring(101, 4)
+    s = make_lookup("kdtree", r, leaf_capacity=4)
+    monos = [random_mono(r, rng, 3) for _ in range(30)]
+    for i, m in enumerate(monos):
+        s.insert(m, i)
+    assert isinstance(s.root, _KdNode)
+    _check_word_only_queries(monkeypatch, r, s, monos, rng)
+    s.audit()
