@@ -10,6 +10,7 @@ folded together, skipping monomials whose contributions cancel.
 Every backend is a bare priority queue of ints: it pops the smallest
 entry, comparing whole entries, one integer comparison each, and does no
 arithmetic on them; the binary heap is the standard library's heapq.
+For the S-pair queue's fronts, the heap's and the tournament tree's
 replace_top(e) swaps the smallest entry for e, which must not be smaller,
 and returns the new smallest.  One ReducerQueue serves every reduction of
 a run, and in every flavour it interns each product monomial to a small
@@ -42,12 +43,19 @@ each sum as it pops.  What the backend holds per flavour:
               to pending.  Every entry of an id is the same int, so the
               first to pop drains the sum and any other pops a zero sum,
               which is skipped.
-  compressed  id_entry << ID_BITS | cursor: a cursor [c, j, row, coeffs]
-              at term j of a product, c the multiplier's coefficient, kept
-              in a list that is reset when the queue drains; the cursor
-              stands at id row[j] and advances by replace-top.  All
-              cursors at one id lie below (id_entry + 1) << ID_BITS, so
-              pop_max gathers them with one comparison each.
+  compressed  id_entry << ID_BITS | head: a chain of cursors that stand
+              at one id, head its first.  A cursor [c, j, row, coeffs,
+              next] is at term j of a product, c the multiplier's
+              coefficient, and stands at id row[j]; next is the index of
+              the chain's next cursor, or -1.  Cursors are kept in a list
+              that is reset when the queue drains, and a push opens one
+              cursor, a chain of its own.  All chains at one id lie below
+              (id_entry + 1) << ID_BITS, so pop_max pops them with one
+              comparison each, walks each chain to sum and advance its
+              cursors, links every advanced cursor into the chain of its
+              next id, and pushes one entry per new chain, in one run
+              (as Monagan and Pearce chain equal monomials in their
+              division heap).
 
 Ids and cursor indices stay below 2^ID_BITS; reaching it raises
 ValueError before the queue changes, so no entry can sort wrong.
@@ -232,16 +240,6 @@ class Geobucket:
             heappop(heads)
         return e
 
-    def replace_top(self, e):
-        top = self.peek()
-        if top is None:
-            raise ValueError("replace_top on empty queue")
-        if e < top:
-            raise ValueError("replace_top entry below current min")
-        self.pop()
-        self.push(e)
-        return self.peek()
-
     def audit(self):
         heads = self.heads
         require(sorted(heads) == sorted((b[-1], i)
@@ -411,7 +409,7 @@ class ReducerQueue:
         # id -> pending unreduced sum, 0 if none; compressed cursors carry
         # their multiplier's coefficient instead
         self.acc = None if self.cfg.compressed else []
-        self.cursors = []       # compressed: [c, j, row, coeffs] per product
+        self.cursors = []       # compressed: [c, j, row, coeffs, next]
 
     def row(self, lead, poly, audit=False):
         """The ids of the terms of the multiple of poly (nonzero) whose
@@ -465,7 +463,7 @@ class ReducerQueue:
             ci = len(cursors)
             if ci >> ID_BITS:
                 raise ValueError("compressed cursors reach 2^%d" % ID_BITS)
-            cursors.append([coeff, start, row, poly.coeffs])
+            cursors.append([coeff, start, row, poly.coeffs, -1])
             self.backend.push(tkeys[row[start]] << ID_BITS | ci)
             return
         # one multiply scales every term: slot i of coeff * packed is
@@ -514,28 +512,36 @@ class ReducerQueue:
                     return (coeff, t)
         tkeys, cursors = self.keys, self.cursors
         bits, mask = ID_BITS, ID_MASK
-        replace_top, peek = backend.replace_top, backend.peek
+        pop, peek = backend.pop, backend.peek
         top = peek()
         while top is not None:
             t = top >> bits & mask
-            # every cursor at id t, and no other, lies below limit
+            # every chain at id t, and no other, lies below limit
             limit = (top | mask) + 1
             coeff = 0
+            heads = {}          # next id -> head of its chain
             while top is not None and top < limit:
-                ci = top & mask
-                cursor = cursors[ci]
-                c, j, row, coeffs = cursor
-                coeff += c * coeffs[j]
-                j += 1
-                if j < len(row):
-                    cursor[1] = j
-                    top = replace_top(tkeys[row[j]] << bits | ci)
-                else:
-                    backend.pop()
-                    top = peek()
+                ci = pop() & mask
+                while ci >= 0:
+                    cursor = cursors[ci]
+                    c, j, row, coeffs, nxt = cursor
+                    coeff += c * coeffs[j]
+                    j += 1
+                    if j < len(row):
+                        u = row[j]
+                        cursor[1] = j
+                        cursor[4] = heads.get(u, -1)
+                        heads[u] = ci
+                    ci = nxt
+                top = peek()
+            if heads:
+                # one entry per chain, ascending as a geobucket run must be
+                backend.push_run(sorted([tkeys[u] << bits | ci
+                                         for u, ci in heads.items()]))
             coeff %= p
             if coeff:
                 return (coeff, t)
+            top = peek()
         return self._drained()
 
     def _drained(self):
@@ -545,27 +551,30 @@ class ReducerQueue:
         self.cursors = []
 
     def audit(self):
-        """Check that every entry is its id's entry (for a compressed
-        cursor, that of the row id it stands at, over the cursor's index),
-        that the queue keeps one sum per id and its backend holds every
-        pending id, a hashed backend each pending id once and nothing else,
-        a compressed one each cursor at most once; then audit the
-        backend."""
+        """Check that every entry is its id's entry, that the queue keeps
+        one sum per id and its backend holds every pending id, a hashed
+        backend each pending id once and nothing else; for a compressed
+        queue, that each entry's chain names cursors, each in at most one
+        chain and once, every one inside its row and at the entry's id.
+        Then audit the backend."""
         keys, acc, cursors = self.keys, self.acc, self.cursors
-        # each entry's low field: an id, or a compressed cursor's index
-        held = [e & ID_MASK for e in self.backend]
-        for e, t in zip(self.backend, held):
-            if acc is None:
-                require(t < len(cursors), "entry names a cursor")
-                _, j, row, _ = cursors[t]
-                require(j < len(row), "cursor inside its row")
-                t, e = row[j], e >> ID_BITS
-            require(t < len(keys) and e == keys[t],
-                    "entry is its id's entry")
         if acc is None:
-            require(len(set(held)) == len(held),
-                    "one backend entry per cursor")
+            seen = set()
+            for e in self.backend:
+                ci = e & ID_MASK
+                while ci != -1:
+                    require(0 <= ci < len(cursors), "entry names a cursor")
+                    require(ci not in seen, "each cursor in one chain, once")
+                    seen.add(ci)
+                    _, j, row, _, ci = cursors[ci]
+                    require(j < len(row), "cursor inside its row")
+                    require(keys[row[j]] == e >> ID_BITS,
+                            "cursor at its entry's id")
         else:
+            held = [e & ID_MASK for e in self.backend]
+            for e, t in zip(self.backend, held):
+                require(t < len(keys) and e == keys[t],
+                        "entry is its id's entry")
             require(len(acc) == len(keys), "one sum per id")
             pending = {t for t, a in enumerate(acc) if a}
             if self.cfg.hashed:

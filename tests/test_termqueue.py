@@ -44,7 +44,7 @@ def _e(k):
     return k
 
 
-@pytest.mark.parametrize("make", [Heap, Geobucket, TourTree])
+@pytest.mark.parametrize("make", [Heap, TourTree])
 def test_backend_replace_top_examples(make):
     q = make()
     for k in (1, 4, 6, 8):
@@ -75,7 +75,7 @@ def test_backend_random_vs_sorted(make):
         assert got == sorted(vals)
 
 
-@pytest.mark.parametrize("make", [Heap, Geobucket, TourTree])
+@pytest.mark.parametrize("make", [Heap, TourTree])
 def test_backend_replace_top_equals_pop_push(make):
     rng = random.Random(5)
     for _ in range(200):
@@ -278,8 +278,34 @@ def test_compressed_single_entry_advances():
     _push(q, 1, r.mono((1, 0, 0)), g)
     assert len(q.backend) == 1
     assert _pop(q) == (1, (3, 0, 0))
-    assert len(q.backend) == 1        # advanced in place via replace-top
+    assert len(q.backend) == 1        # the cursor's chain, at its next id
     assert _pop(q) == (100, (1, 1, 0))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_compressed_gather_chains_cursors_to_one_entry(backend):
+    # five products x^3 + c*x^2*y + (a lower term of its own): the gather
+    # at x^3 advances all five cursors to x^2*y, where they form one chain
+    # under one backend entry; the pops are the summed products, as a dict
+    # of the sums has them
+    r = _ring()
+    q = ReducerQueue(r, QueueConfig(backend, hashed=False, compressed=True))
+    sums = {}
+    tails = ((0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (0, 0, 1))
+    for i, tail in enumerate(tails):
+        terms = [(1, (3, 0, 0)), (i + 1, (2, 1, 0)), (3, tail)]
+        _push(q, i + 2, r.one, poly_from_exps(r, terms))
+        for c, exps in terms:
+            sums[exps] = sums.get(exps, 0) + (i + 2) * c
+    want = sorted(((c % r.char, exps) for exps, c in sums.items()
+                   if c % r.char), key=lambda t: r.mono(t[1]).key,
+                  reverse=True)
+    assert len(q.backend) == len(tails)
+    pops = [_pop(q)]
+    assert len(q.backend) == 1
+    q.audit()
+    pops += iter(lambda: _pop(q), None)
+    assert pops == want
 
 
 def test_drained_queue_takes_a_fresh_backend():
@@ -425,27 +451,49 @@ def test_unhashed_flavours_reuse_one_queue(monkeypatch):
                                      "duplicate_entry", "wrong_key",
                                      "wrong_id", "plain_wrong_key",
                                      "cursor_wrong_key", "cursor_unknown",
-                                     "plain_lost_entry", "dedup_lost_entry"])
+                                     "plain_lost_entry", "dedup_lost_entry",
+                                     "chain_cycle", "chain_wrong_id",
+                                     "chain_twice", "chain_exhausted"])
 def test_hashed_audit_catches_corruption(corrupt):
-    # a hashed queue, and for the last five inputs a plain, a compressed
-    # and a dedup queue: entries are audited against the queue's, a
-    # cursor entry must name a cursor, and a plain or dedup queue must
-    # hold an entry for every pending id
+    # a hashed queue, and for the other inputs a plain, a compressed or a
+    # dedup queue: entries are audited against the queue's, a cursor
+    # entry must name a cursor, and a plain or dedup queue must hold an
+    # entry for every pending id.  The chain inputs push two products
+    # whose cursors, after one pop, form one chain at the second term:
+    # every cursor of a chain must be in it once, in no other chain,
+    # inside its row and at the chain's id
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))])
     compressed = QueueConfig("heap", hashed=False, compressed=True)
+    chained = corrupt.startswith("chain")
     cfg = {"plain_wrong_key": QueueConfig("heap", hashed=False),
            "cursor_wrong_key": compressed,
            "cursor_unknown": compressed,
            "plain_lost_entry": QueueConfig("heap", hashed=False),
            "dedup_lost_entry": QueueConfig("tourtree", hashed=False,
                                            dedup=True)}
-    q = ReducerQueue(r, cfg.get(corrupt, QueueConfig("heap")))
+    q = ReducerQueue(r, compressed if chained
+                     else cfg.get(corrupt, QueueConfig("heap")))
     _push(q, 1, r.one, g)
+    if chained:
+        _push(q, 1, r.one, g)
+        assert _pop(q) == (2, (2, 0, 0)) and len(q.backend) == 1
     q.audit()
     e = q.backend.peek()
     t = e & ID_MASK
-    if corrupt == "forget_pending":
+    if chained:
+        tail = q.cursors[t][4]
+        assert tail not in (-1, t) and q.cursors[tail][4] == -1
+    if corrupt == "chain_cycle":
+        q.cursors[tail][4] = t
+    elif corrupt == "chain_wrong_id":
+        q.cursors[tail][1] += 1
+    elif corrupt == "chain_twice":
+        # a second chain, headed by the first one's tail
+        q.backend.push(e - t + tail)
+    elif corrupt == "chain_exhausted":
+        q.cursors[tail][1] = len(g)
+    elif corrupt == "forget_pending":
         q.acc[t] = 0
     elif corrupt in ("stale_sum", "plain_lost_entry", "dedup_lost_entry"):
         q.backend.pop()
@@ -477,9 +525,10 @@ def test_hashed_audit_wants_one_sum_per_id():
         q.audit()
 
 
-def test_queue_audit_fires_under_optimize():
-    # the audits raise InvariantError, not AssertionError, so python -O
-    # keeps them
+def _audit_under_optimize(corrupt):
+    # the InvariantError message of an audit after the corrupt lines, which
+    # run on a queue q of a Ring(101, 3) r and a polynomial g = x^2 + y,
+    # under python -O
     script = "\n".join([
         "from gbengine import InvariantError, QueueConfig, ReducerQueue, Ring",
         "from gbengine.poly import poly_from_exps",
@@ -487,10 +536,7 @@ def test_queue_audit_fires_under_optimize():
         "assert False  # stripped by -O",
         "r = Ring(101, 3)",
         "g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0))])",
-        "q = ReducerQueue(r, QueueConfig('heap'))",
-        "q.push_product(1, q.row(g.lead_mono, g), g)",
-        "q.audit()",
-        "q.acc[q.backend.peek() & ID_MASK] = 0",
+        *corrupt,
         "try:",
         "    q.audit()",
         "except InvariantError as exc:",
@@ -500,7 +546,32 @@ def test_queue_audit_fires_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pending ids are the backend's"
+    return out.stdout.strip()
+
+
+def test_queue_audit_fires_under_optimize():
+    # the audits raise InvariantError, not AssertionError, so python -O
+    # keeps them
+    assert _audit_under_optimize([
+        "q = ReducerQueue(r, QueueConfig('heap'))",
+        "q.push_product(1, q.row(g.lead_mono, g), g)",
+        "q.audit()",
+        "q.acc[q.backend.peek() & ID_MASK] = 0"]) == \
+        "pending ids are the backend's"
+
+
+def test_chain_audit_fires_under_optimize():
+    # two cursors chained at y, the tail linked back to the head
+    assert _audit_under_optimize([
+        "q = ReducerQueue(r, QueueConfig('heap', hashed=False,"
+        " compressed=True))",
+        "for _ in range(2):",
+        "    q.push_product(1, q.row(g.lead_mono, g), g)",
+        "q.pop_max()",
+        "q.audit()",
+        "head = q.backend.peek() & ID_MASK",
+        "q.cursors[q.cursors[head][4]][4] = head"]) == \
+        "each cursor in one chain, once"
 
 
 def test_uncompressed_entries_are_ints():
@@ -529,7 +600,7 @@ def test_uncompressed_entries_are_ints():
 @pytest.mark.parametrize("fold", [False, True])
 def test_geobucket_cached_top_random_ops(fold):
     # each backend against an oracle under interleaved push, push_run,
-    # peek, pop and replace_top.  The oracle counts the pushes of each
+    # peek and pop.  The oracle counts the pushes of each
     # pending key.  Without fold the backend holds just those entries; a
     # fold drops an entry that meets an equal queued key, so the backend
     # holds every pending key, never more often than it was pushed, and a
@@ -554,18 +625,13 @@ def test_geobucket_cached_top_random_ops(fold):
                 elif op < 0.65:
                     top = q.peek()
                     assert top == min(oracle, default=None)
-                elif op < 0.85 or not oracle:
+                else:
                     e = q.pop()
                     if e is None:
                         assert not oracle
                         continue
                     taken = e
                     assert taken == min(oracle)
-                else:
-                    taken = q.peek()
-                    k = rng.randrange(taken, 60)
-                    q.replace_top(_e(k))
-                    oracle[k] += 1
                 q.audit()
                 held = Counter(q)
                 if taken is not None:
@@ -623,9 +689,10 @@ def _products():
 
 @_property(_products)
 def test_hashed_push_matches_dict_oracle(case):
-    # every backend, plain, dedup or hashed (each push takes the packed
-    # multiply), pops the terms of the summed products, each coefficient
-    # the sum of coeff * c mod p, against a dict of the sums
+    # every config (an uncompressed push takes the packed multiply, and
+    # compressed cursors that meet at one id chain) pops the terms of the
+    # summed products, each coefficient the sum of coeff * c mod p,
+    # against a dict of the sums
     p, products = case
     r = Ring(p, 2)
     pushes = []
@@ -639,8 +706,6 @@ def test_hashed_push_matches_dict_oracle(case):
     want = sorted(((c % p, exps) for exps, c in sums.items() if c % p),
                   key=lambda t: r.mono(t[1]).key, reverse=True)
     for cfg in all_queue_configs():
-        if cfg.compressed:
-            continue
         q = ReducerQueue(r, cfg)
         for coeff, mono, g, start in pushes:
             _push(q, coeff, mono, g, start)
@@ -704,7 +769,8 @@ def test_backends_pop_sorted_and_audit_clean(case):
             elif op[0] == "pop":
                 taken = q.pop()
                 assert taken == min(pending, default=None), make.__name__
-            elif pending:
+            elif pending and make is not Geobucket:
+                # only the pair queue's fronts replace their top
                 taken = q.peek()
                 e = taken + op[1]
                 assert q.replace_top(e) == q.peek()
@@ -725,7 +791,7 @@ def test_backends_pop_sorted_and_audit_clean(case):
         q.audit()
 
 
-@pytest.mark.parametrize("make", [Heap, Geobucket, TourTree])
+@pytest.mark.parametrize("make", [Heap, TourTree])
 def test_replace_top_returns_the_new_min(make):
     q = make()
     q.push_run([3, 5, 9])
