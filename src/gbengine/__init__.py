@@ -21,8 +21,7 @@ from .poly import (Polynomial, poly_add, poly_from_exps, poly_monic,
 from .ring import (GREVLEX, LEX, InvariantError, Monomial, Ring, ff_inv,
                    ring_from_order_spec)
 from .sigbasis import (ModuleOrder, SBConfig, SigEntry, SigStats,
-                       koszul_signature, low_base_divisor_bound, sb_run,
-                       spair_signature)
+                       koszul_signature, low_base_divisor_bound, sb_run)
 from .spairqueue import FlatPairQueue, PairTriangle, make_spair_queue
 from .termqueue import QueueConfig, ReducerQueue, all_queue_configs
 
@@ -40,5 +39,5 @@ __all__ = [
     "mono_str", "parse_ideal", "poly_add", "poly_from_exps", "poly_monic",
     "poly_mul_term", "poly_normalize", "poly_str",
     "print_ideal", "reduced_basis", "ring_from_order_spec",
-    "sb_run", "spair_signature",
+    "sb_run",
 ]

@@ -20,6 +20,7 @@ from .lookup import DEFAULT_LOOKUP
 from .pairbits import BitTriangle
 from .poly import Polynomial, poly_monic
 from .ring import Ring, key_bound, require, word_divides, word_max
+from .spairqueue import DEFAULT_SPAIR_QUEUE
 from .termqueue import QueueConfig
 
 
@@ -58,7 +59,7 @@ class ClassicStats:
 class ClassicConfig:
     queue: QueueConfig = field(default_factory=QueueConfig)
     lookup: str = DEFAULT_LOOKUP
-    spair_queue: str = "triangle-tt"
+    spair_queue: str = DEFAULT_SPAIR_QUEUE
     use_relprime: bool = True
     use_lcm: bool = True
     use_graph: bool = True
@@ -121,13 +122,12 @@ class _ClassicEngine(Completion):
             self._add(g)
 
     def _pair_key(self, i, j):
-        # smallest lcm degree first, ring-order ties, then newest column:
-        # (deg, key, j, i) of the leads' lcm packed into one integer;
-        # indices stay below 2^32
+        # smallest lcm degree first, then ring order: (deg, key) of the
+        # leads' lcm packed into one integer; the pair queue orders equal
+        # keys by (j, i)
         ring = self.ring
         w = word_max(self.leads[i].word, self.leads[j].word, ring.guard)
-        return (((ring.deg_of_word(w) * self.key_bound + ring.key_of_word(w))
-                 << 64) + (j << 32) + i)
+        return ring.deg_of_word(w) * self.key_bound + ring.key_of_word(w)
 
     def _add(self, g: Polynomial):
         n = len(self.polys)

@@ -24,8 +24,9 @@ from .generators import builtin_ideal
 from .idealfile import mono_str, parse_ideal, poly_str, print_ideal
 from .lookup import DEFAULT_LOOKUP, LOOKUP_KINDS
 from .ring import clip, is_decimal
-from .sigbasis import SBConfig, sb_run
-from .spairqueue import SPAIR_QUEUE_KINDS
+from .sigbasis import (BASE_DIVISORS, MODULE_ORDERS, TIEBREAKS, SBConfig,
+                       sb_run)
+from .spairqueue import DEFAULT_SPAIR_QUEUE, SPAIR_QUEUE_KINDS
 from .termqueue import BACKENDS, QueueConfig
 
 
@@ -36,7 +37,8 @@ def _build_parser():
     run = sub.add_parser("run", help="compute a Groebner basis")
     run.add_argument("input", help="ideal file path or builtin name")
     run.add_argument("--algorithm", choices=("sb", "classic"), default="sb")
-    run.add_argument("--reducer", choices=BACKENDS, default="geobucket")
+    run.add_argument("--reducer", choices=BACKENDS,
+                     default=QueueConfig.backend)
     run.add_argument("--hashed", action="store_true")
     run.add_argument("--dedup", action="store_true")
     run.add_argument("--compressed", action="store_true",
@@ -46,9 +48,9 @@ def _build_parser():
     run.add_argument("--lookup", choices=LOOKUP_KINDS,
                      default=DEFAULT_LOOKUP)
     run.add_argument("--spair-queue", choices=SPAIR_QUEUE_KINDS,
-                     default="triangle-tt")
-    run.add_argument("--module-order", choices=("schreyer", "potop"))
-    run.add_argument("--schreyer-tiebreak", choices=("low-gt", "high-gt"))
+                     default=DEFAULT_SPAIR_QUEUE)
+    run.add_argument("--module-order", choices=MODULE_ORDERS)
+    run.add_argument("--schreyer-tiebreak", choices=TIEBREAKS)
     run.add_argument("--base-divisors", metavar="N",
                      help="0, 1 (high only) or 2")
     run.add_argument("--early-singular", action="store_true", default=None)
@@ -66,8 +68,10 @@ def _build_parser():
 
 
 # the flags of the signature engine only, with their defaults there
-_SB_FLAGS = (("module_order", "schreyer"), ("schreyer_tiebreak", "low-gt"),
-             ("base_divisors", "2"), ("early_singular", False))
+_SB_FLAGS = (("module_order", SBConfig.module_order),
+             ("schreyer_tiebreak", SBConfig.tiebreak),
+             ("base_divisors", str(SBConfig.base_divisors)),
+             ("early_singular", SBConfig.early_singular))
 
 
 def _char(text):
@@ -87,11 +91,22 @@ def _load_input(args):
 
 
 def _queue_config(args):
+    """The reducer queue of the four flavour flags, QueueConfig's default
+    flavour if none is given; --plain turns hashing off, and so does
+    --dedup or --compressed."""
     if args.hashed and args.plain:
         raise ValueError("--hashed excludes --plain")
-    hashed = args.hashed or not (args.dedup or args.plain or args.compressed)
-    return QueueConfig(backend=args.reducer, hashed=hashed,
-                       dedup=args.dedup, compressed=args.compressed)
+    if args.hashed and args.dedup:
+        # hashing already merges all like terms
+        raise ValueError("hashed excludes dedup")
+    if args.compressed and (args.hashed or args.dedup):
+        # a compressed product is one cursor: no like terms to merge
+        raise ValueError("compressed excludes %s"
+                         % ("hashed" if args.hashed else "dedup"))
+    flavour = ("compressed" if args.compressed else "dedup" if args.dedup
+               else "plain" if args.plain else "hashed" if args.hashed
+               else QueueConfig.flavour)
+    return QueueConfig(args.reducer, flavour)
 
 
 def _divmask_rows(stats_obj):
@@ -122,7 +137,7 @@ def _cmd_run(args) -> int:
     if not polys:
         raise ValueError("input has no polynomials")
     qcfg = _queue_config(args)
-    if args.base_divisors not in ("0", "1", "2"):
+    if args.base_divisors not in map(str, BASE_DIVISORS):
         raise ValueError("--base-divisors takes 0, 1 or 2")
     t0 = time.monotonic()
     lines, texts = [], {}       # texts: poly_str's memo for this output

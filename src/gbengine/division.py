@@ -52,7 +52,7 @@ def classic_reduce(ring: Ring, f: Polynomial, basis, lookup=None,
     queue that lives only as long as the division.
     """
     if lookup is None:
-        lookup = basis_lookup(ring, basis, "list")
+        lookup = basis_lookup(ring, basis)
     if queue is None:
         queue = ReducerQueue(ring)
     if f:

@@ -30,11 +30,12 @@ from .pairbits import BitTriangle
 from .poly import poly_monic
 from .ring import (MAX_EXPONENT, InvariantError, Monomial, Ring, guard_mask,
                    key_bound, require, word_divides, word_max)
-from .spairqueue import MinHeap
+from .spairqueue import DEFAULT_SPAIR_QUEUE, MinHeap
 from .termqueue import QueueConfig
 
 MODULE_ORDERS = ("schreyer", "potop")
 TIEBREAKS = ("low-gt", "high-gt")
+BASE_DIVISORS = (0, 1, 2)
 KOSZUL_PUSH_MODES = ("survivor", "group")
 
 
@@ -51,12 +52,13 @@ class ModuleOrder:
     ratio rank (sig.key - lead.key) * scale + offsets[comp].  Schreyer
     has scale = 2m + 1 and offsets[i] = hd[i].key * scale - i (low-gt)
     or + i (high-gt); potop has scale = 1 and offsets[i] = 2 * S * i, S
-    bounding |key|.
+    bounding |key| in the ring's num_vars variables, which potop needs.
     """
 
     __slots__ = ("hd_monos", "scale", "offsets")
 
-    def __init__(self, kind: str, tiebreak: str, input_leads):
+    def __init__(self, kind: str, tiebreak: str, input_leads,
+                 num_vars: int | None = None):
         if kind not in MODULE_ORDERS:
             raise ValueError("unknown module order %r" % (kind,))
         if tiebreak not in TIEBREAKS:
@@ -67,9 +69,11 @@ class ModuleOrder:
             sign = -1 if tiebreak == "low-gt" else 1
             self.offsets = tuple(m.key * scale + sign * i
                                  for i, m in enumerate(self.hd_monos))
+        elif num_vars is None:
+            raise ValueError("potop needs the variable count")
         else:
             self.scale = 1
-            span = 2 * key_bound(len(self.hd_monos[0].exps))
+            span = 2 * key_bound(num_vars)
             self.offsets = tuple(span * i for i in range(len(self.hd_monos)))
 
     def sig_key(self, mono: Monomial, comp: int) -> int:
@@ -167,7 +171,7 @@ class SBConfig:
     tiebreak: str = "low-gt"
     queue: QueueConfig = field(default_factory=QueueConfig)
     lookup: str = DEFAULT_LOOKUP
-    spair_queue: str = "triangle-tt"
+    spair_queue: str = DEFAULT_SPAIR_QUEUE
     base_divisors: int = 2
     use_signature: bool = True
     use_koszul: bool = True
@@ -183,7 +187,7 @@ class SBConfig:
         if self.koszul_push not in KOSZUL_PUSH_MODES:
             raise ValueError("unknown koszul push mode %r"
                              % (self.koszul_push,))
-        if self.base_divisors not in (0, 1, 2):
+        if self.base_divisors not in BASE_DIVISORS:
             raise ValueError("base_divisors takes 0, 1 or 2")
 
 
@@ -249,15 +253,6 @@ def spair_word(ring: Ring, a: SigEntry, b: SigEntry):
     return word, win.sig_comp
 
 
-def spair_signature(ring: Ring, a: SigEntry, b: SigEntry):
-    """Signature (mono, comp) of the S-pair of a and b.  Pair construction
-    needs it only for the early singular criterion; _pop builds the same
-    Monomial itself, only for the pops that pass the late signature
-    criterion."""
-    word, comp = spair_word(ring, a, b)
-    return ring.mono_of_word(word), comp
-
-
 def koszul_signature(ring: Ring, a: SigEntry, b: SigEntry):
     """Signature of the Koszul syzygy of a and b (the larger cross product)."""
     win, other = (a, b) if a.ratio_rank >= b.ratio_rank else (b, a)
@@ -290,7 +285,8 @@ class _SBEngine(Completion):
     def __init__(self, ring: Ring, inputs, cfg: SBConfig):
         super().__init__(ring, cfg)
         self.morder = ModuleOrder(cfg.module_order, cfg.tiebreak,
-                                  [g.lead_mono for g in inputs])
+                                  [g.lead_mono for g in inputs],
+                                  ring.num_vars)
         self.m = len(inputs)
         self.entries = []
         self.sig_lookups = [make_lookup(cfg.lookup, ring)
@@ -319,8 +315,9 @@ class _SBEngine(Completion):
         return entry
 
     def _pair_key(self, i, j):
-        """sig_key of spair_signature(entries[i], entries[j]), made with
-        no Monomial: the larger ratio rank plus scale * key(lcm of leads)."""
+        """sig_key of the S-pair signature spair_word(entries[i],
+        entries[j]) names, made with no Monomial: the larger ratio rank
+        plus scale * key(lcm of leads)."""
         a, b = self.entries[i], self.entries[j]
         ring = self.ring
         return max(a.ratio_rank, b.ratio_rank) + self.morder.scale * \
@@ -406,7 +403,7 @@ class _SBEngine(Completion):
                 tri.set(gamma.idx, bidx)
                 continue
             if cfg.early_singular and self._early_singular(
-                    spair_signature(ring, beta, gamma), beta, gamma):
+                    ring.mono_of_word(sword), scomp, beta, gamma):
                 stats.early_singular += 1
                 continue
             # _pair_key(gamma.idx, bidx), from the signature word at hand
@@ -415,11 +412,11 @@ class _SBEngine(Completion):
         stats.queued += len(batch)
         self.pairs.add_column(bidx, batch)
 
-    def _early_singular(self, sig, beta, gamma):
-        # a module term with this signature and a strictly smaller lead
-        # term rewrites the pair away (strictly larger sig/lead ratio)
+    def _early_singular(self, mono, comp, beta, gamma):
+        # a module term with the pair's signature mono * e_comp and a
+        # strictly smaller lead term rewrites the pair away (strictly
+        # larger sig/lead ratio)
         winner = beta if beta.ratio_rank > gamma.ratio_rank else gamma
-        mono, comp = sig
         best = self._max_ratio_divisor(self.sig_lookups[comp], mono)
         return best is not None and best.ratio_rank > winner.ratio_rank
 
@@ -433,7 +430,6 @@ class _SBEngine(Completion):
         group = [pairs.pop_min()]
         while pairs.peek_min_key() == tkey:
             group.append(pairs.pop_min())
-        group.sort(key=lambda ij: (ij[1], ij[0]))
         require(self._last_key is None or tkey >= self._last_key,
                 "signature monotonicity")
         self._last_key = tkey

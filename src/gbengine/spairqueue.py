@@ -13,9 +13,15 @@ tournament tree; they trade memory for simplicity and are used for
 cross-checking.  The fronts and the reference queues are the term
 queue's heap and tournament tree, so each entry is one int, compared
 whole: a front entry is key << 32 | j, a reference entry
-key << 64 | j << 32 | i.  Between equal keys the triangle's front pops
-the smaller column first and a reference queue the smaller (j, i).  A
-pair index reaching 2^32 raises ValueError before the queue changes.
+key << 64 | j << 32 | i.  A pair index reaching 2^32 raises ValueError
+before the queue changes.
+
+The queues alone break ties between equal keys: every kind pops pairs
+(i, j) in (key, j, i) order, so an engine's key holds no pair index.  A
+reference entry sorts so whole; the triangle's front pops the smaller
+column first, and a column keeps the rows of one key in the order they
+came.  add_column therefore takes its batch in ascending row order i, as
+both engines build it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .ring import require
 from .termqueue import Heap, TourTree
 
 SPAIR_QUEUE_KINDS = ("triangle-tt", "triangle-heap", "heap", "tourtree")
+DEFAULT_SPAIR_QUEUE = "triangle-tt"
 
 _U16_LIMIT = 1 << 16
 
@@ -69,7 +76,8 @@ class PairTriangle:
         return self.pairs
 
     def add_column(self, j: int, pairs) -> None:
-        """Register the batch of pairs (i, key) for the new element j."""
+        """Register the batch of pairs (i, key) for the new element j, in
+        ascending row order i."""
         if not pairs:
             return
         if j in self.cols:

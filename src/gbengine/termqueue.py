@@ -1,11 +1,11 @@
 """Priority queues over the terms of the polynomial being reduced.
 
 Three backends (binary heap, geobucket, tournament tree), each in one of
-four flavours: plain, deduplicating, hashed or compressed.  Hashing and
-folding apply to uncompressed queues only.  All configurations are
-observationally identical: pop_max always returns the id of the
-order-maximal monomial with every pending contribution to its coefficient
-folded together, skipping monomials whose contributions cancel.
+four flavours (FLAVOURS): plain, deduplicating, hashed or compressed.
+All configurations are observationally identical: pop_max always returns
+the id of the order-maximal monomial with every pending contribution to
+its coefficient folded together, skipping monomials whose contributions
+cancel.
 
 Every backend is a bare priority queue of ints: it pops the smallest
 entry, comparing whole entries, one integer comparison each, and does no
@@ -71,6 +71,7 @@ from itertools import islice
 from .ring import Ring, key_bound, require
 
 BACKENDS = ("heap", "geobucket", "tourtree")
+FLAVOURS = ("plain", "dedup", "hashed", "compressed")
 
 # the low field of a packed entry: an id, or a compressed cursor's index
 ID_BITS = 32
@@ -90,36 +91,23 @@ EMPTY = float("inf")
 @dataclass(frozen=True)
 class QueueConfig:
     backend: str = "geobucket"
-    hashed: bool = True
-    dedup: bool = False
-    compressed: bool = False
+    flavour: str = "hashed"
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError("unknown queue backend %r" % (self.backend,))
-        if self.hashed and self.dedup:
-            # hashing already merges all like terms
-            raise ValueError("hashed excludes dedup")
-        if self.compressed and (self.hashed or self.dedup):
-            # a compressed product is one cursor: no like terms to merge
-            raise ValueError("compressed excludes %s"
-                             % ("hashed" if self.hashed else "dedup"))
+        if self.flavour not in FLAVOURS:
+            raise ValueError("unknown queue flavour %r" % (self.flavour,))
 
     def label(self):
-        flags = [f for f, on in (("hashed", self.hashed), ("dedup", self.dedup),
-                                 ("compressed", self.compressed)) if on]
-        return "+".join([self.backend] + flags)
+        return self.backend + ("" if self.flavour == "plain"
+                               else "+" + self.flavour)
 
 
 def all_queue_configs():
-    """Every legal configuration: 3 backends x plain, dedup, hashed and
-    compressed."""
-    return [QueueConfig(backend, hashed, dedup, compressed)
-            for backend in BACKENDS
-            for hashed, dedup, compressed in ((False, False, False),
-                                              (False, True, False),
-                                              (True, False, False),
-                                              (False, False, True))]
+    """Every configuration: each backend in each flavour."""
+    return [QueueConfig(backend, flavour)
+            for backend in BACKENDS for flavour in FLAVOURS]
 
 
 class Heap:
@@ -374,11 +362,9 @@ class TourTree:
 
 
 def _make_backend(cfg: QueueConfig):
-    if cfg.backend == "heap":
-        return Heap(cfg.dedup)
-    if cfg.backend == "geobucket":
-        return Geobucket(cfg.dedup)
-    return TourTree(cfg.dedup)
+    make = (Heap if cfg.backend == "heap" else
+            Geobucket if cfg.backend == "geobucket" else TourTree)
+    return make(cfg.flavour == "dedup")
 
 
 class ReducerQueue:
@@ -408,7 +394,7 @@ class ReducerQueue:
         self.rows = {}          # (lead id, poly) -> the product's row
         # id -> pending unreduced sum, 0 if none; compressed cursors carry
         # their multiplier's coefficient instead
-        self.acc = None if self.cfg.compressed else []
+        self.acc = None if self.cfg.flavour == "compressed" else []
         self.cursors = []       # compressed: [c, j, row, coeffs, next]
 
     def row(self, lead, poly, audit=False):
@@ -475,7 +461,7 @@ class ReducerQueue:
             8 * n, sys.byteorder)).cast("Q")
         terms = zip(islice(row, start, None), scaled[start:])
         run = []
-        if self.cfg.hashed:
+        if self.cfg.flavour == "hashed":
             # every contribution is positive, so a zero sum means the id
             # is not pending: it joins the run, in term order
             for t, c in terms:
@@ -577,7 +563,7 @@ class ReducerQueue:
                         "entry is its id's entry")
             require(len(acc) == len(keys), "one sum per id")
             pending = {t for t, a in enumerate(acc) if a}
-            if self.cfg.hashed:
+            if self.cfg.flavour == "hashed":
                 require(len(set(held)) == len(held),
                         "one backend entry per id")
                 require(set(held) == pending, "pending ids are the backend's")

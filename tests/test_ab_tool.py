@@ -22,6 +22,11 @@ def test_ab_pairs_a_tree_with_itself(tmp_path):
     assert set(report) == {"about", "summary", "runs"}
     trees = report["about"]["trees"]
     assert trees["parent"] == trees["change"]
+    committed = report["about"]["committed_src_sha256"]
+    assert trees["change"]["src_committed"] == \
+        (trees["change"]["src_sha256"] == committed)
+    assert ("warning: the change tree's src/" in proc.stderr) == \
+        (trees["change"]["src_committed"] is False)
     assert list(report["summary"]) == ["sb-hcyclic6"]
     s = report["summary"]["sb-hcyclic6"]
     assert s["seeds"] == [7] and s["pairs"] == 1
@@ -47,19 +52,59 @@ def test_ab_pairs_a_tree_with_itself(tmp_path):
     assert "parent IQR 0.0000, claim rule " in proc.stdout
 
 
-def _compare(parent, change):
-    # ab.compare over one run per value, paired in order
+def _ab():
     sys.path.insert(0, str(AB.parent))
     try:
-        from ab import compare
+        import ab
     finally:
         sys.path.remove(str(AB.parent))
+    return ab
 
+
+def _compare(parent, change):
+    # ab.compare over one run per value, paired in order
     def runs(values):
         return [{"result": {"metrics": {"solve_s": {"value": v}}}}
                 for v in values]
-    return compare({"parent": runs(parent), "change": runs(change)},
-                   "solve_s")
+    return _ab().compare({"parent": runs(parent), "change": runs(change)},
+                         "solve_s")
+
+
+def test_src_committed_tells_committed_source_from_an_edit(tmp_path):
+    ab = _ab()
+    checkout = tmp_path / "checkout"
+    pkg = checkout / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n")
+    (checkout / "src" / "b.py").write_text("y = 2\n")
+    (checkout / "README").write_text("not source\n")
+    git = ["git", "-C", str(checkout), "-c", "user.name=t",
+           "-c", "user.email=t@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "c"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    committed = ab.committed_digest(checkout)
+    assert committed == ab.tree_digest(checkout)
+
+    def recorded():
+        trees = {"parent": checkout, "change": checkout}
+        return ab.tree_records({"parent": "p", "change": "c"}, trees,
+                               committed)["change"]
+
+    assert recorded() == {"path": "c", "src_sha256": committed,
+                          "src_committed": True}
+    (checkout / "README").write_text("edited, but not under src/\n")
+    assert recorded()["src_committed"]
+    (pkg / "a.py").write_text("x = 2\n")
+    assert recorded()["src_committed"] is False
+    (pkg / "a.py").write_text("x = 1\n")
+    (pkg / "new.py").write_text("")          # untracked source counts too
+    assert recorded()["src_committed"] is False
+    # outside a git work tree nothing is recorded
+    (tmp_path / "bare").mkdir()
+    assert ab.committed_digest(tmp_path / "bare") is None
+    assert ab.tree_records({"parent": "p", "change": "c"},
+                           {"parent": checkout, "change": checkout},
+                           None)["change"]["src_committed"] is None
 
 
 def test_claim_rule_wants_nine_tenths_and_a_gap_above_the_iqr():

@@ -73,7 +73,7 @@ def test_criterion_02_reduction_count_law():
         dict(tiebreak="high-gt"),
         dict(tri_bit_cap=32),
         dict(interreduce=False),
-        dict(queue=QueueConfig("heap", hashed=False, compressed=True)),
+        dict(queue=QueueConfig("heap", "compressed")),
         dict(spair_queue="heap"),
     ]
     with criterion(2, "reduction-count law, all flag combos"):
@@ -222,11 +222,9 @@ def _cli_result_bytes(tmp_path, tag, argv):
 
 def _queue_flags(cfg):
     flags = ["--reducer", cfg.backend]
-    flags.append("--hashed" if cfg.hashed else "--plain")
-    if cfg.dedup:
-        flags.append("--dedup")
-    if cfg.compressed:
-        flags.append("--compressed")
+    flags.append("--hashed" if cfg.flavour == "hashed" else "--plain")
+    if cfg.flavour in ("dedup", "compressed"):
+        flags.append("--" + cfg.flavour)
     return flags
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from gbengine import builtin_ideal, parse_ideal, print_ideal
+from gbengine import (ClassicConfig, SBConfig, builtin_ideal, cli,
+                      parse_ideal, print_ideal)
 from gbengine.cli import run_cli
 
 
@@ -188,6 +189,25 @@ def test_sb_only_flag_with_classic_is_usage_error(capsys, flag):
                           "katsura3", *flag)
     assert (code, out) == (1, "")
     assert err == "error: %s applies to --algorithm sb only\n" % flag[0]
+
+
+@pytest.mark.parametrize("algorithm, run_name, config",
+                         [("sb", "sb_run", SBConfig),
+                          ("classic", "buchberger_run", ClassicConfig)])
+def test_run_parser_defaults_are_the_library_defaults(monkeypatch, algorithm,
+                                                      run_name, config):
+    # with no flags but the algorithm, the run gets the library's default
+    # config, reducer queue included: the parser keeps no default of its own
+    class Made(Exception):
+        pass
+
+    def capture(ring, polys, cfg):
+        raise Made(cfg)
+
+    monkeypatch.setattr(cli, run_name, capture)
+    with pytest.raises(Made) as made:
+        run_cli(["run", "katsura3", "--algorithm", algorithm])
+    assert made.value.args[0] == config()
 
 
 def test_sb_fills_in_its_flag_defaults(capsys):

@@ -9,10 +9,10 @@ import pytest
 
 from gbengine import (ClassicConfig, ModuleOrder, PairTriangle, Ring,
                       SBConfig, builtin_ideal, koszul_signature,
-                      poly_from_exps, sb_run, spair_signature)
+                      poly_from_exps, sb_run)
 from gbengine.buchberger import _ClassicEngine
 from gbengine.ring import MAX_EXPONENT
-from gbengine.sigbasis import _SBEngine
+from gbengine.sigbasis import _SBEngine, spair_word
 
 RINGS = [Ring(32003, 4, "grevlex"), Ring(32003, 4, "lex"),
          Ring(32003, 5, "elim", 2)]
@@ -62,7 +62,7 @@ def test_sig_key_and_ratio_rank_match_tuples(ring, kind, tiebreak, m):
     leads = [_mono(ring, rng) for _ in range(m - 1)]
     leads.append(leads[0])
     hd = [g.key for g in leads]
-    mo = ModuleOrder(kind, tiebreak, leads)
+    mo = ModuleOrder(kind, tiebreak, leads, ring.num_vars)
     last = ring.mono((0,) * (ring.num_vars - 1) + (1,))
     pool = [ring.one, last] + [_mono(ring, rng) for _ in range(10)]
     sigs = [(s, c) for s in pool for c in range(m)]
@@ -92,7 +92,7 @@ def test_classic_pair_key_matches_tuple(ring):
     for i, j in pairs:
         m = ring.mono_lcm(engine.leads[i], engine.leads[j])
         ints.append(engine._pair_key(i, j))
-        tuples.append((m.deg, m.key, j, i))
+        tuples.append((m.deg, m.key))
     _assert_same_order(ints, tuples)
 
 
@@ -114,8 +114,9 @@ def test_sb_pair_and_koszul_keys_match_signatures(order, kind, tiebreak):
     for j in range(len(entries)):
         for i in range(j):
             a, b = entries[i], entries[j]
+            word, comp = spair_word(ring, a, b)
             assert engine._pair_key(i, j) == engine.morder.sig_key(
-                *spair_signature(ring, a, b))
+                ring.mono_of_word(word), comp)
             assert engine._koszul_key(i, j) == engine.morder.sig_key(
                 *koszul_signature(ring, a, b))
 

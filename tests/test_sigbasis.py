@@ -5,9 +5,9 @@ import pytest
 
 from gbengine import (ModuleOrder, Ring, SBConfig, buchberger_run,
                       builtin_ideal, koszul_signature, low_base_divisor_bound,
-                      poly_from_exps, poly_str, sb_run, spair_signature)
+                      poly_from_exps, poly_str, sb_run)
 from gbengine.ring import MAX_EXPONENT
-from gbengine.sigbasis import SigEntry
+from gbengine.sigbasis import SigEntry, spair_word
 
 from _util import is_reduced_gb, random_mono
 
@@ -23,6 +23,12 @@ def _entry(morder, ring, idx, sig_exps, comp, poly):
     e = SigEntry(idx, ring.mono(sig_exps), comp, poly,
                  morder.ratio_rank(ring.mono(sig_exps), poly.lead_mono, comp))
     return e
+
+
+def _spair_sig(ring, a, b):
+    """The S-pair's signature (mono, comp), made from spair_word."""
+    word, comp = spair_word(ring, a, b)
+    return ring.mono_of_word(word), comp
 
 
 def _assert_order(mo, lo, hi):
@@ -48,7 +54,8 @@ def test_module_cmp_examples():
 
 def test_module_cmp_potop():
     r, g1, g2 = _two_gens()
-    mo = ModuleOrder("potop", "low-gt", [g1.lead_mono, g2.lead_mono])
+    mo = ModuleOrder("potop", "low-gt", [g1.lead_mono, g2.lead_mono],
+                     r.num_vars)
     big, small = r.mono((5, 5, 5)), r.one
     # higher component dominates regardless of the monomials
     _assert_order(mo, (big, 0), (small, 1))
@@ -59,7 +66,7 @@ def test_spair_signature_example():
     r, g1, g2 = _two_gens()
     res = sb_run(r, [g1, g2])
     e_x2, e_xy = sorted(res.entries[:2], key=lambda e: -e.lead.key)
-    sig = spair_signature(r, e_x2, e_xy)
+    sig = _spair_sig(r, e_x2, e_xy)
     # gcd x: the x^2 side wins the weight tie under low-gt
     assert e_x2.ratio_rank != e_xy.ratio_rank
     assert sig[1] == e_x2.sig_comp
@@ -80,7 +87,7 @@ def test_spair_signature_matches_compute_both_oracle():
             poly = poly_from_exps(r, [(1, lead.exps)])
             entries.append(_entry(mo, r, i, sig.exps, rng.randrange(3), poly))
         a, b = entries
-        sig = spair_signature(r, a, b)
+        sig = _spair_sig(r, a, b)
         regular = a.ratio_rank != b.ratio_rank
         # oracle: compute both candidate module terms, compare directly
         d = r.mono_gcd(a.lead, b.lead)
@@ -112,7 +119,7 @@ def test_koszul_signature_example_and_divisibility():
         a, b = entries
         if a.ratio_rank == b.ratio_rank:
             continue
-        ssig = spair_signature(r, a, b)
+        ssig = _spair_sig(r, a, b)
         ksig = koszul_signature(r, a, b)
         assert ksig[1] == ssig[1]
         assert r.mono_divides(ssig[0], ksig[0])
@@ -277,6 +284,8 @@ def test_config_validation():
         ModuleOrder("lex-ish", "low-gt", [])
     with pytest.raises(ValueError):
         ModuleOrder("schreyer", "sideways", [])
+    with pytest.raises(ValueError, match="potop needs the variable count"):
+        ModuleOrder("potop", "low-gt", [Ring(101, 2).one])
 
 
 def test_syzygy_set_minimality():

@@ -92,6 +92,37 @@ def test_ties_pop_adjacent():
     assert seen == {(0, 1), (0, 2), (1, 2)}
 
 
+@pytest.mark.parametrize("kind", SPAIR_QUEUE_KINDS)
+def test_equal_keys_pop_in_key_j_i_order(kind):
+    # the queues alone break ties: with few distinct keys and columns added
+    # between pops, every pop is the least queued (key, j, i)
+    rng = random.Random(29)
+    for _ in range(300):
+        table = {}
+        q = make_spair_queue(kind, lambda i, j: table[(i, j)])
+        queued = set()
+
+        def pop_least():
+            want = min(queued)
+            queued.remove(want)
+            assert q.peek_min_key() == want[0]
+            assert q.pop_min() == (want[2], want[1])
+
+        for j in range(1, rng.randrange(2, 10)):
+            batch = [(i, rng.randrange(3)) for i in range(j)
+                     if rng.random() < 0.8]
+            for i, k in batch:
+                table[(i, j)] = k
+                queued.add((k, j, i))
+            q.add_column(j, batch)
+            for _ in range(min(rng.randrange(4), len(queued))):
+                pop_least()
+        while queued:
+            pop_least()
+        assert q.pop_min() is None and len(q) == 0
+        q.check_accounting()
+
+
 def test_byte_accounting_and_widths():
     key_fn = lambda i, j: i
     t = PairTriangle(key_fn)

@@ -12,8 +12,8 @@ from gbengine import (ClassicConfig, InvariantError, QueueConfig,
                       buchberger_run, builtin_ideal, sb_run, termqueue)
 from gbengine.poly import Polynomial, poly_from_exps
 from gbengine.spairqueue import SPAIR_QUEUE_KINDS
-from gbengine.termqueue import (BACKENDS, EMPTY, ID_BITS, ID_MASK, Geobucket,
-                                Heap, TourTree)
+from gbengine.termqueue import (BACKENDS, EMPTY, FLAVOURS, ID_BITS, ID_MASK,
+                                Geobucket, Heap, TourTree)
 
 from _util import random_poly
 
@@ -26,17 +26,15 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QueueConfig(backend="heap", hashed=True, dedup=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown queue backend"):
         QueueConfig(backend="stack")
-    with pytest.raises(ValueError, match="compressed excludes hashed"):
-        QueueConfig(backend="heap", hashed=True, compressed=True)
-    with pytest.raises(ValueError, match="compressed excludes dedup"):
-        QueueConfig(backend="heap", hashed=False, dedup=True,
-                    compressed=True)
+    with pytest.raises(ValueError, match="unknown queue flavour"):
+        QueueConfig(backend="heap", flavour="hashed+dedup")
     # 3 backends x plain, dedup, hashed and compressed
     assert len(all_queue_configs()) == 12
+    assert [(c.backend, c.flavour) for c in all_queue_configs()] == \
+        [(b, f) for b in BACKENDS for f in FLAVOURS]
+    assert QueueConfig() == QueueConfig("geobucket", "hashed")
 
 
 def _e(k):
@@ -254,7 +252,7 @@ def test_hashed_key_pushed_again_after_pop():
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0))])      # x^2 + y
     for cfg in all_queue_configs():
-        if not cfg.hashed:
+        if cfg.flavour != "hashed":
             continue
         q = ReducerQueue(r, cfg)
         _push(q, 3, r.one, g)
@@ -273,7 +271,7 @@ def test_hashed_key_pushed_again_after_pop():
 def test_compressed_single_entry_advances():
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (100, (0, 1, 0))])
-    cfg = QueueConfig(backend="heap", hashed=False, compressed=True)
+    cfg = QueueConfig(backend="heap", flavour="compressed")
     q = ReducerQueue(r, cfg)
     _push(q, 1, r.mono((1, 0, 0)), g)
     assert len(q.backend) == 1
@@ -289,7 +287,7 @@ def test_compressed_gather_chains_cursors_to_one_entry(backend):
     # under one backend entry; the pops are the summed products, as a dict
     # of the sums has them
     r = _ring()
-    q = ReducerQueue(r, QueueConfig(backend, hashed=False, compressed=True))
+    q = ReducerQueue(r, QueueConfig(backend, "compressed"))
     sums = {}
     tails = ((0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (0, 0, 1))
     for i, tail in enumerate(tails):
@@ -313,7 +311,7 @@ def test_drained_queue_takes_a_fresh_backend():
     # next, which would replay every level on each later operation
     r = _ring()
     g = poly_from_exps(r, [(1, (i, 0, 0)) for i in range(6)])
-    q = ReducerQueue(r, QueueConfig("tourtree", hashed=False))
+    q = ReducerQueue(r, QueueConfig("tourtree", "plain"))
     _push(q, 1, r.one, g)
     assert q.backend.cap == 8
     while q.pop_max() is not None:
@@ -438,7 +436,7 @@ def test_unhashed_flavours_reuse_one_queue(monkeypatch):
 
     monkeypatch.setattr(Ring, "mono_mul", counting_mul)
     queues = [ReducerQueue(r, cfg) for cfg in all_queue_configs()
-              if not cfg.hashed]
+              if cfg.flavour != "hashed"]
     for script, want in zip(scripts, expected):
         for q in queues:
             assert _run_script(r, q.cfg, script, q) == want, q.cfg.label()
@@ -464,14 +462,13 @@ def test_hashed_audit_catches_corruption(corrupt):
     # inside its row and at the chain's id
     r = _ring()
     g = poly_from_exps(r, [(1, (2, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))])
-    compressed = QueueConfig("heap", hashed=False, compressed=True)
+    compressed = QueueConfig("heap", "compressed")
     chained = corrupt.startswith("chain")
-    cfg = {"plain_wrong_key": QueueConfig("heap", hashed=False),
+    cfg = {"plain_wrong_key": QueueConfig("heap", "plain"),
            "cursor_wrong_key": compressed,
            "cursor_unknown": compressed,
-           "plain_lost_entry": QueueConfig("heap", hashed=False),
-           "dedup_lost_entry": QueueConfig("tourtree", hashed=False,
-                                           dedup=True)}
+           "plain_lost_entry": QueueConfig("heap", "plain"),
+           "dedup_lost_entry": QueueConfig("tourtree", "dedup")}
     q = ReducerQueue(r, compressed if chained
                      else cfg.get(corrupt, QueueConfig("heap")))
     _push(q, 1, r.one, g)
@@ -563,8 +560,7 @@ def test_queue_audit_fires_under_optimize():
 def test_chain_audit_fires_under_optimize():
     # two cursors chained at y, the tail linked back to the head
     assert _audit_under_optimize([
-        "q = ReducerQueue(r, QueueConfig('heap', hashed=False,"
-        " compressed=True))",
+        "q = ReducerQueue(r, QueueConfig('heap', 'compressed'))",
         "for _ in range(2):",
         "    q.push_product(1, q.row(g.lead_mono, g), g)",
         "q.pop_max()",
@@ -582,9 +578,8 @@ def test_uncompressed_entries_are_ints():
     r = _ring()
     g = poly_from_exps(r, [(1, (1, 0, 0))])
     for backend in BACKENDS:
-        for hashed, dedup, entries in ((False, False, 8), (False, True, 1),
-                                       (True, False, 1)):
-            q = ReducerQueue(r, QueueConfig(backend, hashed, dedup))
+        for flavour, entries in (("plain", 8), ("dedup", 1), ("hashed", 1)):
+            q = ReducerQueue(r, QueueConfig(backend, flavour))
             for _ in range(8):
                 _push(q, 1, r.one, g)
             q.audit()
@@ -846,8 +841,7 @@ def test_opening_past_the_cursor_width_raises(monkeypatch):
     r = _ring()
     g = poly_from_exps(r, [(1, (1, 0, 0)), (1, (0, 1, 0))])
     for backend in BACKENDS:
-        q = ReducerQueue(r, QueueConfig(backend, hashed=False,
-                                        compressed=True))
+        q = ReducerQueue(r, QueueConfig(backend, "compressed"))
         for c in range(1, 5):
             _push(q, c, r.one, g)
         with pytest.raises(ValueError, match="cursors reach 2"):

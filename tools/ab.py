@@ -30,6 +30,13 @@ parent's by more than parent_iqr: the rule a claimed gain must meet.  'runs'
 keeps the result line of every run.  A run that exits non-zero or prints
 no result line counts as incorrect, and its seed is left out of the
 pairing of every metric.
+
+The report names each tree by its path and src_sha256, a digest of its
+`src/*.py`, and records src_committed: whether that digest equals the one
+of the `src/` committed at HEAD of the checkout that holds this tool
+(null when that is not a git work tree).  The tool warns on stderr when
+the change tree's does not, since the report then measures source that
+no commit holds.
 """
 
 from __future__ import annotations
@@ -46,16 +53,53 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# the checkout that holds this tool: its committed src/ is what a report
+# should measure on the change side
+CHECKOUT = Path(__file__).resolve().parent.parent
+
+
+def _digest(files):
+    """sha256 over (path relative to src/, bytes) pairs, sorted by path."""
+    h = hashlib.sha256()
+    for rel, data in sorted(files):
+        h.update(str(rel).encode() + b"\0")
+        h.update(data)
+    return h.hexdigest()
 
 
 def tree_digest(tree):
     """sha256 over the relative paths and bytes of tree's src/*.py files."""
-    h = hashlib.sha256()
     src = tree / "src"
-    for path in sorted(src.rglob("*.py")):
-        h.update(str(path.relative_to(src)).encode() + b"\0")
-        h.update(path.read_bytes())
-    return h.hexdigest()
+    return _digest((path.relative_to(src), path.read_bytes())
+                   for path in src.rglob("*.py"))
+
+
+def committed_digest(checkout):
+    """tree_digest of the src/ committed at checkout's HEAD, or None when
+    checkout is not a git work tree."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, check=True).stdout
+    try:
+        names = git("ls-tree", "-r", "-z", "--name-only", "HEAD", "--",
+                    "src").decode().split("\0")
+        return _digest((Path(name).relative_to("src"),
+                        git("show", "HEAD:./" + name))
+                       for name in names if name.endswith(".py"))
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def tree_records(paths, trees, committed):
+    """Per side: the tree's path as given, its src_sha256 and whether that
+    equals committed (None when committed is None)."""
+    out = {}
+    for side in SIDES:
+        digest = tree_digest(trees[side])
+        out[side] = {"path": str(paths[side]), "src_sha256": digest,
+                     "src_committed": None if committed is None
+                     else digest == committed}
+    return out
 
 
 def next_bench_path(tree):
@@ -160,6 +204,12 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, help="report file")
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    committed = committed_digest(CHECKOUT)
+    records = tree_records({side: getattr(args, side) for side in SIDES},
+                           trees, committed)
+    if records["change"]["src_committed"] is False:
+        print("warning: the change tree's src/ is not the src/ committed "
+              "at HEAD of %s" % CHECKOUT, file=sys.stderr)
     for side, tree in trees.items():
         if not (tree / "perfbench" / "run.py").is_file():
             ap.error("%s tree %s has no perfbench/run.py" % (side, tree))
@@ -207,9 +257,8 @@ def main(argv=None):
                       "seed the workloads run in turn; the parent runs "
                       "first on seeds %s, the change on the others"
                       % seeds[::2],
-            "trees": {side: {"path": str(getattr(args, side)),
-                             "src_sha256": tree_digest(trees[side])}
-                      for side in SIDES},
+            "trees": records,
+            "committed_src_sha256": committed,
             "seconds": seconds, "pairs": args.pairs, "seeds": seeds,
             "host": {"nproc": cpus, "python": platform.python_version(),
                      "machine": platform.machine()},
