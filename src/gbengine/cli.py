@@ -20,7 +20,7 @@ import sys
 import time
 
 from .buchberger import ClassicConfig, buchberger_run
-from .generators import builtin_ideal
+from .generators import DEFAULT_CHAR, builtin_ideal
 from .idealfile import mono_str, parse_ideal, poly_str, print_ideal
 from .lookup import DEFAULT_LOOKUP, LOOKUP_KINDS
 from .ring import clip, is_decimal
@@ -56,14 +56,14 @@ def _build_parser():
     run.add_argument("--early-singular", action="store_true", default=None)
     run.add_argument("--no-interreduce", action="store_true",
                      help="skip input interreduction")
-    run.add_argument("--char",
-                     help="characteristic for builtin ideals (default 101)")
+    run.add_argument("--char", help="characteristic for builtin ideals "
+                     "(default %d)" % DEFAULT_CHAR)
     run.add_argument("--stats", action="store_true")
     run.add_argument("--out", metavar="FILE")
 
     gen = sub.add_parser("gen", help="print a builtin ideal")
     gen.add_argument("name", help="katsuraN, cyclicN or hcyclicN")
-    gen.add_argument("--char", default="101")
+    gen.add_argument("--char", default=str(DEFAULT_CHAR))
     return ap
 
 
@@ -86,7 +86,7 @@ def _load_input(args):
             raise ValueError("--char applies to builtin ideals only")
         with open(args.input) as fh:
             return parse_ideal(fh.read())
-    return builtin_ideal(args.input, 101 if args.char is None
+    return builtin_ideal(args.input, DEFAULT_CHAR if args.char is None
                          else _char(args.char))
 
 

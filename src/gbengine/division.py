@@ -7,13 +7,15 @@ divide_queue keeps the pending terms of the polynomial being reduced in a
 reducer queue, repeatedly extracts the id of the maximal one and asks a
 divisor lookup which basis leads divide its monomial.  The reducer is the
 smallest index among them, unless the signature engine passes its
-regular-reducer rule, as data the loop tests inline.  Either way the
-choice is deterministic, so runs are reproducible no matter which lookup
-structure serves the divisor queries.  Each reducer product's row comes
-from the queue's one row cache, under (popped id, reducer): the popped
-term is the product's lead term, and a polynomial names itself by value,
-whatever list or index holds it.  One queue serves every reduction of its
-owner: an engine, or one interreduce or reduced_basis call.
+regular-reducer rule, as data the loop tests inline: then the reducer is
+the qualifying divisor of least sig/lead ratio, found as one min over
+packed (ratio rank, index) ints.  Either way the choice is deterministic,
+so runs are reproducible no matter which lookup structure serves the
+divisor queries.  Each reducer product's row comes from the queue's one
+row cache, under (popped id, reducer): the popped term is the product's
+lead term, and a polynomial names itself by value, whatever list or index
+holds it.  One queue serves every reduction of its owner: an engine, or
+one interreduce or reduced_basis call.
 
 A division returns its remainder only: no caller uses the quotients.
 """
@@ -66,16 +68,20 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
     divided by the basis as classic_reduce divides; it empties the queue.
 
     A popped term mono is reduced by the smallest basis index whose lead
-    divides it.  With regular = (entries, tkey, scale, select) only indices
-    i of entries[i].ratio_rank < tkey - scale * mono.key qualify, and
-    select, if not None, picks from their entries in index order.  The
-    reducer product's row is the queue's, under (popped id, reducer), and
-    audit has the queue check each reused one.
+    divides it.  With regular = (entries, rks, tkey, scale, select) only
+    indices i of entries[i].ratio_rank < tkey - scale * mono.key qualify,
+    and rks[i] packs entries[i].ratio_rank << 32 | i, so ints order as
+    (ratio rank, index), negative ranks too.  With select None the reducer
+    is the qualifying index of least packed int: the least of all
+    candidates, which qualifies exactly when any does.  Otherwise select
+    picks from the qualifying entries in index order.  The reducer
+    product's row is the queue's, under (popped id, reducer), and audit
+    has the queue check each reused one and checks each regular pick.
     """
     p = ring.char
     tmonos = queue.monos
     rows = queue.rows
-    entries, tkey, scale, select = regular or (None, 0, 0, None)
+    entries, rks, tkey, scale, select = regular or (None, None, 0, 0, None)
     coeffs = []
     monos = []
     while True:
@@ -85,22 +91,53 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
         coeff, t = top
         mono = tmonos[t]
         cands = lookup.find_all_divisors(mono)
-        if cands and entries is not None:
-            bound = tkey - scale * mono.key
-            cands = [i for i in cands if entries[i].ratio_rank < bound]
         if cands:
-            g = basis[min(cands) if select is None else select(
-                [entries[i] for i in sorted(cands)]).idx]
-            row = rows.get((t, g))
-            if row is None or audit:
-                row = queue.row(mono, g, audit)
-            lc = g.coeffs[0]
-            c = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
-            queue.push_product(p - c, row, g, 1)
-            continue
+            if rks is None:
+                g = basis[min(cands)]
+            else:
+                bound = (tkey - scale * mono.key) << 32
+                if select is None:
+                    best = min(map(rks.__getitem__, cands))
+                    # the low 32 bits are the index
+                    g = basis[best & 0xFFFFFFFF] if best < bound else None
+                else:
+                    valid = [entries[i] for i in sorted(cands)
+                             if rks[i] < bound]
+                    g = basis[select(valid).idx] if valid else None
+                if audit:
+                    _audit_pick(entries, rks, basis, cands, bound >> 32,
+                                select, g)
+            if g is not None:
+                row = rows.get((t, g))
+                if row is None or audit:
+                    row = queue.row(mono, g, audit)
+                lc = g.coeffs[0]
+                c = coeff if lc == 1 else coeff * ff_inv(lc, p) % p
+                queue.push_product(p - c, row, g, 1)
+                continue
         coeffs.append(coeff)
         monos.append(mono)
     return Polynomial(coeffs, monos)
+
+
+def _audit_pick(entries, rks, basis, cands, bound, select, g):
+    """Check one regular step against the entries themselves: each
+    candidate's packed int is its (ratio rank, index), a reducer g is
+    picked iff some candidate's rank is below bound, and with no select it
+    is the qualifying one of least (ratio rank, index)."""
+    for i in cands:
+        require(rks[i] == entries[i].ratio_rank << 32 | i,
+                "packed ratio rank is not its entry's")
+    valid = [i for i in cands if entries[i].ratio_rank < bound]
+    if g is None:
+        require(not valid, "a qualifying reducer left unpicked")
+    elif select is None:
+        require(bool(valid) and basis[min(
+            valid, key=lambda i: (entries[i].ratio_rank, i))] is g,
+            "reducer is not the qualifying one of least ratio")
+    else:
+        require(any(basis[i] is g for i in valid),
+                "reducer does not qualify")
 
 
 class Completion:

@@ -11,8 +11,10 @@ from __future__ import annotations
 from .poly import poly_from_exps
 from .ring import Ring, clip, is_decimal
 
+DEFAULT_CHAR = 101      # the field of a builtin ideal given no characteristic
 
-def katsura_ideal(n: int, p: int = 101):
+
+def katsura_ideal(n: int, p: int = DEFAULT_CHAR):
     """Katsura system over F_p, grevlex: n variables u_0..u_{n-1} and n
     equations."""
     if n < 1:
@@ -47,7 +49,7 @@ def _unit_exps(n, i, power=1):
     return tuple(e)
 
 
-def cyclic_ideal(n: int, p: int = 101, homogenize: bool = False):
+def cyclic_ideal(n: int, p: int = DEFAULT_CHAR, homogenize: bool = False):
     """Cyclic-n system over F_p, grevlex; homogenize adds a variable h and
     turns x_1...x_n - 1 into x_1...x_n - h^n."""
     if n < 2:
@@ -75,7 +77,7 @@ def cyclic_ideal(n: int, p: int = 101, homogenize: bool = False):
     return ring, polys
 
 
-def builtin_ideal(name: str, p: int = 101):
+def builtin_ideal(name: str, p: int = DEFAULT_CHAR):
     """Resolve names like katsura10, cyclic5 or hcyclic6."""
     for prefix, builder in (("hcyclic", lambda k: cyclic_ideal(k, p, True)),
                             ("katsura", lambda k: katsura_ideal(k, p)),

@@ -14,10 +14,14 @@ every signature comparison in the hot paths is one integer comparison.
 
 The engine runs on division.Completion, the completion loop classic
 Buchberger runs on too: _pop applies the pop-time criteria and yields the
-seed product with the regular-reducer rule as data (the entries for their
-ratio ranks, the signature key, the module order's scale and the
-configured reducer_select), which divide_queue tests inline; _settle adds
-the remainder or records a syzygy.
+seed product with the regular-reducer rule as data (the entries, their
+packed (ratio rank, index) ints, the signature key, the module order's
+scale and the configured reducer_select), which divide_queue tests
+inline; _settle adds the remainder or records a syzygy.  Regular
+reduction reduces each term by the qualifying element of least sig/lead
+ratio, ties to the smallest index.  Which qualifying reducer is used
+changes no entry or syzygy, but it changes the work: this rule makes a
+fifth fewer reducer products on katsura8 than the smallest index does.
 """
 
 from __future__ import annotations
@@ -289,6 +293,7 @@ class _SBEngine(Completion):
                                   ring.num_vars)
         self.m = len(inputs)
         self.entries = []
+        self.rks = []       # entries[i].ratio_rank << 32 | i, for each i
         self.sig_lookups = [make_lookup(cfg.lookup, ring)
                             for _ in range(self.m)]
         self.syz = SyzygySet(ring, self.m, cfg.lookup, cfg.audit)
@@ -306,6 +311,7 @@ class _SBEngine(Completion):
         rank = self.morder.ratio_rank(sig_mono, poly.lead_mono, sig_comp)
         entry = SigEntry(idx, sig_mono, sig_comp, poly, rank)
         self.entries.append(entry)
+        self.rks.append(rank << 32 | idx)
         self.polys.append(poly)
         self._make_new_spairs(entry)
         self.lookup.insert(entry.lead, idx)
@@ -476,7 +482,8 @@ class _SBEngine(Completion):
             stats.singular_late += 1
             return None
         return (((1, lead, champion.poly),),
-                (entries, tkey, self.morder.scale, cfg.reducer_select),
+                (entries, self.rks, tkey, self.morder.scale,
+                 cfg.reducer_select),
                 (tmono, tcomp, group))
 
     def _champion(self, tmono, tcomp):
@@ -500,10 +507,11 @@ class _SBEngine(Completion):
 
     def _regular_top_reducible(self, mono, tkey):
         """Has mono, a term of signature key tkey, a regular reducer (by
-        divide_queue's rule)?"""
-        bound = tkey - self.morder.scale * mono.key
-        return any(self.entries[i].ratio_rank < bound
-                   for i in self.lookup.find_all_divisors(mono))
+        divide_queue's rule)?  The candidate of least packed (ratio rank,
+        index) qualifies exactly when any does."""
+        cands = self.lookup.find_all_divisors(mono)
+        return bool(cands) and min(map(self.rks.__getitem__, cands)) < \
+            (tkey - self.morder.scale * mono.key) << 32
 
     def _settle(self, info, rem):
         tmono, tcomp, group = info

@@ -1,9 +1,31 @@
 """Shared helpers for the test suite: reference comparators and oracles."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from gbengine import Polynomial, Ring, poly_add, poly_from_exps, poly_mul_term
 from gbengine.ring import ff_inv
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def run_optimized(script, timeout=120):
+    """The stdout of a fresh python -O running script, with the
+    gbengine source and the test modules importable; the script must exit
+    0.  Checks that must hold under -O raise InvariantError, which -O
+    keeps, where an assert would vanish."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS),
+                                         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=env, capture_output=True, text=True,
+                         timeout=timeout)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def grevlex_cmp(a_exps, b_exps):

@@ -24,6 +24,15 @@ def test_gen_roundtrip(capsys):
     assert print_ideal(ring, polys) == out
 
 
+@pytest.mark.parametrize("command", ["gen", "run"])
+def test_builtin_ideals_default_to_char_101(capsys, command):
+    _, default, _ = _run(capsys, command, "katsura4")
+    code, explicit, _ = _run(capsys, command, "katsura4", "--char", "101")
+    assert code == 0 and default == explicit
+    if command == "gen":
+        assert default.startswith("101\n")
+
+
 def test_python_m_gbengine_runs_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -1,10 +1,5 @@
 """Result guards raise InvariantError, also under python -O."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from gbengine import (ClassicConfig, ClassicStats, InvariantError,
@@ -13,8 +8,7 @@ from gbengine import (ClassicConfig, ClassicStats, InvariantError,
                       sigbasis)
 from gbengine.lookup import _WORD, KdLookup, _KdNode, make_lookup
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-TESTS = str(Path(__file__).resolve().parent)
+from _util import run_optimized
 
 BROKEN = {
     "sb construction accounting": "SigStats(spairs=5).check()",
@@ -46,12 +40,8 @@ def test_guards_fire_under_optimize():
          "        continue",
          "    raise SystemExit('no InvariantError: ' + stmt)",
          "print('ok')"])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+    out = run_optimized(script, timeout=60)
+    assert out.strip() == "ok"
 
 
 def test_valid_stats_pass():
@@ -106,13 +96,8 @@ def test_lookup_audit_fires_under_optimize():
          "        eval(run)",
          "    except InvariantError as exc:",
          "        print(exc)"])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS,
-                                         env.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n") == ["left routing", "left routing", ""]
+    out = run_optimized(script)
+    assert out.split("\n") == ["left routing", "left routing", ""]
 
 
 def _lookup_with_a_wrong_word():
@@ -145,13 +130,8 @@ def test_record_word_audit_fires_under_optimize():
          "    _lookup_with_a_wrong_word().audit()",
          "except InvariantError as exc:",
          "    print(exc)"])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS,
-                                         env.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "record word\n"
+    out = run_optimized(script, timeout=60)
+    assert out == "record word\n"
 
 
 class _TopOnlyLookup:
@@ -197,13 +177,8 @@ def test_full_reduction_audit_fires_under_optimize():
          "    " + AUDITED_RUNS["classic"],
          "except InvariantError as exc:",
          "    print(exc)"])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS,
-                                         env.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "remainder fully reduced\n"
+    out = run_optimized(script)
+    assert out == "remainder fully reduced\n"
 
 
 def _blind_find_divisor(real):
@@ -242,10 +217,5 @@ def test_find_divisor_audit_fires_under_optimize():
          "    " + AUDITED_RUNS["sb"],
          "except InvariantError as exc:",
          "    print(exc)"])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS,
-                                         env.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "find_divisor answer\n"
+    out = run_optimized(script)
+    assert out == "find_divisor answer\n"

@@ -3,11 +3,7 @@ a polynomial names itself by value, whatever basis list or index holds it,
 a hit does no multiplier work, and an audited run checks every reused row
 and that each turn starts on an empty queue."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -17,9 +13,7 @@ from gbengine import (ClassicConfig, InvariantError, ReducerQueue, Ring,
 from gbengine import division
 from gbengine.poly import Polynomial, poly_from_exps
 
-from _util import naive_remainder, random_poly
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from _util import naive_remainder, random_poly, run_optimized
 
 
 def test_one_queue_serves_bases_that_differ_at_one_index():
@@ -162,12 +156,8 @@ def test_row_check_fires_under_optimize():
         "    sb_run(ring, polys, SBConfig(audit=True))",
         "except InvariantError as exc:",
         "    print(exc)"])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "stale cached reducer row"
+    out = run_optimized(script)
+    assert out.strip() == "stale cached reducer row"
 
 
 def test_a_miss_of_known_terms_divides_out_no_multiplier(monkeypatch):

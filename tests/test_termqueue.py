@@ -1,9 +1,5 @@
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -15,14 +11,12 @@ from gbengine.spairqueue import SPAIR_QUEUE_KINDS
 from gbengine.termqueue import (BACKENDS, EMPTY, FLAVOURS, ID_BITS, ID_MASK,
                                 Geobucket, Heap, TourTree)
 
-from _util import random_poly
+from _util import random_poly, run_optimized
 
 try:
     from hypothesis import given, settings, strategies as st
 except ImportError:     # the package declares no dependencies
     given = None
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_config_validation():
@@ -538,12 +532,7 @@ def _audit_under_optimize(corrupt):
         "    q.audit()",
         "except InvariantError as exc:",
         "    print(exc)"])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
+    return run_optimized(script).strip()
 
 
 def test_queue_audit_fires_under_optimize():
