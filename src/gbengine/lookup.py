@@ -16,9 +16,9 @@ mask test that would skip it costs, so the masks' own work (a mask per
 query, a mask test and a count per record) no longer pays for itself.
 The divmask variants stay selectable as the axis the paper studies.
 
-Entries are retired by tombstone and physically dropped at the next
-rebuild; a rebuild also recalibrates the divmap so masks always fit the
-current contents.
+A retire unlinks its record from its leaf at once, so the leaves hold
+exactly the live entries.  A rebuild rebalances the tree and recalibrates
+the divmap so masks always fit the current contents.
 
 Queries: find_divisor takes a monomial's packed exponent word and returns
 one divisor's payload id or None; find_all_divisors takes the Monomial
@@ -156,26 +156,24 @@ class DivmaskStats:
         return self.hits / d if d else 0.0
 
 
-# Entry record layout: [mono, payload-id, mask, live-flag, word], word
-# being mono's exponent word.
-_MONO, _PID, _MASK, _LIVE, _WORD = range(5)
+# Entry record layout: [mono, payload-id, mask, word], word being mono's
+# exponent word.
+_MONO, _PID, _MASK, _WORD = range(4)
 
 
 def _scan(recs, qg, guard, notq, stats, out, first_only):
-    """Append to out the payload ids of the live records in recs dividing
+    """Append to out the payload ids of the records in recs dividing
     the monomial whose exponent word with the guard bits set is qg (the
     test is word_divides, inlined); notq is the complement of its mask
     (None: no masks, and nothing is counted)."""
     if notq is None:
         for rec in recs:
-            if rec[_LIVE] and (qg - rec[_WORD]) & guard == guard:
+            if (qg - rec[_WORD]) & guard == guard:
                 out.append(rec[_PID])
                 if first_only:
                     break
         return out
     for rec in recs:
-        if not rec[_LIVE]:
-            continue
         if rec[_MASK] & notq:
             stats.hits += 1
             continue
@@ -287,7 +285,7 @@ class KdLookup:
             raise ValueError("payload id %r already present" % (pid,))
         mask = (self.divmap.mask_of(self.ring.exps_of(mono.word))
                 if self.use_masks else 0)
-        rec = [mono, pid, mask, True, mono.word]
+        rec = [mono, pid, mask, mono.word]
         self.by_id[pid] = rec
         self.churn += 1
         if self._one_cache:
@@ -296,11 +294,19 @@ class KdLookup:
         return rec
 
     def retire(self, pid) -> None:
+        """Unlink pid's record from the leaf its word routes to."""
         try:
             rec = self.by_id[pid]
         except KeyError:
             raise KeyError("unknown payload id %r" % (pid,))
-        rec[_LIVE] = False
+        word = rec[_WORD]
+        leaf = self.root
+        while isinstance(leaf, _KdNode):
+            leaf = leaf.right if word & leaf.field >= leaf.power else leaf.left
+        # by identity: list.remove would compare records field by field
+        at = next((i for i, r in enumerate(leaf) if r is rec), None)
+        require(at is not None, "retired record not in its leaf")
+        del leaf[at]
         del self.by_id[pid]
         self.churn += 1
         if self._one_cache:
@@ -328,8 +334,9 @@ class KdLookup:
         return True
 
     def rebuild(self) -> None:
-        """Drop retired entries and recalibrate the divmap.  The live set
-        does not change, so stored find_all_divisors answers stay."""
+        """Rebalance the tree over the live records and recalibrate the
+        divmap.  Each retire already unlinked its record, so the live set
+        does not change and stored find_all_divisors answers stay."""
         recs = list(self.by_id.values())
         if self.use_masks and recs:
             self.divmap = DivMap.calibrate(self.ring, [r[_MONO] for r in recs])
@@ -405,7 +412,7 @@ class KdLookup:
     # -- queries ----------------------------------------------------------
 
     def _query(self, qword, notq, first_only):
-        """Payload ids of the live entries dividing the query of exponent
+        """Payload ids of the entries dividing the query of exponent
         word qword (at most one when first_only), counting mask
         consultations in self.stats; notq is the complement of its mask
         (None without masks)."""
@@ -443,7 +450,8 @@ class KdLookup:
 
     def audit(self) -> None:
         """Check the pure-power routing invariant over the whole tree, that
-        each node's mask is a submask of every live mask below it, and
+        each node's mask is a submask of every mask below it, that the
+        leaves hold each live record exactly once and nothing else, and
         that each live record's word is its monomial's."""
         for rec in self.by_id.values():
             require(rec[_WORD] == rec[_MONO].word, "record word")
@@ -460,10 +468,10 @@ class KdLookup:
                         "right routing")
             recs = lrecs + rrecs
             for rec in recs:
-                require(not (rec[_LIVE] and node.mask & ~rec[_MASK]),
-                        "node mask")
+                require(not node.mask & ~rec[_MASK], "node mask")
             return recs
-        walk(self.root)
+        held = sorted(map(id, walk(self.root)))
+        require(held == sorted(map(id, self.by_id.values())), "leaf records")
 
 
 class ListLookup(KdLookup):

@@ -10,13 +10,21 @@ AB = ROOT / "tools" / "ab.py"
 METRICS = ("solve_s", "solve_cpu_s", "setup_s", "peak_rss_mb")
 
 
-def test_ab_pairs_a_tree_with_itself(tmp_path):
-    out = tmp_path / "bench.json"
+@pytest.fixture(scope="module")
+def self_run(tmp_path_factory):
+    """(process, report file) of one pair of this checkout with itself,
+    both trees given by absolute path."""
+    out = tmp_path_factory.mktemp("ab") / "bench.json"
     proc = subprocess.run(
         [sys.executable, str(AB), str(ROOT), str(ROOT), "--workload",
          "sb-hcyclic6", "--pairs", "1", "--seconds", "1", "--first-seed",
          "7", "--out", str(out)],
         capture_output=True, text=True, timeout=300)
+    return proc, out
+
+
+def test_ab_pairs_a_tree_with_itself(self_run):
+    proc, out = self_run
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert set(report) == {"about", "summary", "runs"}
@@ -50,6 +58,15 @@ def test_ab_pairs_a_tree_with_itself(tmp_path):
         [("parent", 7, 0), ("change", 7, 0)]
     assert "wrote %s" % out in proc.stdout
     assert "parent IQR 0.0000, claim rule " in proc.stdout
+
+
+def test_ab_report_holds_no_absolute_path(self_run):
+    proc, out = self_run
+    assert proc.returncode == 0, proc.stderr
+    text = out.read_text()
+    assert ROOT.is_absolute() and str(ROOT) not in text
+    trees = json.loads(text)["about"]["trees"]
+    assert trees["parent"]["name"] == trees["change"]["name"] == ROOT.name
 
 
 def _ab():
@@ -87,10 +104,9 @@ def test_src_committed_tells_committed_source_from_an_edit(tmp_path):
 
     def recorded():
         trees = {"parent": checkout, "change": checkout}
-        return ab.tree_records({"parent": "p", "change": "c"}, trees,
-                               committed)["change"]
+        return ab.tree_records(trees, committed)["change"]
 
-    assert recorded() == {"path": "c", "src_sha256": committed,
+    assert recorded() == {"name": "checkout", "src_sha256": committed,
                           "src_committed": True}
     (checkout / "README").write_text("edited, but not under src/\n")
     assert recorded()["src_committed"]
@@ -102,8 +118,7 @@ def test_src_committed_tells_committed_source_from_an_edit(tmp_path):
     # outside a git work tree nothing is recorded
     (tmp_path / "bare").mkdir()
     assert ab.committed_digest(tmp_path / "bare") is None
-    assert ab.tree_records({"parent": "p", "change": "c"},
-                           {"parent": checkout, "change": checkout},
+    assert ab.tree_records({"parent": checkout, "change": checkout},
                            None)["change"]["src_committed"] is None
 
 

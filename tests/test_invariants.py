@@ -100,16 +100,23 @@ def test_lookup_audit_fires_under_optimize():
     assert out.split("\n") == ["left routing", "left routing", ""]
 
 
-def _lookup_with_a_wrong_word():
-    """A divkdtree lookup of six monomials, one of whose records carries
-    the word of x1 times its monomial: queries then miss that divisor,
-    which only an audit of the lookup sees."""
+def _six_record_lookup():
+    """A divkdtree lookup of six monomials, split into leaves of two."""
     ring = Ring(101, 3)
     lookup = make_lookup("divkdtree", ring, leaf_capacity=2)
     for pid, exps in enumerate([(1, 0, 0), (0, 2, 0), (0, 0, 3),
                                 (1, 1, 0), (0, 1, 1), (2, 0, 1)]):
         lookup.insert(ring.mono(exps), pid)
+    assert isinstance(lookup.root, _KdNode)
     lookup.audit()
+    return lookup
+
+
+def _lookup_with_a_wrong_word():
+    """_six_record_lookup, one of whose records carries the word of x1
+    times its monomial: queries then miss that divisor, which only an
+    audit of the lookup sees."""
+    lookup = _six_record_lookup()
     lookup.by_id[4][_WORD] += 1
     return lookup
 
@@ -132,6 +139,98 @@ def test_record_word_audit_fires_under_optimize():
          "    print(exc)"])
     out = run_optimized(script, timeout=60)
     assert out == "record word\n"
+
+
+def _leaf_of(lookup, rec):
+    """The leaf rec's word routes to."""
+    leaf = lookup.root
+    while isinstance(leaf, _KdNode):
+        leaf = leaf.right if rec[_WORD] & leaf.field >= leaf.power \
+            else leaf.left
+    return leaf
+
+
+# fault: what a query of x1*x2 then answers
+LEAF_FAULTS = {"stale": [4], "lost": [], "doubled": [4, 4], "copied": [4]}
+
+
+def _lookup_with_a_leaf_fault(fault):
+    """_six_record_lookup whose leaf of record 4 holds it again once
+    retired ("stale"), lost it ("lost"), holds it twice ("doubled") or
+    holds a copy in its place ("copied").  Every record is still routed
+    right, so only the audit's count of the leaves sees it."""
+    lookup = _six_record_lookup()
+    rec = lookup.by_id[4]
+    leaf = _leaf_of(lookup, rec)
+    if fault == "stale":
+        lookup.retire(4)
+        leaf.append(rec)
+    elif fault == "lost":
+        leaf.remove(rec)
+    elif fault == "doubled":
+        leaf.append(rec)
+    else:
+        leaf[leaf.index(rec)] = list(rec)
+    return lookup
+
+
+@pytest.mark.parametrize("fault,found", LEAF_FAULTS.items(),
+                         ids=LEAF_FAULTS.keys())
+def test_lookup_audit_checks_leaf_records(fault, found):
+    lookup = _lookup_with_a_leaf_fault(fault)
+    assert lookup.find_all_divisors(lookup.ring.mono((0, 1, 1))) == found
+    with pytest.raises(InvariantError, match="leaf records"):
+        lookup.audit()
+
+
+def _misrouted_lookup():
+    """_six_record_lookup with its root's split power set to x^0, and the
+    payload id of a record left of the root, which a walk by its word now
+    routes right."""
+    lookup = _six_record_lookup()
+    root = lookup.root
+    pid = next(pid for pid, rec in lookup.by_id.items()
+               if rec[_WORD] & root.field < root.power)
+    root.power = 0
+    return lookup, pid
+
+
+def test_retire_refuses_a_misrouted_record():
+    lookup, pid = _misrouted_lookup()
+    q = lookup.ring.mono((2, 2, 3))
+    one = lookup.find_divisor(q.word)
+    every = lookup.find_all_divisors(q)
+    by_id, churn = dict(lookup.by_id), lookup.churn
+    one_cache, all_cache, log = (lookup._one_cache, lookup._all_cache,
+                                 lookup._log)
+    with pytest.raises(InvariantError, match="retired record not in its leaf"):
+        lookup.retire(pid)
+    # raised before anything changed
+    assert lookup.by_id == by_id and lookup.churn == churn
+    assert lookup._one_cache is one_cache and lookup._all_cache is all_cache
+    assert lookup._log is log and len(log) == 6
+    assert lookup.find_divisor(q.word) == one
+    assert lookup.find_all_divisors(q) is every
+
+
+def test_leaf_checks_fire_under_optimize():
+    script = "\n".join(
+        ["from gbengine import InvariantError",
+         "from test_invariants import (_lookup_with_a_leaf_fault,",
+         "                             _misrouted_lookup)",
+         "assert False  # stripped by -O",
+         "lookup, pid = _misrouted_lookup()",
+         "checks = [_lookup_with_a_leaf_fault(fault).audit",
+         "          for fault in %r]" % (list(LEAF_FAULTS),),
+         "checks.append(lambda: lookup.retire(pid))",
+         "for check in checks:",
+         "    try:",
+         "        check()",
+         "    except InvariantError as exc:",
+         "        print(exc)"])
+    out = run_optimized(script, timeout=60)
+    assert out.split("\n") == ["leaf records"] * len(LEAF_FAULTS) + [
+        "retired record not in its leaf", ""]
 
 
 class _TopOnlyLookup:

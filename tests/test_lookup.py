@@ -151,6 +151,21 @@ def test_retire_examples():
         assert s.find_divisor(r.mono((0, 1, 1)).word) == 2
 
 
+def test_retired_records_leave_their_leaf():
+    # a retire unlinks its record at once, so retired records take no
+    # room in a leaf: two retired and one inserted fit a leaf of two
+    r = Ring(101, 3)
+    s = make_lookup("kdtree", r, leaf_capacity=2)
+    s.insert(r.mono((1, 0, 0)), 0)
+    s.insert(r.mono((0, 1, 0)), 1)
+    s.retire(0)
+    s.retire(1)
+    s.insert(r.mono((0, 0, 1)), 2)
+    assert not isinstance(s.root, _KdNode)
+    assert len(s.root) == 1 and s.root[0] is s.by_id[2]
+    s.audit()
+
+
 def test_retire_multiples_returns_ids_in_entries_order():
     r = Ring(101, 3)
     exps = [(2, 1, 0), (0, 1, 0), (1, 1, 3), (1, 0, 0), (1, 2, 0)]

@@ -31,12 +31,13 @@ keeps the result line of every run.  A run that exits non-zero or prints
 no result line counts as incorrect, and its seed is left out of the
 pairing of every metric.
 
-The report names each tree by its path and src_sha256, a digest of its
-`src/*.py`, and records src_committed: whether that digest equals the one
-of the `src/` committed at HEAD of the checkout that holds this tool
-(null when that is not a git work tree).  The tool warns on stderr when
-the change tree's does not, since the report then measures source that
-no commit holds.
+The report names each tree by its directory's name, never its path, so
+that it records nothing of the host's directory layout, and by
+src_sha256, a digest of its `src/*.py`.  It records src_committed:
+whether that digest equals the one of the `src/` committed at HEAD of the
+checkout that holds this tool (null when that is not a git work tree).
+The tool warns on stderr when the change tree's does not, since the
+report then measures source that no commit holds.
 """
 
 from __future__ import annotations
@@ -90,13 +91,13 @@ def committed_digest(checkout):
         return None
 
 
-def tree_records(paths, trees, committed):
-    """Per side: the tree's path as given, its src_sha256 and whether that
+def tree_records(trees, committed):
+    """Per side: the tree directory's name, its src_sha256 and whether that
     equals committed (None when committed is None)."""
     out = {}
     for side in SIDES:
         digest = tree_digest(trees[side])
-        out[side] = {"path": str(paths[side]), "src_sha256": digest,
+        out[side] = {"name": trees[side].name, "src_sha256": digest,
                      "src_committed": None if committed is None
                      else digest == committed}
     return out
@@ -205,8 +206,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     committed = committed_digest(CHECKOUT)
-    records = tree_records({side: getattr(args, side) for side in SIDES},
-                           trees, committed)
+    records = tree_records(trees, committed)
     if records["change"]["src_committed"] is False:
         print("warning: the change tree's src/ is not the src/ committed "
               "at HEAD of %s" % CHECKOUT, file=sys.stderr)
