@@ -144,12 +144,11 @@ class _ClassicEngine(Completion):
         self.lookup.insert(mine, n)
         self.lookup.maybe_rebuild()
 
-    def _try_lcm(self, i, j, m) -> bool:
-        """Cached candidates first, then a full divisor sweep of the lcm m
-        of the pair's leads."""
+    def _try_lcm(self, i, j, mw) -> bool:
+        """Cached candidates first, then a full divisor sweep of the lcm
+        of the pair's leads, whose exponent word is mw."""
         leads = self.leads
         tri = self.tri
-        mw = m.word
         g = self.ring.guard
         # a cached c is live: _add drops every value equal to a retired index
         for c in (self.cache.get(i), self.cache.get(j)):
@@ -158,7 +157,7 @@ class _ClassicEngine(Completion):
                 self.stats.lcm_cache += 1
                 self.cache[i] = self.cache[j] = c
                 return True
-        for c in sorted(self.lookup.find_all_divisors(m)):
+        for c in sorted(self.lookup.find_all_divisors(mw)):
             if c != i and c != j and lcm_criterion(leads, i, j, c, mw, g,
                                                    tri):
                 self.stats.lcm_simple += 1
@@ -170,19 +169,21 @@ class _ClassicEngine(Completion):
         ring = self.ring
         cfg = self.cfg
         stats = self.stats
+        leads = self.leads
         stats.spairs += n
         batch = []
         for i in range(n):
-            if cfg.use_relprime and ring.mono_coprime(self.leads[i],
-                                                      self.leads[n]):
+            if cfg.use_relprime and ring.mono_coprime(leads[i], leads[n]):
                 stats.relprime += 1
                 self.tri.set(i, n)
                 continue
-            if cfg.use_lcm and self._try_lcm(
-                    i, n, ring.mono_lcm(self.leads[i], self.leads[n])):
+            mw = word_max(leads[i].word, leads[n].word, ring.guard)
+            if cfg.use_lcm and self._try_lcm(i, n, mw):
                 self.tri.set(i, n)
                 continue
-            batch.append((i, self._pair_key(i, n)))
+            # _pair_key(i, n), from the lcm word at hand
+            batch.append((i, ring.deg_of_word(mw) * self.key_bound
+                          + ring.key_of_word(mw)))
         self.pairs.add_column(n, batch)
 
     def _pop(self):
@@ -193,11 +194,11 @@ class _ClassicEngine(Completion):
         ring = self.ring
         i, j = self.pairs.pop_min()
         m = ring.mono_lcm(self.leads[i], self.leads[j])
-        if cfg.use_lcm and self._try_lcm(i, j, m):
+        if cfg.use_lcm and self._try_lcm(i, j, m.word):
             self.tri.set(i, j)
             return None
         if cfg.use_graph:
-            verts = self.lookup.find_all_divisors(m)
+            verts = self.lookup.find_all_divisors(m.word)
             if graph_criterion(self.leads, i, j, m.word, ring.guard, self.tri,
                                verts):
                 stats.graph += 1

@@ -90,7 +90,7 @@ def divide_queue(ring: Ring, queue: ReducerQueue, basis, lookup,
             break
         coeff, t = top
         mono = tmonos[t]
-        cands = lookup.find_all_divisors(mono)
+        cands = lookup.find_all_divisors(mono.word)
         if cands:
             if rks is None:
                 g = basis[min(cands)]

@@ -20,14 +20,17 @@ A retire unlinks its record from its leaf at once, so the leaves hold
 exactly the live entries.  A rebuild rebalances the tree and recalibrates
 the divmap so masks always fit the current contents.
 
-Queries: find_divisor takes a monomial's packed exponent word and returns
-one divisor's payload id or None; find_all_divisors takes the Monomial
-and returns every divisor's.  Everything works on words: a kd node keeps
-the word field of its variable and the word of its pure power x_i^k, so
-a monomial of word w goes right exactly when w & field >= power, and
-each scanned record is tested by its word.  The exponents are read back
-off a word (Ring.exps_of) only to compute a divmask.  find_divisor keeps
-its answers by word until the next insert, retire or rebuild.
+Queries: every query takes a monomial's packed exponent word, and answers
+are stored by that word.  find_divisor returns one divisor's payload id
+or None, find_all_divisors every divisor's.  Only _find_all_divisors, the
+full query past the stored answers, takes a Monomial, because acceptance
+criterion 9 (divmask soundness) calls it with one.  Everything works on
+words: a kd node keeps the word field of its variable and the word of
+its pure power x_i^k, so a monomial of word w goes right exactly when
+w & field >= power, and each scanned record is tested by its word.  The
+exponents are read back off a word (Ring.exps_of) only to compute a
+divmask.  find_divisor keeps its answers until the next insert, retire
+or rebuild.
 
 Answers of find_all_divisors outlive inserts: a repeated query scans only
 the entries inserted since its answer was made, and only a retire drops
@@ -210,14 +213,13 @@ class KdLookup:
         self.stats = DivmaskStats()
         self.by_id = {}          # payload id -> record, live entries only
         self.churn = 0
-        # Query answers: find_divisor's keyed by the query's exponent
-        # word, find_all_divisors' by its order key.  Callers must not
-        # mutate returned lists.  find_divisor answers are dropped by any
-        # mutation.  A find_all_divisors answer is stored as (stamp, list,
-        # notq, divmap), stamp being len(self._log) when it was made; _log
-        # holds the records inserted since the last retire, so the answer
-        # is brought up to date by scanning _log[stamp:] with notq, the
-        # query's complemented mask, unless a rebuild has replaced the
+        # Query answers, both keyed by the query's exponent word.  Callers
+        # must not mutate returned lists.  find_divisor answers are dropped
+        # by any mutation.  A find_all_divisors answer is stored as (stamp,
+        # list, notq, divmap), stamp being len(self._log) when it was made;
+        # _log holds the records inserted since the last retire, so the
+        # answer is brought up to date by scanning _log[stamp:] with notq,
+        # the query's complemented mask, unless a rebuild has replaced the
         # divmap it was made under.  A retire drops both.
         self._one_cache = {}
         self._all_cache = {}
@@ -237,14 +239,15 @@ class KdLookup:
         out = cache[word] = found[0] if found else None
         return out
 
-    def find_all_divisors(self, q: Monomial):
-        k = q.key
+    def find_all_divisors(self, word: int):
+        """Payload ids of every live entry dividing the monomial whose
+        exponent word is word."""
         log = self._log
-        got = self._all_cache.get(k)
+        got = self._all_cache.get(word)
         if got is None:
             self.stats.computed += 1
-            notq = self._notq(q.word)
-            out = self._query(q.word, notq, False)
+            notq = self._notq(word)
+            out = self._query(word, notq, False)
         else:
             stamp, out, notq, divmap = got
             if stamp == len(log):
@@ -252,13 +255,13 @@ class KdLookup:
                 return out
             self.stats.extended += 1
             if divmap is not self.divmap:
-                notq = self._notq(q.word)
+                notq = self._notq(word)
             guard = self.ring.guard
-            new = _scan(log[stamp:], q.word | guard, guard, notq,
+            new = _scan(log[stamp:], word | guard, guard, notq,
                         self.stats, [], False)
             if new:
                 out = out + new
-        self._all_cache[k] = (len(log), out, notq, self.divmap)
+        self._all_cache[word] = (len(log), out, notq, self.divmap)
         return out
 
     def _find_all_divisors(self, q: Monomial):

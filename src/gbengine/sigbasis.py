@@ -340,10 +340,11 @@ class _SBEngine(Completion):
         for i, j in pairs:
             tri.set(i, j)
 
-    def _max_ratio_divisor(self, lookup, mono):
-        """The entry among lookup's divisors of mono with the largest
-        (ratio rank, -index), or None when there is none."""
-        cands = lookup.find_all_divisors(mono)
+    def _max_ratio_divisor(self, lookup, word):
+        """The entry among lookup's divisors of the monomial whose exponent
+        word is word with the largest (ratio rank, -index), or None when
+        there is none."""
+        cands = lookup.find_all_divisors(word)
         if not cands:
             return None
         entries = self.entries
@@ -360,10 +361,10 @@ class _SBEngine(Completion):
         if self.tri.dropped:        # every tri.get answers False now
             return high, low, vbound
         if self.cfg.base_divisors >= 1:
-            high = self._max_ratio_divisor(self.lookup, beta.lead)
+            high = self._max_ratio_divisor(self.lookup, beta.lead.word)
         if self.cfg.base_divisors >= 2:
             low = self._max_ratio_divisor(self.sig_lookups[beta.sig_comp],
-                                          beta.sig_mono)
+                                          beta.sig_mono.word)
             if low is not None:
                 # every exponent is below the cap, so clamping changes no
                 # test and keeps each field inside its 16 bits
@@ -409,7 +410,7 @@ class _SBEngine(Completion):
                 tri.set(gamma.idx, bidx)
                 continue
             if cfg.early_singular and self._early_singular(
-                    ring.mono_of_word(sword), scomp, beta, gamma):
+                    sword, scomp, beta, gamma):
                 stats.early_singular += 1
                 continue
             # _pair_key(gamma.idx, bidx), from the signature word at hand
@@ -418,12 +419,12 @@ class _SBEngine(Completion):
         stats.queued += len(batch)
         self.pairs.add_column(bidx, batch)
 
-    def _early_singular(self, mono, comp, beta, gamma):
-        # a module term with the pair's signature mono * e_comp and a
-        # strictly smaller lead term rewrites the pair away (strictly
-        # larger sig/lead ratio)
+    def _early_singular(self, word, comp, beta, gamma):
+        # a module term with the pair's signature (exponent word word,
+        # component comp) and a strictly smaller lead term rewrites the
+        # pair away (strictly larger sig/lead ratio)
         winner = beta if beta.ratio_rank > gamma.ratio_rank else gamma
-        best = self._max_ratio_divisor(self.sig_lookups[comp], mono)
+        best = self._max_ratio_divisor(self.sig_lookups[comp], word)
         return best is not None and best.ratio_rank > winner.ratio_rank
 
     # -- pop-time pipeline --------------------------------------------------
@@ -491,7 +492,7 @@ class _SBEngine(Completion):
         multiple (equivalently the divisor of maximal sig/lead ratio), and
         that lead multiple, the seed product's lead term."""
         lookup = self.sig_lookups[tcomp]
-        champ = self._max_ratio_divisor(lookup, tmono)
+        champ = self._max_ratio_divisor(lookup, tmono.word)
         require(champ is not None,
                 "no signature divisor for a popped S-pair signature")
         lead = self.ring.mono_mul(self.ring.mono_div(tmono, champ.sig_mono),
@@ -501,7 +502,7 @@ class _SBEngine(Completion):
             best = min(self.ring.mono_mul(
                 self.ring.mono_div(tmono, entries[i].sig_mono),
                 entries[i].lead).key
-                for i in lookup.find_all_divisors(tmono))
+                for i in lookup.find_all_divisors(tmono.word))
             require(lead.key == best, "champion lead not minimal")
         return champ, lead
 
@@ -509,7 +510,7 @@ class _SBEngine(Completion):
         """Has mono, a term of signature key tkey, a regular reducer (by
         divide_queue's rule)?  The candidate of least packed (ratio rank,
         index) qualifies exactly when any does."""
-        cands = self.lookup.find_all_divisors(mono)
+        cands = self.lookup.find_all_divisors(mono.word)
         return bool(cands) and min(map(self.rks.__getitem__, cands)) < \
             (tkey - self.morder.scale * mono.key) << 32
 
@@ -536,7 +537,7 @@ class _SBEngine(Completion):
 
     def _singular_top_reducible(self, lead_mono, rank):
         return any(self.entries[i].ratio_rank == rank
-                   for i in self.lookup.find_all_divisors(lead_mono))
+                   for i in self.lookup.find_all_divisors(lead_mono.word))
 
 
 class SBResult:

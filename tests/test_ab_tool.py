@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ def test_ab_pairs_a_tree_with_itself(self_run):
     proc, out = self_run
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
-    assert set(report) == {"about", "summary", "runs"}
+    assert set(report) == {"about", "summary", "work", "runs"}
     trees = report["about"]["trees"]
     assert trees["parent"] == trees["change"]
     committed = report["about"]["committed_src_sha256"]
@@ -67,6 +68,38 @@ def test_ab_report_holds_no_absolute_path(self_run):
     assert ROOT.is_absolute() and str(ROOT) not in text
     trees = json.loads(text)["about"]["trees"]
     assert trees["parent"]["name"] == trees["change"]["name"] == ROOT.name
+
+
+def test_ab_self_run_records_equal_work_counts(self_run):
+    proc, out = self_run
+    assert proc.returncode == 0, proc.stderr
+    work = json.loads(out.read_text())["work"]
+    assert list(work) == ["hcyclic5", "katsura7",
+                          "cyclic5 --algorithm classic"]
+    for solve, row in work.items():
+        assert row["parent"] == row["change"] > 0
+        assert row["change_pct"] == 0.0
+        assert "opcount %-35s %d -> %d (+0.00%%)" % (
+            solve, row["parent"], row["change"]) in proc.stdout
+
+
+def test_ab_work_counts_read_an_extra_statement(self_run, tmp_path):
+    # the counts are of each tree's own src/: one more statement in
+    # Ring.key_of_word, which every solve calls, reads higher
+    proc, out = self_run
+    assert proc.returncode == 0, proc.stderr
+    checkout = [row["change"]
+                for row in json.loads(out.read_text())["work"].values()]
+    tree = tmp_path / "edited"
+    shutil.copytree(ROOT / "src", tree / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    ring = tree / "src" / "gbengine" / "ring.py"
+    text = ring.read_text()
+    doc = '"""Order key of a packed word whose guard bits are clear."""\n'
+    assert text.count(doc) == 1
+    ring.write_text(text.replace(doc, doc + "        _ = word\n"))
+    edited = _ab().opcounts(tree)
+    assert all(e > c for e, c in zip(edited, checkout)), (edited, checkout)
 
 
 def _ab():

@@ -231,3 +231,35 @@ def test_every_element_is_fully_reduced(name):
             lead = engine.polys[k].lead_mono
             assert not any(ring.mono_divides(lead, m) for m in g.monos), \
                 (name, k, i)
+
+
+def test_pair_construction_builds_no_lcm_monomial(monkeypatch):
+    # a new pair is keyed and tried by the lcm criterion on its lcm's
+    # exponent word, so only a pop builds the lcm Monomial
+    ring, polys = builtin_ideal("cyclic5")
+    inside, made, elsewhere = [], [], []
+
+    def counting(name):
+        real = getattr(Ring, name)
+
+        def count(self, *args):
+            (made if inside else elsewhere).append(name)
+            return real(self, *args)
+        return count
+
+    real_sweep = _ClassicEngine._sweep_new_pairs
+
+    def counting_sweep(self, n):
+        inside.append(None)
+        try:
+            return real_sweep(self, n)
+        finally:
+            inside.pop()
+
+    for name in ("mono_lcm", "mono_of_word"):
+        monkeypatch.setattr(Ring, name, counting(name))
+    monkeypatch.setattr(_ClassicEngine, "_sweep_new_pairs", counting_sweep)
+    _, stats = buchberger_run(ring, polys)
+    assert stats.spairs > stats.relprime
+    assert made == []
+    assert elsewhere.count("mono_lcm") >= stats.reductions > 0

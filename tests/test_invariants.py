@@ -123,7 +123,7 @@ def _lookup_with_a_wrong_word():
 
 def test_lookup_audit_checks_record_words():
     lookup = _lookup_with_a_wrong_word()
-    assert lookup.find_all_divisors(lookup.ring.mono((0, 1, 1))) == []
+    assert lookup.find_all_divisors(lookup.ring.mono((0, 1, 1)).word) == []
     with pytest.raises(InvariantError, match="record word"):
         lookup.audit()
 
@@ -178,7 +178,7 @@ def _lookup_with_a_leaf_fault(fault):
                          ids=LEAF_FAULTS.keys())
 def test_lookup_audit_checks_leaf_records(fault, found):
     lookup = _lookup_with_a_leaf_fault(fault)
-    assert lookup.find_all_divisors(lookup.ring.mono((0, 1, 1))) == found
+    assert lookup.find_all_divisors(lookup.ring.mono((0, 1, 1)).word) == found
     with pytest.raises(InvariantError, match="leaf records"):
         lookup.audit()
 
@@ -199,7 +199,7 @@ def test_retire_refuses_a_misrouted_record():
     lookup, pid = _misrouted_lookup()
     q = lookup.ring.mono((2, 2, 3))
     one = lookup.find_divisor(q.word)
-    every = lookup.find_all_divisors(q)
+    every = lookup.find_all_divisors(q.word)
     by_id, churn = dict(lookup.by_id), lookup.churn
     one_cache, all_cache, log = (lookup._one_cache, lookup._all_cache,
                                  lookup._log)
@@ -210,7 +210,7 @@ def test_retire_refuses_a_misrouted_record():
     assert lookup._one_cache is one_cache and lookup._all_cache is all_cache
     assert lookup._log is log and len(log) == 6
     assert lookup.find_divisor(q.word) == one
-    assert lookup.find_all_divisors(q) is every
+    assert lookup.find_all_divisors(q.word) is every
 
 
 def test_leaf_checks_fire_under_optimize():
@@ -240,10 +240,10 @@ class _TopOnlyLookup:
         self.real = real
         self.tail = False
 
-    def find_all_divisors(self, mono):
+    def find_all_divisors(self, word):
         if self.tail:
             return []
-        found = self.real.find_all_divisors(mono)
+        found = self.real.find_all_divisors(word)
         self.tail = not found
         return found
 

@@ -100,7 +100,7 @@ def test_duplicate_monomials_distinct_ids():
         s = make_lookup(kind, r)
         s.insert(r.mono((1, 0, 0)), 10)
         s.insert(r.mono((1, 0, 0)), 11)
-        assert sorted(s.find_all_divisors(r.mono((1, 0, 0)))) == [10, 11]
+        assert sorted(s.find_all_divisors(r.mono((1, 0, 0)).word)) == [10, 11]
 
 
 def test_kdtree_split_exponent_and_variable_cycling():
@@ -179,7 +179,7 @@ def test_retire_multiples_returns_ids_in_entries_order():
         assert gone == [pid for pid in order if pid in gone], kind
         assert sorted(pid for _, pid in s.entries()) == [1, 3]
         assert s.retire_multiples(r.mono((3, 3, 3))) == []
-        assert sorted(s.find_all_divisors(r.mono((2, 2, 0)))) == [1, 3]
+        assert sorted(s.find_all_divisors(r.mono((2, 2, 0)).word)) == [1, 3]
 
 
 def test_maybe_rebuild_trigger():
@@ -195,10 +195,10 @@ def test_maybe_rebuild_trigger():
         for i in range(6):
             s.retire(i)
         q = r.mono((6,) * 3)
-        before = sorted(s.find_all_divisors(q))
+        before = sorted(s.find_all_divisors(q.word))
         assert s.maybe_rebuild()
         assert len(s) == 4
-        assert sorted(s.find_all_divisors(q)) == before
+        assert sorted(s.find_all_divisors(q.word)) == before
 
 
 def test_structure_equivalence_random_ops():
@@ -229,9 +229,10 @@ def test_structure_equivalence_random_ops():
                 else:
                     q = random_mono(r, rng, 6)
                     expected = sorted(
-                        structures["list"].find_all_divisors(q))
+                        structures["list"].find_all_divisors(q.word))
                     for kind, s in structures.items():
-                        assert sorted(s.find_all_divisors(q)) == expected, kind
+                        assert sorted(s.find_all_divisors(q.word)) == \
+                            expected, kind
                         one = s.find_divisor(q.word)
                         assert (one is None) == (not expected)
                         if one is not None:
@@ -269,7 +270,7 @@ def test_hit_accounting_identity():
             s.insert(random_mono(r, rng, 4), i)
         s.rebuild()
         for _ in range(300):
-            s.find_all_divisors(random_mono(r, rng, 6))
+            s.find_all_divisors(random_mono(r, rng, 6).word)
             s.find_divisor(random_mono(r, rng, 6).word)
         st = s.stats
         assert st.consultations == st.hits + st.misses + st.divisibilities
@@ -331,7 +332,7 @@ def test_stored_answers_across_mutations():
             else:
                 q = rng.choice(pool)
                 want = {pid for pid, m in live.items() if r.mono_divides(m, q)}
-                got = s.find_all_divisors(q)
+                got = s.find_all_divisors(q.word)
                 assert len(got) == len(set(got)), kind
                 assert set(got) == want, kind
                 assert not retired.intersection(got), kind
@@ -374,7 +375,7 @@ def test_divlist_counts_only_consultations_made():
             else:
                 expected += len(s)
             made[q.key] = inserts
-            s.find_all_divisors(q)
+            s.find_all_divisors(q.word)
             assert s.stats.consultations == expected
 
 
@@ -404,7 +405,7 @@ def test_extended_answer_reuses_query_mask(kind, monkeypatch):
         if rebuild:
             s.rebuild()
         s.insert(monos[i], i)
-        got = s.find_all_divisors(q)
+        got = s.find_all_divisors(q.word)
         assert len(made) == masks and made[-1] is s.divmap
         assert sorted(got) == [j for j in range(i + 1)
                                if r.mono_divides(monos[j], q)]
@@ -533,7 +534,7 @@ def _check_word_only_queries(monkeypatch, r, s, monos, rng):
         want = [i for i, m in enumerate(monos) if r.mono_divides(m, q)]
         got = s.find_divisor(q.word)
         assert got in want if want else got is None
-        assert sorted(s.find_all_divisors(q)) == want
+        assert sorted(s.find_all_divisors(q.word)) == want
     assert calls == []
 
 

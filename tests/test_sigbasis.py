@@ -338,6 +338,36 @@ def test_pop_builds_a_signature_monomial_only_past_the_late_criterion(
     assert len(made) == len(pops) - stats.sig_late
 
 
+def test_pair_construction_builds_no_signature_monomial(monkeypatch):
+    # the early singular criterion asks the signature lookups by the pair
+    # signature's word, so constructing pairs builds no Monomial from it
+    from gbengine import sigbasis
+    ring, polys = builtin_ideal("katsura6")
+    inside, made, elsewhere = [], [], []
+    real_of_word = Ring.mono_of_word
+
+    def counting_of_word(self, word):
+        (made if inside else elsewhere).append(word)
+        return real_of_word(self, word)
+
+    real_make = sigbasis._SBEngine._make_new_spairs
+
+    def counting_make(self, beta):
+        inside.append(None)
+        try:
+            return real_make(self, beta)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Ring, "mono_of_word", counting_of_word)
+    monkeypatch.setattr(sigbasis._SBEngine, "_make_new_spairs",
+                        counting_make)
+    stats = sb_run(ring, polys, SBConfig(early_singular=True)).stats
+    assert stats.early_singular > 0 and stats.queued > 0
+    assert made == []
+    assert elsewhere
+
+
 def test_runs_leave_no_cyclic_garbage():
     # an engine's pair queue holds the engine's bound key method; the run
     # drops that cycle, so the engine's state is freed by reference

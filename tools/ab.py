@@ -31,6 +31,14 @@ keeps the result line of every run.  A run that exits non-zero or prints
 no result line counts as incorrect, and its seed is left out of the
 pairing of every metric.
 
+Before the pairs, the tool counts each tree's work once: for each
+solve in WORK_SOLVES, `python3 tools/opcount.py ARGS` of this checkout, run
+in a fresh interpreter on the tree's `src/` (first on sys.path) in place
+of the checkout's.  The counts do not move with the host's load, so they
+show whether a time difference comes with a difference in work.  'work'
+holds, per solve (keyed by ARGS), each side's count (null when the solve
+failed) and change_pct; the summary printed at the end repeats them.
+
 The report names each tree by its directory's name, never its path, so
 that it records nothing of the host's directory layout, and by
 src_sha256, a digest of its `src/*.py`.  It records src_committed:
@@ -57,6 +65,20 @@ SIDES = ("parent", "change")
 # the checkout that holds this tool: its committed src/ is what a report
 # should measure on the change side
 CHECKOUT = Path(__file__).resolve().parent.parent
+OPCOUNT = CHECKOUT / "tools" / "opcount.py"
+# the tools/opcount.py arguments of each solve whose count a report records
+WORK_SOLVES = (("hcyclic5",), ("katsura7",),
+               ("cyclic5", "--algorithm", "classic"))
+# tools/opcount.py (argv[1]) run on the src/ at argv[2], with the
+# arguments that follow
+_OPCOUNT_ON = """\
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("opcount", sys.argv[1])
+opcount = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(opcount)
+opcount.SRC = sys.argv[2]
+sys.exit(opcount.main(sys.argv[3:]))
+"""
 
 
 def _digest(files):
@@ -100,6 +122,35 @@ def tree_records(trees, committed):
         out[side] = {"name": trees[side].name, "src_sha256": digest,
                      "src_committed": None if committed is None
                      else digest == committed}
+    return out
+
+
+def opcounts(tree):
+    """The bytecode count of each of WORK_SOLVES on tree's src/, None for
+    a solve that fails."""
+    out = []
+    for args in WORK_SOLVES:
+        proc = subprocess.run([sys.executable, "-c", _OPCOUNT_ON,
+                               str(OPCOUNT), str(tree / "src"), *args],
+                              capture_output=True, text=True)
+        if proc.returncode:
+            print("%s opcount %s: exit %d: %s"
+                  % (tree, " ".join(args), proc.returncode,
+                     proc.stderr.strip()[-400:]), file=sys.stderr)
+        out.append(None if proc.returncode else int(proc.stdout.split()[0]))
+    return out
+
+
+def work_summary(counts):
+    """Per solve of WORK_SOLVES: each side's count of counts[side] and the
+    change's over the parent's, minus 1, in percent (null unless both
+    counted)."""
+    out = {}
+    for k, args in enumerate(WORK_SOLVES):
+        row = {side: counts[side][k] for side in SIDES}
+        row["change_pct"] = (100.0 * (row["change"] / row["parent"] - 1.0)
+                             if None not in row.values() else None)
+        out[" ".join(args)] = row
     return out
 
 
@@ -227,6 +278,8 @@ def main(argv=None):
         else bench["run_seconds"]
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     out_path = args.out or next_bench_path(trees["change"])
+    work = work_summary({side: opcounts(tree)
+                         for side, tree in trees.items()})
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     log = []
@@ -266,6 +319,7 @@ def main(argv=None):
         },
         "summary": {w: summarize(runs[w], seeds, metrics)
                     for w in workloads},
+        "work": work,
         "runs": log,
     }
     out_path.write_text(json.dumps(report, indent=1) + "\n")
@@ -279,6 +333,11 @@ def main(argv=None):
                          m["change_pct"], m["pairs_change_lower"],
                          len(seeds), m["parent_iqr"],
                          "met" if m["claim_rule_met"] else "not met"))
+    for solve, row in work.items():
+        print("opcount %-35s %s -> %s (%s)"
+              % (solve, row["parent"], row["change"],
+                 "n/a" if row["change_pct"] is None
+                 else "%+.2f%%" % row["change_pct"]))
     print("wrote %s" % out_path)
     return 0
 
