@@ -192,15 +192,15 @@ class _ClassicEngine(Completion):
         cfg = self.cfg
         stats = self.stats
         ring = self.ring
+        leads = self.leads
         i, j = self.pairs.pop_min()
-        m = ring.mono_lcm(self.leads[i], self.leads[j])
-        if cfg.use_lcm and self._try_lcm(i, j, m.word):
+        mw = word_max(leads[i].word, leads[j].word, ring.guard)
+        if cfg.use_lcm and self._try_lcm(i, j, mw):
             self.tri.set(i, j)
             return None
         if cfg.use_graph:
-            verts = self.lookup.find_all_divisors(m.word)
-            if graph_criterion(self.leads, i, j, m.word, ring.guard, self.tri,
-                               verts):
+            verts = self.lookup.find_all_divisors(mw)
+            if graph_criterion(leads, i, j, mw, ring.guard, self.tri, verts):
                 stats.graph += 1
                 self.tri.set(i, j)
                 return None
@@ -209,6 +209,7 @@ class _ClassicEngine(Completion):
             stats.reduced_pairs.append((i, j))
         # graph_criterion reads this bit, so it is set only now
         self.tri.set(i, j)
+        m = ring.mono_lcm(leads[i], leads[j])
         return (((1, m, self.polys[i]), (ring.char - 1, m, self.polys[j])),
                 None, None)
 

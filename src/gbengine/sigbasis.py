@@ -6,7 +6,11 @@ once, and the remainder either joins the basis or contributes a minimal
 generator of the initial syzygy module.  The full elimination pipeline is
 here: non-regular and base-divisor checks plus the signature criterion at
 pair construction; duplicate-signature, late signature, Koszul, relatively
-prime and singular checks at pop time.
+prime and singular checks at pop time.  At pair construction a pair whose
+signature is sig beta * u, beta the new element, meets the signature
+criterion iff u is divisible by a word of beta's colon set, lcm(s, sig
+beta) / sig beta over the stored syzygy signatures s of its component;
+the eliminated pairs' bits are written once per column.
 
 Signature keys and sig/lead ratio ranks are single integers whose order
 is the module order, and each basis element carries its ratio rank, so
@@ -215,6 +219,17 @@ class SyzygySet:
             lk.audit_divisor(word, found)
         return found is not None
 
+    def colon(self, word: int, comp: int):
+        """Exponent words of the colon of component comp's signatures by the
+        monomial of exponent word word: lcm(s, word) / word for each
+        stored s, least degree first.  s divides word * u exactly when its
+        colon word divides u; a scan for a divisor of u stops at the first,
+        and low degrees divide more often."""
+        guard = self.ring.guard
+        return sorted((word_max(m.word, word, guard) - word
+                       for m, _ in self.lookups[comp].entries()),
+                      key=self.ring.deg_of_word)
+
     def insert(self, mono: Monomial, comp: int) -> bool:
         if self.divides(mono.word, comp):
             return False
@@ -388,34 +403,71 @@ class _SBEngine(Completion):
         ring = self.ring
         guard = ring.guard
         scale, offsets = self.morder.scale, self.morder.offsets
+        bsig, bcomp, blead = beta.sig_mono.word, beta.sig_comp, beta.lead.word
+        colon = syz.colon(bsig, bcomp) if cfg.use_signature else ()
+        audit = cfg.audit and cfg.use_signature
+        # the column's bits are written at the end, but tri.set would drop
+        # the triangle at the first eliminated row at or past lim; from
+        # there every tri.get answers False, as with no base divisors
+        lim = bidx if tri.cap_bits is None else \
+            tri.cap_bits - bidx * (bidx - 1) // 2
+        rows = []
         batch = []
         for gamma in self.entries[:bidx]:
             grank = gamma.ratio_rank
+            gidx = gamma.idx
             if grank == brank:
                 stats.nonregular += 1
                 continue
             if (high is not None and grank > brank and grank > high.ratio_rank
-                    and tri.get(high.idx, gamma.idx)) or \
+                    and tri.get(high.idx, gidx)) or \
                     (low is not None and grank < brank
                      and grank < low.ratio_rank
                      # word_divides(hd gamma, x^v), inlined
                      and (vbound - gamma.lead.word) & guard == guard
-                     and tri.get(low.idx, gamma.idx)):
+                     and tri.get(low.idx, gidx)):
                 stats.basedivisor += 1
-                tri.set(gamma.idx, bidx)
+                rows.append(gidx)
+                if gidx >= lim:
+                    high = low = None
                 continue
-            sword, scomp = spair_word(ring, beta, gamma)
-            if cfg.use_signature and syz.divides(sword, scomp):
+            if grank < brank:
+                # spair_word(ring, beta, gamma): sig beta * u, u =
+                # lcm(hd beta, hd gamma) / hd beta; a syzygy signature s
+                # divides it iff its colon word divides u
+                # u = word_max(blead, hd gamma, guard) - blead, inlined
+                d = (gamma.lead.word | guard) - blead
+                ge = d & guard
+                u = d & (ge - (ge >> 16))
+                sword, scomp = bsig + u, bcomp
+                if sword & guard:
+                    raise ValueError("exponent out of range")
+                ug = u | guard
+                hit = False
+                for c in colon:
+                    if (ug - c) & guard == guard:
+                        hit = True
+                        break
+                if audit:
+                    require(hit == syz.divides(sword, scomp),
+                            "colon set answer is not the syzygy set's")
+            else:
+                sword, scomp = spair_word(ring, beta, gamma)
+                hit = cfg.use_signature and syz.divides(sword, scomp)
+            if hit:
                 stats.sig_early += 1
-                tri.set(gamma.idx, bidx)
+                rows.append(gidx)
+                if gidx >= lim:
+                    high = low = None
                 continue
             if cfg.early_singular and self._early_singular(
                     sword, scomp, beta, gamma):
                 stats.early_singular += 1
                 continue
-            # _pair_key(gamma.idx, bidx), from the signature word at hand
-            batch.append((gamma.idx, ring.key_of_word(sword) * scale
+            # _pair_key(gidx, bidx), from the signature word at hand
+            batch.append((gidx, ring.key_of_word(sword) * scale
                           + offsets[scomp]))
+        tri.set_column(bidx, rows)
         stats.queued += len(batch)
         self.pairs.add_column(bidx, batch)
 

@@ -263,3 +263,32 @@ def test_pair_construction_builds_no_lcm_monomial(monkeypatch):
     assert stats.spairs > stats.relprime
     assert made == []
     assert elsewhere.count("mono_lcm") >= stats.reductions > 0
+
+
+def test_pop_builds_the_lcm_monomial_only_for_a_reduced_pair(monkeypatch):
+    # the pop-time lcm and graph criteria read the lcm's exponent word, so
+    # only a pair that goes on to be reduced builds the lcm Monomial
+    ring, polys = builtin_ideal("cyclic5")
+    inside, made, pops = [], [], []
+    real_lcm = Ring.mono_lcm
+
+    def counting_lcm(self, a, b):
+        if inside:
+            made.append(None)
+        return real_lcm(self, a, b)
+
+    real_pop = _ClassicEngine._pop
+
+    def counting_pop(self):
+        pops.append(None)
+        inside.append(None)
+        try:
+            return real_pop(self)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Ring, "mono_lcm", counting_lcm)
+    monkeypatch.setattr(_ClassicEngine, "_pop", counting_pop)
+    _, stats = buchberger_run(ring, polys)
+    assert 0 < stats.reductions < len(pops)
+    assert len(made) == stats.reductions

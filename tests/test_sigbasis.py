@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 
 import pytest
@@ -500,3 +501,85 @@ def test_pick_audit_fires_under_optimize():
         "except InvariantError as exc:",
         "    print(exc)"]))
     assert out == "packed ratio rank is not its entry's\n"
+
+
+def test_bit_cap_sweep_keeps_every_stats_row_and_syzygy():
+    # most caps in the sweep fall inside a column with eliminations on both
+    # sides, so the triangle is dropped in the middle of pair construction
+    # and the base divisor criterion stops at that row; the digest pins
+    # every stats row and syzygy of these runs
+    h = hashlib.sha256()
+    for name in ("katsura5", "hcyclic5", "cyclic5"):
+        ring, polys = builtin_ideal(name)
+        for early in (False, True):
+            for cap in range(0, 400, 13):
+                res = sb_run(ring, polys, SBConfig(tri_bit_cap=cap,
+                                                   early_singular=early))
+                h.update(repr((res.stats.rows(),
+                               [(m.exps, c) for m, c in res.syzygies]))
+                         .encode())
+    assert h.hexdigest() == ("fdf4dfbfb12e2d2d6039b5c1529943950e67d5324491c0"
+                             "03658093ffe819ce99")
+
+
+def _colon_missing_its_first(real):
+    """SyzygySet.colon with its first (least degree) word dropped: a wrong
+    signature criterion that only an audited run sees."""
+    def colon(self, word, comp):
+        return real(self, word, comp)[1:]
+    return colon
+
+
+def test_audited_run_catches_a_colon_set_missing_a_word(monkeypatch):
+    ring, polys = builtin_ideal("hcyclic5")
+    monkeypatch.setattr(sigbasis.SyzygySet, "colon",
+                        _colon_missing_its_first(sigbasis.SyzygySet.colon))
+    with pytest.raises(InvariantError,
+                       match="colon set answer is not the syzygy set's"):
+        sb_run(ring, polys, SBConfig(audit=True))
+
+
+def test_colon_audit_fires_under_optimize():
+    out = run_optimized("\n".join([
+        "from gbengine import *",
+        "from gbengine import sigbasis",
+        "from test_sigbasis import _colon_missing_its_first",
+        "assert False  # stripped by -O",
+        "S = sigbasis.SyzygySet",
+        "S.colon = _colon_missing_its_first(S.colon)",
+        "try:",
+        "    sb_run(*builtin_ideal('hcyclic5'), SBConfig(audit=True))",
+        "except InvariantError as exc:",
+        "    print(exc)"]))
+    assert out == "colon set answer is not the syzygy set's\n"
+
+
+def test_pair_construction_asks_the_syzygy_set_only_where_gamma_wins(
+        monkeypatch):
+    # where the new element beta has the larger ratio rank, the signature
+    # criterion reads beta's colon set; the syzygy set's lookups are asked
+    # only for pairs whose signature is gamma's multiple
+    ring, polys = builtin_ideal("hcyclic6")
+    asked, allowed = [], []
+    real_divides = sigbasis.SyzygySet.divides
+    real_make = sigbasis._SBEngine._make_new_spairs
+
+    def divides(self, word, comp):
+        if allowed:
+            asked.append((word, comp) in allowed[-1])
+        return real_divides(self, word, comp)
+
+    def make(self, beta):
+        allowed.append({spair_word(ring, beta, gamma)
+                        for gamma in self.entries[:beta.idx]
+                        if gamma.ratio_rank > beta.ratio_rank})
+        try:
+            return real_make(self, beta)
+        finally:
+            allowed.pop()
+
+    monkeypatch.setattr(sigbasis.SyzygySet, "divides", divides)
+    monkeypatch.setattr(sigbasis._SBEngine, "_make_new_spairs", make)
+    stats = sb_run(ring, polys).stats
+    assert stats.sig_early > 0
+    assert asked and all(asked)
