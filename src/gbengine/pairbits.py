@@ -34,25 +34,17 @@ class BitTriangle:
         self.bits[byte] |= 1 << (idx & 7)
 
     def set_column(self, j: int, rows) -> None:
-        """set(i, j) for each i in rows, distinct and each below j, in one
-        pass.  A bit at or past the cap drops the triangle, as set does;
-        the drop also forgets the bits set before it, so the rows' order
-        does not matter."""
-        if self.dropped or not rows:
-            return
-        base = j * (j - 1) // 2
-        top = base + max(rows)
-        if self.cap_bits is not None and top >= self.cap_bits:
-            self.drop()
-            return
-        bits = self.bits
-        lo, hi = base >> 3, (top >> 3) + 1
-        if hi > len(bits):
-            bits.extend(bytes(hi - len(bits)))
-        # the rows' bits as one int over bytes lo..hi, OR-ed in at once
-        new = sum(map((1 << (base & 7)).__lshift__, rows))
-        bits[lo:hi] = (int.from_bytes(bits[lo:hi], "little") | new).to_bytes(
-            hi - lo, "little")
+        """set(i, j) for each i in rows, distinct and each below j, at
+        once.  set(max(rows), j) drops the triangle or grows the bits as
+        the rows would; a drop forgets the other rows' bits anyway."""
+        if rows:
+            self.set(max(rows), j)
+            if not self.dropped:
+                base = j * (j - 1) // 2
+                bits, lo = self.bits, base >> 3
+                new = sum(map((1 << (base & 7)).__lshift__, rows))
+                bits[lo:] = (int.from_bytes(bits[lo:], "little") | new) \
+                    .to_bytes(len(bits) - lo, "little")
 
     def get(self, i: int, j: int) -> bool:
         if self.dropped or i == j:

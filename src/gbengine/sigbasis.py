@@ -6,11 +6,8 @@ once, and the remainder either joins the basis or contributes a minimal
 generator of the initial syzygy module.  The full elimination pipeline is
 here: non-regular and base-divisor checks plus the signature criterion at
 pair construction; duplicate-signature, late signature, Koszul, relatively
-prime and singular checks at pop time.  At pair construction a pair whose
-signature is sig beta * u, beta the new element, meets the signature
-criterion iff u is divisible by a word of beta's colon set, lcm(s, sig
-beta) / sig beta over the stored syzygy signatures s of its component;
-the eliminated pairs' bits are written once per column.
+prime and singular checks at pop time.  Where the new element has the
+larger ratio, the signature criterion reads its colon set (SyzygySet.colon).
 
 Signature keys and sig/lead ratio ranks are single integers whose order
 is the module order, and each basis element carries its ratio rank, so
